@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -105,27 +105,6 @@ class BenchmarkConfig:
             raise ValueError("warm-up exclusion needs at least two circuits")
         if self.n < 1:
             raise ValueError("qubit count must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "n": self.n,
-            "shots": self.shots,
-            "num_circuits": self.num_circuits,
-            "exclude_warmup": self.exclude_warmup,
-            "steps": self.steps,
-            "seed": self.seed,
-            "fabric": self.fabric,
-            "fusion": self.fusion,
-            "rows": self.rows,
-            "cols": self.cols,
-            "lattice": self.lattice,
-            "periodic": self.periodic,
-            "coupling": self.coupling,
-            "transverse_field": self.transverse_field,
-            "t_total": self.t_total,
-            "random_gates": self.random_gates,
-        }
 
 
 @dataclass
@@ -312,7 +291,7 @@ def run_benchmark(
     """SPMD benchmark body; every rank calls with an identical config and
     returns the same report (timings are measured per rank)."""
     cfg.validate()
-    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     if ep.broadcast(0, blob) != blob:
         raise ValueError("benchmark config differs across ranks")
 
@@ -343,7 +322,7 @@ def run_benchmark(
         }
     return BenchmarkReport(
         schema_version=SCHEMA_VERSION,
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         world_size=ep.world_size,
         transport=ep.kind,
         creation_time_seconds=creation_seconds,

@@ -262,9 +262,9 @@ def _exchange_halves(st: DistState, global_pos: int, local_pos: int) -> None:
     amps = st.slice.amps
     # entries whose local bit differs from the rank's global bit move out;
     # the partner's complementary half lands in the same slots
-    moving = np.nonzero(((np.arange(amps.size) >> local_pos) & 1) != g)[0]
-    received = st.ep.exchange(st.ep.rank ^ (1 << bit), amps[moving].tobytes())
-    amps[moving] = np.frombuffer(received, dtype=amps.dtype)
+    moving = amps.reshape(-1, 2, 1 << local_pos)[:, 1 - g]
+    received = st.ep.exchange(st.ep.rank ^ (1 << bit), moving.tobytes())
+    moving[...] = np.frombuffer(received, dtype=amps.dtype).reshape(moving.shape)
 
 
 def _execute(st: DistState, step: PlanStep) -> None:
@@ -298,21 +298,17 @@ def _apply_local(st: DistState, op: GateOp) -> None:
 def _apply_diagonal_shortcut(st: DistState, op: GateOp) -> None:
     lay = st.layout
     mat, qubits = sv.op_matrix(op)
-    diag = np.diag(mat).copy()
     positions = [lay.position_of(q) for q in qubits]
-    local_slots = [j for j, pos in enumerate(positions) if pos < lay.local_bits]
-    fixed = 0
-    for j, pos in enumerate(positions):
-        if pos >= lay.local_bits and (st.ep.rank >> (pos - lay.local_bits)) & 1:
-            fixed |= 1 << j
-    reduced = np.empty(1 << len(local_slots), dtype=complex)
-    for m in range(reduced.size):
-        idx = fixed
-        for jj, j in enumerate(local_slots):
-            idx |= ((m >> jj) & 1) << j
-        reduced[m] = diag[idx]
+    # the diagonal tensor holds qubits[j] on axis len(qubits)-1-j; fix each
+    # global qubit's axis at this rank's bit value
+    fixed = [
+        (st.ep.rank >> (pos - lay.local_bits)) & 1 if pos >= lay.local_bits
+        else slice(None)
+        for pos in reversed(positions)
+    ]
+    reduced = np.diag(mat).reshape((2,) * len(qubits))[tuple(fixed)]
     sv._apply_diagonal(
-        st.slice.amps, reduced, [positions[j] for j in local_slots]
+        st.slice.amps, reduced.ravel(), [pos for pos in positions if pos < lay.local_bits]
     )
 
 
@@ -350,12 +346,11 @@ def gather(st: DistState, qubit_cap: int = GATHER_QUBIT_CAP) -> StateSlice:
     by_position = np.concatenate(
         [np.frombuffer(b, dtype=st.slice.amps.dtype) for b in blobs]
     )
-    perm = st.layout.perm
-    r = np.arange(1 << n, dtype=np.intp)
-    src = np.zeros(r.size, dtype=np.intp)
-    for q in range(n):
-        src |= ((r >> q) & 1) << perm[q]
-    return StateSlice(by_position[src], st.slice.precision)
+    # program bit q sits at position perm[q]
+    axes = sv._bit_axes(n, st.layout.perm[::-1])
+    return StateSlice(
+        by_position.reshape((2,) * n).transpose(axes).ravel(), st.slice.precision
+    )
 
 
 def sample_distributed(

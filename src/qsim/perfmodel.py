@@ -290,24 +290,6 @@ def strong_scaling_curve(
     return points
 
 
-def compare_topologies(
-    curves: dict[str, list[CurvePoint]], baseline: str
-) -> dict[str, list[tuple[int, float]]]:
-    """Elementwise time ratios T_baseline / T_topology per rank count."""
-    if baseline not in curves:
-        raise ValueError(f"baseline {baseline!r} not among curves")
-    base = curves[baseline]
-    axis = [pt.P for pt in base]
-    out: dict[str, list[tuple[int, float]]] = {}
-    for name, curve in curves.items():
-        if [pt.P for pt in curve] != axis:
-            raise ValueError(f"curve {name!r} does not share the baseline's P axis")
-        out[name] = [
-            (pt.P, bpt.t_seconds / pt.t_seconds) for pt, bpt in zip(curve, base)
-        ]
-    return out
-
-
 def curve_to_csv(points: list[CurvePoint]) -> str:
     lines = ["P,n,T_seconds,efficiency,speedup"]
     for pt in points:

@@ -6,6 +6,9 @@ Conventions shared by every module in this package:
   - bitstrings render MSB-first (highest qubit index leftmost)
   - a multi-qubit matrix indexes its bits in target-list order; the first
     listed target is the least-significant matrix bit
+  - a C-contiguous array of 2^m amplitudes viewed as `amps.reshape((2,) * m)`
+    holds index bit b on axis m-1-b (`_bit_axes`); kernels, sampling and
+    gather are views and reductions over that tensor, not index arrays
   - global phase is not significant; `align_phase` quotients it out
 """
 
@@ -219,70 +222,62 @@ def base_matrix(op: GateOp) -> np.ndarray:
     raise ValueError(f"unknown gate kind {k!r}")
 
 
-def _gather_bits(value: int, positions) -> int:
-    out = 0
-    for j, pos in enumerate(positions):
-        out |= ((value >> pos) & 1) << j
-    return out
-
-
-def _spread_bits(value: int, positions) -> int:
-    out = 0
-    for j, pos in enumerate(positions):
-        out |= ((value >> j) & 1) << pos
-    return out
+def _bit_axes(m: int, bits) -> tuple[int, ...]:
+    """Axes of `amps.reshape((2,) * m)` that hold the given index bits."""
+    return tuple(m - 1 - b for b in bits)
 
 
 def op_matrix(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
     """Full matrix of the op, controls included, over its qubits sorted
     ascending (bit j of the matrix index = j-th listed qubit)."""
-    qubits = tuple(sorted(op.targets + op.controls))
-    base = base_matrix(op)
-    if not op.controls and qubits == op.targets:
-        return base, qubits
-    tpos = [qubits.index(t) for t in op.targets]
-    cmask = _spread_bits((1 << len(op.controls)) - 1,
-                         [qubits.index(c) for c in op.controls])
-    tmask = _spread_bits((1 << len(tpos)) - 1, tpos)
-    dim = 1 << len(qubits)
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        if col & cmask != cmask:
-            out[col, col] = 1.0
-            continue
-        colt = _gather_bits(col, tpos)
-        rest = col & ~tmask
-        for rowt in range(base.shape[0]):
-            out[rest | _spread_bits(rowt, tpos), col] = base[rowt, colt]
-    return out, qubits
+    qubits = tuple(sorted(op.qubits))
+    return _embed(base_matrix(op), op.targets, qubits, op.controls), qubits
+
+
+def _embed(mat: np.ndarray, targets, full: tuple[int, ...], controls=()) -> np.ndarray:
+    """Matrix over qubits `full` of `mat` on `targets`, gated on `controls`,
+    identity elsewhere (bit j of the result's index = j-th qubit of `full`)."""
+    if tuple(targets) == full:
+        # nothing to embed into (so no controls either); skipping the
+        # product keeps fusion cheap, and the copy keeps the gate
+        # constants out of fused ops
+        return mat.astype(complex)
+    f = len(full)
+    out = np.eye(1 << f, dtype=complex)
+    # in out.reshape(-1), index bit j + f is bit j of the row
+    _apply_matrix(
+        out.reshape(-1), mat,
+        [full.index(q) + f for q in targets], [full.index(q) + f for q in controls],
+    )
+    return out
 
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
     """In-place matrix application on the target bits of a 2^m amplitude
     array, restricted to indices whose control bits are all 1."""
     m = int(amps.size).bit_length() - 1
-    occupied = set(targets) | set(controls)
-    free = [b for b in range(m) if b not in occupied]
-    r = np.arange(1 << len(free), dtype=np.intp)
-    base = np.zeros(r.size, dtype=np.intp)
-    for j, b in enumerate(free):
-        base |= ((r >> j) & 1) << b
-    for c in controls:
-        base |= 1 << c
     w = len(targets)
-    idx = np.empty((1 << w, base.size), dtype=np.intp)
-    for v in range(1 << w):
-        idx[v] = base + _spread_bits(v, targets)
-    amps[idx] = mat.astype(amps.dtype, copy=False) @ amps[idx]
+    caxes = _bit_axes(m, controls)
+    # fixing each control axis at 1 leaves a view of the controlled part
+    sub = amps.reshape((2,) * m)[
+        tuple(1 if a in caxes else slice(None) for a in range(m))
+    ]
+    # each control axis removed before a target axis shifts it down by one
+    taxes = [a - sum(c < a for c in caxes) for a in _bit_axes(m, targets)]
+    # with target j moved to axis w-1-j, the leading axes index the matrix
+    front = np.moveaxis(sub, taxes, _bit_axes(w, range(w)))
+    front[...] = (
+        mat.astype(amps.dtype, copy=False) @ front.reshape(1 << w, -1)
+    ).reshape(front.shape)
 
 
 def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, positions) -> None:
     """In-place multiply by a diagonal indexed over the given bit positions."""
-    keys = np.zeros(amps.size, dtype=np.intp)
-    r = np.arange(amps.size, dtype=np.intp)
-    for j, pos in enumerate(positions):
-        keys |= ((r >> pos) & 1) << j
-    amps *= diag.astype(amps.dtype, copy=False)[keys]
+    m = int(amps.size).bit_length() - 1
+    w = len(positions)
+    d = diag.astype(amps.dtype, copy=False).reshape((2,) * w + (1,) * (m - w))
+    view = amps.reshape((2,) * m)
+    view *= np.moveaxis(d, _bit_axes(w, range(w)), _bit_axes(m, positions))
 
 
 @dataclass
@@ -360,14 +355,6 @@ class CountsDistribution:
     entries: dict[str, float]
     total: float
 
-    def normalized(self) -> dict[str, float]:
-        if self.total <= 0:
-            raise ValueError("cannot normalize an empty distribution")
-        return {k: v / self.total for k, v in self.entries.items()}
-
-    def sorted_items(self) -> list[tuple[str, float]]:
-        return sorted(self.entries.items())
-
 
 def render_bits(index: int, qubits) -> str:
     """MSB-first bitstring of `index` over the given qubits."""
@@ -402,23 +389,13 @@ def dense_run(
     return state
 
 
-def _measured_value_keys(n: int, measured) -> np.ndarray:
-    """Projection of every amplitude index onto the measured-register value."""
-    asc = sorted(measured)
-    r = np.arange(1 << n, dtype=np.intp)
-    keys = np.zeros(r.size, dtype=np.intp)
-    for j, q in enumerate(asc):
-        keys |= ((r >> q) & 1) << j
-    return keys
-
-
 def probabilities(state: StateSlice, measured=None) -> dict[str, float]:
     """Exact outcome distribution over the measured register."""
     n = state.num_qubits
     measured = tuple(range(n)) if measured is None else tuple(measured)
     probs = np.abs(state.amps.astype(np.complex128)) ** 2
-    agg = np.bincount(_measured_value_keys(n, measured), weights=probs,
-                      minlength=1 << len(measured))
+    unmeasured = _bit_axes(n, [q for q in range(n) if q not in measured])
+    agg = probs.reshape((2,) * n).sum(axis=unmeasured).ravel()
     width = len(measured)
     return {
         format(v, f"0{width}b"): float(agg[v]) for v in np.nonzero(agg)[0]
@@ -449,27 +426,11 @@ def sample_dense(
     n = state.num_qubits
     measured = tuple(range(n)) if measured is None else tuple(measured)
     counts = _multinomial(np.random.default_rng(seed), shots, probs)
-    width = len(measured)
-    keys = _measured_value_keys(n, measured)
     entries: dict[str, int] = {}
     for idx in np.nonzero(counts)[0]:
-        key = format(int(keys[idx]), f"0{width}b")
+        key = render_bits(int(idx), measured)
         entries[key] = entries.get(key, 0) + int(counts[idx])
     return CountsDistribution(entries, float(shots))
-
-
-def _embed(mat: np.ndarray, sub: tuple[int, ...], full: tuple[int, ...]) -> np.ndarray:
-    """Embed a matrix over qubits `sub` into the identity over qubits `full`."""
-    pos = [full.index(q) for q in sub]
-    smask = _spread_bits((1 << len(sub)) - 1, pos)
-    dim = 1 << len(full)
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        cs = _gather_bits(col, pos)
-        rest = col & ~smask
-        for rs in range(mat.shape[0]):
-            out[rest | _spread_bits(rs, pos), col] = mat[rs, cs]
-    return out
 
 
 def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsim import svcore as sv
 from qsim.circuits import build_random_circuit
@@ -32,6 +33,44 @@ ALL_KIND_SAMPLES = [
     sv.swap(0, 1),
     sv.fused((0, 1), np.kron(np.eye(2), [[0, 1], [1, 0]])),
 ]
+
+
+def random_unitary(width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    dim = 1 << width
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# unsorted target lists, and controls above and below their target
+SCATTERED_SAMPLES = [
+    sv.rzz(0.6, 3, 1),
+    sv.fused((3, 0, 2), random_unitary(3, 1)),
+    sv.swap(4, 1),
+    sv.cx(0, 3),
+    sv.cx(4, 2),
+    sv.cp(1.1, 4, 2),
+    sv.cz(1, 4),
+    sv.h(4),
+]
+
+
+def brute_force_matrix(op: GateOp, n: int) -> np.ndarray:
+    """Full 2^n matrix of `op`, built column by column from basis states."""
+    base = sv.base_matrix(op)
+    tmask = sum(1 << t for t in op.targets)
+    dim = 1 << n
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        if not all((col >> c) & 1 for c in op.controls):
+            out[col, col] = 1.0
+            continue
+        t_in = sum(((col >> t) & 1) << j for j, t in enumerate(op.targets))
+        for t_out in range(base.shape[0]):
+            row = col & ~tmask
+            row |= sum(((t_out >> j) & 1) << t for j, t in enumerate(op.targets))
+            out[row, col] = base[t_out, t_in]
+    return out
 
 
 class TestGateOp:
@@ -92,6 +131,68 @@ class TestApplyGateDense:
             apply_gate_dense(state, op)
         assert abs(state.norm() - 1.0) <= 1e-9
         assert np.all(np.isfinite(state.amps.view(np.float64)))
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "op",
+        ALL_KIND_SAMPLES + SCATTERED_SAMPLES,
+        ids=lambda op: f"{op.kind}-t{op.targets}-c{op.controls}",
+    )
+    def test_apply_gate_dense_matches_brute_force(self, op, precision):
+        n = 5
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        state = apply_gate_dense(StateSlice(psi.copy(), precision), op)
+        tol = 1e-12 if precision is Precision.DOUBLE else 1e-6
+        assert np.max(np.abs(state.amps - brute_force_matrix(op, n) @ psi)) <= tol
+
+
+_GATE_MAKERS = [
+    (1, lambda a, q, u: sv.h(q[0])),
+    (1, lambda a, q, u: sv.y(q[0])),
+    (1, lambda a, q, u: sv.rx(a, q[0])),
+    (1, lambda a, q, u: sv.rz(a, q[0])),
+    (2, lambda a, q, u: sv.cx(q[0], q[1])),
+    (2, lambda a, q, u: sv.cp(a, q[0], q[1])),
+    (2, lambda a, q, u: sv.rzz(a, q[0], q[1])),
+    (2, lambda a, q, u: sv.swap(q[0], q[1])),
+    (2, lambda a, q, u: sv.fused(q[:2], random_unitary(2, u))),
+    (3, lambda a, q, u: sv.fused(q[:3], random_unitary(3, u))),
+    (4, lambda a, q, u: sv.fused(q[:4], random_unitary(4, u))),
+]
+
+
+@st.composite
+def small_circuits(draw):
+    n = draw(st.integers(1, 5))
+    makers = [make for width, make in _GATE_MAKERS if width <= n]
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        make = draw(st.sampled_from(makers))
+        qubits = tuple(draw(st.permutations(range(n))))
+        angle = draw(st.floats(-math.pi, math.pi))
+        ops.append(make(angle, qubits, draw(st.integers(0, 2**32 - 1))))
+    return Circuit(n, ops)
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    dim = 1 << circuit.num_qubits
+    u = np.eye(dim, dtype=complex)
+    for op in circuit.ops:
+        u = brute_force_matrix(op, circuit.num_qubits) @ u
+    return u
+
+
+class TestFusionProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    def test_fuse_preserves_unitary(self, circuit, max_width):
+        expect = circuit_unitary(circuit)
+        got = circuit_unitary(fuse(circuit, max_width))
+        assert np.max(np.abs(got - expect)) <= 1e-10
 
 
 class TestDenseRun:

@@ -24,6 +24,11 @@ from . import bench, circuits, dist, fabric, perfmodel
 from .bench import BenchmarkConfig
 
 _FABRICS = ("loopback", "tcp")
+_TOPOLOGIES = {
+    "nvl72": perfmodel.nvl72_topology,
+    "ib": perfmodel.ib_topology,
+    "perlmutter": perfmodel.perlmutter_topology,
+}
 
 
 def env_overrides(env=None) -> dict:
@@ -71,8 +76,9 @@ def _add_common_bench_flags(parser, defaults):
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--topology", default=None,
-                        help="topology config file (default: built-in NVL72)")
+    parser.add_argument("--topology", default="nvl72",
+                        help=f"preset name ({', '.join(_TOPOLOGIES)}; 64 ranks) "
+                             "or topology config file (default: nvl72)")
     parser.add_argument("--fusion", choices=("on", "off"), default="on")
     parser.add_argument("--family", choices=("qpe", "tfim"), default="qpe")
     parser.add_argument("--steps", type=int, default=10)
@@ -210,9 +216,16 @@ def _run_bench(args) -> int:
 
 
 def _topology(args) -> perfmodel.Topology:
-    if args.topology:
+    """A preset by name, else a config file by path."""
+    if args.topology in _TOPOLOGIES:
+        return _TOPOLOGIES[args.topology](total=64)
+    try:
         return perfmodel.load_topology(args.topology)
-    return perfmodel.nvl72_topology(total=64)
+    except FileNotFoundError:
+        raise ValueError(
+            f"--topology {args.topology!r} is neither a preset "
+            f"({', '.join(_TOPOLOGIES)}) nor an existing config file"
+        ) from None
 
 
 def _family(args):

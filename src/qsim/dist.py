@@ -8,11 +8,12 @@ which qubits currently sit on local vs global (rank-id) index bits.
 Gates dispatch as:
   (a) all targets on local bits  -> local matrix application; global
       controls become per-rank predicates
-  (b) diagonal gates with global targets -> local phase multiply using the
-      rank's known global bit values, zero communication
+  (b) any diagonal gate, with local or global targets -> phase multiply
+      using the rank's known global bit values, zero communication
   (c) otherwise -> relocalize each global target (pairwise half-slice
       exchange with the partner rank), then apply locally
   (d) SWAP -> permutation relabel only, zero data movement
+Rule (d) is tried first, then (b), then (a), then (c).
 
 `plan_gate` encodes this policy once; the real engine executes its steps on
 amplitudes and the performance model replays them on byte counters, so the
@@ -177,20 +178,24 @@ def plan_gate(layout: RankLayout, op: GateOp, future_ops=()) -> list[PlanStep]:
     Data movement in the returned steps depends only on the step fields,
     never on the (already updated) permutation.
 
+    A SWAP plans one "relabel" step. Every diagonal gate, wherever its
+    targets and controls sit, plans one "diagonal" step: a phase multiply
+    that reads global bits from the rank id, moves no data and leaves the
+    layout alone. A non-diagonal gate plans a "relocalize" step for each
+    global target and then one "local" step.
+
     Width rule: a non-diagonal gate needs all of its targets on local bits
     at once; when the local space cannot hold them, `_choose_victim`
-    raises ValueError ("needs more local index bits"). A diagonal gate of
-    any width takes the zero-communication shortcut, which reads global
-    target bits from the rank id and needs no local bits; a SWAP is a
-    relabel and needs none either."""
+    raises ValueError ("needs more local index bits"). Diagonal gates and
+    SWAPs need no local bits, so they have no width limit."""
     if op.kind == "SWAP":
         a, b = op.targets
         layout.swap_positions(layout.position_of(a), layout.position_of(b))
         return [PlanStep("relabel", op=op)]
-    if all(layout.is_local(t) for t in op.targets):
-        return [PlanStep("local", op=op)]
     if op.is_diagonal():
         return [PlanStep("diagonal", op=op)]
+    if all(layout.is_local(t) for t in op.targets):
+        return [PlanStep("local", op=op)]
     steps: list[PlanStep] = []
     for t in op.targets:
         gpos = layout.position_of(t)
@@ -240,7 +245,7 @@ def partition(
     amps = np.zeros(local, dtype=precision.dtype)
     if ep.rank == initial >> (n - k):
         amps[initial & (local - 1)] = 1.0
-    return DistState(RankLayout.identity(n, k), StateSlice(amps, precision), ep)
+    return DistState(RankLayout.identity(n, k), StateSlice._adopt(amps, precision), ep)
 
 
 def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
@@ -348,7 +353,7 @@ def gather(st: DistState, qubit_cap: int = GATHER_QUBIT_CAP) -> StateSlice:
     )
     # program bit q sits at position perm[q]
     axes = sv._bit_axes(n, st.layout.perm[::-1])
-    return StateSlice(
+    return StateSlice._adopt(
         by_position.reshape((2,) * n).transpose(axes).ravel(), st.slice.precision
     )
 

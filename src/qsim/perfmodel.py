@@ -63,7 +63,7 @@ def link(name: str) -> LinkModel:
     try:
         return catalog()[name]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown interconnect {name!r}; known: {sorted(_CATALOG_GBPS)}"
         ) from None
 
@@ -332,6 +332,8 @@ def parse_topology(text: str) -> Topology:
     levels = []
     for i in sorted(by_level):
         fields = by_level[i]
+        if "size" not in fields:
+            raise ValueError(f"level {i} needs a size")
         size = int(fields["size"])
         if "link" in fields:
             lnk = link(fields["link"])

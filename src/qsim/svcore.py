@@ -9,6 +9,11 @@ Conventions shared by every module in this package:
   - a C-contiguous array of 2^m amplitudes viewed as `amps.reshape((2,) * m)`
     holds index bit b on axis m-1-b (`_bit_axes`); kernels, sampling and
     gather are views and reductions over that tensor, not index arrays
+  - diagonal gates (`GateOp.is_diagonal`) never take the matrix path:
+    `_apply_diagonal` multiplies the view `amps.reshape((2,) * (m-L) +
+    (2^L,))`, L = min(m, 13) (`_DIAGONAL_INNER_BITS`), in place by a
+    factor spelled out over the low L index bits, so its inner loop is a
+    contiguous run of 2^L amplitudes wherever the gate's bits sit
   - global phase is not significant; `align_phase` quotients it out
 """
 
@@ -23,6 +28,11 @@ import numpy as np
 MAX_FUSION_WIDTH = 5
 DEFAULT_FUSION_WIDTH = 3
 DENSE_QUBIT_CAP = 26
+# low index bits over which `_apply_diagonal` spells out its factor. 2^13
+# is numpy's default ufunc buffer size (np.getbufsize()); with a shorter
+# contiguous run the broadcast multiply goes through the iterator's buffers
+# and ran about 30% slower at n=20
+_DIAGONAL_INNER_BITS = 13
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -117,8 +127,11 @@ class GateOp:
         if self.kind in _DIAGONAL_KINDS:
             return True
         if self.kind == "FUSED":
-            m = self.matrix
-            return bool(np.all(m[~np.eye(m.shape[0], dtype=bool)] == 0))
+            # plan_gate asks this of every op; equal counts mean no
+            # nonzero entry sits off the diagonal
+            return np.count_nonzero(self.matrix) == np.count_nonzero(
+                np.diagonal(self.matrix)
+            )
         return False
 
     def __eq__(self, other):
@@ -272,26 +285,45 @@ def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> No
 
 
 def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, positions) -> None:
-    """In-place multiply by a diagonal indexed over the given bit positions."""
+    """In-place multiply by a diagonal indexed over the given bit positions
+    (bit j of the diagonal's index = positions[j])."""
     m = int(amps.size).bit_length() - 1
     w = len(positions)
     d = diag.astype(amps.dtype, copy=False).reshape((2,) * w + (1,) * (m - w))
-    view = amps.reshape((2,) * m)
-    view *= np.moveaxis(d, _bit_axes(w, range(w)), _bit_axes(m, positions))
+    # axes of size 2 where a position sits, size 1 (broadcast) elsewhere
+    factor = np.moveaxis(d, _bit_axes(w, range(w)), _bit_axes(m, positions))
+    # spell the factor out over the low index bits, so the multiply's inner
+    # loop runs over 2^low contiguous amplitudes whatever the positions
+    low = min(m, _DIAGONAL_INNER_BITS)
+    high = factor.shape[: m - low]
+    factor = np.broadcast_to(factor, high + (2,) * low).reshape(high + (1 << low,))
+    view = amps.reshape((2,) * (m - low) + (1 << low,))
+    view *= factor
 
 
 @dataclass
 class StateSlice:
     """A contiguous block of complex amplitudes (the full state, or one
-    rank's shard of it)."""
+    rank's shard of it).
+
+    A StateSlice never writes into an array its caller still holds: the
+    constructor copies `amps`, and `_adopt` wraps only arrays made for it."""
 
     amps: np.ndarray
     precision: Precision = Precision.DOUBLE
 
     def __post_init__(self):
-        self.amps = np.ascontiguousarray(self.amps, dtype=self.precision.dtype)
+        self.amps = np.array(self.amps, dtype=self.precision.dtype, order="C")
         if self.amps.ndim != 1 or self.amps.size & (self.amps.size - 1):
             raise ValueError("amplitude count must be a power of two")
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray, precision: Precision) -> "StateSlice":
+        """Wrap a fresh 1-D array of `precision.dtype` that no caller holds,
+        without the constructor's copy."""
+        state = cls.__new__(cls)
+        state.amps, state.precision = amps, precision
+        return state
 
     @property
     def num_qubits(self) -> int:
@@ -301,7 +333,7 @@ class StateSlice:
         return float(np.linalg.norm(self.amps))
 
     def copy(self) -> "StateSlice":
-        return StateSlice(self.amps.copy(), self.precision)
+        return StateSlice._adopt(self.amps.copy(), self.precision)
 
 
 def zero_state(n: int, precision: Precision = Precision.DOUBLE) -> StateSlice:
@@ -313,7 +345,7 @@ def basis_state(n: int, index: int, precision: Precision = Precision.DOUBLE) -> 
         raise ValueError("basis index out of range")
     amps = np.zeros(1 << n, dtype=precision.dtype)
     amps[index] = 1.0
-    return StateSlice(amps, precision)
+    return StateSlice._adopt(amps, precision)
 
 
 @dataclass
@@ -368,7 +400,11 @@ def apply_gate_dense(state: StateSlice, gate: GateOp) -> StateSlice:
     n = state.num_qubits
     if any(q >= n for q in gate.qubits):
         raise ValueError(f"gate qubit out of range for {n}-qubit state")
-    _apply_matrix(state.amps, base_matrix(gate), gate.targets, gate.controls)
+    if gate.is_diagonal():
+        mat, qubits = op_matrix(gate)
+        _apply_diagonal(state.amps, np.diag(mat), qubits)
+    else:
+        _apply_matrix(state.amps, base_matrix(gate), gate.targets, gate.controls)
     return state
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_unitary
+from hypothesis import given, settings, strategies as st
 
 from qsim import dist, fabric, svcore as sv
 from qsim.circuits import build_qpe, build_random_circuit, QpeSpec
@@ -305,6 +307,33 @@ class TestPlanGate:
         assert [s.action for s in steps] == ["diagonal"]
         assert layout.perm == list(range(4))
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            sv.rz(0.3, 1),
+            sv.cz(0, 2),
+            sv.cp(0.4, 2, 1),
+            sv.rzz(0.5, 3, 0),
+            sv.fused((2, 0, 1), np.diag(np.exp(1j * np.arange(8.0)))),
+            sv.cp(0.4, 5, 1),
+        ],
+        ids=["rz", "cz", "cp", "rzz", "fused-diagonal", "cp-global-control"],
+    )
+    def test_diagonal_plans_one_diagonal_step(self, op):
+        # rule (b) comes before rule (a): a diagonal on local bits is a
+        # phase multiply too, not a dense local block
+        layout = RankLayout.identity(6, 2)  # local positions 0..3
+        steps = plan_gate(layout, op)
+        assert [(s.action, s.op) for s in steps] == [("diagonal", op)]
+        assert layout.perm == list(range(6))
+
+    def test_dense_local_block_plans_local(self):
+        layout = RankLayout.identity(6, 2)
+        h = sv.base_matrix(sv.h(0))
+        op = sv.fused((2, 0), np.kron(h, h))
+        assert [s.action for s in plan_gate(layout, op)] == ["local"]
+        assert layout.perm == list(range(6))
+
     def test_control_eviction_allowed(self):
         # one local bit held by the control: the target must displace it
         layout = RankLayout.identity(2, 1)
@@ -355,6 +384,73 @@ class TestRunDistributed:
                 dist.run_distributed(c, ep)
 
         spmd(4, body)
+
+
+def _random_phases(width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << width)))
+
+
+# (qubits the gate needs, whether it is a dense block, maker); dense blocks
+# must fit the local space, diagonal ones need no local bits
+_MIXED_MAKERS = [
+    (1, False, lambda a, q, u: sv.h(q[0])),
+    (1, False, lambda a, q, u: sv.y(q[0])),
+    (1, False, lambda a, q, u: sv.rx(a, q[0])),
+    (1, False, lambda a, q, u: sv.rz(a, q[0])),
+    (1, False, lambda a, q, u: sv.p(a, q[0])),
+    (1, False, lambda a, q, u: sv.z(q[0])),
+    (2, False, lambda a, q, u: sv.cx(q[0], q[1])),
+    (2, False, lambda a, q, u: sv.cz(q[0], q[1])),
+    (2, False, lambda a, q, u: sv.cp(a, q[0], q[1])),
+    (2, False, lambda a, q, u: sv.rzz(a, q[0], q[1])),
+    (2, False, lambda a, q, u: sv.swap(q[0], q[1])),
+    (2, True, lambda a, q, u: sv.fused(q[:2], random_unitary(2, u))),
+    (3, True, lambda a, q, u: sv.fused(q[:3], random_unitary(3, u))),
+    (3, False, lambda a, q, u: sv.fused(q[:3], _random_phases(3, u))),
+    (4, False, lambda a, q, u: sv.fused(q[:4], _random_phases(4, u))),
+]
+
+
+@st.composite
+def mixed_circuits(draw, k):
+    """Circuits of k+1 to 7 qubits mixing diagonal, controlled and dense
+    gates on shuffled qubits, runnable over 2^k ranks."""
+    n = draw(st.integers(k + 1, 7))
+    makers = [
+        make for width, dense, make in _MIXED_MAKERS
+        if width <= (n - k if dense else n)
+    ]
+    ops = []
+    for _ in range(draw(st.integers(0, 16))):
+        make = draw(st.sampled_from(makers))
+        qubits = tuple(draw(st.permutations(range(n))))
+        angle = draw(st.floats(-math.pi, math.pi))
+        ops.append(make(angle, qubits, draw(st.integers(0, 2**32 - 1))))
+    return Circuit(n, ops)
+
+
+class TestDistributedEqualsDense:
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize("P", [1, 2, 4])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_gathered_state_matches_dense_run(self, P, fusion, precision, data):
+        c = data.draw(mixed_circuits(P.bit_length() - 1))
+        dense = dense_run(c).amps
+        tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
+
+        def body(ep):
+            st = dist.run_distributed(c, ep, fusion=fusion, precision=precision)
+            return dist.gather(st).amps
+
+        for amps in spmd(P, body):
+            assert amps.dtype == precision.dtype
+            assert np.max(np.abs(amps - dense), initial=0.0) <= tol
+        if P == 1 and not fusion:
+            # one rank runs the same kernels on the same ops as dense_run
+            assert np.array_equal(amps, dense_run(c, precision=precision).amps)
 
 
 class TestGather:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_unitary
 from hypothesis import given, settings, strategies as st
 
 from qsim import svcore as sv
@@ -33,13 +34,6 @@ ALL_KIND_SAMPLES = [
     sv.swap(0, 1),
     sv.fused((0, 1), np.kron(np.eye(2), [[0, 1], [1, 0]])),
 ]
-
-
-def random_unitary(width: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    dim = 1 << width
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # unsorted target lists, and controls above and below their target
@@ -148,6 +142,52 @@ class TestKernelOracle:
         state = apply_gate_dense(StateSlice(psi.copy(), precision), op)
         tol = 1e-12 if precision is Precision.DOUBLE else 1e-6
         assert np.max(np.abs(state.amps - brute_force_matrix(op, n) @ psi)) <= tol
+
+
+# the kernel spells its factor out over the low B index bits; the cases
+# put bits below B, at and above it, and on both sides of it
+_B = sv._DIAGONAL_INNER_BITS
+
+
+class TestDiagonalKernel:
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "positions",
+        [(), (0,), (2, 5, _B - 1), (_B,), (_B + 1, _B), (_B - 2, _B, _B + 1),
+         (_B - 1, _B), (_B + 1, 3, 7)],
+        ids=["none", "low", "low3", "high", "high2", "straddle3", "straddle2",
+             "unsorted"],
+    )
+    def test_matches_brute_force(self, positions, precision):
+        n = _B + 2
+        rng = np.random.default_rng(len(positions))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        diag = np.exp(1j * rng.uniform(-math.pi, math.pi, size=1 << len(positions)))
+        got = psi.astype(precision.dtype)
+        sv._apply_diagonal(got, diag, positions)
+        # basis state |i> picks the entry whose bit j is bit positions[j] of i
+        entry = [
+            sum(((i >> pos) & 1) << j for j, pos in enumerate(positions))
+            for i in range(1 << n)
+        ]
+        tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
+        assert np.max(np.abs(got - diag[entry] * psi)) <= tol
+
+
+class TestStateSliceOwnership:
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    def test_never_writes_into_callers_array(self, precision):
+        psi = np.array([1, 0], dtype=precision.dtype)
+        state = apply_gate_dense(StateSlice(psi, precision), sv.x(0))
+        assert np.array_equal(state.amps, [0, 1])
+        assert np.array_equal(psi, [1, 0])
+
+    def test_copy_is_independent(self):
+        state = sv.zero_state(2)
+        twin = state.copy()
+        apply_gate_dense(twin, sv.x(1))
+        assert np.array_equal(state.amps, [1, 0, 0, 0])
+        assert np.array_equal(twin.amps, [0, 0, 1, 0])
 
 
 _GATE_MAKERS = [

@@ -1,10 +1,14 @@
 """Benchmark harness: SPMD execution with barrier-bracketed timing, warm-up
-exclusion, normalized Hellinger fidelity, and leader-only reporting.
+exclusion, normalized Hellinger fidelity, and one report per rank.
 
 Per circuit the harness runs: barrier, start clock, distributed execution
 plus sampling, barrier, stop clock. With warm-up exclusion the first
 circuit's time never enters the statistics. The clock is injectable so the
-timing protocol itself is testable.
+timing protocol itself is testable; the dense oracle runs outside it.
+
+Every rank returns a `BenchmarkReport` holding its own timings and its own
+exchange traffic; the caller prints rank 0's. The report's fields are its
+JSON keys, so `render("json")` and `report_from_json` are inverses.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import csv
 import io
 import json
 import math
-import os
-import sys
 import time
 from dataclasses import asdict, dataclass
 
@@ -108,152 +110,64 @@ class BenchmarkConfig:
 
 
 @dataclass
+class CircuitResult:
+    index: int
+    name: str
+    wall_time_seconds: float
+    fidelity: float | None  # None above the oracle cap
+
+
+@dataclass
 class BenchmarkReport:
+    """One rank's report. The fields, in order, are the JSON keys. `traffic`
+    counts this rank's exchange() traffic since its endpoint was created;
+    reports written before every endpoint counted its traffic may hold null."""
+
     schema_version: int
     config: dict
     world_size: int
     transport: str
     creation_time_seconds: float
-    circuit_names: list[str]
-    wall_times: list[float]
-    fidelities: list[float | None]
+    circuits: list[CircuitResult]
     warmup_excluded: bool
-    mean_wall_time: float
-    std_wall_time: float
-    traffic: dict | None = None
+    timed_circuits: int
+    mean_wall_time_seconds: float
+    std_wall_time_seconds: float
+    traffic: dict | None
 
-    def timed_count(self) -> int:
-        return len(self.wall_times) - (1 if self.warmup_excluded else 0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "world_size": self.world_size,
-            "transport": self.transport,
-            "creation_time_seconds": self.creation_time_seconds,
-            "circuits": [
-                {
-                    "index": i,
-                    "name": self.circuit_names[i],
-                    "wall_time_seconds": self.wall_times[i],
-                    "fidelity": self.fidelities[i],
-                }
-                for i in range(len(self.wall_times))
-            ],
-            "warmup_excluded": self.warmup_excluded,
-            "timed_circuits": self.timed_count(),
-            "mean_wall_time_seconds": self.mean_wall_time,
-            "std_wall_time_seconds": self.std_wall_time,
-            "traffic": self.traffic,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    def to_csv(self) -> str:
-        """One row per circuit plus a summary row."""
+    def render(self, fmt: str) -> str:
+        """The report as JSON, or as CSV: one row per circuit, then the mean
+        and the std of the timed circuits' wall times."""
+        if fmt == "json":
+            return json.dumps(asdict(self), indent=2) + "\n"
+        if fmt != "csv":
+            raise ValueError(f"unknown report format {fmt!r}")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["circuit", "name", "wall_time_seconds", "fidelity"])
-        for i in range(len(self.wall_times)):
-            fid = self.fidelities[i]
-            writer.writerow(
-                [i, self.circuit_names[i], repr(self.wall_times[i]),
-                 "" if fid is None else repr(fid)]
-            )
-        writer.writerow(
-            ["mean_excl_warmup" if self.warmup_excluded else "mean",
-             self.config.get("benchmark", ""),
-             repr(self.mean_wall_time), repr(self.std_wall_time)]
-        )
+        for c in self.circuits:
+            writer.writerow([c.index, c.name, repr(c.wall_time_seconds),
+                             "" if c.fidelity is None else repr(c.fidelity)])
+        suffix = "_excl_warmup" if self.warmup_excluded else ""
+        benchmark = self.config.get("benchmark", "")
+        writer.writerow(["mean" + suffix, benchmark, repr(self.mean_wall_time_seconds), ""])
+        writer.writerow(["std" + suffix, benchmark, repr(self.std_wall_time_seconds), ""])
         return buf.getvalue()
 
 
 def report_from_json(text: str) -> BenchmarkReport:
     d = json.loads(text)
-    return BenchmarkReport(
-        schema_version=d["schema_version"],
-        config=d["config"],
-        world_size=d["world_size"],
-        transport=d["transport"],
-        creation_time_seconds=d["creation_time_seconds"],
-        circuit_names=[c["name"] for c in d["circuits"]],
-        wall_times=[c["wall_time_seconds"] for c in d["circuits"]],
-        fidelities=[c["fidelity"] for c in d["circuits"]],
-        warmup_excluded=d["warmup_excluded"],
-        mean_wall_time=d["mean_wall_time_seconds"],
-        std_wall_time=d["std_wall_time_seconds"],
-        traffic=d.get("traffic"),
-    )
+    d["circuits"] = [CircuitResult(**c) for c in d["circuits"]]
+    return BenchmarkReport(**d)
 
 
-def emit_report(report: BenchmarkReport, fmt: str, path) -> None:
-    if fmt == "json":
-        payload = report.to_json() + "\n"
-    elif fmt == "csv":
-        payload = report.to_csv()
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(payload)
-
-
-class OutputPolicy:
-    """Leader-only stdout: rank 0 writes through, other ranks' report/log
-    writes are discarded. Errors still surface on stderr everywhere."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.is_leader = rank == 0
-        self._null = None if self.is_leader else open(os.devnull, "w")
-        self._saved_stdout = None
-
-    @property
-    def stdout(self):
-        return sys.stdout if self.is_leader else self._null
-
-    def print(self, *args, **kwargs):
-        kwargs.setdefault("file", self.stdout)
-        print(*args, **kwargs)
-
-    def redirect_process_stdout(self):
-        """Process-wide redirect for one-process-per-rank transports. Do not
-        use under loopback, where all ranks share one interpreter."""
-        if not self.is_leader and self._saved_stdout is None:
-            self._saved_stdout = sys.stdout
-            sys.stdout = self._null
-
-    def restore(self):
-        if self._saved_stdout is not None:
-            sys.stdout = self._saved_stdout
-            self._saved_stdout = None
-        if self._null is not None and not self._null.closed:
-            self._null.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.restore()
-        return False
-
-
-def leader_only_output(ep: FabricEndpoint) -> OutputPolicy:
-    return OutputPolicy(ep.rank)
-
-
-def _build_circuits(cfg: BenchmarkConfig) -> tuple[list[Circuit], list[dict | None]]:
+def _build_circuits(cfg: BenchmarkConfig) -> list[Circuit]:
     if cfg.benchmark == "qpe":
         k = cfg.n - 1
         if k < 1:
             raise ValueError("qpe needs at least 2 qubits (k counting + 1 target)")
-        built, ideals = [], []
-        for i in range(cfg.num_circuits):
-            numerator = i % (1 << k)
-            built.append(circ.build_qpe(circ.QpeSpec(k, numerator)))
-            ideals.append({format(numerator, f"0{k}b"): 1.0})
-        return built, ideals
+        return [circ.build_qpe(circ.QpeSpec(k, i % (1 << k)))
+                for i in range(cfg.num_circuits)]
     if cfg.benchmark == "tfim":
         rows = cfg.rows if cfg.rows is not None else 1
         cols = cfg.cols if cfg.cols is not None else cfg.n
@@ -263,16 +177,22 @@ def _build_circuits(cfg: BenchmarkConfig) -> tuple[list[Circuit], list[dict | No
         spec = circ.tfim_from_lattice(
             lattice, cfg.coupling, cfg.transverse_field, cfg.t_total, cfg.steps
         )
-        one = circ.build_tfim(spec)
-        ideal = _oracle_distribution(one)
-        return [one] * cfg.num_circuits, [ideal] * cfg.num_circuits
+        return [circ.build_tfim(spec)] * cfg.num_circuits
     # random: a fresh seed per circuit
     gates = cfg.random_gates if cfg.random_gates is not None else 10 * cfg.n
-    built = [
+    return [
         circ.build_random_circuit(cfg.n, gates, cfg.seed + i)
         for i in range(cfg.num_circuits)
     ]
-    return built, [_oracle_distribution(c) for c in built]
+
+
+def _ideal_distributions(cfg: BenchmarkConfig, built: list[Circuit]) -> list[dict | None]:
+    if cfg.benchmark == "qpe":  # circuit i estimates phase (i mod 2^k) / 2^k
+        k = cfg.n - 1
+        return [{format(i % (1 << k), f"0{k}b"): 1.0} for i in range(len(built))]
+    if cfg.benchmark == "tfim":  # one circuit, repeated
+        return [_oracle_distribution(built[0])] * len(built)
+    return [_oracle_distribution(c) for c in built]
 
 
 def _oracle_distribution(circuit: Circuit) -> dict[str, float] | None:
@@ -289,48 +209,47 @@ def run_benchmark(
     clock=time.perf_counter,
 ) -> BenchmarkReport:
     """SPMD benchmark body; every rank calls with an identical config and
-    returns the same report (timings are measured per rank)."""
+    returns its own report (timings and traffic are measured per rank)."""
     cfg.validate()
     blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     if ep.broadcast(0, blob) != blob:
         raise ValueError("benchmark config differs across ranks")
 
     t_create = clock()
-    built, ideals = _build_circuits(cfg)
+    built = _build_circuits(cfg)
     creation_seconds = clock() - t_create
+    ideals = _ideal_distributions(cfg, built)
 
-    wall_times: list[float] = []
-    fidelities: list[float | None] = []
+    results: list[CircuitResult] = []
     for i, circuit in enumerate(built):
         ep.barrier()
         t0 = clock()
         st = run_distributed(circuit, ep, fusion=cfg.fusion)
         counts = sample_distributed(st, cfg.shots, cfg.seed + i, circuit.measured)
         ep.barrier()
-        wall_times.append(clock() - t0)
+        wall = clock() - t0
         ideal = ideals[i]
-        fidelities.append(None if ideal is None else fidelity(counts, ideal))
+        fid = None if ideal is None else fidelity(counts, ideal)
+        results.append(CircuitResult(i, circuit.name, wall, fid))
 
-    timed = wall_times[1:] if cfg.exclude_warmup else wall_times
-    traffic = None
-    log = getattr(ep, "traffic", None)
-    if log is not None:
-        traffic = {
-            "exchange_bytes_total": log.bytes_sent(),
-            "messages_total": log.message_count,
-            "bytes_by_global_bit": {str(b): v for b, v in sorted(log.bit_bytes().items())},
-        }
+    timed = [r.wall_time_seconds for r in results[1 if cfg.exclude_warmup else 0 :]]
+    log = ep.traffic
     return BenchmarkReport(
         schema_version=SCHEMA_VERSION,
         config=asdict(cfg),
         world_size=ep.world_size,
         transport=ep.kind,
         creation_time_seconds=creation_seconds,
-        circuit_names=[c.name for c in built],
-        wall_times=wall_times,
-        fidelities=fidelities,
+        circuits=results,
         warmup_excluded=cfg.exclude_warmup,
-        mean_wall_time=float(np.mean(timed)),
-        std_wall_time=float(np.std(timed)),
-        traffic=traffic,
+        timed_circuits=len(timed),
+        mean_wall_time_seconds=float(np.mean(timed)),
+        std_wall_time_seconds=float(np.std(timed)),
+        traffic={
+            "exchange_bytes_total": log.bytes_sent(src=ep.rank),
+            "messages_total": sum(log.bit_messages(ep.rank).values()),
+            "bytes_by_global_bit": {
+                str(b): v for b, v in sorted(log.bit_bytes(ep.rank).items())
+            },
+        },
     )

@@ -10,7 +10,8 @@ Subcommands:
 Environment variables QSIM_FABRIC, QSIM_RENDEZVOUS and QSIM_SEED provide
 defaults; explicit flags always win. Loopback mode spawns all ranks as
 worker threads in this process; tcp mode runs as one rank of an externally
-launched world.
+launched world. Either way every rank measures its own timings and exchange
+traffic, and only rank 0 prints its report (and writes --out).
 """
 
 from __future__ import annotations
@@ -69,16 +70,15 @@ def _add_common_bench_flags(parser, defaults):
     parser.add_argument("--seed", type=int, default=defaults.get("seed", 1234))
     parser.add_argument("--no-warmup-exclude", action="store_true",
                         help="keep the first circuit's time in the statistics")
-    parser.add_argument("--instrument", action="store_true",
-                        help="record exchange traffic into the report")
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _add_model_flags(parser):
     parser.add_argument("--topology", default="nvl72",
-                        help=f"preset name ({', '.join(_TOPOLOGIES)}; 64 ranks) "
-                             "or topology config file (default: nvl72)")
+                        help=f"preset name ({', '.join(_TOPOLOGIES)}), sized to "
+                             "cover the rank count, or topology config file "
+                             "(default: nvl72)")
     parser.add_argument("--fusion", choices=("on", "off"), default="on")
     parser.add_argument("--family", choices=("qpe", "tfim"), default="qpe")
     parser.add_argument("--steps", type=int, default=10)
@@ -172,30 +172,27 @@ def _bench_config(args) -> BenchmarkConfig:
     return cfg
 
 
-def _emit(report: bench.BenchmarkReport, args, policy) -> None:
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    policy.print(text)
-    if args.out and policy.is_leader:
-        bench.emit_report(report, args.format, args.out)
+def _write(text: str, out: str | None) -> None:
+    """Print text and, with --out, write the same text to that file."""
+    sys.stdout.write(text)
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def _run_bench(args) -> int:
     _check_power_of_two(args.ranks, "--ranks")
     cfg = _bench_config(args)
+
+    def body(ep):
+        report = bench.run_benchmark(cfg, ep)
+        if ep.rank == 0:
+            _write(report.render(args.format), args.out)
+
     if args.fabric == "loopback":
         if args.rank is not None:
             raise ValueError("--rank only applies to the tcp fabric")
-        world = fabric.create_world("loopback", args.ranks)
-        if args.instrument:
-            world, _ = fabric.instrument_world(world)
-
-        def body(ep):
-            with bench.leader_only_output(ep) as policy:
-                report = bench.run_benchmark(cfg, ep)
-                _emit(report, args, policy)
-            return report
-
-        fabric.run_spmd(world, body)
+        fabric.run_spmd(fabric.create_world("loopback", args.ranks), body)
         return 0
     # tcp: this process is one rank of an external launch
     if args.rank is None or args.rendezvous is None:
@@ -203,22 +200,22 @@ def _run_bench(args) -> int:
     ep = fabric.create_world(
         "tcp", args.ranks, rendezvous=args.rendezvous, rank=args.rank
     )
-    if args.instrument:
-        ep = fabric.InstrumentedEndpoint(ep)
     try:
-        with bench.leader_only_output(ep) as policy:
-            policy.redirect_process_stdout()
-            report = bench.run_benchmark(cfg, ep)
-            _emit(report, args, policy)
+        body(ep)
     finally:
         ep.close()
     return 0
 
 
+def _model_ranks(args) -> int:
+    return args.ranks if args.model_cmd == "predict" else args.max_ranks
+
+
 def _topology(args) -> perfmodel.Topology:
-    """A preset by name, else a config file by path."""
+    """A preset by name, built for at least 64 ranks and at least the
+    model's rank count, else a config file by path."""
     if args.topology in _TOPOLOGIES:
-        return _TOPOLOGIES[args.topology](total=64)
+        return _TOPOLOGIES[args.topology](total=max(64, _model_ranks(args)))
     try:
         return perfmodel.load_topology(args.topology)
     except FileNotFoundError:
@@ -257,18 +254,16 @@ def _emit_curve(points, args) -> None:
             ],
             indent=2,
         ) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+    _write(text, args.out)
 
 
 def _run_model(args) -> int:
+    flag = "--ranks" if args.model_cmd == "predict" else "--max-ranks"
+    _check_power_of_two(_model_ranks(args), flag)
     topology = _topology(args)
     fusion = args.fusion == "on"
     family = _family(args)
     if args.model_cmd == "predict":
-        _check_power_of_two(args.ranks, "--ranks")
         circuit = family(args.qubits)
         topo = topology.for_ranks(args.ranks)
         profile = perfmodel.schedule_traffic(circuit, args.qubits, topo, fusion)
@@ -286,13 +281,8 @@ def _run_model(args) -> int:
                 str(b): v for b, v in profile.swap_count_per_level.items()
             },
         }
-        text = json.dumps(out, indent=2) + "\n"
-        sys.stdout.write(text)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
+        _write(json.dumps(out, indent=2) + "\n", args.out)
         return 0
-    _check_power_of_two(args.max_ranks, "--max-ranks")
     if args.model_cmd == "weak":
         points = perfmodel.weak_scaling_curve(
             args.base_n, family, topology, args.max_ranks, fusion
@@ -309,10 +299,7 @@ def _run_model(args) -> int:
 def _run_report(args) -> int:
     with open(args.path, "r", encoding="utf-8") as f:
         report = bench.report_from_json(f.read())
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    if args.out:
-        bench.emit_report(report, args.format, args.out)
+    _write(report.render(args.format), args.out)
     return 0
 
 

@@ -1,12 +1,13 @@
 """Rank-to-rank message passing with interchangeable transports.
 
-Three endpoint flavors share one contract:
+Two endpoint flavors share one contract:
   - loopback: every rank is a worker thread in one process, channels are
-    in-memory queues
+    in-memory queues, and the world shares one traffic log
   - tcp: one OS process per rank, full mesh of localhost sockets with
-    little-endian 8-byte length-prefix framing
-  - instrumented: wraps either of the above and records per-message
-    exchange traffic for the performance model
+    little-endian 8-byte length-prefix framing, and a traffic log per rank
+
+Every endpoint counts its own exchange() traffic in `ep.traffic`, the
+bytes that the performance model predicts.
 
 Collectives (barrier, broadcast, allreduce, allgather) are built on the
 pairwise primitive with recursive doubling, so a world of P = 2^k ranks
@@ -51,18 +52,21 @@ class FabricEndpoint:
     """One rank's handle into a world of P = 2^k connected ranks.
 
     Subclasses provide `_sendrecv`; everything else is shared. An endpoint
-    is confined to a single worker at a time.
+    is confined to a single worker at a time. `traffic` records every
+    exchange() this endpoint makes; ranks may share one log.
     """
 
     kind = "abstract"
 
-    def __init__(self, rank: int, world_size: int, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, rank: int, world_size: int, timeout: float = DEFAULT_TIMEOUT,
+                 traffic: TrafficLog | None = None):
         self.hypercube_bits = _check_world_size(world_size)
         if not 0 <= rank < world_size:
             raise ValueError("rank out of range")
         self.rank = rank
         self.world_size = world_size
         self.timeout = timeout
+        self.traffic = traffic if traffic is not None else TrafficLog()
 
     # --- transport primitive -------------------------------------------
 
@@ -88,17 +92,13 @@ class FabricEndpoint:
                 f"exchange length mismatch: sent {len(payload)} bytes, "
                 f"received {len(got)}"
             )
-        self._record_exchange(peer, len(payload))
+        self.traffic.record(self.rank, peer, len(payload))
         return got
-
-    def _record_exchange(self, peer: int, nbytes: int):
-        pass
 
     # --- collectives ------------------------------------------------------
 
     def barrier(self):
         """No rank returns before every rank has entered."""
-        self._on_barrier()
         for j in range(self.hypercube_bits):
             peer = self.rank ^ (1 << j)
             try:
@@ -107,9 +107,6 @@ class FabricEndpoint:
                 raise FabricTimeoutError(
                     f"barrier timed out on rank {self.rank} waiting for rank {peer}"
                 ) from e
-
-    def _on_barrier(self):
-        pass
 
     def broadcast(self, root: int, data: bytes) -> bytes:
         """Every rank returns root's buffer bit-exactly."""
@@ -178,8 +175,9 @@ def _unpack_items(payload: bytes) -> dict[int, bytes]:
 class LoopbackEndpoint(FabricEndpoint):
     kind = "loopback"
 
-    def __init__(self, rank, world_size, channels, timeout=DEFAULT_TIMEOUT):
-        super().__init__(rank, world_size, timeout)
+    def __init__(self, rank, world_size, channels, timeout=DEFAULT_TIMEOUT,
+                 traffic=None):
+        super().__init__(rank, world_size, timeout, traffic)
         self._channels = channels
 
     def _sendrecv(self, peer: int, payload: bytes) -> bytes:
@@ -388,39 +386,6 @@ class TrafficLog:
         return out
 
 
-class InstrumentedEndpoint(FabricEndpoint):
-    """Wrapper that records exchange traffic and (optionally) barrier
-    events while delegating all transport work to the inner endpoint."""
-
-    def __init__(self, inner: FabricEndpoint, log: TrafficLog | None = None,
-                 events: list | None = None):
-        super().__init__(inner.rank, inner.world_size, inner.timeout)
-        self.inner = inner
-        self.traffic = log if log is not None else TrafficLog()
-        self.events = events
-        self.kind = f"instrumented-{inner.kind}"
-
-    def _sendrecv(self, peer: int, payload: bytes) -> bytes:
-        return self.inner._sendrecv(peer, payload)
-
-    def _record_exchange(self, peer: int, nbytes: int):
-        self.traffic.record(self.rank, peer, nbytes)
-
-    def _on_barrier(self):
-        if self.events is not None:
-            self.events.append(("barrier", self.rank))
-
-    def close(self):
-        self.inner.close()
-
-
-def instrument_world(endpoints, log: TrafficLog | None = None,
-                     events: list | None = None):
-    """Wrap a list of endpoints with one shared TrafficLog."""
-    log = log if log is not None else TrafficLog()
-    return [InstrumentedEndpoint(ep, log, events) for ep in endpoints], log
-
-
 # --------------------------------------------------------------------------
 # world construction and SPMD driving
 # --------------------------------------------------------------------------
@@ -443,8 +408,9 @@ def create_world(
             for j in range(world_size)
             if i != j
         }
+        log = TrafficLog()
         return [
-            LoopbackEndpoint(r, world_size, channels, timeout)
+            LoopbackEndpoint(r, world_size, channels, timeout, log)
             for r in range(world_size)
         ]
     if kind == "tcp":

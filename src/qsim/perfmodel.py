@@ -10,7 +10,7 @@ half-slice relocalization and the link serving bit g comes from the
 hierarchical topology. There is no latency or contention term: bisection
 bandwidth is the modeled constraint. Traffic is obtained by replaying the
 distributed engine's own scheduling policy symbolically, so the counts
-match an instrumented run exactly.
+match the traffic an endpoint records exactly.
 
 Bandwidth catalog values are peak bidirectional figures in bytes/second
 (1 GB/s = 1e9 B/s). Per-system memory bandwidths are calibration inputs,

@@ -24,38 +24,40 @@ def free_port() -> int:
         return s.getsockname()[1]
 
 
-def launch_tcp_workers(mode, world_size, out_paths, seed=None, timeout=90):
-    """Spawn one tcp_worker.py process per rank and wait for all of them."""
-    port = free_port()
-    rendezvous = f"127.0.0.1:{port}"
-    # the workers import qsim from this checkout, like the test process
+def run_ranks(argv_for_rank, world_size, timeout=90) -> list[str]:
+    """Start one process per rank, running argv_for_rank(rank, rendezvous),
+    and wait for all of them. Fails the test if any rank exits nonzero;
+    returns each rank's stdout."""
+    rendezvous = f"127.0.0.1:{free_port()}"
+    # the ranks import qsim from this checkout, like the test process
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
     )
-    procs = []
-    for rank in range(world_size):
-        argv = [
-            sys.executable,
-            str(TESTS_DIR / "tcp_worker.py"),
-            mode,
-            str(rank),
-            str(world_size),
-            rendezvous,
-            str(out_paths[rank]),
-        ]
-        if seed is not None:
-            argv.append(str(seed))
-        procs.append(
-            subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-                env=env,
-            )
+    procs = [
+        subprocess.Popen(
+            argv_for_rank(rank, rendezvous), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env,
         )
-    failures = []
+        for rank in range(world_size)
+    ]
+    outs, failures = [], []
     for rank, proc in enumerate(procs):
-        out, _ = proc.communicate(timeout=timeout)
+        out, err = proc.communicate(timeout=timeout)
+        outs.append(out)
         if proc.returncode != 0:
-            failures.append(f"rank {rank} rc={proc.returncode}:\n{out}")
+            failures.append(f"rank {rank} rc={proc.returncode}:\n{out}{err}")
     if failures:
         pytest.fail("\n".join(failures))
+    return outs
+
+
+def launch_tcp_workers(mode, world_size, out_paths, seed=None, timeout=90):
+    """Spawn one tcp_worker.py process per rank and wait for all of them."""
+    extra = [] if seed is None else [str(seed)]
+
+    def argv(rank, rendezvous):
+        return [sys.executable, str(TESTS_DIR / "tcp_worker.py"), mode, str(rank),
+                str(world_size), rendezvous, str(out_paths[rank]), *extra]
+
+    run_ranks(argv, world_size, timeout)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from qsim import bench, perfmodel
 from qsim.bench import BenchmarkConfig, run_benchmark
-from qsim.fabric import create_world
+from qsim.fabric import create_world, run_spmd
 
 QPE_CONFIG = {
     "benchmark": "qpe",
@@ -75,3 +76,41 @@ class TestRunBenchmarkConfig:
         assert sent[0] == json.dumps(expected, sort_keys=True).encode()
         assert report.config == expected
         assert list(report.config) == list(expected)
+
+
+@pytest.mark.parametrize("family", ["qpe", "tfim", "random"])
+def test_report_counts_this_ranks_traffic(family):
+    cfg = BenchmarkConfig(family, 6, num_circuits=3)
+    topo = perfmodel.nvl72_topology().for_ranks(4)
+    profiles = [perfmodel.schedule_traffic(c, 6, topo, fusion=True)
+                for c in bench._build_circuits(cfg)]
+    by_bit: dict[str, int] = {}
+    for p in profiles:
+        for bit, nbytes in p.exchange_bytes_per_level.items():
+            by_bit[str(bit)] = by_bit.get(str(bit), 0) + nbytes
+    expect = {
+        "exchange_bytes_total": sum(p.total_exchange_bytes for p in profiles),
+        "messages_total": sum(p.swap_count for p in profiles),
+        "bytes_by_global_bit": by_bit,
+    }
+    assert expect["exchange_bytes_total"] > 0
+    reports = run_spmd(create_world("loopback", 4), lambda ep: run_benchmark(cfg, ep))
+    for report in reports:
+        assert report.transport == "loopback"
+        assert report.traffic == expect
+
+
+@pytest.mark.parametrize("family", ["tfim", "random"])
+def test_oracle_time_not_counted_as_creation(family, monkeypatch):
+    now = [0.0]
+    oracle = bench._oracle_distribution
+
+    def slow_oracle(circuit):
+        now[0] += 100.0
+        return oracle(circuit)
+
+    monkeypatch.setattr(bench, "_oracle_distribution", slow_oracle)
+    cfg = BenchmarkConfig(family, 4, num_circuits=2)
+    report = run_benchmark(cfg, create_world("loopback", 1)[0], clock=lambda: now[0])
+    assert now[0] >= 100.0
+    assert report.creation_time_seconds < 100.0

@@ -1,6 +1,10 @@
+import csv
+import io
 import json
+import sys
 
 import pytest
+from conftest import run_ranks
 
 from qsim import circuits, cli, perfmodel
 
@@ -24,6 +28,17 @@ def test_preset_parses(name):
     topo = cli._topology(cli.build_parser({}).parse_args(argv))
     assert topo.total_ranks == 64
     assert tuple(lnk.name for _, lnk in topo.levels) == PRESET_LINKS[name]
+
+
+@pytest.mark.parametrize("name", list(PRESET_LINKS))
+def test_preset_covers_max_ranks(capsys, name):
+    argv = ["model", "strong", "-n", "20", "--max-ranks", "128", "--topology", name]
+    rc = cli.parse_and_run(argv, env={})
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    rows = csv_rows(out)
+    assert rows[0] == ["P", "n", "T_seconds", "efficiency", "speedup"]
+    assert [r[0] for r in rows[1:]] == [str(1 << j) for j in range(8)]
 
 
 def test_default_is_nvl72():
@@ -78,3 +93,82 @@ def test_bad_config_file_reports_error(capsys, tmp_path, text, message):
     assert rc == 1
     assert out == ""
     assert message in err
+
+
+REPORT_KEYS = [
+    "schema_version", "config", "world_size", "transport",
+    "creation_time_seconds", "circuits", "warmup_excluded", "timed_circuits",
+    "mean_wall_time_seconds", "std_wall_time_seconds", "traffic",
+]
+CIRCUIT_KEYS = ["index", "name", "wall_time_seconds", "fidelity"]
+BENCH_ARGV = ["bench", "qpe", "-n", "4", "-c", "2", "--ranks", "2"]
+
+
+def run(capsys, *argv):
+    rc = cli.parse_and_run(list(argv), env={})
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    return out
+
+
+@pytest.fixture
+def saved_report(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    out = run(capsys, *BENCH_ARGV, "--format", "json", "--out", str(path))
+    return path, out
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+class TestReportOutput:
+    def test_bench_json_stdout_equals_file(self, saved_report):
+        path, out = saved_report
+        assert out == path.read_text()
+        report = json.loads(out)
+        assert list(report) == REPORT_KEYS
+        assert [list(c) for c in report["circuits"]] == [CIRCUIT_KEYS] * 2
+        assert (report["schema_version"], report["world_size"]) == (1, 2)
+        assert report["timed_circuits"] == 1
+
+    def test_report_json_reproduces_file(self, capsys, tmp_path, saved_report):
+        path, _ = saved_report
+        again = tmp_path / "again.json"
+        out = run(capsys, "report", str(path), "--format", "json", "--out", str(again))
+        assert out == path.read_text()
+        assert again.read_text() == out
+
+    def test_report_csv_rows_match_bench_csv(self, capsys, saved_report):
+        path, _ = saved_report
+        report = json.loads(path.read_text())
+        rows = csv_rows(run(capsys, "report", str(path), "--format", "csv"))
+        header = ["circuit", "name", "wall_time_seconds", "fidelity"]
+        expect = [header] + [
+            [str(c["index"]), c["name"], repr(c["wall_time_seconds"]),
+             repr(c["fidelity"])]
+            for c in report["circuits"]
+        ] + [
+            ["mean_excl_warmup", "qpe", repr(report["mean_wall_time_seconds"]), ""],
+            ["std_excl_warmup", "qpe", repr(report["std_wall_time_seconds"]), ""],
+        ]
+        assert rows == expect
+        fresh = csv_rows(run(capsys, *BENCH_ARGV, "--format", "csv"))
+        # wall times differ between runs; the row structure does not
+        assert [r[:2] + r[3:] for r in fresh] == [r[:2] + r[3:] for r in expect]
+
+    def test_tcp_world_prints_one_report_from_rank_0(self, tmp_path):
+        outs = [tmp_path / f"r{r}.json" for r in range(2)]
+
+        def argv(rank, rendezvous):
+            return [sys.executable, "-m", "qsim", *BENCH_ARGV, "--fabric", "tcp",
+                    "--rank", str(rank), "--rendezvous", rendezvous,
+                    "--format", "json", "--out", str(outs[rank])]
+
+        stdout = run_ranks(argv, 2)
+        assert stdout[1] == ""
+        assert not outs[1].exists()
+        assert stdout[0] == outs[0].read_text()
+        report = json.loads(stdout[0])
+        assert list(report) == REPORT_KEYS
+        assert (report["world_size"], report["transport"]) == (2, "tcp")

@@ -15,17 +15,14 @@ from qsim.dist import (
     plan_gate,
     state_size_gib,
 )
-from qsim.fabric import create_world, instrument_world, run_spmd
+from qsim.fabric import create_world, run_spmd
 from qsim.svcore import Circuit, Precision, dense_run
 
 
-def spmd(P, fn, instrument=False, events=None):
+def spmd(P, fn, with_log=False):
     world = create_world("loopback", P)
-    log = None
-    if instrument:
-        world, log = instrument_world(world, events=events)
     results = run_spmd(world, fn)
-    return (results, log) if instrument else results
+    return (results, world[0].traffic) if with_log else results
 
 
 class TestAccounting:
@@ -152,7 +149,7 @@ class TestRelocalize:
             st = partition(n, ep)
             dist.relocalize(st, 7, 2)
 
-        (_, log) = spmd(P, body, instrument=True)
+        (_, log) = spmd(P, body, with_log=True)
         expect = (1 << (n - 3 - 1)) * 16
         for r in range(P):
             assert log.bytes_sent(src=r) == expect
@@ -203,7 +200,7 @@ class TestApplyDispatch:
             dist.apply(st, sv.cx(3, 0))  # control qubit 3 sits on the global bit
             return np.array_equal(st.slice.amps, before)
 
-        (results, log) = spmd(2, body, instrument=True)
+        (results, log) = spmd(2, body, with_log=True)
         assert log.bytes_sent() == 0
         assert all(results)  # control bit is 0 in |0...0>: no rank changes data
 
@@ -225,7 +222,7 @@ class TestApplyDispatch:
             added = ep.traffic.bytes_sent(src=ep.rank) - baseline
             return dist.gather(st).amps, baseline, added
 
-        (results, log) = spmd(4, body, instrument=True)
+        (results, log) = spmd(4, body, with_log=True)
         # the H gates may move data; the diagonal block must add zero bytes
         for amps, _, added in results:
             assert added == 0
@@ -252,7 +249,7 @@ class TestApplyDispatch:
             dist.apply(st, sv.h(9))
             return dist.gather(st).amps
 
-        (results, log) = spmd(4, body, instrument=True)
+        (results, log) = spmd(4, body, with_log=True)
         dense = dense_run(Circuit(10, [sv.h(9)])).amps
         assert np.max(np.abs(results[0] - dense)) <= 1e-12
         for r in range(4):
@@ -266,7 +263,7 @@ class TestApplyDispatch:
             dist.apply(st, sv.swap(0, 5))  # local <-> global swap: relabel only
             return dist.gather(st).amps
 
-        (results, log) = spmd(4, body, instrument=True)
+        (results, log) = spmd(4, body, with_log=True)
         dense = dense_run(Circuit(6, [sv.h(0), sv.swap(0, 5)])).amps
         assert log.bytes_sent() == 0
         assert np.max(np.abs(results[0] - dense)) <= 1e-12

@@ -41,12 +41,6 @@ from .svcore import (
 )
 
 GATHER_QUBIT_CAP = 26
-_GIB = float(1 << 30)
-
-
-def state_size_gib(n: int, precision: Precision) -> float:
-    """Full 2^n-amplitude state size in GiB; exact for powers of two."""
-    return math.ldexp(float(precision.value), n - 30)
 
 
 @dataclass
@@ -90,30 +84,8 @@ class RankLayout:
         self.perm[qa], self.perm[qb] = pb, pa
         self._pos2q[pa], self._pos2q[pb] = qb, qa
 
-    def full_state_gib(self, precision: Precision = Precision.SINGLE) -> float:
-        return state_size_gib(self.n, precision)
-
     def copy(self) -> "RankLayout":
         return RankLayout(self.n, self.k, list(self.perm))
-
-
-def memory_accounting(
-    n: int, world_size: int = 1, precision: Precision = Precision.SINGLE
-) -> dict:
-    """Size bookkeeping without allocating anything."""
-    k = int(world_size).bit_length() - 1
-    if world_size & (world_size - 1):
-        raise ValueError("world size must be a power of two")
-    if n <= k:
-        raise ValueError("need more qubits than global index bits")
-    return {
-        "qubits": n,
-        "ranks": world_size,
-        "bytes_per_amplitude": precision.value,
-        "full_state_gib": state_size_gib(n, precision),
-        "slice_amplitudes": 1 << (n - k),
-        "slice_bytes": (1 << (n - k)) * precision.value,
-    }
 
 
 @dataclass

@@ -14,6 +14,11 @@ Conventions shared by every module in this package:
     (2^L,))`, L = min(m, 13) (`_DIAGONAL_INNER_BITS`), in place by a
     factor spelled out over the low L index bits, so its inner loop is a
     contiguous run of 2^L amplitudes wherever the gate's bits sit
+  - every other gate takes `_apply_matrix`, which moves the target axes of
+    that view to the front and multiplies one block of 2^14 amplitudes
+    (`_DENSE_BLOCK_BITS`) at a time: 256 KiB at complex128, so the block's
+    gathered copy and its product stay in a 2 MiB L2 and no temporary is
+    full-size
   - global phase is not significant; `align_phase` quotients it out
 """
 
@@ -33,6 +38,10 @@ DENSE_QUBIT_CAP = 26
 # contiguous run the broadcast multiply goes through the iterator's buffers
 # and ran about 30% slower at n=20
 _DIAGONAL_INNER_BITS = 13
+# log2 of the amplitudes in one block of `_apply_matrix`. Of 2^12 to 2^16,
+# 2^14 and 2^15 ran fastest at n=20 and 2^13 to 2^15 at n=25; 2^16 ran up
+# to 1.4x slower than 2^14 with the target at bit 5
+_DENSE_BLOCK_BITS = 14
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -267,7 +276,12 @@ def _embed(mat: np.ndarray, targets, full: tuple[int, ...], controls=()) -> np.n
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
     """In-place matrix application on the target bits of a 2^m amplitude
-    array, restricted to indices whose control bits are all 1."""
+    array, restricted to indices whose control bits are all 1.
+
+    The matrix multiplies one block of 2^max(B, w) amplitudes at a time,
+    B = `_DENSE_BLOCK_BITS`: the w target axes times the lowest other
+    index bits. A block's gathered copy and its product fit in cache, and
+    no temporary is full-size."""
     m = int(amps.size).bit_length() - 1
     w = len(targets)
     caxes = _bit_axes(m, controls)
@@ -279,9 +293,17 @@ def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> No
     taxes = [a - sum(c < a for c in caxes) for a in _bit_axes(m, targets)]
     # with target j moved to axis w-1-j, the leading axes index the matrix
     front = np.moveaxis(sub, taxes, _bit_axes(w, range(w)))
-    front[...] = (
-        mat.astype(amps.dtype, copy=False) @ front.reshape(1 << w, -1)
-    ).reshape(front.shape)
+    mat = mat.astype(amps.dtype, copy=False)
+    # the loop fixes the leading axes after the matrix axes
+    outer = max(0, front.ndim - max(_DENSE_BLOCK_BITS, w))
+    # one product buffer serves every block: with a fresh one per block, a
+    # target at bit 5 of n=25 faulted in new pages for every block (196k
+    # minor faults, 3x the time)
+    product = np.empty((1 << w, 1 << (front.ndim - outer - w)), amps.dtype)
+    for lead in np.ndindex((2,) * outer):
+        blk = front[(slice(None),) * w + lead]
+        np.matmul(mat, blk.reshape(1 << w, -1), out=product)
+        blk[...] = product.reshape(blk.shape)
 
 
 def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, positions) -> None:

@@ -1,3 +1,4 @@
+import math
 import os
 import socket
 import subprocess
@@ -6,6 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from qsim import svcore as sv
+from qsim.svcore import Circuit
 
 TESTS_DIR = Path(__file__).parent
 SRC_DIR = TESTS_DIR.parent / "src"
@@ -16,6 +21,60 @@ def random_unitary(width: int, seed: int) -> np.ndarray:
     dim = 1 << width
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_phases(width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << width)))
+
+
+# (qubits the gate needs, whether it is a dense block, maker); dense blocks
+# must fit the local space, diagonal ones need no local bits
+_MIXED_MAKERS = [
+    (1, False, lambda a, q, u: sv.h(q[0])),
+    (1, False, lambda a, q, u: sv.y(q[0])),
+    (1, False, lambda a, q, u: sv.rx(a, q[0])),
+    (1, False, lambda a, q, u: sv.rz(a, q[0])),
+    (1, False, lambda a, q, u: sv.p(a, q[0])),
+    (1, False, lambda a, q, u: sv.z(q[0])),
+    (2, False, lambda a, q, u: sv.cx(q[0], q[1])),
+    (2, False, lambda a, q, u: sv.cz(q[0], q[1])),
+    (2, False, lambda a, q, u: sv.cp(a, q[0], q[1])),
+    (2, False, lambda a, q, u: sv.rzz(a, q[0], q[1])),
+    (2, False, lambda a, q, u: sv.swap(q[0], q[1])),
+    (2, True, lambda a, q, u: sv.fused(q[:2], random_unitary(2, u))),
+    (3, True, lambda a, q, u: sv.fused(q[:3], random_unitary(3, u))),
+    (3, False, lambda a, q, u: sv.fused(q[:3], _random_phases(3, u))),
+    (4, False, lambda a, q, u: sv.fused(q[:4], _random_phases(4, u))),
+]
+
+
+@st.composite
+def mixed_circuits(draw, k):
+    """Circuits of k+1 to 7 qubits mixing diagonal, controlled and dense
+    gates on shuffled qubits, runnable over 2^k ranks."""
+    n = draw(st.integers(k + 1, 7))
+    makers = [
+        make for width, dense, make in _MIXED_MAKERS
+        if width <= (n - k if dense else n)
+    ]
+    ops = []
+    for _ in range(draw(st.integers(0, 16))):
+        make = draw(st.sampled_from(makers))
+        qubits = tuple(draw(st.permutations(range(n))))
+        angle = draw(st.floats(-math.pi, math.pi))
+        ops.append(make(angle, qubits, draw(st.integers(0, 2**32 - 1))))
+    return Circuit(n, ops)
+
+
+@pytest.fixture(scope="class")
+def small_dense_blocks():
+    """Shrink `_apply_matrix` blocks to 2^max(2, w) amplitudes for w
+    targets, so that the few-qubit states of the oracle and property tests
+    cross block boundaries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "_DENSE_BLOCK_BITS", 2)
+        yield
 
 
 def free_port() -> int:

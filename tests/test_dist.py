@@ -2,19 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import mixed_circuits
 from hypothesis import given, settings, strategies as st
 
 from qsim import dist, fabric, svcore as sv
 from qsim.circuits import build_qpe, build_random_circuit, QpeSpec
-from qsim.dist import (
-    DistState,
-    RankLayout,
-    memory_accounting,
-    partition,
-    plan_gate,
-    state_size_gib,
-)
+from qsim.dist import RankLayout, partition, plan_gate
 from qsim.fabric import create_world, run_spmd
 from qsim.svcore import Circuit, Precision, dense_run
 
@@ -23,33 +16,6 @@ def spmd(P, fn, with_log=False):
     world = create_world("loopback", P)
     results = run_spmd(world, fn)
     return (results, world[0].traffic) if with_log else results
-
-
-class TestAccounting:
-    def test_memory_formula_single_precision(self):
-        for n in range(27, 41):
-            assert state_size_gib(n, Precision.SINGLE) == 2.0 ** (n - 27)
-
-    def test_paper_sizes(self):
-        assert state_size_gib(33, Precision.SINGLE) == 64.0
-        assert state_size_gib(34, Precision.SINGLE) == 128.0
-
-    def test_double_is_twice_single(self):
-        for n in (20, 30, 40):
-            assert state_size_gib(n, Precision.DOUBLE) == 2 * state_size_gib(
-                n, Precision.SINGLE
-            )
-
-    def test_layout_accounting_no_allocation(self):
-        layout = RankLayout.identity(40, 3)
-        assert layout.full_state_gib(Precision.SINGLE) == 2.0**13
-
-    def test_memory_accounting_dict(self):
-        acct = memory_accounting(33, world_size=1, precision=Precision.SINGLE)
-        assert acct["full_state_gib"] == 64.0
-        acct = memory_accounting(10, world_size=4, precision=Precision.DOUBLE)
-        assert acct["slice_amplitudes"] == 256
-        assert acct["slice_bytes"] == 256 * 16
 
 
 class TestPartition:
@@ -383,71 +349,45 @@ class TestRunDistributed:
         spmd(4, body)
 
 
-def _random_phases(width: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << width)))
+def check_distributed_equals_dense(P, fusion, precision, c):
+    dense = dense_run(c).amps
+    tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
 
+    def body(ep):
+        st = dist.run_distributed(c, ep, fusion=fusion, precision=precision)
+        return dist.gather(st).amps
 
-# (qubits the gate needs, whether it is a dense block, maker); dense blocks
-# must fit the local space, diagonal ones need no local bits
-_MIXED_MAKERS = [
-    (1, False, lambda a, q, u: sv.h(q[0])),
-    (1, False, lambda a, q, u: sv.y(q[0])),
-    (1, False, lambda a, q, u: sv.rx(a, q[0])),
-    (1, False, lambda a, q, u: sv.rz(a, q[0])),
-    (1, False, lambda a, q, u: sv.p(a, q[0])),
-    (1, False, lambda a, q, u: sv.z(q[0])),
-    (2, False, lambda a, q, u: sv.cx(q[0], q[1])),
-    (2, False, lambda a, q, u: sv.cz(q[0], q[1])),
-    (2, False, lambda a, q, u: sv.cp(a, q[0], q[1])),
-    (2, False, lambda a, q, u: sv.rzz(a, q[0], q[1])),
-    (2, False, lambda a, q, u: sv.swap(q[0], q[1])),
-    (2, True, lambda a, q, u: sv.fused(q[:2], random_unitary(2, u))),
-    (3, True, lambda a, q, u: sv.fused(q[:3], random_unitary(3, u))),
-    (3, False, lambda a, q, u: sv.fused(q[:3], _random_phases(3, u))),
-    (4, False, lambda a, q, u: sv.fused(q[:4], _random_phases(4, u))),
-]
-
-
-@st.composite
-def mixed_circuits(draw, k):
-    """Circuits of k+1 to 7 qubits mixing diagonal, controlled and dense
-    gates on shuffled qubits, runnable over 2^k ranks."""
-    n = draw(st.integers(k + 1, 7))
-    makers = [
-        make for width, dense, make in _MIXED_MAKERS
-        if width <= (n - k if dense else n)
-    ]
-    ops = []
-    for _ in range(draw(st.integers(0, 16))):
-        make = draw(st.sampled_from(makers))
-        qubits = tuple(draw(st.permutations(range(n))))
-        angle = draw(st.floats(-math.pi, math.pi))
-        ops.append(make(angle, qubits, draw(st.integers(0, 2**32 - 1))))
-    return Circuit(n, ops)
+    for amps in spmd(P, body):
+        assert amps.dtype == precision.dtype
+        assert np.max(np.abs(amps - dense), initial=0.0) <= tol
+    if P == 1 and not fusion:
+        # one rank runs the same kernels on the same ops as dense_run
+        assert np.array_equal(amps, dense_run(c, precision=precision).amps)
 
 
 class TestDistributedEqualsDense:
     @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
-    @pytest.mark.parametrize("P", [1, 2, 4])
+    @pytest.mark.parametrize("P", [1, 2, 4, 8])
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_gathered_state_matches_dense_run(self, P, fusion, precision, data):
         c = data.draw(mixed_circuits(P.bit_length() - 1))
-        dense = dense_run(c).amps
-        tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
+        check_distributed_equals_dense(P, fusion, precision, c)
 
-        def body(ep):
-            st = dist.run_distributed(c, ep, fusion=fusion, precision=precision)
-            return dist.gather(st).amps
 
-        for amps in spmd(P, body):
-            assert amps.dtype == precision.dtype
-            assert np.max(np.abs(amps - dense), initial=0.0) <= tol
-        if P == 1 and not fusion:
-            # one rank runs the same kernels on the same ops as dense_run
-            assert np.array_equal(amps, dense_run(c, precision=precision).amps)
+@pytest.mark.usefixtures("small_dense_blocks")
+class TestDistributedEqualsDenseSmallBlocks:
+    """The same property with the smallest `_apply_matrix` blocks."""
+
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize("P", [1, 2, 4, 8])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_gathered_state_matches_dense_run(self, P, fusion, data):
+        c = data.draw(mixed_circuits(P.bit_length() - 1))
+        precision = data.draw(st.sampled_from(list(Precision)))
+        check_distributed_equals_dense(P, fusion, precision, c)
 
 
 class TestGather:

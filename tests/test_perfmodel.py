@@ -1,6 +1,10 @@
 import pytest
+from conftest import mixed_circuits
+from hypothesis import given, settings, strategies as st
 
-from qsim import circuits, perfmodel
+from qsim import circuits, dist, perfmodel
+from qsim.fabric import create_world, run_spmd
+from qsim.svcore import Precision
 
 # (local_sweeps, total_exchange_bytes, swap_count) per rank on 64 NVL72 ranks.
 # A "local" and a "diagonal" plan step each cost one sweep and move no data,
@@ -33,3 +37,22 @@ def test_paper_scale_traffic_pinned(paper_circuits, name, fusion):
     prof = perfmodel.schedule_traffic(paper_circuits[name], 34, topo, fusion=fusion)
     got = (prof.local_sweeps, prof.total_exchange_bytes, prof.swap_count)
     assert got == PAPER_TRAFFIC[name, fusion]
+
+
+class TestModelBytesEqualRecorded:
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize("P", [2, 4, 8])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_schedule_traffic_equals_endpoint_traffic(self, P, fusion, data):
+        c = data.draw(mixed_circuits(P.bit_length() - 1))
+        precision = data.draw(st.sampled_from(list(Precision)))
+        topo = perfmodel.nvl72_topology().for_ranks(P)
+        prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion, precision)
+        world = create_world("loopback", P)
+        run_spmd(world, lambda ep: dist.run_distributed(c, ep, fusion, precision))
+        log = world[0].traffic
+        for r in range(P):
+            assert log.bytes_sent(src=r) == prof.total_exchange_bytes
+            assert log.bit_bytes(r) == prof.exchange_bytes_per_level
+            assert log.bit_messages(r) == prof.swap_count_per_level

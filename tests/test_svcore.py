@@ -144,6 +144,66 @@ class TestKernelOracle:
         assert np.max(np.abs(state.amps - brute_force_matrix(op, n) @ psi)) <= tol
 
 
+@pytest.mark.usefixtures("small_dense_blocks")
+class TestKernelOracleSmallBlocks(TestKernelOracle):
+    """The same oracle with the smallest `_apply_matrix` blocks."""
+
+
+def one_shot_apply_matrix(amps, mat, targets, controls=()):
+    """Reference for `_apply_matrix`: the same view, multiplied in one
+    `matmul` over all of it rather than block by block."""
+    m = int(amps.size).bit_length() - 1
+    w = len(targets)
+    caxes = sv._bit_axes(m, controls)
+    sub = amps.reshape((2,) * m)[
+        tuple(1 if a in caxes else slice(None) for a in range(m))
+    ]
+    taxes = [a - sum(c < a for c in caxes) for a in sv._bit_axes(m, targets)]
+    front = np.moveaxis(sub, taxes, sv._bit_axes(w, range(w)))
+    front[...] = (
+        mat.astype(amps.dtype, copy=False) @ front.reshape(1 << w, -1)
+    ).reshape(front.shape)
+
+
+# blocks hold the targets and the lowest 14-w other bits of n=17: the cases
+# put targets low, in the middle, high, on both sides of the block edge and
+# unsorted, with controls above and below
+_BLOCK_CASES = [
+    ((0,), ()),
+    ((0, 1, 2), ()),
+    ((6,), ()),
+    ((9, 4, 7), ()),
+    ((16,), ()),
+    ((16, 15, 14, 13), ()),
+    ((13, 14), ()),
+    ((3, 15), ()),
+    ((10, 2, 16, 12, 5), ()),
+    ((7,), (16, 1)),
+    ((2, 11), (0, 15)),
+    ((14,), (13,)),
+]
+
+
+class TestBlockedDenseKernel:
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
+    )
+    def test_equals_one_shot_matmul(self, targets, controls, precision):
+        n = 17
+        assert n - len(controls) > sv._DENSE_BLOCK_BITS  # more than one block
+        rng = np.random.default_rng(len(targets) + 7 * len(controls))
+        psi = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).astype(
+            precision.dtype
+        )
+        mat = random_unitary(len(targets), targets[0])
+        got, expect = psi.copy(), psi.copy()
+        sv._apply_matrix(got, mat, targets, controls)
+        one_shot_apply_matrix(expect, mat, targets, controls)
+        assert not np.array_equal(got, psi)
+        assert np.array_equal(got, expect)
+
+
 # the kernel spells its factor out over the low B index bits; the cases
 # put bits below B, at and above it, and on both sides of it
 _B = sv._DIAGONAL_INNER_BITS

@@ -13,7 +13,8 @@ Gates dispatch as:
   (c) otherwise -> relocalize each global target (pairwise half-slice
       exchange with the partner rank), then apply locally
   (d) SWAP -> permutation relabel only, zero data movement
-Rule (d) is tried first, then (b), then (a), then (c).
+Rule (d) is tried first, then (b), then (a), then (c). Rule (d) holds with
+fusion on too: `svcore.fuse` keeps every SWAP out of its blocks.
 
 `plan_gate` encodes this policy once; the real engine executes its steps on
 amplitudes and the performance model replays them on byte counters, so the
@@ -182,7 +183,9 @@ def plan_gate(layout: RankLayout, op: GateOp, future_ops=()) -> list[PlanStep]:
 
 def scheduled_ops(circuit: Circuit, n: int, k: int, fusion: bool) -> list[GateOp]:
     """The op stream the engine will execute: fused (width capped by the
-    local address space) or verbatim."""
+    local address space) or verbatim. Fused, the input's SWAPs trail the
+    stream in input order and the ops before them are renamed through
+    them (see `svcore.fuse`), so each SWAP plans as a free relabel."""
     if fusion:
         return sv.fuse(circuit, min(DEFAULT_FUSION_WIDTH, n - k)).ops
     return list(circuit.ops)

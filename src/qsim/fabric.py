@@ -4,7 +4,14 @@ Two endpoint flavors share one contract:
   - loopback: every rank is a worker thread in one process, channels are
     in-memory queues, and the world shares one traffic log
   - tcp: one OS process per rank, full mesh of localhost sockets with
-    little-endian 8-byte length-prefix framing, and a traffic log per rank
+    frames headed by a little-endian 8-byte length and a 1-byte tag, and a
+    traffic log per rank
+
+Every frame is tagged with the operation that sent it (exchange, barrier,
+broadcast, allreduce or allgather). When two paired ranks are in different
+operations, both raise FramingError instead of reading the other's bytes.
+Closing an endpoint makes a peer blocked on it raise FabricError at once,
+so a failing rank does not leave the others to wait out their timeout.
 
 Every endpoint counts its own exchange() traffic in `ep.traffic`, the
 bytes that the performance model predicts.
@@ -28,6 +35,9 @@ import numpy as np
 
 DEFAULT_TIMEOUT = 30.0
 _MAX_FRAME = 1 << 40  # anything larger is a corrupt length prefix
+# frame tags, by index: the operation a frame belongs to
+_OPS = ("exchange", "barrier", "broadcast", "allreduce", "allgather")
+_EXCHANGE, _BARRIER, _BROADCAST, _ALLREDUCE, _ALLGATHER = range(len(_OPS))
 
 
 class FabricError(RuntimeError):
@@ -51,7 +61,7 @@ def _check_world_size(world_size: int) -> int:
 class FabricEndpoint:
     """One rank's handle into a world of P = 2^k connected ranks.
 
-    Subclasses provide `_sendrecv`; everything else is shared. An endpoint
+    Subclasses provide `_transfer`; everything else is shared. An endpoint
     is confined to a single worker at a time. `traffic` records every
     exchange() this endpoint makes; ranks may share one log.
     """
@@ -70,8 +80,18 @@ class FabricEndpoint:
 
     # --- transport primitive -------------------------------------------
 
-    def _sendrecv(self, peer: int, payload: bytes) -> bytes:
+    def _transfer(self, peer: int, tag: int, payload: bytes) -> tuple[int, bytes]:
+        """Send one tagged frame to peer; return the tag and payload of the
+        frame peer sent back."""
         raise NotImplementedError
+
+    def _sendrecv(self, peer: int, tag: int, payload: bytes) -> bytes:
+        got_tag, got = self._transfer(peer, tag, payload)
+        if got_tag != tag:
+            raise FramingError(
+                f"rank {self.rank} in {_OPS[tag]} met rank {peer} in {_OPS[got_tag]}"
+            )
+        return got
 
     def close(self):
         pass
@@ -86,7 +106,7 @@ class FabricEndpoint:
         if not 0 <= peer < self.world_size:
             raise FabricError(f"peer {peer} out of range")
         payload = bytes(payload)
-        got = self._sendrecv(peer, payload)
+        got = self._sendrecv(peer, _EXCHANGE, payload)
         if len(got) != len(payload):
             raise FramingError(
                 f"exchange length mismatch: sent {len(payload)} bytes, "
@@ -102,7 +122,7 @@ class FabricEndpoint:
         for j in range(self.hypercube_bits):
             peer = self.rank ^ (1 << j)
             try:
-                self._sendrecv(peer, b"\x00")
+                self._sendrecv(peer, _BARRIER, b"\x00")
             except FabricTimeoutError as e:
                 raise FabricTimeoutError(
                     f"barrier timed out on rank {self.rank} waiting for rank {peer}"
@@ -116,7 +136,9 @@ class FabricEndpoint:
         payload = bytes(data) if have else b""
         for j in range(self.hypercube_bits):
             peer = self.rank ^ (1 << j)
-            got = self._sendrecv(peer, b"\x01" + payload if have else b"\x00")
+            got = self._sendrecv(
+                peer, _BROADCAST, b"\x01" + payload if have else b"\x00"
+            )
             if not have and got[:1] == b"\x01":
                 have, payload = True, got[1:]
         if not have:  # unreachable in a healthy hypercube
@@ -129,7 +151,7 @@ class FabricEndpoint:
         acc = np.array(values, dtype=np.float64).reshape(-1)
         for j in range(self.hypercube_bits):
             peer = self.rank ^ (1 << j)
-            got = self._sendrecv(peer, acc.tobytes())
+            got = self._sendrecv(peer, _ALLREDUCE, acc.tobytes())
             if len(got) != acc.nbytes:
                 raise FabricError("allreduce vector length mismatch")
             other = np.frombuffer(got, dtype=np.float64)
@@ -141,7 +163,7 @@ class FabricEndpoint:
         items: dict[int, bytes] = {self.rank: bytes(blob)}
         for j in range(self.hypercube_bits):
             peer = self.rank ^ (1 << j)
-            got = self._sendrecv(peer, _pack_items(items))
+            got = self._sendrecv(peer, _ALLGATHER, _pack_items(items))
             items.update(_unpack_items(got))
         return [items[r] for r in range(self.world_size)]
 
@@ -173,6 +195,9 @@ def _unpack_items(payload: bytes) -> dict[int, bytes]:
 
 
 class LoopbackEndpoint(FabricEndpoint):
+    """Channels carry (tag, payload) pairs; `close` puts None on each of
+    this rank's outgoing channels."""
+
     kind = "loopback"
 
     def __init__(self, rank, world_size, channels, timeout=DEFAULT_TIMEOUT,
@@ -180,15 +205,23 @@ class LoopbackEndpoint(FabricEndpoint):
         super().__init__(rank, world_size, timeout, traffic)
         self._channels = channels
 
-    def _sendrecv(self, peer: int, payload: bytes) -> bytes:
-        self._channels[(self.rank, peer)].put(payload)
+    def _transfer(self, peer: int, tag: int, payload: bytes) -> tuple[int, bytes]:
+        self._channels[(self.rank, peer)].put((tag, payload))
         try:
-            return self._channels[(peer, self.rank)].get(timeout=self.timeout)
+            frame = self._channels[(peer, self.rank)].get(timeout=self.timeout)
         except queue.Empty:
             raise FabricTimeoutError(
                 f"rank {self.rank}: no message from rank {peer} "
                 f"within {self.timeout}s"
             ) from None
+        if frame is None:
+            raise FabricError(f"rank {peer} closed")
+        return frame
+
+    def close(self):
+        for peer in range(self.world_size):
+            if peer != self.rank:
+                self._channels[(self.rank, peer)].put(None)
 
 
 # --------------------------------------------------------------------------
@@ -196,8 +229,8 @@ class LoopbackEndpoint(FabricEndpoint):
 # --------------------------------------------------------------------------
 
 
-def _send_frame(sock: socket.socket, payload: bytes):
-    sock.sendall(struct.pack("<Q", len(payload)) + payload)
+def _send_frame(sock: socket.socket, payload: bytes, tag: int = _EXCHANGE):
+    sock.sendall(struct.pack("<QB", len(payload), tag) + payload)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -215,11 +248,14 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_frame(sock: socket.socket) -> bytes:
-    (length,) = struct.unpack("<Q", _recv_exact(sock, 8))
+def _recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+    """The tag and payload of the next frame."""
+    length, tag = struct.unpack("<QB", _recv_exact(sock, 9))
     if length > _MAX_FRAME:
         raise FramingError(f"implausible frame length {length}; corrupt prefix?")
-    return _recv_exact(sock, int(length))
+    if tag >= len(_OPS):
+        raise FramingError(f"unknown frame tag {tag}; corrupt header?")
+    return tag, _recv_exact(sock, int(length))
 
 
 def _parse_address(address: str) -> tuple[str, int]:
@@ -236,14 +272,14 @@ class TcpEndpoint(FabricEndpoint):
         super().__init__(rank, world_size, timeout)
         self._socks = socks  # peer rank -> connected socket
 
-    def _sendrecv(self, peer: int, payload: bytes) -> bytes:
+    def _transfer(self, peer: int, tag: int, payload: bytes) -> tuple[int, bytes]:
         sock = self._socks[peer]
         # lower rank sends first; keeps large symmetric swaps deadlock-free
         if self.rank < peer:
-            _send_frame(sock, payload)
+            _send_frame(sock, payload, tag)
             return _recv_frame(sock)
         got = _recv_frame(sock)
-        _send_frame(sock, payload)
+        _send_frame(sock, payload, tag)
         return got
 
     def close(self):
@@ -293,7 +329,7 @@ def _create_tcp_endpoint(rank, world_size, rendezvous, timeout) -> TcpEndpoint:
                     ) from None
                 _configure(conn, timeout)
                 (peer_rank,) = struct.unpack("<Q", _recv_exact(conn, 8))
-                pending[int(peer_rank)] = (conn, _recv_frame(conn).decode())
+                pending[int(peer_rank)] = (conn, _recv_frame(conn)[1].decode())
             table = {str(r): addr for r, (_, addr) in pending.items()}
             blob = json.dumps(table, sort_keys=True).encode()
             for r, (conn, _) in pending.items():
@@ -309,7 +345,7 @@ def _create_tcp_endpoint(rank, world_size, rendezvous, timeout) -> TcpEndpoint:
     conn0 = _connect_with_retry((host, port), timeout)
     conn0.sendall(struct.pack("<Q", rank))
     _send_frame(conn0, my_addr.encode())
-    table = json.loads(_recv_frame(conn0).decode())
+    table = json.loads(_recv_frame(conn0)[1].decode())
     socks[0] = conn0
     # deterministic mesh: connect to every lower nonzero rank, accept the rest
     for peer in range(1, rank):
@@ -357,15 +393,9 @@ class TrafficLog:
         with self._lock:
             return list(counts.items())
 
-    @property
-    def message_count(self) -> int:
-        return sum(n for _, n in self._items(self.pair_messages))
-
-    def bytes_sent(self, src: int | None = None, dst: int | None = None) -> int:
+    def bytes_sent(self, src: int | None = None) -> int:
         return sum(
-            n
-            for (s, d), n in self._items(self.pair_bytes)
-            if (src is None or s == src) and (dst is None or d == dst)
+            n for (s, _), n in self._items(self.pair_bytes) if src is None or s == src
         )
 
     def bit_bytes(self, rank: int | None = None) -> dict[int, int]:
@@ -421,10 +451,12 @@ def create_world(
 
 
 def run_spmd(endpoints, fn) -> list:
-    """Run fn(ep) on one thread per rank; join all; re-raise the first
-    failure. The standard driver for loopback worlds."""
+    """Run fn(ep) on one thread per rank; join all; re-raise the failure
+    that happened first. A failing rank closes its endpoint, so the peers
+    waiting on it fail at once instead of timing out. The standard driver
+    for loopback worlds."""
     results = [None] * len(endpoints)
-    failures: list[tuple[int, BaseException]] = []
+    failures: list[BaseException] = []  # in the order they happened
     lock = threading.Lock()
 
     def worker(i, ep):
@@ -432,7 +464,8 @@ def run_spmd(endpoints, fn) -> list:
             results[i] = fn(ep)
         except BaseException as e:  # surfaced after join
             with lock:
-                failures.append((i, e))
+                failures.append(e)
+            ep.close()
 
     threads = [
         threading.Thread(target=worker, args=(i, ep), name=f"rank-{ep.rank}")
@@ -443,6 +476,5 @@ def run_spmd(endpoints, fn) -> list:
     for t in threads:
         t.join()
     if failures:
-        failures.sort(key=lambda f: f[0])
-        raise failures[0][1]
+        raise failures[0]
     return results

@@ -25,7 +25,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -493,13 +493,23 @@ def sample_dense(
 
 def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     """Greedy left-to-right fusion into dense blocks of at most `max_width`
-    qubits. Ops wider than the cap pass through unchanged; everything else
-    lands inside a FUSED block. The overall unitary is preserved."""
+    qubits. The overall unitary is preserved.
+
+    SWAPs never enter a block: each one is deferred to the end of the
+    stream, in input order, and every later op is renamed through it
+    (O2 · S = S · O2', O2' being O2 with the swapped qubits exchanged), so
+    the engine still plans each SWAP as a free relabel. Other ops wider
+    than the cap pass through, renamed; everything else lands inside a
+    FUSED block. An op that no SWAP precedes keeps its identity."""
     if not 1 <= max_width <= MAX_FUSION_WIDTH:
         raise ValueError(f"max_width must be in [1, {MAX_FUSION_WIDTH}]")
     out: list[GateOp] = []
     blk_qubits: tuple[int, ...] | None = None
     blk_mat: np.ndarray | None = None
+    # where[q]: the index bit that holds program qubit q's data while the
+    # SWAPs seen so far are deferred
+    where = list(range(circuit.num_qubits))
+    swaps: list[GateOp] = []
 
     def flush():
         nonlocal blk_qubits, blk_mat
@@ -508,6 +518,17 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
             blk_qubits = blk_mat = None
 
     for op in circuit.ops:
+        if op.kind == "SWAP":
+            a, b = op.targets
+            where[a], where[b] = where[b], where[a]
+            swaps.append(op)
+            continue
+        if swaps:
+            op = replace(
+                op,
+                targets=tuple(where[q] for q in op.targets),
+                controls=tuple(where[q] for q in op.controls),
+            )
         mat, qubits = op_matrix(op)
         if len(qubits) > max_width:
             flush()
@@ -524,6 +545,7 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
             flush()
             blk_qubits, blk_mat = qubits, mat
     flush()
+    out.extend(swaps)
     return Circuit(circuit.num_qubits, out, circuit.measured_qubits, circuit.name)
 
 

@@ -6,6 +6,8 @@ Modes:
   smoke  exchange/barrier/broadcast/allreduce round trip, writes "ok"
   qpe    runs a k=16 QPE circuit distributed, writes the gathered state
          bytes and the sampled counts JSON
+  mismatch  rank 0 enters a barrier while rank 1 enters an exchange;
+         writes the FramingError each rank raises
 """
 
 import json
@@ -44,6 +46,15 @@ def main() -> int:
                 f.write(full.amps.tobytes())
             with open(out_path + ".counts", "w") as f:
                 json.dump(counts.entries, f, sort_keys=True)
+        elif mode == "mismatch":
+            try:
+                if rank == 0:
+                    ep.barrier()
+                else:
+                    ep.exchange(0, b"\x07")
+            except fabric.FramingError as e:
+                with open(out_path, "w") as f:
+                    f.write(str(e))
         else:
             raise SystemExit(f"unknown mode {mode}")
     finally:

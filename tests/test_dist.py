@@ -305,6 +305,22 @@ class TestPlanGate:
         assert actions == ["relocalize", "local"]
 
 
+class TestFusedSwapsRelabel:
+    @pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P4"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_relabel_per_input_swap(self, k, data):
+        # rule (d) holds with fusion on: fuse keeps every SWAP out of its
+        # blocks, so plan_gate relabels each one instead of moving data
+        c = data.draw(mixed_circuits(k))
+        n = c.num_qubits
+        layout = RankLayout.identity(n, k)
+        ops = dist.scheduled_ops(c, n, k, fusion=True)
+        steps = [s for i, op in enumerate(ops) for s in plan_gate(layout, op, ops[i + 1:])]
+        relabels = [s.op for s in steps if s.action == "relabel"]
+        assert relabels == [op for op in c.ops if op.kind == "SWAP"]
+
+
 class TestRunDistributed:
     def test_p1_equals_dense(self):
         c = build_random_circuit(7, 150, seed=8)

@@ -2,6 +2,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +179,51 @@ class TestAllgather:
         assert all(g == expect for g in got)
 
 
+def mismatched_calls(ep):
+    """Rank 0 enters a barrier while rank 1 enters an exchange."""
+    if ep.rank == 0:
+        ep.barrier()
+    else:
+        ep.exchange(0, b"\x07")
+
+
+class TestFailures:
+    def test_collective_mismatch_raises_on_both_ranks(self):
+        world = create_world("loopback", 2, timeout=5)
+        errors = {}
+
+        def body(ep):
+            with pytest.raises(FramingError) as err:
+                mismatched_calls(ep)
+            errors[ep.rank] = str(err.value)
+
+        run_spmd(world, body)
+        assert "rank 0 in barrier met rank 1 in exchange" in errors[0]
+        assert "rank 1 in exchange met rank 0 in barrier" in errors[1]
+
+    def test_peer_of_closed_rank_fails_at_once(self):
+        world = create_world("loopback", 2, timeout=5)
+        world[1].close()
+        with pytest.raises(FabricError, match="rank 1 closed"):
+            world[0].barrier()
+
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_root_cause_surfaces_before_timeout(self, P):
+        # the last rank fails; the others, blocked in a barrier, fail on its
+        # closed channels, and run_spmd raises the failure that came first
+        world = create_world("loopback", P, timeout=1.5)
+
+        def body(ep):
+            if ep.rank == P - 1:
+                raise ValueError("real cause")
+            ep.barrier()
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="real cause"):
+            run_spmd(world, body)
+        assert time.monotonic() - start < 0.5
+
+
 class TestTrafficLog:
     def test_exchange_symmetry(self):
         world = create_world("loopback", 4)
@@ -191,13 +237,13 @@ class TestTrafficLog:
         for src in range(4):
             for dst in range(4):
                 if src != dst:
-                    assert log.bytes_sent(src=src, dst=dst) == log.bytes_sent(
-                        src=dst, dst=src
+                    assert log.pair_bytes.get((src, dst), 0) == log.pair_bytes.get(
+                        (dst, src), 0
                     )
         assert log.bytes_sent(src=0) == 40
         assert log.bit_bytes(0) == {0: 32, 1: 8}
         assert log.bit_messages(0) == {0: 1, 1: 1}
-        assert log.message_count == 8
+        assert sum(log.bit_messages().values()) == 8
 
     def test_collectives_not_counted(self):
         world = create_world("loopback", 4)
@@ -211,7 +257,7 @@ class TestTrafficLog:
 
         run_spmd(world, body)
         assert log.bytes_sent() == 0
-        assert log.message_count == 0
+        assert sum(log.bit_messages().values()) == 0
 
     def test_counters_monotone(self):
         log = TrafficLog()
@@ -244,7 +290,7 @@ class TestTrafficLog:
         finally:
             sys.setswitchinterval(interval)
         assert log.bytes_sent(src=0) == 8 * peers
-        assert log.message_count == peers
+        assert sum(log.bit_messages().values()) == peers
 
 
 class TestFraming:
@@ -264,9 +310,9 @@ class TestFraming:
         a, b = socket.socketpair()
         try:
             payload = bytes(range(256)) * 11
-            fabric._send_frame(b, payload)
+            fabric._send_frame(b, payload, fabric._ALLGATHER)
             a.settimeout(2.0)
-            assert fabric._recv_frame(a) == payload
+            assert fabric._recv_frame(a) == (fabric._ALLGATHER, payload)
         finally:
             a.close()
             b.close()
@@ -285,6 +331,12 @@ class TestTcpTransport:
         outs = [tmp_path / f"r{r}.txt" for r in range(2)]
         launch_tcp_workers("smoke", 2, outs)
         assert all(p.read_text() == "ok" for p in outs)
+
+    def test_collective_mismatch_raises_on_both_ranks(self, tmp_path):
+        outs = [tmp_path / f"r{r}.txt" for r in range(2)]
+        launch_tcp_workers("mismatch", 2, outs)
+        assert "rank 0 in barrier met rank 1 in exchange" in outs[0].read_text()
+        assert "rank 1 in exchange met rank 0 in barrier" in outs[1].read_text()
 
     def test_four_rank_smoke(self, tmp_path):
         outs = [tmp_path / f"r{r}.txt" for r in range(4)]

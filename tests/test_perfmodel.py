@@ -10,11 +10,11 @@ from qsim.svcore import Precision
 # A "local" and a "diagonal" plan step each cost one sweep and move no data,
 # so which of the two a diagonal on local bits plans to leaves these unchanged
 PAPER_TRAFFIC = {
-    ("qpe34", True): (315, 45097156608, 21),
+    ("qpe34", True): (299, 38654705664, 18),
     ("qpe34", False): (628, 38654705664, 18),
     ("tfim34", True): (292, 150323855360, 70),
     ("tfim34", False): (714, 141733920768, 66),
-    ("random34", True): (1102, 345744867328, 161),
+    ("random34", True): (881, 283467841536, 132),
     ("random34", False): (1733, 204010946560, 95),
 }
 

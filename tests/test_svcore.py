@@ -403,6 +403,31 @@ class TestFusion:
         fused_c = fuse(c, max_width=3)
         assert any(op is wide for op in fused_c.ops)
 
+    def test_swap_stays_out_of_block(self):
+        # h(1) after swap(0, 1) acts on the data of qubit 0, so it is
+        # renamed to h(0) and cancels the first h; the SWAP trails
+        fused_c = fuse(Circuit(3, [sv.h(0), sv.swap(0, 1), sv.h(1)]), max_width=3)
+        block, last = fused_c.ops
+        assert (block.kind, block.targets) == ("FUSED", (0,))
+        np.testing.assert_allclose(block.matrix, np.eye(2), atol=1e-12)
+        assert last == sv.swap(0, 1)
+
+    def test_ops_before_any_swap_keep_identity(self):
+        wide = sv.fused(tuple(range(4)), np.eye(16))
+        c = Circuit(5, [wide, sv.swap(0, 4), wide])
+        first, renamed, last = fuse(c, max_width=3).ops
+        assert first is wide
+        assert renamed.targets == (4, 1, 2, 3)
+        assert last is c.ops[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    def test_swaps_trail_in_input_order(self, circuit, max_width):
+        swaps = [op for op in circuit.ops if op.kind == "SWAP"]
+        ops = fuse(circuit, max_width).ops
+        assert ops[len(ops) - len(swaps):] == swaps
+        assert all(op.kind != "SWAP" for op in ops[: len(ops) - len(swaps)])
+
     def test_invalid_width(self):
         with pytest.raises(ValueError, match="max_width"):
             fuse(Circuit(1, [sv.h(0)]), max_width=0)

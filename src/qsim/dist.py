@@ -14,7 +14,15 @@ Gates dispatch as:
       exchange with the partner rank), then apply locally
   (d) SWAP -> permutation relabel only, zero data movement
 Rule (d) is tried first, then (b), then (a), then (c). Rule (d) holds with
-fusion on too: `svcore.fuse` keeps every SWAP out of its blocks.
+fusion on too: `svcore.fuse` keeps every SWAP out of its blocks. Rule (b)
+holds for a DIAGONAL op of up to 13 qubits from `svcore.fuse` too, so a
+whole stretch of diagonal gates is one phase multiply.
+
+When rule (c) must evict a local qubit, it looks ahead (Belady) to each
+qubit's next use, and counts as a use only what rule (c) would have to
+relocalize: a non-diagonal op with that qubit among its targets. Controls
+and diagonal gates never need a local bit, and a SWAP is a relabel, so
+the lookahead renames the qubit through each SWAP it passes.
 
 `plan_gate` encodes this policy once; the real engine executes its steps on
 amplitudes and the performance model replays them on byte counters, so the
@@ -118,17 +126,24 @@ class PlanStep:
 
 
 def _next_use(q: int, future_ops) -> float:
+    """Index of the first future op that needs the data now labelled q on
+    a local bit: a non-diagonal op with q among its targets."""
     for i, op in enumerate(future_ops):
-        if q in op.targets or q in op.controls:
-            return i
+        if q in op.targets:
+            if op.kind == "SWAP":
+                a, b = op.targets
+                q = b if q == a else a
+            elif not op.is_diagonal():
+                return i
     return math.inf
 
 
 def _choose_victim(layout: RankLayout, op: GateOp, future_ops) -> int:
     """Local position to surrender to an incoming global qubit: the one
-    holding the qubit whose next use is farthest (Belady lookahead),
-    ties broken toward the lowest position. Positions holding this gate's
-    targets are never evicted; controls may be (they work from global bits)."""
+    holding the qubit whose next use (`_next_use`) is farthest (Belady
+    lookahead), ties broken toward the lowest position. Positions holding
+    this gate's targets are never evicted; controls may be (they work from
+    global bits)."""
     protected = set(op.targets)
     best_pos, best_use = -1, -1.0
     for pos in range(layout.local_bits):
@@ -182,8 +197,9 @@ def plan_gate(layout: RankLayout, op: GateOp, future_ops=()) -> list[PlanStep]:
 
 
 def scheduled_ops(circuit: Circuit, n: int, k: int, fusion: bool) -> list[GateOp]:
-    """The op stream the engine will execute: fused (width capped by the
-    local address space) or verbatim. Fused, the input's SWAPs trail the
+    """The op stream the engine will execute: fused (dense blocks capped
+    by the local address space; diagonal stretches of up to 13 qubits,
+    which need no local bits) or verbatim. Fused, the input's SWAPs trail the
     stream in input order and the ops before them are renamed through
     them (see `svcore.fuse`), so each SWAP plans as a free relabel."""
     if fusion:
@@ -277,16 +293,16 @@ def _apply_local(st: DistState, op: GateOp) -> None:
 
 def _apply_diagonal_shortcut(st: DistState, op: GateOp) -> None:
     lay = st.layout
-    mat, qubits = sv.op_matrix(op)
+    phases, qubits = sv.diagonal_of(op)
     positions = [lay.position_of(q) for q in qubits]
-    # the diagonal tensor holds qubits[j] on axis len(qubits)-1-j; fix each
+    # the phase tensor holds qubits[j] on axis len(qubits)-1-j; fix each
     # global qubit's axis at this rank's bit value
     fixed = [
         (st.ep.rank >> (pos - lay.local_bits)) & 1 if pos >= lay.local_bits
         else slice(None)
         for pos in reversed(positions)
     ]
-    reduced = np.diag(mat).reshape((2,) * len(qubits))[tuple(fixed)]
+    reduced = phases.reshape((2,) * len(qubits))[tuple(fixed)]
     sv._apply_diagonal(
         st.slice.amps, reduced.ravel(), [pos for pos in positions if pos < lay.local_bits]
     )

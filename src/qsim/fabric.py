@@ -314,56 +314,55 @@ def _create_tcp_endpoint(rank, world_size, rendezvous, timeout) -> TcpEndpoint:
     socks: dict[int, socket.socket] = {}
     if world_size == 1:
         return TcpEndpoint(0, 1, socks, timeout)
+    # every peer socket opened here, closed again if the world cannot form
+    opened: list[socket.socket] = []
 
-    if rank == 0:
-        server = socket.create_server((host, port))
-        server.settimeout(timeout)
+    def accept(listener, on_timeout: str) -> tuple[int, socket.socket]:
         try:
-            pending = {}
-            for _ in range(world_size - 1):
-                try:
-                    conn, _ = server.accept()
-                except socket.timeout:
-                    raise FabricTimeoutError(
-                        "rendezvous timed out waiting for peers"
-                    ) from None
-                _configure(conn, timeout)
-                (peer_rank,) = struct.unpack("<Q", _recv_exact(conn, 8))
-                pending[int(peer_rank)] = (conn, _recv_frame(conn)[1].decode())
-            table = {str(r): addr for r, (_, addr) in pending.items()}
-            blob = json.dumps(table, sort_keys=True).encode()
-            for r, (conn, _) in pending.items():
-                _send_frame(conn, blob)
-                socks[r] = conn  # the rendezvous socket doubles as pair (0, r)
-        finally:
-            server.close()
-        return TcpEndpoint(0, world_size, socks, timeout)
-
-    listener = socket.create_server((host, 0))
-    listener.settimeout(timeout)
-    my_addr = f"{host}:{listener.getsockname()[1]}"
-    conn0 = _connect_with_retry((host, port), timeout)
-    conn0.sendall(struct.pack("<Q", rank))
-    _send_frame(conn0, my_addr.encode())
-    table = json.loads(_recv_frame(conn0)[1].decode())
-    socks[0] = conn0
-    # deterministic mesh: connect to every lower nonzero rank, accept the rest
-    for peer in range(1, rank):
-        peer_host, peer_port = _parse_address(table[str(peer)])
-        sock = _connect_with_retry((peer_host, peer_port), timeout)
-        sock.sendall(struct.pack("<Q", rank))
-        socks[peer] = sock
-    try:
-        for _ in range(world_size - 1 - rank):
             conn, _ = listener.accept()
-            _configure(conn, timeout)
-            (peer_rank,) = struct.unpack("<Q", _recv_exact(conn, 8))
-            socks[int(peer_rank)] = conn
-    except socket.timeout:
-        raise FabricTimeoutError("mesh construction timed out") from None
-    finally:
-        listener.close()
-    return TcpEndpoint(rank, world_size, socks, timeout)
+        except socket.timeout:
+            raise FabricTimeoutError(on_timeout) from None
+        opened.append(conn)
+        _configure(conn, timeout)
+        (peer_rank,) = struct.unpack("<Q", _recv_exact(conn, 8))
+        return int(peer_rank), conn
+
+    def connect(addr) -> socket.socket:
+        sock = _connect_with_retry(addr, timeout)
+        opened.append(sock)
+        sock.sendall(struct.pack("<Q", rank))
+        return sock
+
+    try:
+        if rank == 0:
+            with socket.create_server((host, port)) as server:
+                server.settimeout(timeout)
+                table = {}
+                for _ in range(world_size - 1):
+                    peer, conn = accept(server, "rendezvous timed out waiting for peers")
+                    table[str(peer)] = _recv_frame(conn)[1].decode()
+                    socks[peer] = conn  # the rendezvous socket doubles as pair (0, peer)
+                blob = json.dumps(table, sort_keys=True).encode()
+                for conn in socks.values():
+                    _send_frame(conn, blob)
+            return TcpEndpoint(0, world_size, socks, timeout)
+
+        with socket.create_server((host, 0)) as listener:
+            listener.settimeout(timeout)
+            socks[0] = connect((host, port))
+            _send_frame(socks[0], f"{host}:{listener.getsockname()[1]}".encode())
+            table = json.loads(_recv_frame(socks[0])[1].decode())
+            # deterministic mesh: connect to every lower nonzero rank, accept the rest
+            for peer in range(1, rank):
+                socks[peer] = connect(_parse_address(table[str(peer)]))
+            for _ in range(world_size - 1 - rank):
+                peer, conn = accept(listener, "mesh construction timed out")
+                socks[peer] = conn
+        return TcpEndpoint(rank, world_size, socks, timeout)
+    except BaseException:
+        for sock in opened:
+            sock.close()
+        raise
 
 
 # --------------------------------------------------------------------------

@@ -191,7 +191,9 @@ def schedule_traffic(
 ) -> TrafficProfile:
     """Replay the distributed engine's scheduling policy symbolically.
     Every local or diagonal application sweeps the slice once (read+write);
-    every relocalization moves half the slice per rank in each direction."""
+    a diagonal step from fusion may span up to 13 qubits and is still one
+    sweep. Every relocalization moves half the slice per rank in each
+    direction."""
     k = topology.global_bits
     if n <= k:
         raise ValueError(f"{n} qubits cannot be split over {1 << k} ranks")

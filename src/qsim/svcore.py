@@ -13,7 +13,16 @@ Conventions shared by every module in this package:
     `_apply_diagonal` multiplies the view `amps.reshape((2,) * (m-L) +
     (2^L,))`, L = min(m, 13) (`_DIAGONAL_INNER_BITS`), in place by a
     factor spelled out over the low L index bits, so its inner loop is a
-    contiguous run of 2^L amplitudes wherever the gate's bits sit
+    contiguous run of 2^L amplitudes wherever the gate's bits sit.
+    `diagonal_of` gives any diagonal op as a phase vector over its sorted
+    qubits
+  - a "DIAGONAL" op holds only that phase vector, for 1 to 13 qubits, so
+    it is never densified. `fuse` emits one for each stretch of diagonal
+    gates wider than its cap: such a step costs about one sweep at any
+    width, while a dense block's cost grows with its width. A stretch
+    stays within 13 qubits with at most 3 at bit 13 or above
+    (`_DIAGONAL_HIGH_BITS`), because the factor is spelled out over the
+    low 13 bits times 2^h for h positions above them
   - every other gate takes `_apply_matrix`, which moves the target axes of
     that view to the front and multiplies one block of 2^14 amplitudes
     (`_DENSE_BLOCK_BITS`) at a time: 256 KiB at complex128, so the block's
@@ -25,7 +34,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -38,6 +47,12 @@ DENSE_QUBIT_CAP = 26
 # contiguous run the broadcast multiply goes through the iterator's buffers
 # and ran about 30% slower at n=20
 _DIAGONAL_INNER_BITS = 13
+# positions at or above bit 13 that one DIAGONAL op from `fuse` may hold;
+# its factor holds 2^h x 2^13 entries for h such positions. A 13-qubit step
+# at n=20 (2-vCPU Xeon, one streaming sweep 0.48 ms) took 0.58-0.72 ms with
+# h <= 3, 1.2 ms with h = 5, and 1.65 ms, 3.4 sweeps, with h = 7, which an
+# unbounded 13-qubit TFIM stretch has
+_DIAGONAL_HIGH_BITS = 3
 # log2 of the amplitudes in one block of `_apply_matrix`. Of 2^12 to 2^16,
 # 2^14 and 2^15 ran fastest at n=20 and 2^13 to 2^15 at n=25; 2^16 ran up
 # to 1.4x slower than 2^14 with the target at bit 5
@@ -52,7 +67,7 @@ _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
-_DIAGONAL_KINDS = frozenset({"Z", "RZ", "P", "CZ", "CP", "RZZ"})
+_DIAGONAL_KINDS = frozenset({"Z", "RZ", "P", "CZ", "CP", "RZZ", "DIAGONAL"})
 # kind -> (number of targets, number of controls, number of params)
 _KIND_SHAPE = {
     "H": (1, 0, 0),
@@ -87,7 +102,8 @@ class GateOp:
 
     `targets` carry the gate matrix; `controls` gate it on |1> values.
     `matrix` is set only for kind "FUSED" (a dense block produced by fusion
-    or supplied directly).
+    or supplied directly) and for kind "DIAGONAL", where it holds the
+    matrix's diagonal: 2^w unit phases, bit j of whose index is target j.
     """
 
     kind: str
@@ -95,9 +111,12 @@ class GateOp:
     controls: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
     matrix: np.ndarray | None = None
+    # set once by __post_init__: plan_gate asks it of every op, and each
+    # eviction's lookahead asks it again of the ops ahead
+    _diagonal: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind != "FUSED" and self.kind not in _KIND_SHAPE:
+        if self.kind not in ("FUSED", "DIAGONAL") and self.kind not in _KIND_SHAPE:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate target qubits")
@@ -119,6 +138,19 @@ class GateOp:
             err = np.max(np.abs(m @ m.conj().T - np.eye(dim)))
             if err > 1e-10:
                 raise ValueError(f"fused matrix is not unitary (deviation {err:.2e})")
+        elif self.kind == "DIAGONAL":
+            if not 1 <= len(self.targets) <= _DIAGONAL_INNER_BITS:
+                raise ValueError(
+                    f"diagonal step width must be in [1, {_DIAGONAL_INNER_BITS}]"
+                )
+            if self.controls:
+                raise ValueError("diagonal steps fold controls into the phases")
+            v = self.matrix
+            if v is None or v.shape != (1 << len(self.targets),):
+                raise ValueError("phase vector length does not match target count")
+            err = np.max(np.abs(np.abs(v) - 1.0))
+            if err > 1e-10:
+                raise ValueError(f"phases are not of unit modulus (deviation {err:.2e})")
         else:
             nt, nc, npar = _KIND_SHAPE[self.kind]
             if len(self.targets) != nt or len(self.controls) != nc:
@@ -127,21 +159,23 @@ class GateOp:
                 raise ValueError(f"{self.kind} takes {npar} parameter(s)")
             if any(not math.isfinite(a) for a in self.params):
                 raise ValueError("non-finite gate parameter")
+        # a FUSED block is diagonal when no nonzero entry sits off its diagonal
+        object.__setattr__(
+            self,
+            "_diagonal",
+            self.kind in _DIAGONAL_KINDS
+            or (
+                self.kind == "FUSED"
+                and np.count_nonzero(self.matrix) == np.count_nonzero(np.diagonal(self.matrix))
+            ),
+        )
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.targets + self.controls
 
     def is_diagonal(self) -> bool:
-        if self.kind in _DIAGONAL_KINDS:
-            return True
-        if self.kind == "FUSED":
-            # plan_gate asks this of every op; equal counts mean no
-            # nonzero entry sits off the diagonal
-            return np.count_nonzero(self.matrix) == np.count_nonzero(
-                np.diagonal(self.matrix)
-            )
-        return False
+        return self._diagonal
 
     def __eq__(self, other):
         if not isinstance(other, GateOp):
@@ -212,6 +246,10 @@ def fused(qubits, matrix) -> GateOp:
     return GateOp("FUSED", tuple(qubits), matrix=np.asarray(matrix, dtype=complex))
 
 
+def diagonal(qubits, phases) -> GateOp:
+    return GateOp("DIAGONAL", tuple(qubits), matrix=np.asarray(phases, dtype=complex))
+
+
 def base_matrix(op: GateOp) -> np.ndarray:
     """Matrix over op.targets in listed order, control logic excluded."""
     k = op.kind
@@ -241,6 +279,9 @@ def base_matrix(op: GateOp) -> np.ndarray:
         return _SWAP
     if k == "FUSED":
         return op.matrix
+    if k == "DIAGONAL":
+        # 2^w x 2^w: the program's paths read `diagonal_of` instead
+        return np.diag(op.matrix)
     raise ValueError(f"unknown gate kind {k!r}")
 
 
@@ -254,6 +295,29 @@ def op_matrix(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
     ascending (bit j of the matrix index = j-th listed qubit)."""
     qubits = tuple(sorted(op.qubits))
     return _embed(base_matrix(op), op.targets, qubits, op.controls), qubits
+
+
+def diagonal_of(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Phase vector of a diagonal op, controls included, over its qubits
+    sorted ascending (bit j of the index = j-th listed qubit). Built from
+    the op's own diagonal, so a DIAGONAL op is never densified."""
+    listed = op.targets + op.controls
+    phases = op.matrix if op.kind == "DIAGONAL" else np.diagonal(base_matrix(op))
+    if op.controls:
+        # the controls are the high bits of the listed order, so the gate
+        # acts on the top block, where they are all 1
+        phases = np.concatenate([np.ones((1 << len(listed)) - phases.size), phases])
+    qubits = tuple(sorted(listed))
+    if qubits == listed:
+        return phases, qubits
+    w = len(listed)
+    # listed qubit j's bit moves to the bit of its rank among the sorted ones
+    phases = np.moveaxis(
+        phases.reshape((2,) * w),
+        _bit_axes(w, range(w)),
+        _bit_axes(w, [qubits.index(q) for q in listed]),
+    )
+    return phases.ravel(), qubits
 
 
 def _embed(mat: np.ndarray, targets, full: tuple[int, ...], controls=()) -> np.ndarray:
@@ -423,8 +487,7 @@ def apply_gate_dense(state: StateSlice, gate: GateOp) -> StateSlice:
     if any(q >= n for q in gate.qubits):
         raise ValueError(f"gate qubit out of range for {n}-qubit state")
     if gate.is_diagonal():
-        mat, qubits = op_matrix(gate)
-        _apply_diagonal(state.amps, np.diag(mat), qubits)
+        _apply_diagonal(state.amps, *diagonal_of(gate))
     else:
         _apply_matrix(state.amps, base_matrix(gate), gate.targets, gate.controls)
     return state
@@ -491,20 +554,64 @@ def sample_dense(
     return CountsDistribution(entries, float(shots))
 
 
+def _renamed(op: GateOp, where) -> GateOp:
+    """`op` with each qubit q renamed to where[q]. A renaming by a
+    permutation keeps everything `GateOp.__post_init__` checked, so the
+    checks (a FUSED op's unitarity product among them) do not run again."""
+    targets = tuple(where[q] for q in op.targets)
+    controls = tuple(where[q] for q in op.controls)
+    if (targets, controls) == (op.targets, op.controls):
+        return op
+    out = object.__new__(GateOp)
+    out.__dict__.update(op.__dict__, targets=targets, controls=controls)
+    return out
+
+
+def _over(phases: np.ndarray, qubits, union) -> np.ndarray:
+    """`phases` over sorted `qubits` as a tensor that broadcasts over the
+    bit axes of the sorted superset `union`: size 2 on the axis of each of
+    `qubits`, size 1 elsewhere. Both lists are sorted, so the axes need no
+    reordering."""
+    return phases.reshape([2 if q in qubits else 1 for q in reversed(union)])
+
+
+def _product_over(gates, union) -> np.ndarray:
+    """Phase vector over sorted `union` of the product of diagonal `gates`,
+    each a (phase vector, sorted qubits) pair within `union`. One buffer
+    takes every factor in place."""
+    out = np.ones((2,) * len(union), dtype=complex)
+    for phases, qubits in gates:
+        out *= _over(phases, qubits, union)
+    return out.reshape(-1)
+
+
 def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
-    """Greedy left-to-right fusion into dense blocks of at most `max_width`
+    """Greedy left-to-right fusion into blocks of at most `max_width`
     qubits. The overall unitary is preserved.
 
     SWAPs never enter a block: each one is deferred to the end of the
     stream, in input order, and every later op is renamed through it
     (O2 · S = S · O2', O2' being O2 with the swapped qubits exchanged), so
-    the engine still plans each SWAP as a free relabel. Other ops wider
-    than the cap pass through, renamed; everything else lands inside a
-    FUSED block. An op that no SWAP precedes keeps its identity."""
+    the engine still plans each SWAP as a free relabel. An op whose qubits
+    no SWAP moved keeps its identity.
+
+    Diagonal gates commute and move no data, so a stretch of them grows
+    past the cap into one phase vector, while it spans at most
+    `_DIAGONAL_INNER_BITS` qubits with at most `_DIAGONAL_HIGH_BITS` of
+    them at index 13 or above. fuse runs before any layout exists, so it
+    counts program qubits, which are the positions under the identity
+    layout. A stretch that ends within the cap is emitted as a FUSED block,
+    a wider one as a DIAGONAL op. A diagonal gate joins an open dense block
+    whose union with it fits the cap; a dense gate joins an open stretch
+    only on the same terms, and flushes it otherwise. Ops wider than the
+    cap, diagonal or not, pass through renamed."""
     if not 1 <= max_width <= MAX_FUSION_WIDTH:
         raise ValueError(f"max_width must be in [1, {MAX_FUSION_WIDTH}]")
     out: list[GateOp] = []
+    # the open block: its sorted qubits, and either the gates of a diagonal
+    # stretch, as (phase vector, sorted qubits) pairs, or a dense matrix
     blk_qubits: tuple[int, ...] | None = None
+    blk_diag: list[tuple[np.ndarray, tuple[int, ...]]] | None = None
     blk_mat: np.ndarray | None = None
     # where[q]: the index bit that holds program qubit q's data while the
     # SWAPs seen so far are deferred
@@ -512,10 +619,16 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     swaps: list[GateOp] = []
 
     def flush():
-        nonlocal blk_qubits, blk_mat
-        if blk_qubits is not None:
+        nonlocal blk_qubits, blk_diag, blk_mat
+        if blk_mat is not None:
             out.append(fused(blk_qubits, blk_mat))
-            blk_qubits = blk_mat = None
+        elif blk_diag is not None:
+            phases = _product_over(blk_diag, blk_qubits)
+            wide = len(blk_qubits) > max_width
+            out.append(
+                diagonal(blk_qubits, phases) if wide else fused(blk_qubits, np.diag(phases))
+            )
+        blk_qubits = blk_diag = blk_mat = None
 
     for op in circuit.ops:
         if op.kind == "SWAP":
@@ -524,26 +637,46 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
             swaps.append(op)
             continue
         if swaps:
-            op = replace(
-                op,
-                targets=tuple(where[q] for q in op.targets),
-                controls=tuple(where[q] for q in op.controls),
-            )
-        mat, qubits = op_matrix(op)
-        if len(qubits) > max_width:
+            op = _renamed(op, where)
+        if len(op.qubits) > max_width:
             flush()
             out.append(op)
             continue
-        if blk_qubits is None:
-            blk_qubits, blk_mat = qubits, mat
-            continue
-        union = tuple(sorted(set(blk_qubits) | set(qubits)))
-        if len(union) <= max_width:
-            blk_mat = _embed(mat, qubits, union) @ _embed(blk_mat, blk_qubits, union)
-            blk_qubits = union
-        else:
+        is_diag = op.is_diagonal()
+        # a phase vector for a diagonal op, a matrix otherwise
+        mat, qubits = diagonal_of(op) if is_diag else op_matrix(op)
+        if blk_qubits is not None:
+            union = tuple(sorted(set(blk_qubits) | set(qubits)))
+            u = len(union)
+            if is_diag and blk_diag is not None and (
+                u <= max_width
+                or (
+                    u <= _DIAGONAL_INNER_BITS
+                    and sum(q >= _DIAGONAL_INNER_BITS for q in union) <= _DIAGONAL_HIGH_BITS
+                )
+            ):
+                blk_diag.append((mat, qubits))
+                blk_qubits = union
+                continue
+            if u <= max_width:
+                if blk_mat is None:
+                    blk_mat = np.diag(_product_over(blk_diag, blk_qubits))
+                    blk_diag = None
+                blk_mat = _embed(blk_mat, blk_qubits, union)
+                if is_diag:
+                    # D @ M scales row r of M by D's entry r
+                    rows = blk_mat.reshape((2,) * u + (1 << u,))
+                    rows *= _over(mat, qubits, union)[..., None]
+                else:
+                    blk_mat = _embed(mat, qubits, union) @ blk_mat
+                blk_qubits = union
+                continue
             flush()
-            blk_qubits, blk_mat = qubits, mat
+        blk_qubits = qubits
+        if is_diag:
+            blk_diag = [(mat, qubits)]
+        else:
+            blk_mat = mat
     flush()
     out.extend(swaps)
     return Circuit(circuit.num_qubits, out, circuit.measured_qubits, circuit.name)

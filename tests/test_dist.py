@@ -305,6 +305,28 @@ class TestPlanGate:
         assert actions == ["relocalize", "local"]
 
 
+# P=2 circuits where a lookahead that counts controls, diagonal gates or
+# SWAPs as uses evicts the qubit the next dense gate needs, and so plans 2
+# relocalizations. The second also needs the lookahead to follow qubit 0's
+# data through the SWAP to h(3).
+_EVICTION_CASES = {
+    "control-and-diagonal": Circuit(3, [sv.h(2), sv.cx(0, 2), sv.rz(0.3, 0), sv.h(1)]),
+    "across-swap": Circuit(4, [sv.h(3), sv.rz(0.2, 2), sv.swap(0, 3), sv.h(1), sv.h(3)]),
+}
+
+
+class TestEvictionLookahead:
+    @pytest.mark.parametrize("name", _EVICTION_CASES)
+    def test_keeps_the_qubit_a_dense_target_needs(self, name):
+        c = _EVICTION_CASES[name]
+        layout = RankLayout.identity(c.num_qubits, 1)
+        steps = [
+            s for i, op in enumerate(c.ops) for s in plan_gate(layout, op, c.ops[i + 1:])
+        ]
+        assert sum(s.action == "relocalize" for s in steps) == 1
+        check_distributed_equals_dense(2, False, Precision.DOUBLE, c)
+
+
 class TestFusedSwapsRelabel:
     @pytest.mark.parametrize("k", [0, 1, 2], ids=["P1", "P2", "P4"])
     @settings(max_examples=30, deadline=None)

@@ -350,6 +350,34 @@ class TestTcpTransport:
                 "tcp", 2, rendezvous=f"127.0.0.1:{port}", rank=1, timeout=0.5
             )
 
+    def test_failed_rendezvous_closes_accepted_peers(self):
+        # rank 0 of 4 accepts rank 1, then times out waiting for the rest.
+        # Rank 1 must see its connection closed at once, even while the
+        # error, and with it the failed call's frames, is still held
+        port = free_port()
+        errors = []
+
+        def leader():
+            try:
+                create_world("tcp", 4, rendezvous=f"127.0.0.1:{port}", rank=0,
+                             timeout=1.0)
+            except FabricTimeoutError as e:
+                errors.append(e)
+
+        thread = threading.Thread(target=leader)
+        thread.start()
+        peer = fabric._connect_with_retry(("127.0.0.1", port), 5.0)
+        try:
+            peer.sendall(struct.pack("<Q", 1))
+            fabric._send_frame(peer, b"127.0.0.1:1")
+            thread.join(10)
+            assert not thread.is_alive()
+            assert len(errors) == 1
+            peer.settimeout(2.0)
+            assert peer.recv(1) == b""
+        finally:
+            peer.close()
+
     def test_large_symmetric_exchange_no_deadlock(self, tmp_path):
         # exercised indirectly by the qpe worker in test_acceptance; here a
         # direct 2-rank large swap through threads sharing localhost sockets

@@ -33,6 +33,7 @@ ALL_KIND_SAMPLES = [
     sv.rzz(1.7, 0, 1),
     sv.swap(0, 1),
     sv.fused((0, 1), np.kron(np.eye(2), [[0, 1], [1, 0]])),
+    sv.diagonal((0, 1), np.exp(1j * np.array([0.1, -0.7, 2.3, 1.9]))),
 ]
 
 
@@ -46,6 +47,7 @@ SCATTERED_SAMPLES = [
     sv.cp(1.1, 4, 2),
     sv.cz(1, 4),
     sv.h(4),
+    sv.diagonal((4, 0, 2), np.exp(1j * np.arange(8.0))),
 ]
 
 
@@ -83,6 +85,17 @@ class TestGateOp:
     def test_fused_width_cap(self):
         with pytest.raises(ValueError, match="width"):
             sv.fused(tuple(range(6)), np.eye(64))
+
+    def test_diagonal_op_checked(self):
+        with pytest.raises(ValueError, match="unit modulus"):
+            sv.diagonal((0,), [1, 2])
+        with pytest.raises(ValueError, match="length"):
+            sv.diagonal((0, 1), [1, 1])
+        with pytest.raises(ValueError, match="width"):
+            sv.diagonal(tuple(range(14)), np.ones(1 << 14))
+        with pytest.raises(ValueError, match="controls"):
+            GateOp("DIAGONAL", (0,), controls=(1,), matrix=np.ones(2, complex))
+        assert sv.diagonal((0,), [1, 1j]).is_diagonal()
 
     def test_all_kinds_unitary_within_1e12(self):
         for op in ALL_KIND_SAMPLES:
@@ -232,6 +245,30 @@ class TestDiagonalKernel:
         ]
         tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
         assert np.max(np.abs(got - diag[entry] * psi)) <= tol
+
+
+class TestDiagonalOp:
+    """The DIAGONAL op through `apply_gate_dense` at n=15, against each
+    basis state's phase: its factor is spelled out over the low 13 bits, so
+    the cases put positions below, at and above bit 13, and unsorted."""
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "targets",
+        [(0,), (1, 4, 7, 12), (_B,), (_B + 1, _B), (_B - 1, _B, _B + 1),
+         (_B + 1, 2, _B - 1, 0), tuple(range(_B - 3, -1, -1)) + (_B, _B + 1)],
+        ids=["low", "low4", "at", "high2", "straddle3", "unsorted", "widest"],
+    )
+    def test_matches_phase_per_basis_state(self, targets, precision):
+        n = _B + 2
+        rng = np.random.default_rng(len(targets))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=1 << len(targets)))
+        state = apply_gate_dense(StateSlice(psi, precision), sv.diagonal(targets, phases))
+        index = np.arange(1 << n)
+        entry = sum(((index >> t) & 1) << j for j, t in enumerate(targets))
+        tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
+        assert np.max(np.abs(state.amps - phases[entry] * psi)) <= tol
 
 
 class TestStateSliceOwnership:
@@ -420,6 +457,19 @@ class TestFusion:
         assert renamed.targets == (4, 1, 2, 3)
         assert last is c.ops[1]
 
+    def test_renaming_does_not_validate_again(self, monkeypatch):
+        wide = sv.fused(tuple(range(4)), random_unitary(4, 5))
+        c = Circuit(5, [sv.swap(0, 4), wide])
+        checked = []
+        validate = GateOp.__post_init__
+        monkeypatch.setattr(
+            GateOp, "__post_init__", lambda op: checked.append(op) or validate(op)
+        )
+        renamed, _ = fuse(c, max_width=3).ops
+        assert renamed.targets == (4, 1, 2, 3)
+        assert renamed.matrix is wide.matrix
+        assert checked == []
+
     @settings(max_examples=60, deadline=None)
     @given(circuit=small_circuits(), max_width=st.integers(1, 5))
     def test_swaps_trail_in_input_order(self, circuit, max_width):
@@ -437,6 +487,41 @@ class TestFusion:
         fused_c = fuse(c, max_width=2)
         assert len(fused_c.ops) == 1
         assert fused_c.ops[0].is_diagonal()
+
+    def test_diagonal_joins_open_dense_block(self):
+        c = Circuit(3, [sv.h(0), sv.cx(0, 1), sv.cx(1, 2), sv.rz(0.3, 2)])
+        (block,) = fuse(c, max_width=3).ops
+        assert block.kind == "FUSED" and not block.is_diagonal()
+
+    @staticmethod
+    def rzz_ring(n):
+        return Circuit(n, [sv.rzz(0.1 * (q + 1), q, (q + 1) % n) for q in range(n)])
+
+    def test_ring_of_12_is_one_diagonal_step(self):
+        (step,) = fuse(self.rzz_ring(12), max_width=3).ops
+        assert (step.kind, step.targets) == ("DIAGONAL", tuple(range(12)))
+        expect = dense_run(self.rzz_ring(12), initial=0b101100111010).amps
+        got = apply_gate_dense(sv.basis_state(12, 0b101100111010), step).amps
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    def test_ring_of_20_takes_at_most_4_steps(self):
+        ring = self.rzz_ring(20)
+        steps = fuse(ring, max_width=3).ops
+        assert len(steps) <= 4
+        for step in steps:
+            assert step.is_diagonal()
+            assert len(step.targets) <= sv._DIAGONAL_INNER_BITS
+            high = [q for q in step.targets if q >= sv._DIAGONAL_INNER_BITS]
+            assert len(high) <= sv._DIAGONAL_HIGH_BITS
+        psi = sv.basis_state(20, 0)
+        for q in range(20):
+            apply_gate_dense(psi, sv.h(q))
+        want, got = psi.copy(), psi.copy()
+        for op in ring.ops:
+            apply_gate_dense(want, op)
+        for op in steps:
+            apply_gate_dense(got, op)
+        assert np.max(np.abs(got.amps - want.amps)) <= 1e-12
 
 
 class TestCircuitValidation:

@@ -259,7 +259,11 @@ def _exchange_halves(st: DistState, global_pos: int, local_pos: int) -> None:
     # entries whose local bit differs from the rank's global bit move out;
     # the partner's complementary half lands in the same slots
     moving = amps.reshape(-1, 2, 1 << local_pos)[:, 1 - g]
-    received = st.ep.exchange(st.ep.rank ^ (1 << bit), moving.tobytes())
+    # packed once into a fresh array, which the exchange then owns (a
+    # loopback peer reads it by reference); a 1-D byte view, so that its
+    # len() is the byte count every traffic counter records
+    packed = np.array(moving, order="C")
+    received = st.ep.exchange(st.ep.rank ^ (1 << bit), packed.reshape(-1).view(np.uint8))
     moving[...] = np.frombuffer(received, dtype=amps.dtype).reshape(moving.shape)
 
 

@@ -13,8 +13,19 @@ operations, both raise FramingError instead of reading the other's bytes.
 Closing an endpoint makes a peer blocked on it raise FabricError at once,
 so a failing rank does not leave the others to wait out their timeout.
 
-Every endpoint counts its own exchange() traffic in `ep.traffic`, the
-bytes that the performance model predicts.
+exchange() moves each byte once on either side:
+  - a tcp frame is the 9-byte header plus the caller's buffer, written
+    from where it lies (a small frame goes out in one write)
+  - the receiver checks the announced length against its own payload's
+    length (the exchange is symmetric) before it reads any payload byte,
+    then receives into one uninitialised buffer of that size
+  - loopback passes the caller's buffer by reference, so the caller does
+    not write the payload again once it has handed it to exchange()
+Collectives read their frames in pieces bounded by the bytes actually
+received, never into a buffer sized only by an unchecked header.
+
+Every endpoint counts its own exchange() traffic in `ep.traffic` as the
+payload's nbytes, the bytes that the performance model predicts.
 
 Collectives (barrier, broadcast, allreduce, allgather) are built on the
 pairwise primitive with recursive doubling, so a world of P = 2^k ranks
@@ -80,12 +91,16 @@ class FabricEndpoint:
 
     # --- transport primitive -------------------------------------------
 
-    def _transfer(self, peer: int, tag: int, payload: bytes) -> tuple[int, bytes]:
+    def _transfer(
+        self, peer: int, tag: int, payload: bytes | memoryview
+    ) -> tuple[int, bytes | memoryview]:
         """Send one tagged frame to peer; return the tag and payload of the
         frame peer sent back."""
         raise NotImplementedError
 
-    def _sendrecv(self, peer: int, tag: int, payload: bytes) -> bytes:
+    def _sendrecv(
+        self, peer: int, tag: int, payload: bytes | memoryview
+    ) -> bytes | memoryview:
         got_tag, got = self._transfer(peer, tag, payload)
         if got_tag != tag:
             raise FramingError(
@@ -98,14 +113,19 @@ class FabricEndpoint:
 
     # --- point-to-point -------------------------------------------------
 
-    def exchange(self, peer: int, payload: bytes) -> bytes:
-        """Symmetric swap: returns the peer's buffer. Both sides must send
-        buffers of equal length."""
+    def exchange(self, peer: int, payload) -> memoryview:
+        """Symmetric swap: returns the peer's bytes as a byte memoryview.
+        Both sides must send buffers of equal byte length.
+
+        `payload` is any C-contiguous buffer (bytes, bytearray, memoryview,
+        ndarray); it is sent without a copy and counted as its nbytes. The
+        caller does not write it again: a loopback peer reads it by
+        reference."""
         if peer == self.rank:
             raise FabricError("exchange with self")
         if not 0 <= peer < self.world_size:
             raise FabricError(f"peer {peer} out of range")
-        payload = bytes(payload)
+        payload = memoryview(payload).cast("B")
         got = self._sendrecv(peer, _EXCHANGE, payload)
         if len(got) != len(payload):
             raise FramingError(
@@ -195,8 +215,8 @@ def _unpack_items(payload: bytes) -> dict[int, bytes]:
 
 
 class LoopbackEndpoint(FabricEndpoint):
-    """Channels carry (tag, payload) pairs; `close` puts None on each of
-    this rank's outgoing channels."""
+    """Channels carry (tag, payload) pairs, the payload by reference;
+    `close` puts None on each of this rank's outgoing channels."""
 
     kind = "loopback"
 
@@ -205,7 +225,9 @@ class LoopbackEndpoint(FabricEndpoint):
         super().__init__(rank, world_size, timeout, traffic)
         self._channels = channels
 
-    def _transfer(self, peer: int, tag: int, payload: bytes) -> tuple[int, bytes]:
+    def _transfer(
+        self, peer: int, tag: int, payload: bytes | memoryview
+    ) -> tuple[int, bytes | memoryview]:
         self._channels[(self.rank, peer)].put((tag, payload))
         try:
             frame = self._channels[(peer, self.rank)].get(timeout=self.timeout)
@@ -229,11 +251,31 @@ class LoopbackEndpoint(FabricEndpoint):
 # --------------------------------------------------------------------------
 
 
-def _send_frame(sock: socket.socket, payload: bytes, tag: int = _EXCHANGE):
-    sock.sendall(struct.pack("<QB", len(payload), tag) + payload)
+_SMALL_FRAME = 1 << 16  # header and payload up to this size go in one write
+
+
+def _send_frame(
+    sock: socket.socket, payload: bytes | memoryview, tag: int = _EXCHANGE
+):
+    """One frame: the header, then the payload (bytes or a byte memoryview)
+    from where it lies. A small frame (every collective's) is one write,
+    which keeps barrier latency down; a large one is not copied behind
+    its header."""
+    header = struct.pack("<QB", len(payload), tag)
+    try:
+        if len(payload) <= _SMALL_FRAME:
+            sock.sendall(header + payload)
+        else:
+            sock.sendall(header)
+            sock.sendall(payload)
+    except socket.timeout:
+        raise FabricTimeoutError("socket send timed out") from None
+    except OSError as e:
+        raise FabricError(f"peer disconnected ({e})") from None
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    """n bytes, read in pieces: memory grows only with what arrives."""
     chunks = []
     remaining = n
     while remaining:
@@ -248,14 +290,41 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    """The tag and payload of the next frame."""
+def _recv_into(sock: socket.socket, buf: memoryview) -> None:
+    got = 0
+    while got < len(buf):
+        try:
+            n = sock.recv_into(buf[got:])
+        except socket.timeout:
+            raise FabricTimeoutError("socket receive timed out") from None
+        if not n:
+            raise FabricError("peer disconnected")
+        got += n
+
+
+def _recv_frame(
+    sock: socket.socket, expect: int | None = None
+) -> tuple[int, bytes | memoryview]:
+    """The tag and payload of the next frame.
+
+    With `expect` set, an exchange frame must announce exactly `expect`
+    bytes. That is checked before any payload byte is read; the payload
+    then lands in one uninitialised buffer and comes back as a memoryview.
+    Any other frame is read in bounded pieces."""
     length, tag = struct.unpack("<QB", _recv_exact(sock, 9))
     if length > _MAX_FRAME:
         raise FramingError(f"implausible frame length {length}; corrupt prefix?")
     if tag >= len(_OPS):
         raise FramingError(f"unknown frame tag {tag}; corrupt header?")
-    return tag, _recv_exact(sock, int(length))
+    if expect is None or tag != _EXCHANGE:
+        return tag, _recv_exact(sock, int(length))
+    if length != expect:
+        raise FramingError(
+            f"exchange length mismatch: sent {expect} bytes, peer announced {length}"
+        )
+    buf = memoryview(np.empty(expect, dtype=np.uint8))
+    _recv_into(sock, buf)
+    return tag, buf
 
 
 def _parse_address(address: str) -> tuple[str, int]:
@@ -272,13 +341,17 @@ class TcpEndpoint(FabricEndpoint):
         super().__init__(rank, world_size, timeout)
         self._socks = socks  # peer rank -> connected socket
 
-    def _transfer(self, peer: int, tag: int, payload: bytes) -> tuple[int, bytes]:
+    def _transfer(
+        self, peer: int, tag: int, payload: bytes | memoryview
+    ) -> tuple[int, bytes | memoryview]:
         sock = self._socks[peer]
+        # an exchange is symmetric: the peer's frame is as long as ours
+        expect = len(payload) if tag == _EXCHANGE else None
         # lower rank sends first; keeps large symmetric swaps deadlock-free
         if self.rank < peer:
             _send_frame(sock, payload, tag)
-            return _recv_frame(sock)
-        got = _recv_frame(sock)
+            return _recv_frame(sock, expect)
+        got = _recv_frame(sock, expect)
         _send_frame(sock, payload, tag)
         return got
 

@@ -3,6 +3,8 @@ import os
 import socket
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qsim import svcore as sv
+from qsim.fabric import create_world
 from qsim.svcore import Circuit
 
 TESTS_DIR = Path(__file__).parent
@@ -81,6 +84,40 @@ def free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+@contextmanager
+def tcp_world(world_size, timeout=20.0):
+    """The endpoints of a tcp world whose ranks share this process, built
+    on one thread per rank (the rendezvous blocks until all have joined);
+    drive them with `fabric.run_spmd`. Every endpoint is closed on exit."""
+    rendezvous = f"127.0.0.1:{free_port()}"
+    world = [None] * world_size
+    failures = []
+
+    def join(rank):
+        try:
+            world[rank] = create_world(
+                "tcp", world_size, rendezvous=rendezvous, rank=rank, timeout=timeout
+            )
+        except BaseException as e:  # re-raised once every rank has returned
+            failures.append(e)
+
+    threads = [threading.Thread(target=join, args=(r,)) for r in range(world_size)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout + 10)
+    try:
+        if failures:
+            raise failures[0]
+        if any(t.is_alive() for t in threads):
+            raise RuntimeError("a rank never returned from the rendezvous")
+        yield world
+    finally:
+        for ep in world:
+            if ep is not None:
+                ep.close()
 
 
 def run_ranks(argv_for_rank, world_size, timeout=90) -> list[str]:

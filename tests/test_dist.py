@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mixed_circuits
+from conftest import mixed_circuits, tcp_world
 from hypothesis import given, settings, strategies as st
 
-from qsim import dist, fabric, svcore as sv
+from qsim import dist, fabric, perfmodel, svcore as sv
 from qsim.circuits import build_qpe, build_random_circuit, QpeSpec
 from qsim.dist import RankLayout, partition, plan_gate
-from qsim.fabric import create_world, run_spmd
+from qsim.fabric import FabricEndpoint, create_world, run_spmd
 from qsim.svcore import Circuit, Precision, dense_run
 
 
@@ -140,6 +140,63 @@ class TestRelocalize:
 
         totals = spmd(4, body)
         assert all(abs(t - 1.0) <= 1e-9 for t in totals)
+
+
+class TestTcpRelocalize:
+    def test_every_local_position_matches_loopback(self):
+        # the strided half-slice pack and the write-back at every local
+        # position, over real sockets
+        n = 12
+        rng = np.random.default_rng(23)
+        full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        half = 1 << (n - 1)
+
+        def body(ep):
+            st = partition(n, ep)
+            st.slice.amps[:] = full[ep.rank * half : (ep.rank + 1) * half]
+            for lp in range(n - 1):
+                dist.relocalize(st, n - 1, lp)
+            return dist.gather(st).amps
+
+        over_loopback = spmd(2, body)
+        with tcp_world(2) as world:
+            over_tcp = run_spmd(world, body)
+        for got, expect in zip(over_tcp, over_loopback):
+            assert got.tobytes() == expect.tobytes()
+            # relocalizing relabels bits; the program-order state is unmoved
+            assert np.array_equal(got, full)
+
+
+class LenCountingEndpoint(FabricEndpoint):
+    """Counts exchange bytes as `len(payload)`, the way a tracing wrapper
+    that never looks inside the buffer does."""
+
+    def __init__(self, inner: FabricEndpoint):
+        super().__init__(inner.rank, inner.world_size, inner.timeout)
+        self.inner = inner
+        self.counted = 0
+
+    def exchange(self, peer, payload):
+        got = self.inner.exchange(peer, payload)
+        self.counted += len(payload)
+        return got
+
+    def _transfer(self, peer, tag, payload):
+        return self.inner._transfer(peer, tag, payload)
+
+
+class TestExchangePayloadLength:
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_len_of_every_payload_is_its_byte_count(self, P, precision):
+        c = build_random_circuit(8, 120, seed=41)
+        topo = perfmodel.nvl72_topology().for_ranks(P)
+        prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, True, precision)
+        world = [LenCountingEndpoint(ep) for ep in create_world("loopback", P)]
+        run_spmd(world, lambda ep: dist.run_distributed(c, ep, True, precision))
+        assert prof.total_exchange_bytes > 0
+        for ep in world:
+            assert ep.counted == prof.total_exchange_bytes
 
 
 class TestApplyDispatch:

@@ -3,16 +3,18 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import free_port, launch_tcp_workers
+from conftest import free_port, launch_tcp_workers, tcp_world
 from qsim import fabric
 from qsim.fabric import (
     FabricError,
     FabricTimeoutError,
     FramingError,
+    TcpEndpoint,
     TrafficLog,
     create_world,
     run_spmd,
@@ -73,6 +75,42 @@ class TestExchange:
 
         with pytest.raises(FramingError, match="length mismatch"):
             run_spmd(world, body)
+
+
+# each maker turns the same raw bytes into another kind of buffer
+PAYLOAD_KINDS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    "complex128": lambda raw: np.frombuffer(raw, dtype=np.complex128).copy(),
+}
+
+
+class TestExchangeBuffers:
+    @pytest.mark.parametrize("kind", list(PAYLOAD_KINDS))
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_any_buffer_round_trips_and_counts_nbytes(self, transport, kind):
+        # 37 complex128 values: len() of the array is 37, its nbytes 592
+        raws = [np.random.default_rng(r).bytes(16 * 37) for r in range(2)]
+
+        def body(ep):
+            got = ep.exchange(1 - ep.rank, PAYLOAD_KINDS[kind](raws[ep.rank]))
+            return bytes(got), ep.traffic.bytes_sent(src=ep.rank)
+
+        if transport == "loopback":
+            results = run_spmd(create_world("loopback", 2), body)
+        else:
+            with tcp_world(2) as world:
+                results = run_spmd(world, body)
+        for rank, (got, sent) in enumerate(results):
+            assert got == raws[1 - rank]
+            assert sent == 16 * 37
+
+    def test_strided_payload_rejected_before_sending(self):
+        ep = create_world("loopback", 2)[0]
+        with pytest.raises(TypeError, match="C-contiguous"):
+            ep.exchange(1, np.zeros(8, dtype=np.complex128)[::2])
+        assert ep.traffic.bytes_sent() == 0
 
 
 class TestBarrier:
@@ -317,12 +355,37 @@ class TestFraming:
             a.close()
             b.close()
 
+    def test_exchange_length_checked_before_any_payload_byte(self):
+        # rank 1 receives first; its peer's header announces 1 TiB. The
+        # exchange must refuse it from the header alone, without reading
+        # or allocating the announced size
+        a, b = socket.socketpair()
+        a.settimeout(2.0)
+        ep = TcpEndpoint(1, 2, {0: a}, timeout=2.0)
+        try:
+            b.sendall(struct.pack("<QB", 1 << 40, fabric._EXCHANGE))
+            tracemalloc.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(FramingError, match="length mismatch"):
+                    ep.exchange(0, b"x" * 16)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.monotonic() - start < 1.0
+            assert peak < 1 << 20
+        finally:
+            ep.close()
+            b.close()
+
     def test_disconnect_detected(self):
         a, b = socket.socketpair()
         b.close()
         a.settimeout(2.0)
         with pytest.raises(FabricError, match="disconnected"):
             fabric._recv_frame(a)
+        with pytest.raises(FabricError, match="disconnected"):
+            fabric._send_frame(a, bytes(1 << 20))
         a.close()
 
 
@@ -378,26 +441,17 @@ class TestTcpTransport:
         finally:
             peer.close()
 
-    def test_large_symmetric_exchange_no_deadlock(self, tmp_path):
-        # exercised indirectly by the qpe worker in test_acceptance; here a
-        # direct 2-rank large swap through threads sharing localhost sockets
-        port = free_port()
-        rendezvous = f"127.0.0.1:{port}"
-        payload_size = 1 << 21  # 2 MiB, far beyond socket buffers
-        results = {}
+    def test_large_symmetric_exchange_no_deadlock(self):
+        # a 2-rank swap far beyond socket buffers, through threads sharing
+        # localhost sockets; random bytes of an odd size, so that a receive
+        # landing at a wrong offset shows
+        payload_size = (1 << 21) + 7
+        payloads = [np.random.default_rng(r).bytes(payload_size) for r in range(2)]
 
-        def body(rank):
-            ep = create_world("tcp", 2, rendezvous=rendezvous, rank=rank, timeout=20)
-            try:
-                got = ep.exchange(1 - rank, bytes([rank]) * payload_size)
-                results[rank] = got
-            finally:
-                ep.close()
+        def body(ep):
+            return bytes(ep.exchange(1 - ep.rank, payloads[ep.rank]))
 
-        threads = [threading.Thread(target=body, args=(r,)) for r in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert results[0] == bytes([1]) * payload_size
-        assert results[1] == bytes([0]) * payload_size
+        with tcp_world(2) as world:
+            results = run_spmd(world, body)
+        assert results[0] == payloads[1]
+        assert results[1] == payloads[0]

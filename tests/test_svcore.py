@@ -130,6 +130,26 @@ class TestApplyGateDense:
                 state = apply_gate_dense(sv.zero_state(n), sv.x(q))
                 assert np.argmax(np.abs(state.amps)) == 1 << q
 
+    # 2-bit chunks make the SWAP cross chunk boundaries at n=5
+    @pytest.mark.parametrize("block_bits", [2, sv._DENSE_BLOCK_BITS])
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    def test_swap_matches_matrix_path_for_every_pair(
+        self, precision, block_bits, monkeypatch
+    ):
+        monkeypatch.setattr(sv, "_DENSE_BLOCK_BITS", block_bits)
+        n = 5
+        rng = np.random.default_rng(17)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                op = sv.swap(a, b)
+                expect = StateSlice(psi, precision).amps
+                sv._apply_matrix(expect, sv.base_matrix(op), op.targets)
+                got = apply_gate_dense(StateSlice(psi, precision), op).amps
+                np.testing.assert_array_equal(got, expect)
+
     def test_norm_preserved_over_random_ops(self):
         rng = np.random.default_rng(11)
         state = sv.zero_state(6)

@@ -11,7 +11,6 @@ from .svcore import (
     apply_gate_dense,
     dense_run,
     fuse,
-    sample_dense,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "apply_gate_dense",
     "dense_run",
     "fuse",
-    "sample_dense",
 ]
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ two always agree.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -356,19 +355,21 @@ def gather(st: DistState, qubit_cap: int = GATHER_QUBIT_CAP) -> StateSlice:
 def sample_distributed(
     st: DistState, shots: int, seed: int, measured=None
 ) -> CountsDistribution:
-    """Noiseless sampling of the distributed state. The leader's seed fixes
-    the multinomial split of shots across ranks; each rank then samples its
-    conditional slice distribution with seed XOR rank. Every rank returns
-    the identical final distribution."""
+    """Noiseless sampling; every rank returns the identical distribution.
+    The ranks allreduce their |amp|^2 masses, the leader's seed splits the
+    shots across ranks, and each rank draws its share with seed XOR rank
+    in two levels: one pass sums |amp|^2 per block of its slice, and only
+    the blocks that draw shots are squared again (`svcore.draw_indices`),
+    so no temporary is slice-sized."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     ep = st.ep
     lay = st.layout
-    measured = tuple(range(st.n)) if measured is None else tuple(measured)
+    measured = sv.measured_register(measured, st.n)
 
-    local_probs = np.abs(st.slice.amps.astype(np.complex128)) ** 2
+    block_masses = sv.block_masses(st.slice.amps)
     masses = np.zeros(ep.world_size, dtype=np.float64)
-    masses[ep.rank] = float(local_probs.sum())
+    masses[ep.rank] = block_masses.sum()
     masses = ep.allreduce_sum(masses)
     total = float(masses.sum())
     if abs(total - 1.0) > 1e-6:
@@ -377,28 +378,24 @@ def sample_distributed(
     base_seed = struct.unpack(
         "<q", ep.broadcast(0, struct.pack("<q", int(seed)))
     )[0]
-    split = sv._multinomial(
-        np.random.default_rng(base_seed & 0xFFFFFFFFFFFFFFFF), shots, masses / total
+    split = sv.split_shots(
+        np.random.default_rng(base_seed & 0xFFFFFFFFFFFFFFFF), shots, masses
     )
 
-    entries: dict[str, int] = {}
+    # bit j of an outcome value is measured qubit j, at position perm[q]
+    value = np.zeros(0, dtype=np.int64)
     my_shots = int(split[ep.rank])
     if my_shots > 0:
         rng = np.random.default_rng((base_seed ^ ep.rank) & 0xFFFFFFFFFFFFFFFF)
-        counts = sv._multinomial(rng, my_shots, local_probs / masses[ep.rank])
-        width = len(measured)
-        rank_base = ep.rank << lay.local_bits
-        for idx in np.nonzero(counts)[0]:
-            pos_index = rank_base | int(idx)
-            prog = 0
-            for q in range(st.n):
-                prog |= ((pos_index >> lay.perm[q]) & 1) << q
-            key = sv.render_bits(prog, measured)
-            entries[key] = entries.get(key, 0) + int(counts[idx])
-
-    blob = json.dumps(entries, sort_keys=True).encode()
-    merged: dict[str, int] = {}
-    for other in ep.allgather_bytes(blob):
-        for key, cnt in json.loads(other.decode()).items():
-            merged[key] = merged.get(key, 0) + cnt
-    return CountsDistribution(dict(sorted(merged.items())), float(shots))
+        index = sv.draw_indices(st.slice.amps, block_masses, my_shots, rng)
+        position = (ep.rank << lay.local_bits) | index
+        value = np.zeros_like(position)
+        for j, q in enumerate(measured):
+            value |= ((position >> lay.perm[q]) & 1) << j
+    every = np.frombuffer(b"".join(ep.allgather_bytes(value.tobytes())), dtype=np.int64)
+    # ascending values of one width are ascending bitstrings
+    entries = {
+        format(int(v), f"0{len(measured)}b"): int(c)
+        for v, c in zip(*np.unique(every, return_counts=True))
+    }
+    return CountsDistribution(entries, float(shots))

@@ -30,7 +30,10 @@ Conventions shared by every module in this package:
     (`_DENSE_BLOCK_BITS`) at a time: 256 KiB at complex128, so the block's
     gathered copy and its product stay in a 2 MiB L2 and no temporary is
     full-size
-  - global phase is not significant; `align_phase` quotients it out
+  - read-out squares |amp|^2 as re^2 + im^2 in float64; sampling sums it
+    per block of 2^8 amplitudes (`_SAMPLE_BLOCK_BITS`) and squares again
+    only the blocks that draw shots, so no temporary is full-size
+  - global phase is not significant
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ _DIAGONAL_HIGH_BITS = 3
 # 2^14 and 2^15 ran fastest at n=20 and 2^13 to 2^15 at n=25; 2^16 ran up
 # to 1.4x slower than 2^14 with the target at bit 5
 _DENSE_BLOCK_BITS = 14
+# log2 of the amplitudes in one block of `block_masses`: 2^8 to 2^12 all
+# took about 1 ms at n=20, and smaller blocks leave less to square again
+_SAMPLE_BLOCK_BITS = 8
+# blocks that `draw_indices` squares at once: 2^11 amplitudes
+_SAMPLE_BATCH_BLOCKS = 8
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -446,15 +454,8 @@ class StateSlice:
     def num_qubits(self) -> int:
         return int(self.amps.size).bit_length() - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def copy(self) -> "StateSlice":
         return StateSlice._adopt(self.amps.copy(), self.precision)
-
-
-def zero_state(n: int, precision: Precision = Precision.DOUBLE) -> StateSlice:
-    return basis_state(n, 0, precision)
 
 
 def basis_state(n: int, index: int, precision: Precision = Precision.DOUBLE) -> StateSlice:
@@ -483,18 +484,11 @@ class Circuit:
             if bad:
                 raise ValueError(f"gate references qubit {bad[0]} >= {self.num_qubits}")
         if self.measured_qubits is not None:
-            mq = tuple(self.measured_qubits)
-            if len(set(mq)) != len(mq):
-                raise ValueError("duplicate measured qubits")
-            if any(q >= self.num_qubits or q < 0 for q in mq):
-                raise ValueError("measured qubit out of range")
-            self.measured_qubits = tuple(sorted(mq))
+            self.measured_qubits = measured_register(self.measured_qubits, self.num_qubits)
 
     @property
     def measured(self) -> tuple[int, ...]:
-        if self.measured_qubits is None:
-            return tuple(range(self.num_qubits))
-        return self.measured_qubits
+        return measured_register(self.measured_qubits, self.num_qubits)
 
 
 @dataclass
@@ -505,11 +499,16 @@ class CountsDistribution:
     total: float
 
 
-def render_bits(index: int, qubits) -> str:
-    """MSB-first bitstring of `index` over the given qubits."""
-    return "".join(
-        "1" if (index >> q) & 1 else "0" for q in sorted(qubits, reverse=True)
-    )
+def measured_register(measured, n: int) -> tuple[int, ...]:
+    """The measured qubits of an n-qubit state in ascending order, all of
+    them for None. Raises ValueError naming a qubit that is out of range
+    or listed twice."""
+    mq = tuple(range(n)) if measured is None else tuple(measured)
+    for i, q in enumerate(mq):
+        if not 0 <= q < n or q in mq[:i]:
+            what = "a duplicate" if 0 <= q < n else f"out of range for {n} qubits"
+            raise ValueError(f"measured qubit {q} is {what}")
+    return tuple(sorted(mq))
 
 
 def apply_gate_dense(state: StateSlice, gate: GateOp) -> StateSlice:
@@ -548,8 +547,9 @@ def dense_run(
 def probabilities(state: StateSlice, measured=None) -> dict[str, float]:
     """Exact outcome distribution over the measured register."""
     n = state.num_qubits
-    measured = tuple(range(n)) if measured is None else tuple(measured)
-    probs = np.abs(state.amps.astype(np.complex128)) ** 2
+    measured = measured_register(measured, n)
+    probs = np.square(state.amps.real, dtype=np.float64)
+    probs += np.square(state.amps.imag, dtype=np.float64)
     unmeasured = _bit_axes(n, [q for q in range(n) if q not in measured])
     agg = probs.reshape((2,) * n).sum(axis=unmeasured).ravel()
     width = len(measured)
@@ -558,35 +558,55 @@ def probabilities(state: StateSlice, measured=None) -> dict[str, float]:
     }
 
 
-def _multinomial(rng: np.random.Generator, shots: int, pvals: np.ndarray) -> np.ndarray:
-    """Multinomial draw tolerant of float rounding in pvals."""
-    pv = np.clip(np.asarray(pvals, dtype=np.float64), 0.0, None)
-    s = pv.sum()
-    if s <= 0:
-        raise ValueError("probability vector sums to zero")
-    pv /= s
-    # absorb the residual so the vector sums to 1.0 exactly
-    pv[int(np.argmax(pv))] += 1.0 - pv.sum()
-    return rng.multinomial(shots, pv)
+def split_shots(rng: np.random.Generator, shots: int, weights: np.ndarray) -> np.ndarray:
+    """Multinomial split of `shots` over the non-negative `weights` of a
+    short vector; a zero weight gets no shot, whatever the rounding."""
+    out = np.zeros(len(weights), dtype=np.int64)
+    live = np.flatnonzero(weights)
+    out[live] = rng.multinomial(shots, weights[live] / weights[live].sum())
+    return out
 
 
-def sample_dense(
-    state: StateSlice, shots: int, seed: int, measured=None
-) -> CountsDistribution:
-    """Draw `shots` outcomes i.i.d. from |amp|^2; deterministic per seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = np.abs(state.amps.astype(np.complex128)) ** 2
-    if abs(probs.sum() - 1.0) > 1e-6:
-        raise ValueError("state is not normalized")
-    n = state.num_qubits
-    measured = tuple(range(n)) if measured is None else tuple(measured)
-    counts = _multinomial(np.random.default_rng(seed), shots, probs)
-    entries: dict[str, int] = {}
-    for idx in np.nonzero(counts)[0]:
-        key = render_bits(int(idx), measured)
-        entries[key] = entries.get(key, 0) + int(counts[idx])
-    return CountsDistribution(entries, float(shots))
+def block_masses(amps: np.ndarray) -> np.ndarray:
+    """|amp|^2 summed over each block of 2^`_SAMPLE_BLOCK_BITS` amplitudes
+    (one block for a smaller array), as float64. complex64 sums in float32
+    (under 4e-7 relative error on a random n=20 state), as a cast would
+    hold 128 KiB of buffers: 1/8 of a 2^17-amplitude slice."""
+    floats = amps.view(amps.real.dtype).reshape(-1, 2 * min(amps.size, 1 << _SAMPLE_BLOCK_BITS))
+    return np.einsum("ij,ij->i", floats, floats).astype(np.float64, copy=False)
+
+
+def draw_indices(
+    amps: np.ndarray, masses: np.ndarray, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Indices of `shots` i.i.d. draws from |amps|^2, given its
+    `block_masses`. By the chain rule this is one multinomial: the shots
+    are split over the blocks by mass, and each shot then inverts the
+    cumulative |amp|^2 of its block. Chosen blocks are squared in float64
+    `_SAMPLE_BATCH_BLOCKS` at a time, with one search per batch, so no
+    temporary is full-size and no Python loop runs per block."""
+    floats = amps.view(amps.real.dtype).reshape(masses.size, -1)
+    width = floats.shape[1] // 2
+    per_block = split_shots(rng, shots, masses)
+    chosen = np.flatnonzero(per_block)
+    keys = np.empty((_SAMPLE_BATCH_BLOCKS, width))
+    found = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, chosen.size, _SAMPLE_BATCH_BLOCKS):
+        rows = chosen[start : start + _SAMPLE_BATCH_BLOCKS]
+        pairs, key = floats[rows], keys[: rows.size]
+        np.square(pairs[:, 0::2], out=key, dtype=np.float64)
+        key += np.square(pairs[:, 1::2], dtype=np.float64)
+        np.cumsum(key, axis=1, out=key)
+        key /= key[:, -1:]
+        # row r's keys rise from r to r + 1; a shot of row r seeks r + u kept
+        # below r + 1, so it lands on a step up: a nonzero amplitude of row r
+        row = np.arange(rows.size)
+        key += row[:, None]
+        row = np.repeat(row, per_block[rows])
+        target = np.minimum(row + rng.random(row.size), np.nextafter(row + 1.0, 0.0))
+        at = np.searchsorted(key.ravel(), target, side="right")
+        found.append((rows[row] - row) * width + at)
+    return np.concatenate(found)
 
 
 def _renamed(op: GateOp, where) -> GateOp:
@@ -715,19 +735,3 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     flush()
     out.extend(swaps)
     return Circuit(circuit.num_qubits, out, circuit.measured_qubits, circuit.name)
-
-
-def align_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Rescale `other` by a unit phase so its largest-magnitude amplitude
-    agrees in phase with `reference` (global phase is unobservable)."""
-    i = int(np.argmax(np.abs(other)))
-    if abs(other[i]) == 0 or abs(reference[i]) == 0:
-        return other
-    phase = (reference[i] / abs(reference[i])) / (other[i] / abs(other[i]))
-    return other * phase
-
-
-def max_deviation(a: np.ndarray, b: np.ndarray, quotient_phase: bool = False) -> float:
-    """Largest elementwise amplitude deviation between two state vectors."""
-    b = align_phase(a, b) if quotient_phase else b
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))

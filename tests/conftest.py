@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qsim import svcore as sv
-from qsim.fabric import create_world
+from qsim import dist, svcore as sv
+from qsim.fabric import create_world, run_spmd
 from qsim.svcore import Circuit
 
 TESTS_DIR = Path(__file__).parent
@@ -24,6 +24,32 @@ def random_unitary(width: int, seed: int) -> np.ndarray:
     dim = 1 << width
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def align_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Rescale `other` by a unit phase so its largest-magnitude amplitude
+    agrees in phase with `reference` (global phase is unobservable)."""
+    i = int(np.argmax(np.abs(other)))
+    if abs(other[i]) == 0 or abs(reference[i]) == 0:
+        return other
+    phase = (reference[i] / abs(reference[i])) / (other[i] / abs(other[i]))
+    return other * phase
+
+
+def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest elementwise amplitude deviation between two state vectors."""
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def sample_one_rank(state, shots, seed, measured=None):
+    """`dist.sample_distributed` of a full state held by the one rank of a
+    loopback world."""
+
+    def body(ep):
+        st = dist.DistState(dist.RankLayout.identity(state.num_qubits, 0), state, ep)
+        return dist.sample_distributed(st, shots, seed, measured)
+
+    return run_spmd(create_world("loopback", 1), body)[0]
 
 
 def _random_phases(width: int, seed: int) -> np.ndarray:
@@ -77,6 +103,16 @@ def small_dense_blocks():
     cross block boundaries."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sv, "_DENSE_BLOCK_BITS", 2)
+        yield
+
+
+@pytest.fixture(scope="class")
+def small_sample_blocks():
+    """Shrink the sampler's blocks to 2 amplitudes, so that the few-qubit
+    states of the sampling tests span many blocks and several batches of
+    blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "_SAMPLE_BLOCK_BITS", 1)
         yield
 
 

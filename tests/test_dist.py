@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -596,6 +597,120 @@ class TestSampleDistributed:
                 dist.sample_distributed(st, 10, seed=0)
 
         spmd(2, body)
+
+
+    @pytest.mark.parametrize(
+        "measured, qubit", [((0, 7), 7), ((1, 1), 1), ((-1,), -1)]
+    )
+    def test_bad_measured_qubit_named(self, measured, qubit):
+        def body(ep):
+            st = partition(3, ep, initial=5)
+            with pytest.raises(ValueError, match=f"measured qubit {qubit} "):
+                dist.sample_distributed(st, 10, 1, measured=measured)
+
+        spmd(1, body)
+
+
+def _spread_slice(st: dist.DistState, seed: int) -> None:
+    """Fill the rank's slice with random amplitudes, the state normalized."""
+    rng = np.random.default_rng(seed + st.ep.rank)
+    local = rng.normal(size=(2, st.slice.amps.size)).view(np.complex128).ravel()
+    st.slice.amps[:] = local / (np.linalg.norm(local) * math.sqrt(st.ep.world_size))
+
+
+class TestSampleMemory:
+    """Sampling holds no slice-sized temporary: the traced peak of a draw
+    stays under 1/8 of the slices' bytes (at the parent commit it was 2x
+    the slice at DOUBLE and 4x at SINGLE). The P=2 ranks share this
+    process, so the bound covers both slices. The register is one local and
+    one global qubit: the counts returned are no temporary, and a dict of
+    1000 distinct 18-bit keys alone holds about 100 KiB per rank; the draw
+    of the spread state still visits almost every block."""
+
+    @pytest.mark.parametrize("spread", [False, True], ids=["delta", "spread"])
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize("P", [1, 2])
+    def test_peak_under_an_eighth_of_the_slice(self, P, precision, spread):
+        n = 18
+
+        def body(ep):
+            st = partition(n, ep, initial=(1 << n) - 77, precision=precision)
+            if spread:
+                _spread_slice(st, 5)
+            dist.sample_distributed(st, 10, 0)  # first-call set-up is not traced
+            ep.barrier()
+            if ep.rank == 0:
+                tracemalloc.start()
+            ep.barrier()
+            try:
+                counts = dist.sample_distributed(st, 1000, 3, measured=(0, n - 1))
+                ep.barrier()
+                peak = tracemalloc.get_traced_memory()[1] if ep.rank == 0 else 0
+            finally:
+                if ep.rank == 0:
+                    tracemalloc.stop()
+            assert sum(counts.entries.values()) == 1000
+            return peak, st.slice.amps.nbytes
+
+        peak, slice_bytes = spmd(P, body)[0]
+        assert peak < P * slice_bytes / 8, (peak, slice_bytes)
+
+
+@pytest.mark.usefixtures("small_sample_blocks")
+class TestSamplingAcrossBlockEdges:
+    """The sampler with 2-amplitude blocks, so that every state here spans
+    many blocks and several batches of them."""
+
+    @pytest.mark.parametrize("P", [1, 2, 4])
+    def test_spread_binomial_bounds(self, P):
+        shots = 20_000
+        c = build_random_circuit(8, 80, seed=41)
+        probs = sv.probabilities(dense_run(c))
+
+        def body(ep):
+            return dist.sample_distributed(dist.run_distributed(c, ep), shots, seed=8)
+
+        counts = spmd(P, body)[0].entries
+        assert sum(counts.values()) == shots
+        assert set(counts) <= set(probs)
+        for key, prob in probs.items():
+            sigma = math.sqrt(shots * prob * (1 - prob)) or 1.0
+            assert abs(counts.get(key, 0) - shots * prob) <= 5 * sigma, key
+
+    @pytest.mark.parametrize("P", [1, 2, 4])
+    def test_delta_at_every_basis_index(self, P):
+        n = 6
+
+        def body(ep):
+            return [
+                dist.sample_distributed(partition(n, ep, initial=i), 100, seed=i).entries
+                for i in range(1 << n)
+            ]
+
+        for got in spmd(P, body):
+            assert got == [{format(i, f"0{n}b"): 100} for i in range(1 << n)]
+
+    def test_identical_across_ranks(self):
+        c = build_random_circuit(7, 60, seed=12)
+
+        def body(ep):
+            return dist.sample_distributed(dist.run_distributed(c, ep), 3000, seed=21)
+
+        results = spmd(4, body)
+        assert all(r == results[0] for r in results)
+
+    def test_loopback_equals_tcp(self):
+        c = build_qpe(QpeSpec(8, 77))
+
+        def body(ep):
+            st = dist.run_distributed(c, ep, fusion=True)
+            counts = dist.sample_distributed(st, 1000, 7, c.measured)
+            return dist.gather(st).amps.tobytes(), counts.entries
+
+        loop = spmd(4, body)
+        with tcp_world(4) as world:
+            tcp = run_spmd(world, body)
+        assert tcp == loop
 
 
 class TestTransportEquivalenceSmall:

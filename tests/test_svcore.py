@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import align_phase, max_deviation, random_unitary, sample_one_rank
 from hypothesis import given, settings, strategies as st
 
 from qsim import svcore as sv
@@ -16,7 +16,6 @@ from qsim.svcore import (
     dense_run,
     fuse,
     probabilities,
-    sample_dense,
 )
 
 ALL_KIND_SAMPLES = [
@@ -107,7 +106,7 @@ class TestGateOp:
 
 class TestApplyGateDense:
     def test_hadamard_on_zero(self):
-        state = apply_gate_dense(sv.zero_state(1), sv.h(0))
+        state = apply_gate_dense(sv.basis_state(1, 0), sv.h(0))
         np.testing.assert_allclose(state.amps, [0.70710678, 0.70710678], atol=1e-8)
 
     def test_x_on_qubit1_of_10(self):
@@ -121,13 +120,13 @@ class TestApplyGateDense:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_gate_dense(sv.zero_state(1), sv.x(1))
+            apply_gate_dense(sv.basis_state(1, 0), sv.x(1))
 
     def test_little_endian_indexing(self):
         # X on qubit q of |0...0> yields basis index 2^q
         for n in (1, 3, 5):
             for q in range(n):
-                state = apply_gate_dense(sv.zero_state(n), sv.x(q))
+                state = apply_gate_dense(sv.basis_state(n, 0), sv.x(q))
                 assert np.argmax(np.abs(state.amps)) == 1 << q
 
     # 2-bit chunks make the SWAP cross chunk boundaries at n=5
@@ -152,11 +151,11 @@ class TestApplyGateDense:
 
     def test_norm_preserved_over_random_ops(self):
         rng = np.random.default_rng(11)
-        state = sv.zero_state(6)
+        state = sv.basis_state(6, 0)
         ops = build_random_circuit(6, 300, seed=5).ops
         for op in ops:
             apply_gate_dense(state, op)
-        assert abs(state.norm() - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-9
         assert np.all(np.isfinite(state.amps.view(np.float64)))
 
 
@@ -300,7 +299,7 @@ class TestStateSliceOwnership:
         assert np.array_equal(psi, [1, 0])
 
     def test_copy_is_independent(self):
-        state = sv.zero_state(2)
+        state = sv.basis_state(2, 0)
         twin = state.copy()
         apply_gate_dense(twin, sv.x(1))
         assert np.array_equal(state.amps, [1, 0, 0, 0])
@@ -375,7 +374,7 @@ class TestDenseRun:
 
 class TestSampling:
     def test_delta_state_all_shots(self):
-        counts = sample_dense(sv.zero_state(4), 1000, seed=1)
+        counts = sample_one_rank(sv.basis_state(4, 0), 1000, seed=1)
         assert counts.entries == {"0000": 1000}
         assert counts.total == 1000
 
@@ -383,7 +382,7 @@ class TestSampling:
         # p = 1/2, shots = 1e5 -> sigma = sqrt(n p (1-p)) ~ 158.1
         shots = 100_000
         bell = dense_run(Circuit(2, [sv.h(0), sv.cx(0, 1)]))
-        counts = sample_dense(bell, shots, seed=123)
+        counts = sample_one_rank(bell, shots, seed=123)
         assert set(counts.entries) <= {"00", "11"}
         sigma = math.sqrt(shots * 0.25)
         for key in ("00", "11"):
@@ -391,18 +390,18 @@ class TestSampling:
 
     def test_seed_determinism(self):
         state = dense_run(build_random_circuit(5, 60, seed=3))
-        a = sample_dense(state, 5000, seed=77)
-        b = sample_dense(state, 5000, seed=77)
+        a = sample_one_rank(state, 5000, seed=77)
+        b = sample_one_rank(state, 5000, seed=77)
         assert a == b
 
     def test_unnormalized_rejected(self):
         bad = StateSlice(np.array([1.0, 1.0], dtype=complex))
         with pytest.raises(ValueError, match="normalized"):
-            sample_dense(bad, 10, seed=0)
+            sample_one_rank(bad, 10, seed=0)
 
     def test_measured_subset_marginal(self):
         bell = dense_run(Circuit(2, [sv.h(0), sv.cx(0, 1)]))
-        counts = sample_dense(bell, 1000, seed=5, measured=(0,))
+        counts = sample_one_rank(bell, 1000, seed=5, measured=(0,))
         assert set(counts.entries) <= {"0", "1"}
         assert sum(counts.entries.values()) == 1000
 
@@ -425,6 +424,11 @@ class TestProbabilities:
             assert value == pytest.approx(total, abs=1e-12)
 
 
+    def test_measured_qubit_out_of_range_named(self):
+        with pytest.raises(ValueError, match="measured qubit 7 is out of range"):
+            probabilities(sv.basis_state(3, 5), (0, 7))
+
+
 class TestFusion:
     def test_hh_is_identity(self):
         fused_c = fuse(Circuit(1, [sv.h(0), sv.h(0)]), max_width=1)
@@ -437,12 +441,12 @@ class TestFusion:
         fused_c = fuse(Circuit(1, [sv.rz(a, 0), sv.rz(b, 0)]), max_width=1)
         assert len(fused_c.ops) == 1
         expect = sv.base_matrix(sv.rz(a + b, 0))
-        got = sv.align_phase(expect.ravel(), fused_c.ops[0].matrix.ravel())
+        got = align_phase(expect.ravel(), fused_c.ops[0].matrix.ravel())
         assert np.max(np.abs(got - expect.ravel())) <= 1e-12
 
     def test_random_circuit_equivalence(self):
         c = build_random_circuit(6, 50, seed=21)
-        dev = sv.max_deviation(dense_run(c).amps, dense_run(fuse(c, 3)).amps)
+        dev = max_deviation(dense_run(c).amps, dense_run(fuse(c, 3)).amps)
         assert dev <= 1e-10
 
     def test_fusion_equivalence_sweep(self):
@@ -451,7 +455,7 @@ class TestFusion:
             n = 4 + seed % 7
             c = build_random_circuit(n, 200, seed=seed)
             width = 1 + seed % 5
-            dev = sv.max_deviation(dense_run(c).amps, dense_run(fuse(c, width)).amps)
+            dev = max_deviation(dense_run(c).amps, dense_run(fuse(c, width)).amps)
             assert dev <= 1e-10, (seed, width, dev)
 
     def test_wide_ops_pass_through(self):
@@ -552,6 +556,11 @@ class TestCircuitValidation:
     def test_duplicate_measured(self):
         with pytest.raises(ValueError, match="duplicate"):
             Circuit(2, [], measured_qubits=(0, 0))
+
+    @pytest.mark.parametrize("measured, qubit", [((0, 7), 7), ((1, 1), 1), ((-1,), -1)])
+    def test_bad_measured_qubit_named(self, measured, qubit):
+        with pytest.raises(ValueError, match=f"measured qubit {qubit} "):
+            Circuit(3, [], measured_qubits=measured)
 
     def test_measured_defaults_to_all(self):
         assert Circuit(3, []).measured == (0, 1, 2)

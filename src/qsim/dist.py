@@ -198,9 +198,11 @@ def plan_gate(layout: RankLayout, op: GateOp, future_ops=()) -> list[PlanStep]:
 def scheduled_ops(circuit: Circuit, n: int, k: int, fusion: bool) -> list[GateOp]:
     """The op stream the engine will execute: fused (dense blocks capped
     by the local address space; diagonal stretches of up to 13 qubits,
-    which need no local bits) or verbatim. Fused, the input's SWAPs trail the
-    stream in input order and the ops before them are renamed through
-    them (see `svcore.fuse`), so each SWAP plans as a free relabel."""
+    which need no local bits) or verbatim. Fused, blocks on disjoint
+    qubits stay open side by side, so a gate on other qubits never cuts a
+    block short; the input's SWAPs trail the stream in input order and the
+    ops after each SWAP are renamed through it (see `svcore.fuse`), so
+    each SWAP plans as a free relabel."""
     if fusion:
         return sv.fuse(circuit, min(DEFAULT_FUSION_WIDTH, n - k)).ops
     return list(circuit.ops)
@@ -395,7 +397,7 @@ def sample_distributed(
     every = np.frombuffer(b"".join(ep.allgather_bytes(value.tobytes())), dtype=np.int64)
     # ascending values of one width are ascending bitstrings
     entries = {
-        format(int(v), f"0{len(measured)}b"): int(c)
+        sv.bitstring(int(v), len(measured)): int(c)
         for v, c in zip(*np.unique(every, return_counts=True))
     }
     return CountsDistribution(entries, float(shots))

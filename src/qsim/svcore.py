@@ -23,6 +23,13 @@ Conventions shared by every module in this package:
     stays within 13 qubits with at most 3 at bit 13 or above
     (`_DIAGONAL_HIGH_BITS`), because the factor is spelled out over the
     low 13 bits times 2^h for h positions above them
+  - `fuse` keeps a frontier of open blocks on pairwise disjoint qubits.
+    Disjoint blocks commute, so a gate on other qubits never flushes a
+    block, and a gate that would overfill the blocks it touches emits the
+    oldest of them (the first opened) and tries again. A diagonal gate
+    joins a dense block only if it adds no qubit to it: a wider dense
+    block costs more per sweep and leaves later dense gates one qubit
+    fewer, while a diagonal stretch takes the phase for nearly nothing
   - a SWAP in the reference simulator trades two quarter-blocks of that
     view (`_apply_swap`); the distributed engine only relabels it
   - every other gate takes `_apply_matrix`, which moves the target axes of
@@ -38,6 +45,7 @@ Conventions shared by every module in this package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,7 +80,6 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
@@ -263,36 +270,46 @@ def diagonal(qubits, phases) -> GateOp:
 def base_matrix(op: GateOp) -> np.ndarray:
     """Matrix over op.targets in listed order, control logic excluded."""
     k = op.kind
+    if k == "FUSED":
+        return op.matrix
+    if k in _DIAGONAL_KINDS:
+        # 2^w x 2^w for a DIAGONAL op: the program's paths read `diagonal_of`
+        return np.diag(base_diagonal(op))
     if k == "H":
         return _H
     if k == "X" or k == "CX":
         return _X
     if k == "Y":
         return _Y
-    if k == "Z" or k == "CZ":
-        return _Z
     if k == "RX":
         t = op.params[0] / 2.0
         return np.array(
             [[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]],
             dtype=complex,
         )
-    if k == "RZ":
-        t = op.params[0] / 2.0
-        return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]], dtype=complex)
-    if k == "P" or k == "CP":
-        return np.array([[1, 0], [0, np.exp(1j * op.params[0])]], dtype=complex)
-    if k == "RZZ":
-        e = np.exp(-1j * op.params[0] / 2.0)
-        return np.diag([e, e.conjugate(), e.conjugate(), e]).astype(complex)
     if k == "SWAP":
         return _SWAP
-    if k == "FUSED":
-        return op.matrix
-    if k == "DIAGONAL":
-        # 2^w x 2^w: the program's paths read `diagonal_of` instead
-        return np.diag(op.matrix)
     raise ValueError(f"unknown gate kind {k!r}")
+
+
+def base_diagonal(op: GateOp) -> np.ndarray:
+    """Diagonal of `base_matrix` of a diagonal op, built without the matrix."""
+    k = op.kind
+    if k == "DIAGONAL":
+        return op.matrix
+    if k == "FUSED":
+        return np.diagonal(op.matrix)
+    if k == "Z" or k == "CZ":
+        return np.array([1, -1], dtype=complex)
+    if k == "RZ":
+        t = op.params[0] / 2.0
+        return np.array([np.exp(-1j * t), np.exp(1j * t)])
+    if k == "P" or k == "CP":
+        return np.array([1, np.exp(1j * op.params[0])])
+    if k == "RZZ":
+        e = np.exp(-1j * op.params[0] / 2.0)
+        return np.array([e, e.conjugate(), e.conjugate(), e])
+    raise ValueError(f"{k} is not a diagonal gate kind")
 
 
 def _bit_axes(m: int, bits) -> tuple[int, ...]:
@@ -312,40 +329,60 @@ def diagonal_of(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
     sorted ascending (bit j of the index = j-th listed qubit). Built from
     the op's own diagonal, so a DIAGONAL op is never densified."""
     listed = op.targets + op.controls
-    phases = op.matrix if op.kind == "DIAGONAL" else np.diagonal(base_matrix(op))
+    phases = base_diagonal(op)
     if op.controls:
         # the controls are the high bits of the listed order, so the gate
         # acts on the top block, where they are all 1
-        phases = np.concatenate([np.ones((1 << len(listed)) - phases.size), phases])
+        full = np.ones(1 << len(listed), dtype=complex)
+        full[-phases.size :] = phases
+        phases = full
     qubits = tuple(sorted(listed))
     if qubits == listed:
         return phases, qubits
     w = len(listed)
-    # listed qubit j's bit moves to the bit of its rank among the sorted ones
-    phases = np.moveaxis(
-        phases.reshape((2,) * w),
-        _bit_axes(w, range(w)),
-        _bit_axes(w, [qubits.index(q) for q in listed]),
-    )
-    return phases.ravel(), qubits
+    # axis w-1-j holds listed qubit j before and sorted qubit j after
+    order = [w - 1 - listed.index(q) for q in reversed(qubits)]
+    return phases.reshape((2,) * w).transpose(order).ravel(), qubits
 
 
 def _embed(mat: np.ndarray, targets, full: tuple[int, ...], controls=()) -> np.ndarray:
     """Matrix over qubits `full` of `mat` on `targets`, gated on `controls`,
-    identity elsewhere (bit j of the result's index = j-th qubit of `full`)."""
-    if tuple(targets) == full:
-        # nothing to embed into (so no controls either); skipping the
-        # product keeps fusion cheap, and the copy keeps the gate
-        # constants out of fused ops
-        return mat.astype(complex)
+    identity elsewhere (bit j of the result's index = j-th qubit of `full`).
+    Always a fresh array, so the gate constants stay out of fused ops."""
     f = len(full)
-    out = np.eye(1 << f, dtype=complex)
-    # in out.reshape(-1), index bit j + f is bit j of the row
-    _apply_matrix(
-        out.reshape(-1), mat,
-        [full.index(q) + f for q in targets], [full.index(q) + f for q in controls],
+    out = np.zeros((1 << f, 1 << f), dtype=complex)
+    entries, sources, unit = _embedding(
+        f, tuple(full.index(q) for q in targets), tuple(full.index(q) for q in controls)
     )
+    out.flat[entries] = mat.reshape(-1)[sources]
+    out.flat[unit] = 1.0
     return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _embedding(f: int, tpos: tuple[int, ...], cpos: tuple[int, ...]):
+    """Where `_embed` puts each matrix entry, for targets and controls at
+    bit positions `tpos` and `cpos` of an f-bit index: flat output indices,
+    the flat `mat` index each one takes, and the flat indices of the unit
+    diagonal where a control bit is 0. Fusion embeds into at most
+    `MAX_FUSION_WIDTH` bits, so a gather from a cached plan replaces a
+    matrix product per gate."""
+    w = len(tpos)
+    # spread[a]: the f-bit index whose target bits spell a, all others 0
+    spread = np.zeros(1 << w, dtype=np.intp)
+    for j, p in enumerate(tpos):
+        spread |= ((np.arange(1 << w) >> j) & 1) << p
+    index = np.arange(1 << f)
+    tmask = sum(1 << p for p in tpos)
+    cmask = sum(1 << p for p in cpos)
+    # one block of the product per value of the other bits, controls all 1
+    base = index[(index & tmask == 0) & (index & cmask == cmask)]
+    rows = base[:, None, None] | spread[None, :, None]
+    cols = base[:, None, None] | spread[None, None, :]
+    entries = rows << f | cols
+    sources = np.broadcast_to(np.arange(1 << (2 * w)).reshape(1 << w, 1 << w), entries.shape)
+    off = index[index & cmask != cmask]
+    return entries.ravel(), sources.ravel(), off * ((1 << f) + 1)
 
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
@@ -552,10 +589,13 @@ def probabilities(state: StateSlice, measured=None) -> dict[str, float]:
     probs += np.square(state.amps.imag, dtype=np.float64)
     unmeasured = _bit_axes(n, [q for q in range(n) if q not in measured])
     agg = probs.reshape((2,) * n).sum(axis=unmeasured).ravel()
-    width = len(measured)
-    return {
-        format(v, f"0{width}b"): float(agg[v]) for v in np.nonzero(agg)[0]
-    }
+    return {bitstring(v, len(measured)): float(agg[v]) for v in np.nonzero(agg)[0]}
+
+
+def bitstring(value: int, width: int) -> str:
+    """`value` over `width` bits, MSB-first; an empty register's one
+    outcome is ''."""
+    return format(value, f"0{width}b") if width else ""
 
 
 def split_shots(rng: np.random.Generator, shots: int, weights: np.ndarray) -> np.ndarray:
@@ -630,25 +670,79 @@ def _over(phases: np.ndarray, qubits, union) -> np.ndarray:
     return phases.reshape([2 if q in qubits else 1 for q in reversed(union)])
 
 
-def _product_over(gates, union) -> np.ndarray:
-    """Phase vector over sorted `union` of the product of diagonal `gates`,
-    each a (phase vector, sorted qubits) pair within `union`. One buffer
-    takes every factor in place."""
-    out = np.ones((2,) * len(union), dtype=complex)
+def _product(gates) -> np.ndarray:
+    """Phase vector, over the sorted union of their qubits, of the product
+    of diagonal `gates`, each a (phase vector, sorted qubits) pair. The
+    product widens only when a gate adds a qubit, so a stretch whose gates
+    each add one costs about two multiplies at its full width, not one per
+    gate."""
+    out, span = np.ones(1, dtype=complex), ()
     for phases, qubits in gates:
-        out *= _over(phases, qubits, union)
-    return out.reshape(-1)
+        if set(qubits) <= set(span):
+            view = out.reshape((2,) * len(span))
+            view *= _over(phases, qubits, span)
+        else:
+            wider = tuple(sorted(set(span).union(qubits)))
+            out = (_over(out, span, wider) * _over(phases, qubits, wider)).reshape(-1)
+            span = wider
+    return out
+
+
+class _Block:
+    """An open block of `fuse`: its sorted qubits, and either a dense matrix
+    over them (`mat`) or, for a diagonal stretch, its gates as (phase
+    vector, sorted qubits) pairs (`gates`)."""
+
+    __slots__ = ("qubits", "mat", "gates")
+
+    def __init__(self):
+        self.qubits: tuple[int, ...] = ()
+        self.mat: np.ndarray | None = None
+        self.gates: list[tuple[np.ndarray, tuple[int, ...]]] = []
+
+    def matrix_over(self, union: tuple[int, ...]) -> np.ndarray:
+        """The block as a dense matrix over the sorted superset `union`;
+        its own matrix when it already spans `union`."""
+        mat = self.mat if self.mat is not None else np.diag(_product(self.gates))
+        return mat if self.qubits == union else _embed(mat, self.qubits, union)
+
+    def op(self, max_width: int) -> GateOp:
+        if self.mat is not None:
+            return fused(self.qubits, self.mat)
+        phases = _product(self.gates)
+        if len(self.qubits) > max_width:
+            return diagonal(self.qubits, phases)
+        return fused(self.qubits, np.diag(phases))
+
+
+def _fits(qubits: tuple[int, ...], dense: bool, max_width: int) -> bool:
+    """Whether one block may span the distinct `qubits`: `max_width` for a
+    dense block, and for a diagonal stretch also up to
+    `_DIAGONAL_INNER_BITS` qubits with at most `_DIAGONAL_HIGH_BITS` at
+    index 13 or above."""
+    u = len(qubits)
+    return u <= max_width or (
+        not dense
+        and u <= _DIAGONAL_INNER_BITS
+        and sum(q >= _DIAGONAL_INNER_BITS for q in qubits) <= _DIAGONAL_HIGH_BITS
+    )
 
 
 def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     """Greedy left-to-right fusion into blocks of at most `max_width`
     qubits. The overall unitary is preserved.
 
-    SWAPs never enter a block: each one is deferred to the end of the
-    stream, in input order, and every later op is renamed through it
-    (O2 · S = S · O2', O2' being O2 with the swapped qubits exchanged), so
-    the engine still plans each SWAP as a free relabel. An op whose qubits
-    no SWAP moved keeps its identity.
+    Fusion keeps a frontier: several open blocks on pairwise disjoint
+    qubits, oldest first, and the open block that holds each qubit. Open
+    blocks commute, so a gate on other qubits never forces one out, and
+    any of them may be emitted before the rest. An op merges with every
+    open block that holds one of its qubits if their union fits; if it
+    does not, the oldest of those blocks is emitted and the op tries
+    again; the merged block keeps its oldest member's place. An op that
+    touches no open block joins the youngest open block of its kind
+    (dense or diagonal stretch) that has room for it, else it opens a
+    block of its own. At the end the open blocks are emitted oldest
+    first.
 
     Diagonal gates commute and move no data, so a stretch of them grows
     past the cap into one phase vector, while it spans at most
@@ -656,34 +750,40 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     them at index 13 or above. fuse runs before any layout exists, so it
     counts program qubits, which are the positions under the identity
     layout. A stretch that ends within the cap is emitted as a FUSED block,
-    a wider one as a DIAGONAL op. A diagonal gate joins an open dense block
-    whose union with it fits the cap; a dense gate joins an open stretch
-    only on the same terms, and flushes it otherwise. Ops wider than the
-    cap, diagonal or not, pass through renamed."""
+    a wider one as a DIAGONAL op. A diagonal gate joins a dense block only
+    if it adds no qubit to it; otherwise it emits the dense blocks it
+    touches and joins or opens a stretch, because a dense block's sweep
+    costs more the wider it is, and a qubit it holds for a phase is one
+    that a later dense gate cannot use. A dense gate takes a stretch it
+    touches into its block when their union fits the cap. Ops wider than
+    the cap, diagonal or not, emit the blocks they touch and pass through
+    renamed.
+
+    SWAPs never enter a block: each one is deferred to the end of the
+    stream, in input order, and every later op is renamed through it
+    (O2 · S = S · O2', O2' being O2 with the swapped qubits exchanged), so
+    the engine still plans each SWAP as a free relabel. An op whose qubits
+    no SWAP moved keeps its identity."""
     if not 1 <= max_width <= MAX_FUSION_WIDTH:
         raise ValueError(f"max_width must be in [1, {MAX_FUSION_WIDTH}]")
     out: list[GateOp] = []
-    # the open block: its sorted qubits, and either the gates of a diagonal
-    # stretch, as (phase vector, sorted qubits) pairs, or a dense matrix
-    blk_qubits: tuple[int, ...] | None = None
-    blk_diag: list[tuple[np.ndarray, tuple[int, ...]]] | None = None
-    blk_mat: np.ndarray | None = None
+    frontier: list[_Block] = []
+    owner: dict[int, _Block] = {}
     # where[q]: the index bit that holds program qubit q's data while the
     # SWAPs seen so far are deferred
     where = list(range(circuit.num_qubits))
     swaps: list[GateOp] = []
 
-    def flush():
-        nonlocal blk_qubits, blk_diag, blk_mat
-        if blk_mat is not None:
-            out.append(fused(blk_qubits, blk_mat))
-        elif blk_diag is not None:
-            phases = _product_over(blk_diag, blk_qubits)
-            wide = len(blk_qubits) > max_width
-            out.append(
-                diagonal(blk_qubits, phases) if wide else fused(blk_qubits, np.diag(phases))
-            )
-        blk_qubits = blk_diag = blk_mat = None
+    def touched(qubits) -> list[_Block]:
+        """The open blocks that hold any of `qubits`, oldest first."""
+        hit = {owner[q] for q in qubits if q in owner}
+        return [b for b in frontier if b in hit] if len(hit) > 1 else list(hit)
+
+    def emit(block: _Block) -> None:
+        frontier.remove(block)
+        for q in block.qubits:
+            del owner[q]
+        out.append(block.op(max_width))
 
     for op in circuit.ops:
         if op.kind == "SWAP":
@@ -693,45 +793,60 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
             continue
         if swaps:
             op = _renamed(op, where)
-        if len(op.qubits) > max_width:
-            flush()
+        span = op.qubits
+        hit = touched(span)
+        if len(span) > max_width:
+            for block in hit:
+                emit(block)
             out.append(op)
             continue
         is_diag = op.is_diagonal()
-        # a phase vector for a diagonal op, a matrix otherwise
-        mat, qubits = diagonal_of(op) if is_diag else op_matrix(op)
-        if blk_qubits is not None:
-            union = tuple(sorted(set(blk_qubits) | set(qubits)))
-            u = len(union)
-            if is_diag and blk_diag is not None and (
-                u <= max_width
-                or (
-                    u <= _DIAGONAL_INNER_BITS
-                    and sum(q >= _DIAGONAL_INNER_BITS for q in union) <= _DIAGONAL_HIGH_BITS
-                )
-            ):
-                blk_diag.append((mat, qubits))
-                blk_qubits = union
-                continue
-            if u <= max_width:
-                if blk_mat is None:
-                    blk_mat = np.diag(_product_over(blk_diag, blk_qubits))
-                    blk_diag = None
-                blk_mat = _embed(blk_mat, blk_qubits, union)
-                if is_diag:
-                    # D @ M scales row r of M by D's entry r
-                    rows = blk_mat.reshape((2,) * u + (1 << u,))
-                    rows *= _over(mat, qubits, union)[..., None]
-                else:
-                    blk_mat = _embed(mat, qubits, union) @ blk_mat
-                blk_qubits = union
-                continue
-            flush()
-        blk_qubits = qubits
         if is_diag:
-            blk_diag = [(mat, qubits)]
+            phases, qubits = diagonal_of(op)
+            if len(hit) == 1 and hit[0].mat is not None and set(qubits) <= set(hit[0].qubits):
+                # D @ M scales row r of M by D's entry r
+                block = hit[0]
+                rows = block.mat.reshape((2,) * len(block.qubits) + (-1,))
+                rows *= _over(phases, qubits, block.qubits)[..., None]
+                continue
+            for block in hit:
+                if block.mat is not None:
+                    emit(block)
+            hit = [block for block in hit if block.mat is None]
+        union = tuple(sorted(set(span).union(*(b.qubits for b in hit))))
+        while not _fits(union, not is_diag, max_width):
+            emit(hit.pop(0))
+            union = tuple(sorted(set(span).union(*(b.qubits for b in hit))))
+        if not hit:
+            for block in reversed(frontier):
+                # the op touches no open block, so the two are disjoint
+                if (block.mat is None) == is_diag and _fits(
+                    block.qubits + span, not is_diag, max_width
+                ):
+                    hit, union = [block], tuple(sorted(block.qubits + span))
+                    break
+        if hit:
+            block = hit[0]
+            for other in hit[1:]:
+                frontier.remove(other)
+                for q in other.qubits:
+                    owner[q] = block
         else:
-            blk_mat = mat
-    flush()
+            block = _Block()
+            frontier.append(block)
+        for q in span:
+            owner[q] = block
+        if is_diag:
+            for other in hit[1:]:
+                block.gates += other.gates
+            block.gates.append((phases, qubits))
+        else:
+            gate = _embed(base_matrix(op), op.targets, union, op.controls)
+            for other in hit:
+                gate = gate @ other.matrix_over(union)
+            block.mat, block.gates = gate, []
+        block.qubits = union
+    for block in frontier:
+        out.append(block.op(max_width))
     out.extend(swaps)
     return Circuit(circuit.num_qubits, out, circuit.measured_qubits, circuit.name)

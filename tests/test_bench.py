@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from conftest import sample_one_rank
 
 from qsim import bench, perfmodel
+from qsim import svcore as sv
 from qsim.bench import BenchmarkConfig, run_benchmark
 from qsim.fabric import create_world, run_spmd
 
@@ -114,3 +116,9 @@ def test_oracle_time_not_counted_as_creation(family, monkeypatch):
     report = run_benchmark(cfg, create_world("loopback", 1)[0], clock=lambda: now[0])
     assert now[0] >= 100.0
     assert report.creation_time_seconds < 100.0
+
+
+def test_empty_register_sampled_and_exact_agree():
+    state = sv.basis_state(3, 5)
+    counts = sample_one_rank(state, 10, seed=0, measured=())
+    assert bench.fidelity(counts.entries, sv.probabilities(state, ())) == 1.0

@@ -6,7 +6,7 @@ import pytest
 from conftest import mixed_circuits, tcp_world
 from hypothesis import given, settings, strategies as st
 
-from qsim import dist, fabric, perfmodel, svcore as sv
+from qsim import circuits, dist, fabric, perfmodel, svcore as sv
 from qsim.circuits import build_qpe, build_random_circuit, QpeSpec
 from qsim.dist import RankLayout, partition, plan_gate
 from qsim.fabric import FabricEndpoint, create_world, run_spmd
@@ -401,6 +401,34 @@ class TestFusedSwapsRelabel:
         assert relabels == [op for op in c.ops if op.kind == "SWAP"]
 
 
+# (local, diagonal, relocalize) plan steps of the fused stream at n=20. A
+# local or diagonal step is one sweep over the slice; the counts before the
+# fusion frontier were (26, 10, 0), (42, 20, 6) and (25, 34, 3)
+PLAN_CENSUS = {
+    "random": (lambda: build_random_circuit(20, 100, 61), 0, (16, 7, 0)),
+    "tfim": (
+        lambda: circuits.build_tfim(circuits.tfim_from_lattice(
+            circuits.LatticeSpec(1, 20, "square", periodic=True), steps=5)),
+        1,
+        (42, 17, 6),
+    ),
+    "qpe": (lambda: build_qpe(QpeSpec(19, 299593)), 1, (26, 34, 3)),
+}
+
+
+@pytest.mark.parametrize("name", PLAN_CENSUS)
+def test_fused_plan_census_pinned(name):
+    build, k, expect = PLAN_CENSUS[name]
+    c = build()
+    layout = RankLayout.identity(c.num_qubits, k)
+    ops = dist.scheduled_ops(c, c.num_qubits, k, fusion=True)
+    actions = [
+        s.action for i, op in enumerate(ops) for s in plan_gate(layout, op, ops[i + 1:])
+    ]
+    got = tuple(actions.count(a) for a in ("local", "diagonal", "relocalize"))
+    assert got == expect
+
+
 class TestRunDistributed:
     def test_p1_equals_dense(self):
         c = build_random_circuit(7, 150, seed=8)
@@ -588,6 +616,14 @@ class TestSampleDistributed:
 
         counts = spmd(2, body)[0]
         assert counts.entries == {"1000": 100}
+
+    @pytest.mark.parametrize("P", [1, 2])
+    def test_empty_register_keys_its_outcome_empty(self, P):
+        def body(ep):
+            return dist.sample_distributed(partition(3, ep, initial=5), 10, seed=0, measured=())
+
+        for counts in spmd(P, body):
+            assert counts.entries == {"": 10}
 
     def test_unnormalized_rejected(self):
         def body(ep):

@@ -10,11 +10,11 @@ from qsim.svcore import Precision
 # A "local" and a "diagonal" plan step each cost one sweep and move no data,
 # so which of the two a diagonal on local bits plans to leaves these unchanged
 PAPER_TRAFFIC = {
-    ("qpe34", True): (225, 27917287424, 13),
+    ("qpe34", True): (226, 27917287424, 13),
     ("qpe34", False): (628, 25769803776, 12),
-    ("tfim34", True): (242, 152471339008, 71),
+    ("tfim34", True): (237, 141733920768, 66),
     ("tfim34", False): (714, 141733920768, 66),
-    ("random34", True): (808, 225485783040, 105),
+    ("random34", True): (561, 161061273600, 75),
     ("random34", False): (1733, 111669149696, 52),
 }
 

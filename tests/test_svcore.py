@@ -323,10 +323,11 @@ _GATE_MAKERS = [
 
 @st.composite
 def small_circuits(draw):
-    n = draw(st.integers(1, 5))
+    # 8 qubits hold two or three disjoint open blocks of fuse at once
+    n = draw(st.integers(1, 8))
     makers = [make for width, make in _GATE_MAKERS if width <= n]
     ops = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, 24))):
         make = draw(st.sampled_from(makers))
         qubits = tuple(draw(st.permutations(range(n))))
         angle = draw(st.floats(-math.pi, math.pi))
@@ -334,20 +335,24 @@ def small_circuits(draw):
     return Circuit(n, ops)
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    dim = 1 << circuit.num_qubits
-    u = np.eye(dim, dtype=complex)
+def circuit_action(circuit: Circuit, probe: np.ndarray) -> np.ndarray:
+    """The circuit's unitary times `probe`, one brute-force matrix per op."""
     for op in circuit.ops:
-        u = brute_force_matrix(op, circuit.num_qubits) @ u
-    return u
+        probe = brute_force_matrix(op, circuit.num_qubits) @ probe
+    return probe
 
 
 class TestFusionProperty:
     @settings(max_examples=60, deadline=None)
     @given(circuit=small_circuits(), max_width=st.integers(1, 5))
     def test_fuse_preserves_unitary(self, circuit, max_width):
-        expect = circuit_unitary(circuit)
-        got = circuit_unitary(fuse(circuit, max_width))
+        # two unitaries that differ move four random unit vectors apart
+        # with probability 1; four columns keep an 8-qubit check cheap
+        rng = np.random.default_rng(0)
+        probe = rng.normal(size=(1 << circuit.num_qubits, 4, 2)).view(complex)[..., 0]
+        probe /= np.linalg.norm(probe, axis=0)
+        expect = circuit_action(circuit, probe)
+        got = circuit_action(fuse(circuit, max_width), probe)
         assert np.max(np.abs(got - expect)) <= 1e-10
 
 
@@ -427,6 +432,9 @@ class TestProbabilities:
     def test_measured_qubit_out_of_range_named(self):
         with pytest.raises(ValueError, match="measured qubit 7 is out of range"):
             probabilities(sv.basis_state(3, 5), (0, 7))
+
+    def test_empty_register_keys_its_outcome_empty(self):
+        assert probabilities(sv.basis_state(3, 5), ()) == {"": 1.0}
 
 
 class TestFusion:
@@ -513,9 +521,43 @@ class TestFusion:
         assert fused_c.ops[0].is_diagonal()
 
     def test_diagonal_joins_open_dense_block(self):
-        c = Circuit(3, [sv.h(0), sv.cx(0, 1), sv.cx(1, 2), sv.rz(0.3, 2)])
+        # the kernel roofline probe unpacks this n=20 fusion as one block
+        c = Circuit(20, [sv.h(0), sv.cx(0, 1), sv.cx(1, 2), sv.rz(0.3, 2)])
         (block,) = fuse(c, max_width=3).ops
         assert block.kind == "FUSED" and not block.is_diagonal()
+        assert block.targets == (0, 1, 2)
+
+    def test_diagonal_adding_a_qubit_leaves_dense_block(self):
+        # cp(1, 2) would widen the block on (0, 1): the block is emitted
+        # and the phase opens a stretch of its own
+        c = Circuit(3, [sv.h(0), sv.cx(0, 1), sv.cp(0.3, 1, 2)])
+        dense, phase = fuse(c, 3).ops
+        assert dense.targets == (0, 1) and not dense.is_diagonal()
+        assert phase.targets == (1, 2) and phase.is_diagonal()
+
+    def test_interleaved_registers_fuse_to_two_blocks(self):
+        ops = [
+            sv.cx(0, 1), sv.cx(10, 11), sv.cx(1, 2), sv.cx(11, 12),
+            sv.h(0), sv.h(10), sv.cx(2, 0), sv.cx(12, 10),
+        ]
+        c = Circuit(13, ops)
+        fused_c = fuse(c, 3)
+        assert [op.targets for op in fused_c.ops] == [(0, 1, 2), (10, 11, 12)]
+        psi = dense_run(build_random_circuit(13, 60, seed=4))
+        want, got = psi.copy(), psi.copy()
+        for op in c.ops:
+            apply_gate_dense(want, op)
+        for op in fused_c.ops:
+            apply_gate_dense(got, op)
+        assert np.max(np.abs(got.amps - want.amps)) <= 1e-12
+
+    def test_oldest_touching_block_is_evicted(self):
+        # blocks on (0, 1) and (2, 3) are open; cx(1, 2) cannot hold both
+        # at width 3, so the older one, (0, 1), goes first and (2, 3) grows
+        c = Circuit(4, [sv.cx(0, 1), sv.cx(2, 3), sv.cx(1, 2)])
+        first, second = fuse(c, 3).ops
+        assert first.targets == (0, 1)
+        assert second.targets == (1, 2, 3)
 
     @staticmethod
     def rzz_ring(n):

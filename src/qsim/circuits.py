@@ -93,17 +93,9 @@ def build_qft(qubits) -> list[GateOp]:
     return ops
 
 
-def _inverse_op(op: GateOp) -> GateOp:
-    if op.kind in ("H", "SWAP"):
-        return op
-    if op.kind == "CP":
-        return sv.cp(-op.params[0], op.controls[0], op.targets[0])
-    raise ValueError(f"no inverse rule for {op.kind}")
-
-
 def build_inverse_qft(qubits) -> list[GateOp]:
     """Exact inverse of build_qft: reversed order, conjugated phases."""
-    return [_inverse_op(op) for op in reversed(build_qft(qubits))]
+    return [sv.inverse(op) for op in reversed(build_qft(qubits))]
 
 
 def build_qpe(spec: QpeSpec) -> Circuit:
@@ -203,19 +195,15 @@ def build_random_circuit(n: int, num_gates: int, seed: int) -> Circuit:
     ops: list[GateOp] = []
     for _ in range(num_gates):
         kind = _RANDOM_POOL[int(rng.integers(len(_RANDOM_POOL)))]
-        if kind in ("H", "X"):
-            ops.append(GateOp(kind, (int(rng.integers(n)),)))
-        elif kind in ("RZ", "RX"):
-            theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            ops.append(GateOp(kind, (int(rng.integers(n)),), params=(theta,)))
+        nt, nc, npar, _, _ = sv.KINDS[kind]
+        # a one-qubit gate draws its angle before its qubit, a two-qubit
+        # gate after its qubits: every seed keeps the circuit it gave first
+        if nt + nc == 1:
+            params = tuple(float(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(npar))
+            qubits = (int(rng.integers(n)),)
         else:
-            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
-            if kind == "CX":
-                ops.append(sv.cx(a, b))
-            elif kind == "CZ":
-                ops.append(sv.cz(a, b))
-            elif kind == "CP":
-                ops.append(sv.cp(float(rng.uniform(0.0, 2.0 * math.pi)), a, b))
-            else:
-                ops.append(sv.swap(a, b))
+            qubits = tuple(int(q) for q in rng.choice(n, size=nt + nc, replace=False))
+            params = tuple(float(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(npar))
+        # controls first, as in `sv.cx(control, target)`
+        ops.append(GateOp(kind, qubits[nc:], qubits[:nc], params))
     return Circuit(n, ops, name=f"random-{n}q-s{seed}")

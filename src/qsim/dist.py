@@ -377,18 +377,17 @@ def sample_distributed(
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"distributed state is not normalized (mass {total})")
 
+    # any integer seed, negative or from 2^63 up, is taken modulo 2^64
     base_seed = struct.unpack(
-        "<q", ep.broadcast(0, struct.pack("<q", int(seed)))
+        "<Q", ep.broadcast(0, struct.pack("<Q", int(seed) & 0xFFFFFFFFFFFFFFFF))
     )[0]
-    split = sv.split_shots(
-        np.random.default_rng(base_seed & 0xFFFFFFFFFFFFFFFF), shots, masses
-    )
+    split = sv.split_shots(np.random.default_rng(base_seed), shots, masses)
 
     # bit j of an outcome value is measured qubit j, at position perm[q]
     value = np.zeros(0, dtype=np.int64)
     my_shots = int(split[ep.rank])
     if my_shots > 0:
-        rng = np.random.default_rng((base_seed ^ ep.rank) & 0xFFFFFFFFFFFFFFFF)
+        rng = np.random.default_rng(base_seed ^ ep.rank)
         index = sv.draw_indices(st.slice.amps, block_masses, my_shots, rng)
         position = (ep.rank << lay.local_bits) | index
         value = np.zeros_like(position)

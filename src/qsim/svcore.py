@@ -2,6 +2,9 @@
 simulator, measurement sampling, and greedy gate fusion.
 
 Conventions shared by every module in this package:
+  - `KINDS` is the one place a named gate kind is defined: its shape, its
+    matrix or phases, whether it is diagonal, and so its inverse. FUSED
+    and DIAGONAL ops carry their own arrays
   - qubit 0 is the least-significant bit of an amplitude index
   - bitstrings render MSB-first (highest qubit index leftmost)
   - a multi-qubit matrix indexes its bits in target-list order; the first
@@ -49,6 +52,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,28 +81,54 @@ _SAMPLE_BLOCK_BITS = 8
 _SAMPLE_BATCH_BLOCKS = 8
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
-_DIAGONAL_KINDS = frozenset({"Z", "RZ", "P", "CZ", "CP", "RZZ", "DIAGONAL"})
-# kind -> (number of targets, number of controls, number of params)
-_KIND_SHAPE = {
-    "H": (1, 0, 0),
-    "X": (1, 0, 0),
-    "Y": (1, 0, 0),
-    "Z": (1, 0, 0),
-    "RX": (1, 0, 1),
-    "RZ": (1, 0, 1),
-    "P": (1, 0, 1),
-    "CX": (1, 1, 0),
-    "CZ": (1, 1, 0),
-    "CP": (1, 1, 1),
-    "RZZ": (2, 0, 1),
-    "SWAP": (2, 0, 0),
+
+def _rx(theta: float) -> np.ndarray:
+    t = theta / 2.0
+    return np.array(
+        [[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]],
+        dtype=complex,
+    )
+
+
+def _rz(theta: float) -> np.ndarray:
+    t = theta / 2.0
+    return np.array([np.exp(-1j * t), np.exp(1j * t)])
+
+
+def _rzz(theta: float) -> np.ndarray:
+    e = np.exp(-1j * theta / 2.0)
+    return np.array([e, e.conjugate(), e.conjugate(), e])
+
+
+class Kind(NamedTuple):
+    """A named gate kind: its number of targets, controls and params,
+    whether it is diagonal, and `build(*params)`, which gives a fresh
+    array: its matrix over the targets or, for a diagonal kind, that
+    matrix's diagonal."""
+
+    targets: int
+    controls: int
+    params: int
+    diagonal: bool
+    build: Callable[..., np.ndarray]
+
+
+# the one place a named kind is defined. A kind without params is its own
+# inverse, and a kind with params is undone by negating them (`inverse`)
+KINDS = {
+    "H": Kind(1, 0, 0, False, lambda: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)),
+    "X": Kind(1, 0, 0, False, lambda: np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": Kind(1, 0, 0, False, lambda: np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": Kind(1, 0, 0, True, lambda: np.array([1, -1], dtype=complex)),
+    "RX": Kind(1, 0, 1, False, _rx),
+    "RZ": Kind(1, 0, 1, True, _rz),
+    "P": Kind(1, 0, 1, True, lambda theta: np.array([1, np.exp(1j * theta)])),
+    "CX": Kind(1, 1, 0, False, lambda: np.array([[0, 1], [1, 0]], dtype=complex)),
+    "CZ": Kind(1, 1, 0, True, lambda: np.array([1, -1], dtype=complex)),
+    "CP": Kind(1, 1, 1, True, lambda theta: np.array([1, np.exp(1j * theta)])),
+    "RZZ": Kind(2, 0, 1, True, _rzz),
+    "SWAP": Kind(2, 0, 0, False, lambda: np.eye(4, dtype=complex)[[0, 2, 1, 3]]),
 }
 
 
@@ -133,8 +163,13 @@ class GateOp:
     _diagonal: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("FUSED", "DIAGONAL") and self.kind not in _KIND_SHAPE:
+        if self.kind not in ("FUSED", "DIAGONAL") and self.kind not in KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        for q in self.targets + self.controls:
+            # a bool is an int to Python, and a float or a string fails only
+            # deep inside a kernel
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+                raise ValueError(f"qubit index {q!r} is not an integer")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate target qubits")
         if set(self.targets) & set(self.controls):
@@ -155,6 +190,8 @@ class GateOp:
             err = np.max(np.abs(m @ m.conj().T - np.eye(dim)))
             if err > 1e-10:
                 raise ValueError(f"fused matrix is not unitary (deviation {err:.2e})")
+            # a FUSED block is diagonal when no nonzero entry sits off its diagonal
+            diagonal = np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
         elif self.kind == "DIAGONAL":
             if not 1 <= len(self.targets) <= _DIAGONAL_INNER_BITS:
                 raise ValueError(
@@ -168,24 +205,16 @@ class GateOp:
             err = np.max(np.abs(np.abs(v) - 1.0))
             if err > 1e-10:
                 raise ValueError(f"phases are not of unit modulus (deviation {err:.2e})")
+            diagonal = True
         else:
-            nt, nc, npar = _KIND_SHAPE[self.kind]
+            nt, nc, npar, diagonal, _ = KINDS[self.kind]
             if len(self.targets) != nt or len(self.controls) != nc:
                 raise ValueError(f"{self.kind} takes {nt} target(s), {nc} control(s)")
             if len(self.params) != npar:
                 raise ValueError(f"{self.kind} takes {npar} parameter(s)")
             if any(not math.isfinite(a) for a in self.params):
                 raise ValueError("non-finite gate parameter")
-        # a FUSED block is diagonal when no nonzero entry sits off its diagonal
-        object.__setattr__(
-            self,
-            "_diagonal",
-            self.kind in _DIAGONAL_KINDS
-            or (
-                self.kind == "FUSED"
-                and np.count_nonzero(self.matrix) == np.count_nonzero(np.diagonal(self.matrix))
-            ),
-        )
+        object.__setattr__(self, "_diagonal", diagonal)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -269,59 +298,37 @@ def diagonal(qubits, phases) -> GateOp:
 
 def base_matrix(op: GateOp) -> np.ndarray:
     """Matrix over op.targets in listed order, control logic excluded."""
-    k = op.kind
-    if k == "FUSED":
+    if op.kind == "FUSED":
         return op.matrix
-    if k in _DIAGONAL_KINDS:
+    if op.is_diagonal():
         # 2^w x 2^w for a DIAGONAL op: the program's paths read `diagonal_of`
         return np.diag(base_diagonal(op))
-    if k == "H":
-        return _H
-    if k == "X" or k == "CX":
-        return _X
-    if k == "Y":
-        return _Y
-    if k == "RX":
-        t = op.params[0] / 2.0
-        return np.array(
-            [[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]],
-            dtype=complex,
-        )
-    if k == "SWAP":
-        return _SWAP
-    raise ValueError(f"unknown gate kind {k!r}")
+    return KINDS[op.kind].build(*op.params)
 
 
 def base_diagonal(op: GateOp) -> np.ndarray:
     """Diagonal of `base_matrix` of a diagonal op, built without the matrix."""
-    k = op.kind
-    if k == "DIAGONAL":
+    if op.kind == "DIAGONAL":
         return op.matrix
-    if k == "FUSED":
+    if op.kind == "FUSED":
         return np.diagonal(op.matrix)
-    if k == "Z" or k == "CZ":
-        return np.array([1, -1], dtype=complex)
-    if k == "RZ":
-        t = op.params[0] / 2.0
-        return np.array([np.exp(-1j * t), np.exp(1j * t)])
-    if k == "P" or k == "CP":
-        return np.array([1, np.exp(1j * op.params[0])])
-    if k == "RZZ":
-        e = np.exp(-1j * op.params[0] / 2.0)
-        return np.array([e, e.conjugate(), e.conjugate(), e])
-    raise ValueError(f"{k} is not a diagonal gate kind")
+    if not KINDS[op.kind].diagonal:
+        raise ValueError(f"{op.kind} is not a diagonal gate kind")
+    return KINDS[op.kind].build(*op.params)
+
+
+def inverse(op: GateOp) -> GateOp:
+    """The op that undoes a named kind's op, by the rule at `KINDS`."""
+    if op.kind not in KINDS:
+        raise ValueError(f"no inverse rule for {op.kind}")
+    if not op.params:
+        return op
+    return GateOp(op.kind, op.targets, op.controls, tuple(-a for a in op.params))
 
 
 def _bit_axes(m: int, bits) -> tuple[int, ...]:
     """Axes of `amps.reshape((2,) * m)` that hold the given index bits."""
     return tuple(m - 1 - b for b in bits)
-
-
-def op_matrix(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Full matrix of the op, controls included, over its qubits sorted
-    ascending (bit j of the matrix index = j-th listed qubit)."""
-    qubits = tuple(sorted(op.qubits))
-    return _embed(base_matrix(op), op.targets, qubits, op.controls), qubits
 
 
 def diagonal_of(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -348,7 +355,8 @@ def diagonal_of(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
 def _embed(mat: np.ndarray, targets, full: tuple[int, ...], controls=()) -> np.ndarray:
     """Matrix over qubits `full` of `mat` on `targets`, gated on `controls`,
     identity elsewhere (bit j of the result's index = j-th qubit of `full`).
-    Always a fresh array, so the gate constants stay out of fused ops."""
+    Always a fresh array, so `fuse` may scale a block in place without
+    touching the matrix of an op it took in."""
     f = len(full)
     out = np.zeros((1 << f, 1 << f), dtype=complex)
     entries, sources, unit = _embedding(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -236,6 +237,21 @@ class TestRandomCircuit:
         a = build_random_circuit(6, 120, seed=1)
         b = build_random_circuit(6, 120, seed=2)
         assert a.ops != b.ops
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((20, 100, 61), "f14fd6327638310c"),
+            ((34, 2000, 1), "508fb4f549437efe"),
+            ((6, 300, 5), "f5b27d863ae17138"),
+        ],
+    )
+    def test_circuit_pinned_per_seed(self, args, digest):
+        # the draws' order and number are part of the seed's meaning: the
+        # benchmark workloads and the paper-scale pins rest on these circuits
+        ops = build_random_circuit(*args).ops
+        text = repr([(op.kind, op.targets, op.controls, op.params) for op in ops])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError):

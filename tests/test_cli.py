@@ -122,6 +122,19 @@ def csv_rows(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_seed_from_2_to_63_runs(capsys, where):
+    seed = str(2**63)
+    argv = ["bench", "qpe", "-n", "4", "-c", "2"]
+    if where == "flag":
+        rc = cli.parse_and_run(argv + ["--seed", seed], env={})
+    else:
+        rc = cli.parse_and_run(argv, env={"QSIM_SEED": seed})
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert json.loads(out)["config"]["seed"] == 2**63
+
+
 class TestReportOutput:
     def test_bench_json_stdout_equals_file(self, saved_report):
         path, out = saved_report

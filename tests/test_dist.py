@@ -618,6 +618,20 @@ class TestSampleDistributed:
         assert counts.entries == {"1000": 100}
 
     @pytest.mark.parametrize("P", [1, 2])
+    def test_seed_taken_modulo_2_to_64(self, P):
+        c = build_random_circuit(5, 40, seed=6)
+
+        def counts(seed):
+            def body(ep):
+                return dist.sample_distributed(dist.run_distributed(c, ep), 3000, seed)
+
+            return spmd(P, body)[0].entries
+
+        assert counts(2**64 + 5) == counts(5)
+        assert counts(-3) == counts(2**64 - 3)
+        assert sum(counts(2**63).values()) == 3000
+
+    @pytest.mark.parametrize("P", [1, 2])
     def test_empty_register_keys_its_outcome_empty(self, P):
         def body(ep):
             return dist.sample_distributed(partition(3, ep, initial=5), 10, seed=0, measured=())

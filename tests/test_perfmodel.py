@@ -56,3 +56,28 @@ class TestModelBytesEqualRecorded:
             assert log.bytes_sent(src=r) == prof.total_exchange_bytes
             assert log.bit_bytes(r) == prof.exchange_bytes_per_level
             assert log.bit_messages(r) == prof.swap_count_per_level
+
+
+@pytest.mark.parametrize("name", ["qpe34", "tfim34", "random34"])
+def test_network_upgrade_beats_gpu_upgrade(paper_circuits, name):
+    """The paper's headline, as orderings of modelled time on 64 ranks: a
+    faster network (NVL72 links with A100-class memory) gains more than
+    faster GPUs (HBM3e-class memory on Perlmutter's network), and NVL72
+    beats ib, which beats Perlmutter. Perlmutter's mem_bw is a placeholder,
+    so the ratios themselves are not pinned."""
+    prof = perfmodel.schedule_traffic(
+        paper_circuits[name], 34, perfmodel.nvl72_topology(total=64), fusion=True
+    )
+    seconds = {
+        label: perfmodel.predict_time(prof, topo)
+        for label, topo in {
+            "perlmutter": perfmodel.perlmutter_topology(total=64),
+            "gpu only": perfmodel.perlmutter_topology(total=64, mem_bw=8e12),
+            "network only": perfmodel.nvl72_topology(total=64, mem_bw=2e12),
+            "nvl72": perfmodel.nvl72_topology(total=64),
+            "ib": perfmodel.ib_topology(total=64),
+        }.items()
+    }
+    base = seconds["perlmutter"]
+    assert base / seconds["network only"] > base / seconds["gpu only"]
+    assert seconds["nvl72"] < seconds["ib"] < seconds["perlmutter"]

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from conftest import align_phase, max_deviation, random_unitary, sample_one_rank
+from conftest import align_phase, max_deviation, op_matrix, random_unitary, sample_one_rank
 from hypothesis import given, settings, strategies as st
 
 from qsim import svcore as sv
@@ -96,12 +97,53 @@ class TestGateOp:
             GateOp("DIAGONAL", (0,), controls=(1,), matrix=np.ones(2, complex))
         assert sv.diagonal((0,), [1, 1j]).is_diagonal()
 
+    @pytest.mark.parametrize(
+        "qubit",
+        [1.5, True, False, "a", np.float64(1.0), np.bool_(True)],
+        ids=["float", "true", "false", "str", "np-float", "np-bool"],
+    )
+    def test_non_integer_qubit_named(self, qubit):
+        message = re.escape(f"qubit index {qubit!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            GateOp("H", (qubit,))
+        with pytest.raises(ValueError, match=message):
+            GateOp("CX", (0,), controls=(qubit,))
+
+    def test_numpy_integer_qubits_accepted(self):
+        op = GateOp("CX", (np.int64(1),), controls=(np.int32(0),))
+        state = dense_run(Circuit(2, [sv.x(0), op]))
+        assert np.argmax(np.abs(state.amps)) == 3
+
     def test_all_kinds_unitary_within_1e12(self):
         for op in ALL_KIND_SAMPLES:
-            mat, _ = sv.op_matrix(op)
+            mat, _ = op_matrix(op)
             dim = mat.shape[0]
             dev = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
             assert dev <= 1e-12, op.kind
+
+
+class TestInverse:
+    @pytest.mark.parametrize("kind", list(sv.KINDS))
+    def test_op_then_inverse_is_identity(self, kind):
+        nt, nc, npar, _, _ = sv.KINDS[kind]
+        qubits = (2, 0, 1)
+        op = GateOp(kind, qubits[:nt], qubits[nt : nt + nc], (0.7, -1.9)[:npar])
+        rng = np.random.default_rng(17)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        state = StateSlice(amps)
+        for gate in (op, sv.inverse(op)):
+            apply_gate_dense(state, gate)
+        assert max_deviation(state.amps, amps) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "op",
+        [sv.fused((0, 1), random_unitary(2, 3)), sv.diagonal((0,), [1, 1j])],
+        ids=["fused", "diagonal"],
+    )
+    def test_fused_and_diagonal_have_no_rule(self, op):
+        with pytest.raises(ValueError, match="no inverse rule"):
+            sv.inverse(op)
 
 
 class TestApplyGateDense:

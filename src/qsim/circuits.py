@@ -188,10 +188,11 @@ _RANDOM_POOL = ("H", "X", "RZ", "RX", "CX", "CZ", "CP", "SWAP")
 
 
 def build_random_circuit(n: int, num_gates: int, seed: int) -> Circuit:
-    """Seeded uniform draw over a fixed gate pool; deterministic per seed."""
+    """Seeded uniform draw over a fixed gate pool; deterministic per seed.
+    Any integer seed is taken modulo 2^64, as sampling takes it."""
     if n < 2:
         raise ValueError("random circuits need n >= 2")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     ops: list[GateOp] = []
     for _ in range(num_gates):
         kind = _RANDOM_POOL[int(rng.integers(len(_RANDOM_POOL)))]

@@ -32,14 +32,17 @@ Conventions shared by every module in this package:
     oldest of them (the first opened) and tries again. A diagonal gate
     joins a dense block only if it adds no qubit to it: a wider dense
     block costs more per sweep and leaves later dense gates one qubit
-    fewer, while a diagonal stretch takes the phase for nearly nothing
+    fewer, while a diagonal stretch takes the phase for nearly nothing.
+    Fusion has no matrix algebra of its own: an open block is its qubits
+    and its ops, and its array is built once, when it is emitted, by the
+    kernels that run a state (a stretch's phases by `_product`)
   - a SWAP in the reference simulator trades two quarter-blocks of that
     view (`_apply_swap`); the distributed engine only relabels it
-  - every other gate takes `_apply_matrix`, which moves the target axes of
-    that view to the front and multiplies one block of 2^14 amplitudes
-    (`_DENSE_BLOCK_BITS`) at a time: 256 KiB at complex128, so the block's
-    gathered copy and its product stay in a 2 MiB L2 and no temporary is
-    full-size
+  - every other gate takes `_apply_matrix`, which transposes that view to
+    put the target axes in front and multiplies one block of 2^14
+    amplitudes (`_DENSE_BLOCK_BITS`) at a time: 256 KiB at complex128, so
+    the block's gathered copy and its product stay in a 2 MiB L2 and no
+    temporary is full-size
   - read-out squares |amp|^2 as re^2 + im^2 in float64; sampling sums it
     per block of 2^8 amplitudes (`_SAMPLE_BLOCK_BITS`) and squares again
     only the blocks that draw shots, so no temporary is full-size
@@ -48,7 +51,7 @@ Conventions shared by every module in this package:
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -352,47 +355,6 @@ def diagonal_of(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
     return phases.reshape((2,) * w).transpose(order).ravel(), qubits
 
 
-def _embed(mat: np.ndarray, targets, full: tuple[int, ...], controls=()) -> np.ndarray:
-    """Matrix over qubits `full` of `mat` on `targets`, gated on `controls`,
-    identity elsewhere (bit j of the result's index = j-th qubit of `full`).
-    Always a fresh array, so `fuse` may scale a block in place without
-    touching the matrix of an op it took in."""
-    f = len(full)
-    out = np.zeros((1 << f, 1 << f), dtype=complex)
-    entries, sources, unit = _embedding(
-        f, tuple(full.index(q) for q in targets), tuple(full.index(q) for q in controls)
-    )
-    out.flat[entries] = mat.reshape(-1)[sources]
-    out.flat[unit] = 1.0
-    return out
-
-
-@functools.lru_cache(maxsize=4096)
-def _embedding(f: int, tpos: tuple[int, ...], cpos: tuple[int, ...]):
-    """Where `_embed` puts each matrix entry, for targets and controls at
-    bit positions `tpos` and `cpos` of an f-bit index: flat output indices,
-    the flat `mat` index each one takes, and the flat indices of the unit
-    diagonal where a control bit is 0. Fusion embeds into at most
-    `MAX_FUSION_WIDTH` bits, so a gather from a cached plan replaces a
-    matrix product per gate."""
-    w = len(tpos)
-    # spread[a]: the f-bit index whose target bits spell a, all others 0
-    spread = np.zeros(1 << w, dtype=np.intp)
-    for j, p in enumerate(tpos):
-        spread |= ((np.arange(1 << w) >> j) & 1) << p
-    index = np.arange(1 << f)
-    tmask = sum(1 << p for p in tpos)
-    cmask = sum(1 << p for p in cpos)
-    # one block of the product per value of the other bits, controls all 1
-    base = index[(index & tmask == 0) & (index & cmask == cmask)]
-    rows = base[:, None, None] | spread[None, :, None]
-    cols = base[:, None, None] | spread[None, None, :]
-    entries = rows << f | cols
-    sources = np.broadcast_to(np.arange(1 << (2 * w)).reshape(1 << w, 1 << w), entries.shape)
-    off = index[index & cmask != cmask]
-    return entries.ravel(), sources.ravel(), off * ((1 << f) + 1)
-
-
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
     """In-place matrix application on the target bits of a 2^m amplitude
     array, restricted to indices whose control bits are all 1.
@@ -403,15 +365,13 @@ def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> No
     no temporary is full-size."""
     m = int(amps.size).bit_length() - 1
     w = len(targets)
-    caxes = _bit_axes(m, controls)
-    # fixing each control axis at 1 leaves a view of the controlled part
-    sub = amps.reshape((2,) * m)[
-        tuple(1 if a in caxes else slice(None) for a in range(m))
-    ]
-    # each control axis removed before a target axis shifts it down by one
-    taxes = [a - sum(c < a for c in caxes) for a in _bit_axes(m, targets)]
-    # with target j moved to axis w-1-j, the leading axes index the matrix
-    front = np.moveaxis(sub, taxes, _bit_axes(w, range(w)))
+    # one transpose puts the control axes first, then target j on axis
+    # w-1-j after them, then the other axes in order; fixing the control
+    # axes at 1 leaves the controlled part, whose leading axes index the
+    # matrix
+    axes = [m - 1 - b for b in (*controls, *targets[::-1])]
+    front = amps.reshape((2,) * m).transpose(axes + [a for a in range(m) if a not in axes])
+    front = front[(1,) * len(controls)]
     mat = mat.astype(amps.dtype, copy=False)
     # the loop fixes the leading axes after the matrix axes
     outer = max(0, front.ndim - max(_DENSE_BLOCK_BITS, w))
@@ -419,7 +379,7 @@ def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> No
     # target at bit 5 of n=25 faulted in new pages for every block (196k
     # minor faults, 3x the time)
     product = np.empty((1 << w, 1 << (front.ndim - outer - w)), amps.dtype)
-    for lead in np.ndindex((2,) * outer):
+    for lead in itertools.product((0, 1), repeat=outer):
         blk = front[(slice(None),) * w + lead]
         np.matmul(mat, blk.reshape(1 << w, -1), out=product)
         blk[...] = product.reshape(blk.shape)
@@ -431,15 +391,20 @@ def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, positions) -> None:
     m = int(amps.size).bit_length() - 1
     w = len(positions)
     d = diag.astype(amps.dtype, copy=False).reshape((2,) * w + (1,) * (m - w))
-    # axes of size 2 where a position sits, size 1 (broadcast) elsewhere
-    factor = np.moveaxis(d, _bit_axes(w, range(w)), _bit_axes(m, positions))
+    # axes of size 2 where a position sits, size 1 (broadcast) elsewhere:
+    # axis w-1-j of d goes to the axis of positions[j], and d's size-1 axes
+    # fill the others in order
+    at = {m - 1 - b: w - 1 - j for j, b in enumerate(positions)}
+    spare = iter(range(w, m))
+    factor = d.transpose([at[a] if a in at else next(spare) for a in range(m)])
     # spell the factor out over the low index bits, so the multiply's inner
     # loop runs over 2^low contiguous amplitudes whatever the positions
     low = min(m, _DIAGONAL_INNER_BITS)
     high = factor.shape[: m - low]
-    factor = np.broadcast_to(factor, high + (2,) * low).reshape(high + (1 << low,))
+    spelled = np.empty(high + (2,) * low, amps.dtype)
+    spelled[...] = factor
     view = amps.reshape((2,) * (m - low) + (1 << low,))
-    view *= factor
+    view *= spelled.reshape(high + (1 << low,))
 
 
 def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
@@ -697,28 +662,35 @@ def _product(gates) -> np.ndarray:
 
 
 class _Block:
-    """An open block of `fuse`: its sorted qubits, and either a dense matrix
-    over them (`mat`) or, for a diagonal stretch, its gates as (phase
-    vector, sorted qubits) pairs (`gates`)."""
+    """An open block of `fuse`: its sorted qubits, whether it is dense or a
+    diagonal stretch, and its ops in order. Nothing is multiplied until
+    the block is emitted."""
 
-    __slots__ = ("qubits", "mat", "gates")
+    __slots__ = ("qubits", "dense", "ops")
 
     def __init__(self):
         self.qubits: tuple[int, ...] = ()
-        self.mat: np.ndarray | None = None
-        self.gates: list[tuple[np.ndarray, tuple[int, ...]]] = []
-
-    def matrix_over(self, union: tuple[int, ...]) -> np.ndarray:
-        """The block as a dense matrix over the sorted superset `union`;
-        its own matrix when it already spans `union`."""
-        mat = self.mat if self.mat is not None else np.diag(_product(self.gates))
-        return mat if self.qubits == union else _embed(mat, self.qubits, union)
+        self.dense = False
+        self.ops: list[GateOp] = []
 
     def op(self, max_width: int) -> GateOp:
-        if self.mat is not None:
-            return fused(self.qubits, self.mat)
-        phases = _product(self.gates)
-        if len(self.qubits) > max_width:
+        u = len(self.qubits)
+        if self.dense:
+            # the ops applied in order to the identity: flattened, the
+            # 2^u x 2^u matrix is a 2u-bit state whose row bit j is index
+            # bit u + j, and each op acts on the rows
+            mat = np.eye(1 << u, dtype=complex)
+            flat, rows = mat.reshape(-1), {q: u + j for j, q in enumerate(self.qubits)}
+            for op in self.ops:
+                if op.is_diagonal():
+                    phases, qubits = diagonal_of(op)
+                    _apply_diagonal(flat, phases, [rows[q] for q in qubits])
+                else:
+                    targets = [rows[q] for q in op.targets]
+                    _apply_matrix(flat, base_matrix(op), targets, [rows[q] for q in op.controls])
+            return fused(self.qubits, mat)
+        phases = _product(diagonal_of(op) for op in self.ops)
+        if u > max_width:
             return diagonal(self.qubits, phases)
         return fused(self.qubits, np.diag(phases))
 
@@ -771,7 +743,13 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     stream, in input order, and every later op is renamed through it
     (O2 · S = S · O2', O2' being O2 with the swapped qubits exchanged), so
     the engine still plans each SWAP as a free relabel. An op whose qubits
-    no SWAP moved keeps its identity."""
+    no SWAP moved keeps its identity.
+
+    Nothing is multiplied while a block is open: a merge joins op lists.
+    An emitted dense block's matrix is its ops applied in order to the
+    identity by `_apply_matrix` and `_apply_diagonal`, and a stretch's
+    phases are the `_product` of its ops' `diagonal_of`. No input op's
+    array is written."""
     if not 1 <= max_width <= MAX_FUSION_WIDTH:
         raise ValueError(f"max_width must be in [1, {MAX_FUSION_WIDTH}]")
     out: list[GateOp] = []
@@ -810,17 +788,13 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
             continue
         is_diag = op.is_diagonal()
         if is_diag:
-            phases, qubits = diagonal_of(op)
-            if len(hit) == 1 and hit[0].mat is not None and set(qubits) <= set(hit[0].qubits):
-                # D @ M scales row r of M by D's entry r
-                block = hit[0]
-                rows = block.mat.reshape((2,) * len(block.qubits) + (-1,))
-                rows *= _over(phases, qubits, block.qubits)[..., None]
+            if len(hit) == 1 and hit[0].dense and set(span) <= set(hit[0].qubits):
+                hit[0].ops.append(op)
                 continue
             for block in hit:
-                if block.mat is not None:
+                if block.dense:
                     emit(block)
-            hit = [block for block in hit if block.mat is None]
+            hit = [block for block in hit if not block.dense]
         union = tuple(sorted(set(span).union(*(b.qubits for b in hit))))
         while not _fits(union, not is_diag, max_width):
             emit(hit.pop(0))
@@ -828,7 +802,7 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
         if not hit:
             for block in reversed(frontier):
                 # the op touches no open block, so the two are disjoint
-                if (block.mat is None) == is_diag and _fits(
+                if block.dense != is_diag and _fits(
                     block.qubits + span, not is_diag, max_width
                 ):
                     hit, union = [block], tuple(sorted(block.qubits + span))
@@ -839,20 +813,16 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
                 frontier.remove(other)
                 for q in other.qubits:
                     owner[q] = block
+                block.ops += other.ops
         else:
             block = _Block()
             frontier.append(block)
         for q in span:
             owner[q] = block
-        if is_diag:
-            for other in hit[1:]:
-                block.gates += other.gates
-            block.gates.append((phases, qubits))
-        else:
-            gate = _embed(base_matrix(op), op.targets, union, op.controls)
-            for other in hit:
-                gate = gate @ other.matrix_over(union)
-            block.mat, block.gates = gate, []
+        # a dense op makes the merged block dense; a diagonal op only ever
+        # joins a stretch
+        block.dense = not is_diag
+        block.ops.append(op)
         block.qubits = union
     for block in frontier:
         out.append(block.op(max_width))

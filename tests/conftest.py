@@ -26,13 +26,6 @@ def random_unitary(width: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def op_matrix(op) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Full matrix of the op, controls included, over its qubits sorted
-    ascending (bit j of the matrix index = j-th listed qubit)."""
-    qubits = tuple(sorted(op.qubits))
-    return sv._embed(sv.base_matrix(op), op.targets, qubits, op.controls), qubits
-
-
 def align_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Rescale `other` by a unit phase so its largest-magnitude amplitude
     agrees in phase with `reference` (global phase is unobservable)."""

@@ -253,6 +253,10 @@ class TestRandomCircuit:
         text = repr([(op.kind, op.targets, op.controls, op.params) for op in ops])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64 + 5, 5)])
+    def test_seed_taken_modulo_2_to_64(self, seed, same):
+        assert build_random_circuit(6, 30, seed).ops == build_random_circuit(6, 30, same).ops
+
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError):
             build_random_circuit(1, 5, seed=0)

@@ -135,6 +135,14 @@ def test_seed_from_2_to_63_runs(capsys, where):
     assert json.loads(out)["config"]["seed"] == 2**63
 
 
+def test_random_bench_takes_a_negative_seed(capsys):
+    # the circuit's seed is taken modulo 2^64, as the sampling seed is
+    rc = cli.parse_and_run(["bench", "random", "-n", "4", "-c", "2", "--seed", "-1"], env={})
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert json.loads(out)["config"]["seed"] == -1
+
+
 class TestReportOutput:
     def test_bench_json_stdout_equals_file(self, saved_report):
         path, out = saved_report

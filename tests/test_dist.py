@@ -473,6 +473,43 @@ class TestRunDistributed:
         spmd(4, body)
 
 
+TRACED_CIRCUITS = {
+    "random": lambda: build_random_circuit(6, 60, 5),
+    "tfim": lambda: circuits.build_tfim(circuits.tfim_from_lattice(
+        circuits.LatticeSpec(1, 6, "square", periodic=True), steps=3)),
+    "qpe": lambda: build_qpe(QpeSpec(5, 11)),
+}
+
+
+def traced_calls(c, ep):
+    """The public calls of the traced benchmark run: relocalizations are
+    taken out of `dist.apply` by planning each op on a layout copy."""
+    k = ep.world_size.bit_length() - 1
+    ops = dist.scheduled_ops(c, c.num_qubits, k, True)
+    st = partition(c.num_qubits, ep)
+    for i, op in enumerate(ops):
+        for step in plan_gate(st.layout.copy(), op, ops[i + 1:]):
+            if step.action == "relocalize":
+                dist.relocalize(st, step.global_pos, step.local_pos)
+        dist.apply(st, op, ops[i + 1:])
+    return st
+
+
+@pytest.mark.parametrize("P", [2, 4])
+@pytest.mark.parametrize("name", TRACED_CIRCUITS)
+def test_traced_calls_equal_run_distributed_and_model(name, P):
+    c = TRACED_CIRCUITS[name]()
+    topo = perfmodel.nvl72_topology().for_ranks(P)
+    prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion=True)
+    assert prof.swap_count > 0
+    traced, traffic = spmd(P, lambda ep: traced_calls(c, ep), with_log=True)
+    plain = spmd(P, lambda ep: dist.run_distributed(c, ep, fusion=True))
+    for rank in range(P):
+        assert np.array_equal(traced[rank].slice.amps, plain[rank].slice.amps)
+        assert traced[rank].layout.perm == plain[rank].layout.perm
+        assert traffic.bytes_sent(src=rank) == prof.total_exchange_bytes
+
+
 def check_distributed_equals_dense(P, fusion, precision, c):
     dense = dense_run(c).amps
     tol = 1e-12 if precision is Precision.DOUBLE else 1e-5

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import align_phase, max_deviation, op_matrix, random_unitary, sample_one_rank
+from conftest import align_phase, max_deviation, random_unitary, sample_one_rank
 from hypothesis import given, settings, strategies as st
 
 from qsim import svcore as sv
@@ -116,7 +116,7 @@ class TestGateOp:
 
     def test_all_kinds_unitary_within_1e12(self):
         for op in ALL_KIND_SAMPLES:
-            mat, _ = op_matrix(op)
+            mat = brute_force_matrix(op, 2)
             dim = mat.shape[0]
             dev = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
             assert dev <= 1e-12, op.kind
@@ -543,6 +543,18 @@ class TestFusion:
         assert renamed.targets == (4, 1, 2, 3)
         assert renamed.matrix is wide.matrix
         assert checked == []
+
+    def test_never_writes_into_an_input_op(self):
+        # a phase and a CX join a user's FUSED block, and a user's DIAGONAL
+        # op joins a stretch; neither input array changes
+        block = sv.fused((0, 1), random_unitary(2, 9))
+        phases = sv.diagonal((0, 1), np.exp(1j * np.arange(4.0)))
+        before = [block.matrix.copy(), phases.matrix.copy()]
+        dense = fuse(Circuit(2, [block, sv.rz(0.3, 0), sv.cx(0, 1)]), 3).ops
+        stretch = fuse(Circuit(4, [sv.rz(0.2, 0), phases, sv.cz(2, 3)]), 3).ops
+        assert [op.kind for op in dense + stretch] == ["FUSED", "DIAGONAL"]
+        for op, copy in zip((block, phases), before):
+            assert op.matrix.tobytes() == copy.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(circuit=small_circuits(), max_width=st.integers(1, 5))

@@ -18,7 +18,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -156,9 +156,26 @@ class BenchmarkReport:
 
 
 def report_from_json(text: str) -> BenchmarkReport:
-    d = json.loads(text)
-    d["circuits"] = [CircuitResult(**c) for c in d["circuits"]]
+    """The inverse of `render("json")`. A document that is not a report
+    raises ValueError naming its missing or unknown keys."""
+    d = _fields_of(json.loads(text), BenchmarkReport)
+    if not isinstance(d["circuits"], list):
+        raise ValueError("a report's 'circuits' is a JSON list")
+    d["circuits"] = [CircuitResult(**_fields_of(c, CircuitResult)) for c in d["circuits"]]
     return BenchmarkReport(**d)
+
+
+def _fields_of(d, cls) -> dict:
+    names = [f.name for f in fields(cls)]
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object with keys {names}, got {type(d).__name__}")
+    missing = [k for k in names if k not in d]
+    unknown = [k for k in d if k not in names]
+    if missing or unknown:
+        raise ValueError(
+            f"not a {cls.__name__}: missing keys {missing}, unknown keys {unknown}"
+        )
+    return d
 
 
 def _build_circuits(cfg: BenchmarkConfig) -> list[Circuit]:
@@ -246,10 +263,8 @@ def run_benchmark(
         mean_wall_time_seconds=float(np.mean(timed)),
         std_wall_time_seconds=float(np.std(timed)),
         traffic={
-            "exchange_bytes_total": log.bytes_sent(src=ep.rank),
-            "messages_total": sum(log.bit_messages(ep.rank).values()),
-            "bytes_by_global_bit": {
-                str(b): v for b, v in sorted(log.bit_bytes(ep.rank).items())
-            },
+            "exchange_bytes_total": log.bytes_sent(),
+            "messages_total": sum(log.bit_messages.values()),
+            "bytes_by_global_bit": {str(b): v for b, v in sorted(log.bit_bytes.items())},
         },
     )

@@ -192,6 +192,8 @@ def build_random_circuit(n: int, num_gates: int, seed: int) -> Circuit:
     Any integer seed is taken modulo 2^64, as sampling takes it."""
     if n < 2:
         raise ValueError("random circuits need n >= 2")
+    if num_gates < 0:
+        raise ValueError(f"num_gates must be >= 0, got {num_gates}")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     ops: list[GateOp] = []
     for _ in range(num_gates):

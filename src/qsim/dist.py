@@ -24,9 +24,9 @@ relocalize: a non-diagonal op with that qubit among its targets. Controls
 and diagonal gates never need a local bit, and a SWAP is a relabel, so
 the lookahead renames the qubit through each SWAP it passes.
 
-`plan_gate` encodes this policy once; the real engine executes its steps on
-amplitudes and the performance model replays them on byte counters, so the
-two always agree.
+`plan_gate` encodes this policy once, and `schedule` plans a whole circuit
+into one step list: the engine executes those steps on amplitudes and the
+performance model sums the same list, so the two always agree.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class RankLayout:
 
     def __post_init__(self):
         if self.k < 0 or self.n <= self.k:
-            raise ValueError("need more qubits than global index bits")
+            raise ValueError(f"{self.n} qubits cannot be split over {2 ** self.k} ranks")
         if sorted(self.perm) != list(range(self.n)):
             raise ValueError("perm must be a bijection over positions")
         self._pos2q = [0] * self.n
@@ -162,8 +162,8 @@ def _choose_victim(layout: RankLayout, op: GateOp, future_ops) -> int:
 
 def plan_gate(layout: RankLayout, op: GateOp, future_ops=()) -> list[PlanStep]:
     """Dispatch one gate into executable steps, updating `layout` in place.
-    Data movement in the returned steps depends only on the step fields,
-    never on the (already updated) permutation.
+    Executing the steps in order moves a state's layout the same way, so
+    plan on a copy of the layout the steps will run on.
 
     A SWAP plans one "relabel" step. Every diagonal gate, wherever its
     targets and controls sit, plans one "diagonal" step: a phase multiply
@@ -208,6 +208,15 @@ def scheduled_ops(circuit: Circuit, n: int, k: int, fusion: bool) -> list[GateOp
     return list(circuit.ops)
 
 
+def schedule(circuit: Circuit, n: int, k: int, fusion: bool) -> list[PlanStep]:
+    """Every step of one run: `plan_gate` over `scheduled_ops` from the
+    identity layout, built first so that a bad split fails before fusion
+    takes a width from it. The engine runs the list; the model sums it."""
+    layout = RankLayout.identity(n, k)
+    ops = scheduled_ops(circuit, n, k, fusion)
+    return [step for i, op in enumerate(ops) for step in plan_gate(layout, op, ops[i + 1 :])]
+
+
 # --------------------------------------------------------------------------
 # execution on real amplitudes
 # --------------------------------------------------------------------------
@@ -221,11 +230,8 @@ def partition(
     slice_qubit_cap: int = GATHER_QUBIT_CAP,
 ) -> DistState:
     """Identity layout; the rank owning `initial` holds its amplitude."""
-    k = int(ep.world_size).bit_length() - 1
-    if n <= k:
-        raise ValueError(
-            f"{n} qubits cannot be split over {ep.world_size} ranks"
-        )
+    layout = RankLayout.identity(n, int(ep.world_size).bit_length() - 1)
+    k = layout.k
     if n - k > slice_qubit_cap:
         raise ValueError(
             f"slice of 2^{n - k} amplitudes exceeds the per-rank cap "
@@ -237,7 +243,7 @@ def partition(
     amps = np.zeros(local, dtype=precision.dtype)
     if ep.rank == initial >> (n - k):
         amps[initial & (local - 1)] = 1.0
-    return DistState(RankLayout.identity(n, k), StateSlice._adopt(amps, precision), ep)
+    return DistState(layout, StateSlice._adopt(amps, precision), ep)
 
 
 def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
@@ -248,12 +254,6 @@ def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
         raise ValueError(f"global position {global_pos} out of range")
     if not 0 <= local_pos < lay.local_bits:
         raise ValueError(f"local position {local_pos} out of range")
-    _exchange_halves(st, global_pos, local_pos)
-    lay.swap_positions(global_pos, local_pos)
-
-
-def _exchange_halves(st: DistState, global_pos: int, local_pos: int) -> None:
-    lay = st.layout
     bit = global_pos - lay.local_bits
     g = (st.ep.rank >> bit) & 1
     amps = st.slice.amps
@@ -266,21 +266,24 @@ def _exchange_halves(st: DistState, global_pos: int, local_pos: int) -> None:
     packed = np.array(moving, order="C")
     received = st.ep.exchange(st.ep.rank ^ (1 << bit), packed.reshape(-1).view(np.uint8))
     moving[...] = np.frombuffer(received, dtype=amps.dtype).reshape(moving.shape)
+    lay.swap_positions(global_pos, local_pos)
 
 
 def _execute(st: DistState, step: PlanStep) -> None:
+    """Run one step on the amplitudes; a relabel or relocalize step moves
+    `st.layout` as it runs, so steps execute in their planned order."""
+    lay = st.layout
     if step.action == "relabel":
-        return
-    if step.action == "relocalize":
-        _exchange_halves(st, step.global_pos, step.local_pos)
-        return
-    if step.action == "local":
+        a, b = step.op.targets
+        lay.swap_positions(lay.position_of(a), lay.position_of(b))
+    elif step.action == "relocalize":
+        relocalize(st, step.global_pos, step.local_pos)
+    elif step.action == "local":
         _apply_local(st, step.op)
-        return
-    if step.action == "diagonal":
+    elif step.action == "diagonal":
         _apply_diagonal_shortcut(st, step.op)
-        return
-    raise AssertionError(f"unknown plan step {step.action!r}")
+    else:
+        raise AssertionError(f"unknown plan step {step.action!r}")
 
 
 def _apply_local(st: DistState, op: GateOp) -> None:
@@ -318,7 +321,7 @@ def apply(st: DistState, gate: GateOp, future_ops=()) -> None:
     dictated by the scheduling policy."""
     if any(q >= st.n for q in gate.qubits):
         raise ValueError(f"gate qubit out of range for {st.n}-qubit state")
-    for step in plan_gate(st.layout, gate, future_ops):
+    for step in plan_gate(st.layout.copy(), gate, future_ops):
         _execute(st, step)
 
 
@@ -329,11 +332,9 @@ def run_distributed(
     precision: Precision = Precision.DOUBLE,
 ) -> DistState:
     """SPMD circuit execution; every rank calls with identical arguments."""
-    k = int(ep.world_size).bit_length() - 1
-    ops = scheduled_ops(circuit, circuit.num_qubits, k, fusion)
     st = partition(circuit.num_qubits, ep, precision=precision)
-    for i, op in enumerate(ops):
-        apply(st, op, ops[i + 1 :])
+    for step in schedule(circuit, st.n, st.layout.k, fusion):
+        _execute(st, step)
     return st
 
 

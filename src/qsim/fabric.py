@@ -1,11 +1,10 @@
 """Rank-to-rank message passing with interchangeable transports.
 
 Two endpoint flavors share one contract:
-  - loopback: every rank is a worker thread in one process, channels are
-    in-memory queues, and the world shares one traffic log
+  - loopback: every rank is a worker thread in one process, and channels
+    are in-memory queues
   - tcp: one OS process per rank, full mesh of localhost sockets with
-    frames headed by a little-endian 8-byte length and a 1-byte tag, and a
-    traffic log per rank
+    frames headed by a little-endian 8-byte length and a 1-byte tag
 
 Every frame is tagged with the operation that sent it (exchange, barrier,
 broadcast, allreduce or allgather). When two paired ranks are in different
@@ -24,8 +23,10 @@ exchange() moves each byte once on either side:
 Collectives read their frames in pieces bounded by the bytes actually
 received, never into a buffer sized only by an unchecked header.
 
-Every endpoint counts its own exchange() traffic in `ep.traffic` as the
-payload's nbytes, the bytes that the performance model predicts.
+Every endpoint, of either flavor, logs its own exchange() sends in
+`ep.traffic`: the payload's nbytes, keyed by the hypercube bit the message
+crossed. These are the bytes and the per-level shape that the performance
+model predicts for one rank.
 
 Collectives (barrier, broadcast, allreduce, allgather) are built on the
 pairwise primitive with recursive doubling, so a world of P = 2^k ranks
@@ -73,21 +74,20 @@ class FabricEndpoint:
     """One rank's handle into a world of P = 2^k connected ranks.
 
     Subclasses provide `_transfer`; everything else is shared. An endpoint
-    is confined to a single worker at a time. `traffic` records every
-    exchange() this endpoint makes; ranks may share one log.
+    is confined to a single worker at a time. `traffic` logs every
+    exchange() this endpoint sends.
     """
 
     kind = "abstract"
 
-    def __init__(self, rank: int, world_size: int, timeout: float = DEFAULT_TIMEOUT,
-                 traffic: TrafficLog | None = None):
+    def __init__(self, rank: int, world_size: int, timeout: float = DEFAULT_TIMEOUT):
         self.hypercube_bits = _check_world_size(world_size)
         if not 0 <= rank < world_size:
             raise ValueError("rank out of range")
         self.rank = rank
         self.world_size = world_size
         self.timeout = timeout
-        self.traffic = traffic if traffic is not None else TrafficLog()
+        self.traffic = TrafficLog()
 
     # --- transport primitive -------------------------------------------
 
@@ -132,7 +132,7 @@ class FabricEndpoint:
                 f"exchange length mismatch: sent {len(payload)} bytes, "
                 f"received {len(got)}"
             )
-        self.traffic.record(self.rank, peer, len(payload))
+        self.traffic.record((self.rank ^ peer).bit_length() - 1, len(payload))
         return got
 
     # --- collectives ------------------------------------------------------
@@ -220,9 +220,8 @@ class LoopbackEndpoint(FabricEndpoint):
 
     kind = "loopback"
 
-    def __init__(self, rank, world_size, channels, timeout=DEFAULT_TIMEOUT,
-                 traffic=None):
-        super().__init__(rank, world_size, timeout, traffic)
+    def __init__(self, rank, world_size, channels, timeout=DEFAULT_TIMEOUT):
+        super().__init__(rank, world_size, timeout)
         self._channels = channels
 
     def _transfer(
@@ -444,48 +443,21 @@ def _create_tcp_endpoint(rank, world_size, rendezvous, timeout) -> TcpEndpoint:
 
 
 class TrafficLog:
-    """Byte counters for exchange() traffic. Collectives are not counted;
-    only the state-exchange primitive feeds the performance model.
-
-    Ranks record from their own threads while others read, so readers
-    copy the counters under the same lock: iterating a dict that another
-    thread inserts into raises RuntimeError."""
+    """One endpoint's exchange() sends, keyed by the hypercube bit each
+    message crossed, (rank ^ peer).bit_length() - 1: the shape of the
+    model's per-level profile. Collectives are not counted; only the
+    state-exchange primitive feeds the performance model."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self.pair_bytes: dict[tuple[int, int], int] = {}
-        self.pair_messages: dict[tuple[int, int], int] = {}
+        self.bit_bytes: dict[int, int] = {}
+        self.bit_messages: dict[int, int] = {}
 
-    def record(self, src: int, dst: int, nbytes: int):
-        with self._lock:
-            self.pair_bytes[(src, dst)] = self.pair_bytes.get((src, dst), 0) + nbytes
-            self.pair_messages[(src, dst)] = self.pair_messages.get((src, dst), 0) + 1
+    def record(self, bit: int, nbytes: int):
+        self.bit_bytes[bit] = self.bit_bytes.get(bit, 0) + nbytes
+        self.bit_messages[bit] = self.bit_messages.get(bit, 0) + 1
 
-    def _items(self, counts: dict[tuple[int, int], int]) -> list:
-        with self._lock:
-            return list(counts.items())
-
-    def bytes_sent(self, src: int | None = None) -> int:
-        return sum(
-            n for (s, _), n in self._items(self.pair_bytes) if src is None or s == src
-        )
-
-    def bit_bytes(self, rank: int | None = None) -> dict[int, int]:
-        """Bytes sent keyed by the hypercube bit the message crossed
-        (bit = log2(src XOR dst)); one rank's view or the aggregate."""
-        return self._by_bit(self.pair_bytes, rank)
-
-    def bit_messages(self, rank: int | None = None) -> dict[int, int]:
-        return self._by_bit(self.pair_messages, rank)
-
-    def _by_bit(self, counts, rank: int | None) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (s, d), n in self._items(counts):
-            if rank is not None and s != rank:
-                continue
-            bit = (s ^ d).bit_length() - 1
-            out[bit] = out.get(bit, 0) + n
-        return out
+    def bytes_sent(self) -> int:
+        return sum(self.bit_bytes.values())
 
 
 # --------------------------------------------------------------------------
@@ -510,9 +482,8 @@ def create_world(
             for j in range(world_size)
             if i != j
         }
-        log = TrafficLog()
         return [
-            LoopbackEndpoint(r, world_size, channels, timeout, log)
+            LoopbackEndpoint(r, world_size, channels, timeout)
             for r in range(world_size)
         ]
     if kind == "tcp":

@@ -8,9 +8,9 @@ Predicted time for one rank is
 where exchange bytes at bit g are what one rank sends in one direction per
 half-slice relocalization and the link serving bit g comes from the
 hierarchical topology. There is no latency or contention term: bisection
-bandwidth is the modeled constraint. Traffic is obtained by replaying the
-distributed engine's own scheduling policy symbolically, so the counts
-match the traffic an endpoint records exactly.
+bandwidth is the modeled constraint. Traffic is a sum over the step list
+that the distributed engine executes (`dist.schedule`), so the counts
+match, bit by bit, the sends that each endpoint logs.
 
 Bandwidth catalog values are peak bidirectional figures in bytes/second
 (1 GB/s = 1e9 B/s). Per-system memory bandwidths are calibration inputs,
@@ -19,10 +19,10 @@ not measurements; override them in topology configs as needed.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .dist import RankLayout, plan_gate, scheduled_ops
+from .dist import schedule
 from .svcore import Circuit, Precision
 
 _GB = 1e9
@@ -189,25 +189,16 @@ def schedule_traffic(
     fusion: bool = False,
     precision: Precision = Precision.DOUBLE,
 ) -> TrafficProfile:
-    """Replay the distributed engine's scheduling policy symbolically.
+    """Sum the distributed engine's own step list, `dist.schedule`.
     Every local or diagonal application sweeps the slice once (read+write);
     a diagonal step from fusion may span up to 13 qubits and is still one
     sweep. Every relocalization moves half the slice per rank in each
     direction."""
     k = topology.global_bits
-    if n <= k:
-        raise ValueError(f"{n} qubits cannot be split over {1 << k} ranks")
-    ops = scheduled_ops(circuit, n, k, fusion)
-    layout = RankLayout.identity(n, k)
-    sweeps = 0
-    swaps: dict[int, int] = {}
-    for i, op in enumerate(ops):
-        for step in plan_gate(layout, op, ops[i + 1 :]):
-            if step.action in ("local", "diagonal"):
-                sweeps += 1
-            elif step.action == "relocalize":
-                bit = step.global_pos - (n - k)
-                swaps[bit] = swaps.get(bit, 0) + 1
+    steps = schedule(circuit, n, k, fusion)
+    sweeps = sum(step.action in ("local", "diagonal") for step in steps)
+    # a relocalization crosses the rank-id bit of its global position
+    swaps = Counter(step.global_pos - (n - k) for step in steps if step.action == "relocalize")
     bpa = precision.value
     slice_bytes = (1 << (n - k)) * bpa
     half_slice = (1 << max(n - k - 1, 0)) * bpa

@@ -11,12 +11,29 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qsim import dist, svcore as sv
+from qsim import bench, dist, perfmodel, svcore as sv
 from qsim.fabric import create_world, run_spmd
 from qsim.svcore import Circuit
 
 TESTS_DIR = Path(__file__).parent
 SRC_DIR = TESTS_DIR.parent / "src"
+
+
+def model_traffic(cfg, ranks) -> dict:
+    """A benchmark report's `traffic` as the model predicts it for each of
+    `ranks` ranks: the per-rank profile summed over the config's circuits."""
+    topo = perfmodel.nvl72_topology().for_ranks(ranks)
+    profiles = [perfmodel.schedule_traffic(c, cfg.n, topo, fusion=cfg.fusion)
+                for c in bench._build_circuits(cfg)]
+    by_bit: dict[str, int] = {}
+    for p in profiles:
+        for bit, nbytes in p.exchange_bytes_per_level.items():
+            by_bit[str(bit)] = by_bit.get(str(bit), 0) + nbytes
+    return {
+        "exchange_bytes_total": sum(p.total_exchange_bytes for p in profiles),
+        "messages_total": sum(p.swap_count for p in profiles),
+        "bytes_by_global_bit": by_bit,
+    }
 
 
 def random_unitary(width: int, seed: int) -> np.ndarray:

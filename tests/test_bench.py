@@ -1,9 +1,9 @@
 import json
 
 import pytest
-from conftest import sample_one_rank
+from conftest import model_traffic, sample_one_rank
 
-from qsim import bench, perfmodel
+from qsim import bench
 from qsim import svcore as sv
 from qsim.bench import BenchmarkConfig, run_benchmark
 from qsim.fabric import create_world, run_spmd
@@ -83,18 +83,7 @@ class TestRunBenchmarkConfig:
 @pytest.mark.parametrize("family", ["qpe", "tfim", "random"])
 def test_report_counts_this_ranks_traffic(family):
     cfg = BenchmarkConfig(family, 6, num_circuits=3)
-    topo = perfmodel.nvl72_topology().for_ranks(4)
-    profiles = [perfmodel.schedule_traffic(c, 6, topo, fusion=True)
-                for c in bench._build_circuits(cfg)]
-    by_bit: dict[str, int] = {}
-    for p in profiles:
-        for bit, nbytes in p.exchange_bytes_per_level.items():
-            by_bit[str(bit)] = by_bit.get(str(bit), 0) + nbytes
-    expect = {
-        "exchange_bytes_total": sum(p.total_exchange_bytes for p in profiles),
-        "messages_total": sum(p.swap_count for p in profiles),
-        "bytes_by_global_bit": by_bit,
-    }
+    expect = model_traffic(cfg, 4)
     assert expect["exchange_bytes_total"] > 0
     reports = run_spmd(create_world("loopback", 4), lambda ep: run_benchmark(cfg, ep))
     for report in reports:

@@ -260,3 +260,8 @@ class TestRandomCircuit:
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError):
             build_random_circuit(1, 5, seed=0)
+
+    @pytest.mark.parametrize("num_gates", [-1, -5])
+    def test_negative_gate_count_rejected(self, num_gates):
+        with pytest.raises(ValueError, match=f"num_gates must be >= 0, got {num_gates}"):
+            build_random_circuit(4, num_gates, seed=0)

@@ -4,9 +4,9 @@ import json
 import sys
 
 import pytest
-from conftest import run_ranks
+from conftest import model_traffic, run_ranks
 
-from qsim import circuits, cli, perfmodel
+from qsim import bench, circuits, cli, perfmodel
 
 PRESET_LINKS = {
     "nvl72": ("NVLink 5", "NVLink 5"),
@@ -143,6 +143,27 @@ def test_random_bench_takes_a_negative_seed(capsys):
     assert json.loads(out)["config"]["seed"] == -1
 
 
+def run_fails(capsys, *argv):
+    rc = cli.parse_and_run(list(argv), env={})
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    return err
+
+
+def test_random_bench_rejects_a_negative_gate_count(capsys):
+    err = run_fails(capsys, "bench", "random", "-n", "4", "-c", "2", "--gates", "-5")
+    assert err == "error: num_gates must be >= 0, got -5\n"
+
+
+@pytest.mark.parametrize("fusion", ["on", "off"])
+@pytest.mark.parametrize("qubits", [3, 4])
+def test_bench_names_a_split_over_too_many_ranks(capsys, qubits, fusion):
+    # the split is checked before fusion picks a block width from it
+    err = run_fails(capsys, "bench", "qpe", "-n", str(qubits), "-c", "2",
+                    "--ranks", "16", "--fusion", fusion)
+    assert err == f"error: {qubits} qubits cannot be split over 16 ranks\n"
+
+
 class TestReportOutput:
     def test_bench_json_stdout_equals_file(self, saved_report):
         path, out = saved_report
@@ -193,3 +214,33 @@ class TestReportOutput:
         report = json.loads(stdout[0])
         assert list(report) == REPORT_KEYS
         assert (report["world_size"], report["transport"]) == (2, "tcp")
+        expect = model_traffic(cli._bench_config(cli.build_parser({}).parse_args(BENCH_ARGV)), 2)
+        assert expect["exchange_bytes_total"] > 0
+        assert report["traffic"] == expect
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{}", "missing keys ['schema_version', 'config', "),
+            ("[1]", "got list"),
+            ('{"circuits": []}', "missing keys ['schema_version', "),
+        ],
+        ids=["empty-object", "list", "partial"],
+    )
+    def test_report_of_a_non_report_names_the_problem(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        err = run_fails(capsys, "report", str(path))
+        assert err.startswith("error: ")
+        assert message in err
+
+    def test_report_names_unknown_keys(self, saved_report):
+        path, _ = saved_report
+        report = json.loads(path.read_text())
+        report["extra"] = 1
+        del report["circuits"][0]["fidelity"]
+        with pytest.raises(ValueError, match=r"unknown keys \['extra'\]"):
+            bench.report_from_json(json.dumps(report))
+        del report["extra"]
+        with pytest.raises(ValueError, match=r"CircuitResult: missing keys \['fidelity'\]"):
+            bench.report_from_json(json.dumps(report))

@@ -14,9 +14,10 @@ from qsim.svcore import Circuit, Precision, dense_run
 
 
 def spmd(P, fn, with_log=False):
+    """fn's result per rank, and with_log also each rank's traffic log."""
     world = create_world("loopback", P)
     results = run_spmd(world, fn)
-    return (results, world[0].traffic) if with_log else results
+    return (results, [ep.traffic for ep in world]) if with_log else results
 
 
 class TestPartition:
@@ -116,12 +117,12 @@ class TestRelocalize:
             st = partition(n, ep)
             dist.relocalize(st, 7, 2)
 
-        (_, log) = spmd(P, body, with_log=True)
+        (_, logs) = spmd(P, body, with_log=True)
         expect = (1 << (n - 3 - 1)) * 16
         for r in range(P):
-            assert log.bytes_sent(src=r) == expect
+            assert logs[r].bytes_sent() == expect
         # bit level: position 7 -> global bit 1
-        assert log.bit_bytes(0) == {1: expect}
+        assert logs[0].bit_bytes == {1: expect}
 
     def test_position_validation(self):
         def body(ep):
@@ -224,8 +225,8 @@ class TestApplyDispatch:
             dist.apply(st, sv.cx(3, 0))  # control qubit 3 sits on the global bit
             return np.array_equal(st.slice.amps, before)
 
-        (results, log) = spmd(2, body, with_log=True)
-        assert log.bytes_sent() == 0
+        (results, logs) = spmd(2, body, with_log=True)
+        assert [log.bytes_sent() for log in logs] == [0, 0]
         assert all(results)  # control bit is 0 in |0...0>: no rank changes data
 
     def test_diagonal_global_zero_traffic(self):
@@ -238,20 +239,18 @@ class TestApplyDispatch:
             st = partition(6, ep)
             for q in range(6):
                 dist.apply(st, sv.h(q))
-            # other ranks may still be recording their H-gate exchanges, so
-            # each rank reads only its own sent bytes, which only it adds to
-            baseline = ep.traffic.bytes_sent(src=ep.rank)
+            baseline = ep.traffic.bytes_sent()
             for op in ops:
                 dist.apply(st, op)
-            added = ep.traffic.bytes_sent(src=ep.rank) - baseline
+            added = ep.traffic.bytes_sent() - baseline
             return dist.gather(st).amps, baseline, added
 
-        (results, log) = spmd(4, body, with_log=True)
+        (results, logs) = spmd(4, body, with_log=True)
         # the H gates may move data; the diagonal block must add zero bytes
         for amps, _, added in results:
             assert added == 0
             assert np.max(np.abs(amps - dense)) <= 1e-12
-        assert log.bytes_sent() == sum(baseline for _, baseline, _ in results)
+        assert [log.bytes_sent() for log in logs] == [baseline for _, baseline, _ in results]
 
     def test_diagonal_wider_than_local_space_matches_dense(self):
         # n=2 over P=2 leaves one local bit for two-target diagonals
@@ -273,12 +272,12 @@ class TestApplyDispatch:
             dist.apply(st, sv.h(9))
             return dist.gather(st).amps
 
-        (results, log) = spmd(4, body, with_log=True)
+        (results, logs) = spmd(4, body, with_log=True)
         dense = dense_run(Circuit(10, [sv.h(9)])).amps
         assert np.max(np.abs(results[0] - dense)) <= 1e-12
         for r in range(4):
-            assert log.bit_messages(r) == {1: 1}
-            assert log.bytes_sent(src=r) == (1 << (10 - 2 - 1)) * 16
+            assert logs[r].bit_messages == {1: 1}
+            assert logs[r].bytes_sent() == (1 << (10 - 2 - 1)) * 16
 
     def test_swap_is_pure_relabel(self):
         def body(ep):
@@ -287,9 +286,9 @@ class TestApplyDispatch:
             dist.apply(st, sv.swap(0, 5))  # local <-> global swap: relabel only
             return dist.gather(st).amps
 
-        (results, log) = spmd(4, body, with_log=True)
+        (results, logs) = spmd(4, body, with_log=True)
         dense = dense_run(Circuit(6, [sv.h(0), sv.swap(0, 5)])).amps
-        assert log.bytes_sent() == 0
+        assert [log.bytes_sent() for log in logs] == [0] * 4
         assert np.max(np.abs(results[0] - dense)) <= 1e-12
 
 
@@ -420,11 +419,7 @@ PLAN_CENSUS = {
 def test_fused_plan_census_pinned(name):
     build, k, expect = PLAN_CENSUS[name]
     c = build()
-    layout = RankLayout.identity(c.num_qubits, k)
-    ops = dist.scheduled_ops(c, c.num_qubits, k, fusion=True)
-    actions = [
-        s.action for i, op in enumerate(ops) for s in plan_gate(layout, op, ops[i + 1:])
-    ]
+    actions = [s.action for s in dist.schedule(c, c.num_qubits, k, fusion=True)]
     got = tuple(actions.count(a) for a in ("local", "diagonal", "relocalize"))
     assert got == expect
 
@@ -463,12 +458,13 @@ class TestRunDistributed:
         assert amps[63] == pytest.approx(2**-0.5, abs=1e-12)
         assert np.count_nonzero(np.abs(amps) > 1e-12) == 2
 
-    def test_needs_more_qubits_than_ranks_bits(self):
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    def test_needs_more_qubits_than_ranks_bits(self, fusion):
         c = Circuit(2, [sv.h(0)])
 
         def body(ep):
-            with pytest.raises(ValueError, match="split"):
-                dist.run_distributed(c, ep)
+            with pytest.raises(ValueError, match="2 qubits cannot be split over 4 ranks"):
+                dist.run_distributed(c, ep, fusion=fusion)
 
         spmd(4, body)
 
@@ -483,16 +479,20 @@ TRACED_CIRCUITS = {
 
 def traced_calls(c, ep):
     """The public calls of the traced benchmark run: relocalizations are
-    taken out of `dist.apply` by planning each op on a layout copy."""
+    taken out of `dist.apply` by planning each op on a layout copy.
+    Returns the state and every step planned, in order."""
     k = ep.world_size.bit_length() - 1
     ops = dist.scheduled_ops(c, c.num_qubits, k, True)
     st = partition(c.num_qubits, ep)
+    planned = []
     for i, op in enumerate(ops):
-        for step in plan_gate(st.layout.copy(), op, ops[i + 1:]):
+        steps = plan_gate(st.layout.copy(), op, ops[i + 1:])
+        for step in steps:
             if step.action == "relocalize":
                 dist.relocalize(st, step.global_pos, step.local_pos)
         dist.apply(st, op, ops[i + 1:])
-    return st
+        planned += steps
+    return st, planned
 
 
 @pytest.mark.parametrize("P", [2, 4])
@@ -502,12 +502,29 @@ def test_traced_calls_equal_run_distributed_and_model(name, P):
     topo = perfmodel.nvl72_topology().for_ranks(P)
     prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion=True)
     assert prof.swap_count > 0
-    traced, traffic = spmd(P, lambda ep: traced_calls(c, ep), with_log=True)
+    traced, traffic = spmd(P, lambda ep: traced_calls(c, ep)[0], with_log=True)
     plain = spmd(P, lambda ep: dist.run_distributed(c, ep, fusion=True))
     for rank in range(P):
         assert np.array_equal(traced[rank].slice.amps, plain[rank].slice.amps)
         assert traced[rank].layout.perm == plain[rank].layout.perm
-        assert traffic.bytes_sent(src=rank) == prof.total_exchange_bytes
+        assert traffic[rank].bytes_sent() == prof.total_exchange_bytes
+
+
+def step_fields(steps):
+    return [(s.action, s.global_pos, s.local_pos) for s in steps]
+
+
+@pytest.mark.parametrize("P", [2, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_schedule_equals_traced_per_op_plans(P, data):
+    # the traced run plans each op on a copy of the state's layout as it
+    # runs; `dist.schedule` plans the whole stream before anything runs
+    k = P.bit_length() - 1
+    c = data.draw(mixed_circuits(k))
+    expect = step_fields(dist.schedule(c, c.num_qubits, k, True))
+    for _, planned in spmd(P, lambda ep: traced_calls(c, ep)):
+        assert step_fields(planned) == expect
 
 
 def check_distributed_equals_dense(P, fusion, precision, c):

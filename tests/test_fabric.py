@@ -1,6 +1,5 @@
 import socket
 import struct
-import sys
 import threading
 import time
 import tracemalloc
@@ -95,7 +94,7 @@ class TestExchangeBuffers:
 
         def body(ep):
             got = ep.exchange(1 - ep.rank, PAYLOAD_KINDS[kind](raws[ep.rank]))
-            return bytes(got), ep.traffic.bytes_sent(src=ep.rank)
+            return bytes(got), ep.traffic.bytes_sent()
 
         if transport == "loopback":
             results = run_spmd(create_world("loopback", 2), body)
@@ -265,27 +264,22 @@ class TestFailures:
 class TestTrafficLog:
     def test_exchange_symmetry(self):
         world = create_world("loopback", 4)
-        log = world[0].traffic
 
         def body(ep):
             ep.exchange(ep.rank ^ 1, b"z" * 32)
             ep.exchange(ep.rank ^ 2, b"z" * 8)
 
         run_spmd(world, body)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    assert log.pair_bytes.get((src, dst), 0) == log.pair_bytes.get(
-                        (dst, src), 0
-                    )
-        assert log.bytes_sent(src=0) == 40
-        assert log.bit_bytes(0) == {0: 32, 1: 8}
-        assert log.bit_messages(0) == {0: 1, 1: 1}
-        assert sum(log.bit_messages().values()) == 8
+        # each rank logs only its own sends, so every pair is seen from
+        # both ends: the same bytes on the bit that the pair crosses
+        for ep in world:
+            assert ep.traffic.bytes_sent() == 40
+            assert ep.traffic.bit_bytes == {0: 32, 1: 8}
+            assert ep.traffic.bit_messages == {0: 1, 1: 1}
+        assert sum(sum(ep.traffic.bit_messages.values()) for ep in world) == 8
 
     def test_collectives_not_counted(self):
         world = create_world("loopback", 4)
-        log = world[0].traffic
 
         def body(ep):
             ep.barrier()
@@ -294,41 +288,16 @@ class TestTrafficLog:
             ep.allgather_bytes(b"y" * 50)
 
         run_spmd(world, body)
-        assert log.bytes_sent() == 0
-        assert sum(log.bit_messages().values()) == 0
+        for ep in world:
+            assert ep.traffic.bytes_sent() == 0
+            assert ep.traffic.bit_messages == {}
 
     def test_counters_monotone(self):
         log = TrafficLog()
-        log.record(0, 1, 10)
+        log.record(0, 10)
         before = log.bytes_sent()
-        log.record(0, 1, 5)
+        log.record(0, 5)
         assert log.bytes_sent() >= before
-
-    def test_reads_while_another_rank_records(self):
-        # rank 0 opens new (src, dst) counters while rank 1 reads; reading
-        # a dict another thread inserts into raises RuntimeError
-        log = TrafficLog()
-        peers = 10000
-        done = threading.Event()
-
-        def record():
-            for dst in range(1, peers + 1):
-                log.record(0, dst, 8)
-            done.set()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads mid-read
-        try:
-            writer = threading.Thread(target=record)
-            writer.start()
-            while not done.is_set():
-                assert log.bytes_sent(src=1) == 0
-                log.bit_messages()
-            writer.join()
-        finally:
-            sys.setswitchinterval(interval)
-        assert log.bytes_sent(src=0) == 8 * peers
-        assert sum(log.bit_messages().values()) == peers
 
 
 class TestFraming:

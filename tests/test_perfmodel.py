@@ -51,11 +51,10 @@ class TestModelBytesEqualRecorded:
         prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion, precision)
         world = create_world("loopback", P)
         run_spmd(world, lambda ep: dist.run_distributed(c, ep, fusion, precision))
-        log = world[0].traffic
-        for r in range(P):
-            assert log.bytes_sent(src=r) == prof.total_exchange_bytes
-            assert log.bit_bytes(r) == prof.exchange_bytes_per_level
-            assert log.bit_messages(r) == prof.swap_count_per_level
+        for ep in world:
+            assert ep.traffic.bytes_sent() == prof.total_exchange_bytes
+            assert ep.traffic.bit_bytes == prof.exchange_bytes_per_level
+            assert ep.traffic.bit_messages == prof.swap_count_per_level
 
 
 @pytest.mark.parametrize("name", ["qpe34", "tfim34", "random34"])

@@ -44,8 +44,8 @@ def _normalized(dist) -> dict[str, float]:
 
 def hellinger_fidelity(p: dict[str, float], q: dict[str, float]) -> float:
     """Raw Hellinger fidelity (sum_x sqrt(p_x q_x))^2 of two normalized
-    distributions."""
-    overlap = sum(math.sqrt(p[x] * q[x]) for x in p.keys() & q.keys())
+    distributions; `math.fsum` rounds once, whatever the key set's order."""
+    overlap = math.fsum(math.sqrt(p[x] * q[x]) for x in p.keys() & q.keys())
     return overlap * overlap
 
 
@@ -64,7 +64,7 @@ def fidelity(measured, ideal) -> float:
     # same floating path as above so a uniform measured distribution lands
     # exactly on the baseline
     u = 1.0 / float(1 << width)
-    overlap_u = sum(math.sqrt(v * u) for v in q.values())
+    overlap_u = math.fsum(math.sqrt(v * u) for v in q.values())
     f_uniform = overlap_u * overlap_u
     if 1.0 - f_uniform < 1e-12:
         # the ideal *is* uniform; only an exact match counts
@@ -157,15 +157,21 @@ class BenchmarkReport:
 
 def report_from_json(text: str) -> BenchmarkReport:
     """The inverse of `render("json")`. A document that is not a report
-    raises ValueError naming its missing or unknown keys."""
+    raises ValueError naming its missing or unknown keys, or the field
+    whose value has the wrong type."""
     d = _fields_of(json.loads(text), BenchmarkReport)
-    if not isinstance(d["circuits"], list):
-        raise ValueError("a report's 'circuits' is a JSON list")
     d["circuits"] = [CircuitResult(**_fields_of(c, CircuitResult)) for c in d["circuits"]]
     return BenchmarkReport(**d)
 
 
+# the exact types of JSON value each annotation admits: a bool is no number
+_JSON_TYPES = {"int": [int], "float": [int, float], "str": [str], "bool": [bool],
+               "dict": [dict], "list": [list], "None": [type(None)]}
+
+
 def _fields_of(d, cls) -> dict:
+    """`d` if it holds exactly the fields of `cls`, each a JSON value of the
+    field's annotated type; otherwise ValueError naming what is wrong."""
     names = [f.name for f in fields(cls)]
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object with keys {names}, got {type(d).__name__}")
@@ -175,6 +181,12 @@ def _fields_of(d, cls) -> dict:
         raise ValueError(
             f"not a {cls.__name__}: missing keys {missing}, unknown keys {unknown}"
         )
+    for f in fields(cls):
+        # an annotation such as "float | None" or "list[CircuitResult]"
+        kind = type(d[f.name])
+        if not any(kind in _JSON_TYPES[t.split("[")[0]] for t in f.type.split(" | ")):
+            raise ValueError(f"{cls.__name__} field {f.name!r} must be {f.type}, "
+                             f"got {kind.__name__}")
     return d
 
 

@@ -6,17 +6,18 @@ bits are the rank id. A permutation (program qubit -> position) tracks
 which qubits currently sit on local vs global (rank-id) index bits.
 
 Gates dispatch as:
-  (a) all targets on local bits  -> local matrix application; global
-      controls become per-rank predicates
-  (b) any diagonal gate, with local or global targets -> phase multiply
-      using the rank's known global bit values, zero communication
+  (a) all targets on local bits  -> local matrix application; a global
+      control reads its bit of the rank id, and a 0 skips the rank
+  (b) any diagonal gate, with local or global targets -> phase multiply;
+      a global qubit's phase reads its bit of the rank id, no messages
   (c) otherwise -> relocalize each global target (pairwise half-slice
       exchange with the partner rank), then apply locally
   (d) SWAP -> permutation relabel only, zero data movement
-Rule (d) is tried first, then (b), then (a), then (c). Rule (d) holds with
-fusion on too: `svcore.fuse` keeps every SWAP out of its blocks. Rule (b)
-holds for a DIAGONAL op of up to 13 qubits from `svcore.fuse` too, so a
-whole stretch of diagonal gates is one phase multiply.
+Rule (d) is tried first, then (b), then (a), then (c); (a) and (b) are
+one `svcore.apply_gate` call. Rule (d) holds with fusion on too:
+`svcore.fuse` keeps every SWAP out of its blocks. Rule (b) holds for a
+DIAGONAL op of up to 13 qubits from `svcore.fuse` too, so a whole stretch
+of diagonal gates is one phase multiply.
 
 When rule (c) must evict a local qubit, it looks ahead (Belady) to each
 qubit's next use, and counts as a use only what rule (c) would have to
@@ -278,42 +279,10 @@ def _execute(st: DistState, step: PlanStep) -> None:
         lay.swap_positions(lay.position_of(a), lay.position_of(b))
     elif step.action == "relocalize":
         relocalize(st, step.global_pos, step.local_pos)
-    elif step.action == "local":
-        _apply_local(st, step.op)
-    elif step.action == "diagonal":
-        _apply_diagonal_shortcut(st, step.op)
+    elif step.action in ("local", "diagonal"):
+        sv.apply_gate(st.slice.amps, step.op, lay.perm, st.ep.rank)
     else:
         raise AssertionError(f"unknown plan step {step.action!r}")
-
-
-def _apply_local(st: DistState, op: GateOp) -> None:
-    lay = st.layout
-    tpos = [lay.position_of(t) for t in op.targets]
-    cpos_local = []
-    for c in op.controls:
-        pos = lay.position_of(c)
-        if pos < lay.local_bits:
-            cpos_local.append(pos)
-        elif not (st.ep.rank >> (pos - lay.local_bits)) & 1:
-            return  # a global control bit is 0 on this rank: predicate fails
-    sv._apply_matrix(st.slice.amps, sv.base_matrix(op), tpos, cpos_local)
-
-
-def _apply_diagonal_shortcut(st: DistState, op: GateOp) -> None:
-    lay = st.layout
-    phases, qubits = sv.diagonal_of(op)
-    positions = [lay.position_of(q) for q in qubits]
-    # the phase tensor holds qubits[j] on axis len(qubits)-1-j; fix each
-    # global qubit's axis at this rank's bit value
-    fixed = [
-        (st.ep.rank >> (pos - lay.local_bits)) & 1 if pos >= lay.local_bits
-        else slice(None)
-        for pos in reversed(positions)
-    ]
-    reduced = phases.reshape((2,) * len(qubits))[tuple(fixed)]
-    sv._apply_diagonal(
-        st.slice.amps, reduced.ravel(), [pos for pos in positions if pos < lay.local_bits]
-    )
 
 
 def apply(st: DistState, gate: GateOp, future_ops=()) -> None:

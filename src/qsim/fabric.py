@@ -28,9 +28,9 @@ Every endpoint, of either flavor, logs its own exchange() sends in
 crossed. These are the bytes and the per-level shape that the performance
 model predicts for one rank.
 
-Collectives (barrier, broadcast, allreduce, allgather) are built on the
-pairwise primitive with recursive doubling, so a world of P = 2^k ranks
-finishes every collective in k rounds and all transports produce
+Every collective (barrier, broadcast, allreduce, allgather) is one
+recursive-doubling allgather over the pairwise primitive, so a world of
+P = 2^k ranks finishes it in k rounds and all transports produce
 bit-identical results.
 """
 
@@ -137,55 +137,47 @@ class FabricEndpoint:
 
     # --- collectives ------------------------------------------------------
 
-    def barrier(self):
-        """No rank returns before every rank has entered."""
+    def _allgather(self, tag: int, blob: bytes) -> list[bytes]:
+        """Every rank's blob, ordered by rank: one recursive-doubling round
+        per hypercube bit, each frame tagged `tag`."""
+        items: dict[int, bytes] = {self.rank: bytes(blob)}
         for j in range(self.hypercube_bits):
             peer = self.rank ^ (1 << j)
             try:
-                self._sendrecv(peer, _BARRIER, b"\x00")
+                got = self._sendrecv(peer, tag, _pack_items(items))
             except FabricTimeoutError as e:
                 raise FabricTimeoutError(
-                    f"barrier timed out on rank {self.rank} waiting for rank {peer}"
+                    f"{_OPS[tag]} timed out on rank {self.rank} waiting for rank {peer}"
                 ) from e
+            items.update(_unpack_items(got))
+        return [items[r] for r in range(self.world_size)]
+
+    def barrier(self):
+        """No rank returns before every rank has entered."""
+        self._allgather(_BARRIER, b"")
 
     def broadcast(self, root: int, data: bytes) -> bytes:
         """Every rank returns root's buffer bit-exactly."""
         if not 0 <= root < self.world_size:
             raise FabricError(f"broadcast root {root} out of range")
-        have = self.rank == root
-        payload = bytes(data) if have else b""
-        for j in range(self.hypercube_bits):
-            peer = self.rank ^ (1 << j)
-            got = self._sendrecv(
-                peer, _BROADCAST, b"\x01" + payload if have else b"\x00"
-            )
-            if not have and got[:1] == b"\x01":
-                have, payload = True, got[1:]
-        if not have:  # unreachable in a healthy hypercube
-            raise FabricError("broadcast diffusion incomplete")
-        return payload
+        return self._allgather(_BROADCAST, data if self.rank == root else b"")[root]
 
     def allreduce_sum(self, values) -> np.ndarray:
-        """Elementwise float64 sum across ranks; the combine order is fixed
-        by rank index so every rank computes bit-identical results."""
+        """Elementwise float64 sum across ranks. The gathered vectors are
+        added pairwise in rank order, lower block plus upper block, so every
+        rank computes bit-identical results."""
         acc = np.array(values, dtype=np.float64).reshape(-1)
-        for j in range(self.hypercube_bits):
-            peer = self.rank ^ (1 << j)
-            got = self._sendrecv(peer, _ALLREDUCE, acc.tobytes())
-            if len(got) != acc.nbytes:
-                raise FabricError("allreduce vector length mismatch")
-            other = np.frombuffer(got, dtype=np.float64)
-            acc = other + acc if peer < self.rank else acc + other
-        return acc
+        blobs = self._allgather(_ALLREDUCE, acc.tobytes())
+        if any(len(b) != acc.nbytes for b in blobs):
+            raise FabricError("allreduce vector length mismatch")
+        vecs = [acc if r == self.rank else np.frombuffer(b) for r, b in enumerate(blobs)]
+        while len(vecs) > 1:
+            vecs = [lower + upper for lower, upper in zip(vecs[::2], vecs[1::2])]
+        return vecs[0]
 
     def allgather_bytes(self, blob: bytes) -> list[bytes]:
         """Every rank receives all ranks' blobs, ordered by rank."""
-        items: dict[int, bytes] = {self.rank: bytes(blob)}
-        for j in range(self.hypercube_bits):
-            peer = self.rank ^ (1 << j)
-            got = self._sendrecv(peer, _ALLGATHER, _pack_items(items))
-            items.update(_unpack_items(got))
-        return [items[r] for r in range(self.world_size)]
+        return self._allgather(_ALLGATHER, blob)
 
 
 def _pack_items(items: dict[int, bytes]) -> bytes:

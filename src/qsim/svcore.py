@@ -12,7 +12,11 @@ Conventions shared by every module in this package:
   - a C-contiguous array of 2^m amplitudes viewed as `amps.reshape((2,) * m)`
     holds index bit b on axis m-1-b (`_bit_axes`); kernels, sampling and
     gather are views and reductions over that tensor, not index arrays
-  - diagonal gates (`GateOp.is_diagonal`) never take the matrix path:
+  - `apply_gate(amps, op, positions, high)` applies every non-SWAP op,
+    for the engine, the reference simulator and fusion: qubit q sits at
+    index bit positions[q] of 2^m amplitudes, and a position p >= m reads
+    bit p - m of `high` (a rank's id). A diagonal op never takes the
+    matrix path:
     `_apply_diagonal` multiplies the view `amps.reshape((2,) * (m-L) +
     (2^L,))`, L = min(m, 13) (`_DIAGONAL_INNER_BITS`), in place by a
     factor spelled out over the low L index bits, so its inner loop is a
@@ -34,8 +38,8 @@ Conventions shared by every module in this package:
     block costs more per sweep and leaves later dense gates one qubit
     fewer, while a diagonal stretch takes the phase for nearly nothing.
     Fusion has no matrix algebra of its own: an open block is its qubits
-    and its ops, and its array is built once, when it is emitted, by the
-    kernels that run a state (a stretch's phases by `_product`)
+    and its ops, and its array is built once, when it is emitted, by
+    `apply_gate` (a stretch's phases by `_product`)
   - a SWAP in the reference simulator trades two quarter-blocks of that
     view (`_apply_swap`); the distributed engine only relabels it
   - every other gate takes `_apply_matrix`, which transposes that view to
@@ -436,6 +440,26 @@ def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
         y[...] = held
 
 
+def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0) -> None:
+    """Apply `op` in place to a slice of 2^m amplitudes, qubit q at index
+    bit positions[q]. A position p >= m reads bit p - m of `high`: it fixes
+    a diagonal op's phases, and a control reading 0 skips the op."""
+    m = int(amps.size).bit_length() - 1
+    controls = [positions[c] for c in op.controls]
+    if op.is_diagonal():
+        phases, qubits = diagonal_of(op)
+        at = [positions[q] for q in qubits]
+        if max(at) >= m:
+            # axis len(at)-1-j of the phase tensor holds qubits[j]
+            fixed = [(high >> (p - m)) & 1 if p >= m else slice(None) for p in reversed(at)]
+            phases = phases.reshape((2,) * len(at))[tuple(fixed)].ravel()
+            at = [p for p in at if p < m]
+        _apply_diagonal(amps, phases, at)
+    elif not controls or all((high >> (p - m)) & 1 for p in controls if p >= m):
+        targets = [positions[t] for t in op.targets]
+        _apply_matrix(amps, base_matrix(op), targets, [p for p in controls if p < m])
+
+
 @dataclass
 class StateSlice:
     """A contiguous block of complex amplitudes (the full state, or one
@@ -530,10 +554,8 @@ def apply_gate_dense(state: StateSlice, gate: GateOp) -> StateSlice:
         raise ValueError(f"gate qubit out of range for {n}-qubit state")
     if gate.kind == "SWAP":
         _apply_swap(state.amps, *gate.targets)
-    elif gate.is_diagonal():
-        _apply_diagonal(state.amps, *diagonal_of(gate))
     else:
-        _apply_matrix(state.amps, base_matrix(gate), gate.targets, gate.controls)
+        apply_gate(state.amps, gate, range(n))
     return state
 
 
@@ -682,12 +704,7 @@ class _Block:
             mat = np.eye(1 << u, dtype=complex)
             flat, rows = mat.reshape(-1), {q: u + j for j, q in enumerate(self.qubits)}
             for op in self.ops:
-                if op.is_diagonal():
-                    phases, qubits = diagonal_of(op)
-                    _apply_diagonal(flat, phases, [rows[q] for q in qubits])
-                else:
-                    targets = [rows[q] for q in op.targets]
-                    _apply_matrix(flat, base_matrix(op), targets, [rows[q] for q in op.controls])
+                apply_gate(flat, op, rows)
             return fused(self.qubits, mat)
         phases = _product(diagonal_of(op) for op in self.ops)
         if u > max_width:
@@ -747,9 +764,8 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
 
     Nothing is multiplied while a block is open: a merge joins op lists.
     An emitted dense block's matrix is its ops applied in order to the
-    identity by `_apply_matrix` and `_apply_diagonal`, and a stretch's
-    phases are the `_product` of its ops' `diagonal_of`. No input op's
-    array is written."""
+    identity by `apply_gate`, and a stretch's phases are the `_product` of
+    its ops' `diagonal_of`. No input op's array is written."""
     if not 1 <= max_width <= MAX_FUSION_WIDTH:
         raise ValueError(f"max_width must be in [1, {MAX_FUSION_WIDTH}]")
     out: list[GateOp] = []

@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
-from conftest import model_traffic, sample_one_rank
+from conftest import SRC_DIR, model_traffic, sample_one_rank
 
 from qsim import bench
 from qsim import svcore as sv
@@ -111,3 +114,20 @@ def test_empty_register_sampled_and_exact_agree():
     state = sv.basis_state(3, 5)
     counts = sample_one_rank(state, 10, seed=0, measured=())
     assert bench.fidelity(counts.entries, sv.probabilities(state, ())) == 1.0
+
+
+def test_fidelity_does_not_depend_on_the_hash_seed():
+    # the string keys' set order follows PYTHONHASHSEED; the sum must not
+    code = (
+        "import numpy as np; from qsim import bench; "
+        "rng = np.random.default_rng(7); keys = [format(i, '08b') for i in range(256)]; "
+        "p, q = (dict(zip(keys, rng.random(256))) for _ in range(2)); "
+        "print(repr(bench.fidelity(p, q)), repr(bench.hellinger_fidelity(p, q)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    outs = {
+        subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+                       capture_output=True, text=True, check=True).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert len(outs) == 1

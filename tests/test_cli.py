@@ -234,6 +234,30 @@ class TestReportOutput:
         assert err.startswith("error: ")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.update(config=5),
+             "BenchmarkReport field 'config' must be dict, got int"),
+            (lambda r: r["circuits"][1].update(wall_time_seconds="0.5"),
+             "CircuitResult field 'wall_time_seconds' must be float, got str"),
+            (lambda r: r.update(traffic=[1]),
+             "BenchmarkReport field 'traffic' must be dict | None, got list"),
+            (lambda r: r.update(world_size=True),
+             "BenchmarkReport field 'world_size' must be int, got bool"),
+        ],
+        ids=["number-config", "string-wall-time", "list-traffic", "bool-world-size"],
+    )
+    def test_report_names_a_value_of_the_wrong_type(
+        self, capsys, tmp_path, saved_report, edit, message
+    ):
+        path, _ = saved_report
+        report = json.loads(path.read_text())
+        edit(report)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(report))
+        assert run_fails(capsys, "report", str(bad)) == f"error: {message}\n"
+
     def test_report_names_unknown_keys(self, saved_report):
         path, _ = saved_report
         report = json.loads(path.read_text())

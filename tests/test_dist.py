@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -525,6 +526,48 @@ def test_schedule_equals_traced_per_op_plans(P, data):
     expect = step_fields(dist.schedule(c, c.num_qubits, k, True))
     for _, planned in spmd(P, lambda ep: traced_calls(c, ep)):
         assert step_fields(planned) == expect
+
+
+def fewest_relocalizations(ops, n, k) -> int:
+    """The fewest relocalizations that any choice of evictions gives `ops`
+    from the identity layout: an exhaustive DP over the set of qubits on
+    global bits. A SWAP renames its two qubits in the set, a diagonal op
+    costs nothing, and a non-diagonal op pays one per global target, each
+    evicting any local qubit that is not one of its targets."""
+    cost = {frozenset(range(n - k, n)): 0}
+    for op in ops:
+        after: dict[frozenset, int] = {}
+        for glob, c in cost.items():
+            if op.kind == "SWAP":
+                a, b = op.targets
+                moves = [frozenset({a: b, b: a}.get(q, q) for q in glob)]
+            elif op.is_diagonal():
+                moves = [glob]
+            else:
+                incoming = glob & set(op.targets)
+                free = set(range(n)) - glob - set(op.targets)
+                c += len(incoming)
+                moves = [(glob - incoming) | set(out)
+                         for out in itertools.combinations(sorted(free), len(incoming))]
+            for g in moves:
+                after[g] = min(after.get(g, c), c)
+        cost = after
+    return min(cost.values())
+
+
+@pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+@pytest.mark.parametrize("P", [2, 4, 8])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_schedule_relocalizes_as_few_times_as_any_eviction_order(P, fusion, data):
+    # Belady lookahead is optimal for the op stream it is given
+    k = P.bit_length() - 1
+    c = data.draw(mixed_circuits(k))
+    n = c.num_qubits
+    steps = dist.schedule(c, n, k, fusion)
+    ops = dist.scheduled_ops(c, n, k, fusion)
+    got = sum(s.action == "relocalize" for s in steps)
+    assert got == fewest_relocalizations(ops, n, k)
 
 
 def check_distributed_equals_dense(P, fusion, precision, c):

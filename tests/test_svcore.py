@@ -3,7 +3,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import align_phase, max_deviation, random_unitary, sample_one_rank
+from conftest import (
+    align_phase,
+    max_deviation,
+    mixed_circuits,
+    random_unitary,
+    sample_one_rank,
+)
 from hypothesis import given, settings, strategies as st
 
 from qsim import svcore as sv
@@ -330,6 +336,31 @@ class TestDiagonalOp:
         entry = sum(((index >> t) & 1) << j for j, t in enumerate(targets))
         tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
         assert np.max(np.abs(state.amps - phases[entry] * psi)) <= tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_apply_gate_per_block_equals_whole_state(k, data):
+    # block b of an n-qubit state is a slice of 2^(n-k) amplitudes whose
+    # high k index bits read b: a rank's slice, with b its rank id
+    c = data.draw(mixed_circuits(k))
+    n = c.num_qubits
+    positions = data.draw(st.permutations(range(n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    width = data.draw(st.integers(1, n))
+    wide = sv.diagonal(positions[:width], np.exp(1j * rng.uniform(-3, 3, 1 << width)))
+    for op in c.ops + [wide]:
+        if op.kind == "SWAP" or (
+            not op.is_diagonal() and max(positions[t] for t in op.targets) >= n - k
+        ):
+            continue
+        full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        rows = full.reshape(1 << k, -1).copy()
+        for b in range(1 << k):
+            sv.apply_gate(rows[b], op, positions, high=b)
+        sv.apply_gate(full, op, positions)
+        assert np.max(np.abs(rows.reshape(-1) - full)) <= 1e-12
 
 
 class TestStateSliceOwnership:

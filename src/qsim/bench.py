@@ -158,15 +158,39 @@ class BenchmarkReport:
 def report_from_json(text: str) -> BenchmarkReport:
     """The inverse of `render("json")`. A document that is not a report
     raises ValueError naming its missing or unknown keys, or the field
-    whose value has the wrong type."""
+    whose value has the wrong type. Inside `config` and `traffic`, only the
+    values of the keys present are checked: `config` against
+    `BenchmarkConfig`'s fields, `traffic` against its int totals and its
+    `bytes_by_global_bit` of str -> int."""
     d = _fields_of(json.loads(text), BenchmarkReport)
     d["circuits"] = [CircuitResult(**_fields_of(c, CircuitResult)) for c in d["circuits"]]
+    config_types = {f.name: f.type for f in fields(BenchmarkConfig)}
+    for name, value in d["config"].items():
+        if name in config_types:
+            _check_type("BenchmarkConfig", name, config_types[name], value)
+    traffic = d["traffic"] or {}
+    for name, value in traffic.items():
+        if name in _TRAFFIC_TYPES:
+            _check_type("traffic", name, _TRAFFIC_TYPES[name], value)
+    for bit, nbytes in traffic.get("bytes_by_global_bit", {}).items():
+        _check_type("traffic bytes_by_global_bit", bit, "int", nbytes)
     return BenchmarkReport(**d)
 
 
 # the exact types of JSON value each annotation admits: a bool is no number
 _JSON_TYPES = {"int": [int], "float": [int, float], "str": [str], "bool": [bool],
                "dict": [dict], "list": [list], "None": [type(None)]}
+# the annotation of each value `run_benchmark` writes into `traffic`
+_TRAFFIC_TYPES = {"exchange_bytes_total": "int", "messages_total": "int",
+                  "bytes_by_global_bit": "dict"}
+
+
+def _check_type(owner: str, name: str, annotation: str, value) -> None:
+    """ValueError naming the field unless `value` is a JSON value of the
+    annotated type, such as "float | None" or "list[CircuitResult]"."""
+    kind = type(value)
+    if not any(kind in _JSON_TYPES[t.split("[")[0]] for t in annotation.split(" | ")):
+        raise ValueError(f"{owner} field {name!r} must be {annotation}, got {kind.__name__}")
 
 
 def _fields_of(d, cls) -> dict:
@@ -182,11 +206,7 @@ def _fields_of(d, cls) -> dict:
             f"not a {cls.__name__}: missing keys {missing}, unknown keys {unknown}"
         )
     for f in fields(cls):
-        # an annotation such as "float | None" or "list[CircuitResult]"
-        kind = type(d[f.name])
-        if not any(kind in _JSON_TYPES[t.split("[")[0]] for t in f.type.split(" | ")):
-            raise ValueError(f"{cls.__name__} field {f.name!r} must be {f.type}, "
-                             f"got {kind.__name__}")
+        _check_type(cls.__name__, f.name, f.type, d[f.name])
     return d
 
 

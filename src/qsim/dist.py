@@ -11,7 +11,8 @@ Gates dispatch as:
   (b) any diagonal gate, with local or global targets -> phase multiply;
       a global qubit's phase reads its bit of the rank id, no messages
   (c) otherwise -> relocalize each global target (pairwise half-slice
-      exchange with the partner rank), then apply locally
+      exchange with the partner rank, streamed in pieces of at most
+      2^14 amplitudes through one reused buffer), then apply locally
   (d) SWAP -> permutation relabel only, zero data movement
 Rule (d) is tried first, then (b), then (a), then (c); (a) and (b) are
 one `svcore.apply_gate` call. Rule (d) holds with fusion on too:
@@ -32,6 +33,7 @@ performance model sums the same list, so the two always agree.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -249,24 +251,35 @@ def partition(
 
 def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
     """Swap an index bit between a global position and a local one via a
-    pairwise half-slice exchange; updates the layout permutation."""
+    pairwise half-slice exchange with the partner rank; updates the layout
+    permutation. The half-slice moves in pieces of 2^EXCHANGE_PIECE_BITS
+    amplitudes through one reused buffer, so a relocalization stages one
+    piece, not a slice, and is logged as one message of half a slice."""
     lay = st.layout
     if not lay.local_bits <= global_pos < lay.n:
         raise ValueError(f"global position {global_pos} out of range")
     if not 0 <= local_pos < lay.local_bits:
         raise ValueError(f"local position {local_pos} out of range")
     bit = global_pos - lay.local_bits
+    peer = st.ep.rank ^ (1 << bit)
     g = (st.ep.rank >> bit) & 1
     amps = st.slice.amps
     # entries whose local bit differs from the rank's global bit move out;
-    # the partner's complementary half lands in the same slots
-    moving = amps.reshape(-1, 2, 1 << local_pos)[:, 1 - g]
-    # packed once into a fresh array, which the exchange then owns (a
-    # loopback peer reads it by reference); a 1-D byte view, so that its
-    # len() is the byte count every traffic counter records
-    packed = np.array(moving, order="C")
-    received = st.ep.exchange(st.ep.rank ^ (1 << bit), packed.reshape(-1).view(np.uint8))
-    moving[...] = np.frombuffer(received, dtype=amps.dtype).reshape(moving.shape)
+    # the partner's complementary half lands in the same slots. Each run of
+    # 2^local_pos of them is split into rows of at most one piece, and a
+    # piece is as many whole rows from consecutive runs as fit
+    run, piece_len = 1 << local_pos, 1 << sv.EXCHANGE_PIECE_BITS
+    row = min(run, piece_len)
+    moving = amps.reshape(-1, 2, run // row, row)[:, 1 - g]
+    buf = np.empty((min(len(moving), piece_len // row), row), amps.dtype)
+    # a 1-D byte view, so that its len() is the piece's byte count
+    wire = buf.reshape(-1).view(np.uint8)
+    for a, b in itertools.product(range(0, len(moving), len(buf)), range(run // row)):
+        piece = moving[a : a + len(buf), b]
+        buf[...] = piece
+        received = st.ep.exchange(peer, wire)
+        piece[...] = np.frombuffer(received, dtype=amps.dtype).reshape(buf.shape)
+    st.ep.traffic.record(bit, moving.nbytes)
     lay.swap_positions(global_pos, local_pos)
 
 

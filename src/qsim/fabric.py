@@ -12,21 +12,23 @@ operations, both raise FramingError instead of reading the other's bytes.
 Closing an endpoint makes a peer blocked on it raise FabricError at once,
 so a failing rank does not leave the others to wait out their timeout.
 
-exchange() moves each byte once on either side:
+exchange() is a pure transport call:
   - a tcp frame is the 9-byte header plus the caller's buffer, written
     from where it lies (a small frame goes out in one write)
   - the receiver checks the announced length against its own payload's
     length (the exchange is symmetric) before it reads any payload byte,
     then receives into one uninitialised buffer of that size
-  - loopback passes the caller's buffer by reference, so the caller does
-    not write the payload again once it has handed it to exchange()
+  - loopback copies the payload as it sends it
+Either way the caller may write its buffer again once exchange() returns,
+so `dist.relocalize` streams a half-slice through one reused piece buffer.
 Collectives read their frames in pieces bounded by the bytes actually
 received, never into a buffer sized only by an unchecked header.
 
-Every endpoint, of either flavor, logs its own exchange() sends in
-`ep.traffic`: the payload's nbytes, keyed by the hypercube bit the message
-crossed. These are the bytes and the per-level shape that the performance
-model predicts for one rank.
+Every endpoint, of either flavor, carries a `TrafficLog` in `ep.traffic`,
+which `dist.relocalize` fills: one message of half a slice per
+relocalization, however many exchange() pieces carried it, keyed by the
+hypercube bit it crossed. These are the bytes and the per-level shape that
+the performance model predicts for one rank.
 
 Every collective (barrier, broadcast, allreduce, allgather) is one
 recursive-doubling allgather over the pairwise primitive, so a world of
@@ -74,8 +76,8 @@ class FabricEndpoint:
     """One rank's handle into a world of P = 2^k connected ranks.
 
     Subclasses provide `_transfer`; everything else is shared. An endpoint
-    is confined to a single worker at a time. `traffic` logs every
-    exchange() this endpoint sends.
+    is confined to a single worker at a time. `traffic` logs this rank's
+    relocalizations (see `TrafficLog`).
     """
 
     kind = "abstract"
@@ -113,14 +115,14 @@ class FabricEndpoint:
 
     # --- point-to-point -------------------------------------------------
 
-    def exchange(self, peer: int, payload) -> memoryview:
-        """Symmetric swap: returns the peer's bytes as a byte memoryview.
-        Both sides must send buffers of equal byte length.
+    def exchange(self, peer: int, payload) -> bytes | memoryview:
+        """Symmetric swap: returns the peer's bytes (a tcp frame lands in a
+        byte memoryview, a loopback one is the peer's copy). Both sides
+        must send buffers of equal byte length.
 
         `payload` is any C-contiguous buffer (bytes, bytearray, memoryview,
-        ndarray); it is sent without a copy and counted as its nbytes. The
-        caller does not write it again: a loopback peer reads it by
-        reference."""
+        ndarray), sent as its nbytes. Once this returns, the caller may
+        write it again."""
         if peer == self.rank:
             raise FabricError("exchange with self")
         if not 0 <= peer < self.world_size:
@@ -132,7 +134,6 @@ class FabricEndpoint:
                 f"exchange length mismatch: sent {len(payload)} bytes, "
                 f"received {len(got)}"
             )
-        self.traffic.record((self.rank ^ peer).bit_length() - 1, len(payload))
         return got
 
     # --- collectives ------------------------------------------------------
@@ -207,8 +208,9 @@ def _unpack_items(payload: bytes) -> dict[int, bytes]:
 
 
 class LoopbackEndpoint(FabricEndpoint):
-    """Channels carry (tag, payload) pairs, the payload by reference;
-    `close` puts None on each of this rank's outgoing channels."""
+    """Channels carry (tag, payload) pairs, the payload copied to bytes as
+    it is sent (a collective's bytes are not copied again); `close` puts
+    None on each of this rank's outgoing channels."""
 
     kind = "loopback"
 
@@ -219,7 +221,7 @@ class LoopbackEndpoint(FabricEndpoint):
     def _transfer(
         self, peer: int, tag: int, payload: bytes | memoryview
     ) -> tuple[int, bytes | memoryview]:
-        self._channels[(self.rank, peer)].put((tag, payload))
+        self._channels[(self.rank, peer)].put((tag, bytes(payload)))
         try:
             frame = self._channels[(peer, self.rank)].get(timeout=self.timeout)
         except queue.Empty:
@@ -435,10 +437,10 @@ def _create_tcp_endpoint(rank, world_size, rendezvous, timeout) -> TcpEndpoint:
 
 
 class TrafficLog:
-    """One endpoint's exchange() sends, keyed by the hypercube bit each
-    message crossed, (rank ^ peer).bit_length() - 1: the shape of the
-    model's per-level profile. Collectives are not counted; only the
-    state-exchange primitive feeds the performance model."""
+    """One rank's relocalizations, as `dist.relocalize` records them: each
+    one message of half a slice, keyed by the hypercube bit it crossed,
+    (rank ^ peer).bit_length() - 1, the shape of the model's per-level
+    profile. Neither exchange() nor a collective records anything."""
 
     def __init__(self):
         self.bit_bytes: dict[int, int] = {}

@@ -81,6 +81,13 @@ _DIAGONAL_HIGH_BITS = 3
 # 2^14 and 2^15 ran fastest at n=20 and 2^13 to 2^15 at n=25; 2^16 ran up
 # to 1.4x slower than 2^14 with the target at bit 5
 _DENSE_BLOCK_BITS = 14
+# log2 of the amplitudes that `dist.relocalize` packs and exchanges at once:
+# 256 KiB at complex128. Over tcp at n=20, P=2 (2-vCPU Xeon, median over
+# local positions 0-13), one relocalization took 3.1-3.9 ms with 2^14,
+# 3.7-4.4 ms with 2^13 and 2.7-3.3 ms with 2^15 or 2^16, against 5.9-7.3 ms
+# for the whole half at once; 2^14 stages a quarter of what 2^16 does for
+# about 0.5 ms more per relocalization
+EXCHANGE_PIECE_BITS = 14
 # log2 of the amplitudes in one block of `block_masses`: 2^8 to 2^12 all
 # took about 1 ms at n=20, and smaller blocks leave less to square again
 _SAMPLE_BLOCK_BITS = 8

@@ -245,8 +245,17 @@ class TestReportOutput:
              "BenchmarkReport field 'traffic' must be dict | None, got list"),
             (lambda r: r.update(world_size=True),
              "BenchmarkReport field 'world_size' must be int, got bool"),
+            (lambda r: r["config"].update(benchmark=7),
+             "BenchmarkConfig field 'benchmark' must be str, got int"),
+            (lambda r: r["config"].update(n="six"),
+             "BenchmarkConfig field 'n' must be int, got str"),
+            (lambda r: r["traffic"].update(exchange_bytes_total="lots"),
+             "traffic field 'exchange_bytes_total' must be int, got str"),
+            (lambda r: r["traffic"]["bytes_by_global_bit"].update({"0": 1.5}),
+             "traffic bytes_by_global_bit field '0' must be int, got float"),
         ],
-        ids=["number-config", "string-wall-time", "list-traffic", "bool-world-size"],
+        ids=["number-config", "string-wall-time", "list-traffic", "bool-world-size",
+             "number-benchmark", "string-n", "string-bytes-total", "float-bit-bytes"],
     )
     def test_report_names_a_value_of_the_wrong_type(
         self, capsys, tmp_path, saved_report, edit, message

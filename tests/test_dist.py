@@ -125,6 +125,19 @@ class TestRelocalize:
         # bit level: position 7 -> global bit 1
         assert logs[0].bit_bytes == {1: expect}
 
+    @pytest.mark.parametrize("local_pos", [3, 15])
+    def test_one_message_however_many_pieces(self, local_pos):
+        # n=18 at P=4: the half-slice of 2^15 amplitudes is two pieces
+        def body(ep):
+            st = partition(18, ep)
+            dist.relocalize(st, 17, local_pos)
+
+        (_, logs) = spmd(4, body, with_log=True)
+        assert (1 << 15) >> sv.EXCHANGE_PIECE_BITS == 2
+        for log in logs:
+            assert log.bit_messages == {1: 1}
+            assert log.bit_bytes == {1: (1 << 15) * 16}
+
     def test_position_validation(self):
         def body(ep):
             st = partition(4, ep)
@@ -147,9 +160,11 @@ class TestRelocalize:
 
 class TestTcpRelocalize:
     def test_every_local_position_matches_loopback(self):
-        # the strided half-slice pack and the write-back at every local
-        # position, over real sockets
-        n = 12
+        # the strided piece pack and the write-back at every local
+        # position, over real sockets. n=17 at P=2: the half-slice is two
+        # pieces, and from local position 14 up one run of moving
+        # amplitudes is a piece or more
+        n = 17
         rng = np.random.default_rng(23)
         full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         half = 1 << (n - 1)
@@ -172,16 +187,18 @@ class TestTcpRelocalize:
 
 class LenCountingEndpoint(FabricEndpoint):
     """Counts exchange bytes as `len(payload)`, the way a tracing wrapper
-    that never looks inside the buffer does."""
+    that never looks inside the buffer does, and counts the calls."""
 
     def __init__(self, inner: FabricEndpoint):
         super().__init__(inner.rank, inner.world_size, inner.timeout)
         self.inner = inner
         self.counted = 0
+        self.calls = 0
 
     def exchange(self, peer, payload):
         got = self.inner.exchange(peer, payload)
         self.counted += len(payload)
+        self.calls += 1
         return got
 
     def _transfer(self, peer, tag, payload):
@@ -200,6 +217,22 @@ class TestExchangePayloadLength:
         assert prof.total_exchange_bytes > 0
         for ep in world:
             assert ep.counted == prof.total_exchange_bytes
+
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_pieces_sum_to_the_model_bytes(self, P):
+        # n=18: each relocalization's half-slice is 8 / P pieces, so the
+        # exchange calls outnumber the logged messages
+        c = build_random_circuit(18, 30, seed=41)
+        topo = perfmodel.nvl72_topology().for_ranks(P)
+        prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion=True)
+        pieces = (1 << (18 - P.bit_length())) >> sv.EXCHANGE_PIECE_BITS
+        world = [LenCountingEndpoint(ep) for ep in create_world("loopback", P)]
+        run_spmd(world, lambda ep: dist.run_distributed(c, ep, True))
+        assert prof.swap_count > 0 and pieces > 1
+        for ep in world:
+            assert ep.counted == prof.total_exchange_bytes
+            assert ep.calls == pieces * prof.swap_count
+            assert ep.traffic.bit_messages == prof.swap_count_per_level
 
 
 class TestApplyDispatch:
@@ -801,6 +834,48 @@ class TestSampleMemory:
 
         peak, slice_bytes = spmd(P, body)[0]
         assert peak < P * slice_bytes / 8, (peak, slice_bytes)
+
+
+class TestRelocalizeMemory:
+    """A relocalization stages pieces, not its half-slice: the traced peak
+    of one relocalize stays at or under 4 pieces per rank (1 MiB at
+    complex128) at every local position, including those where one run of
+    moving amplitudes is longer than a piece. Packing the whole half at
+    once held half a slice per rank (4 MiB at n=20, P=2). The P ranks
+    share this process, so the bound covers all of them."""
+
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_peak_at_most_four_pieces_per_rank(self, P):
+        n = 20
+
+        def body(ep):
+            st = partition(n, ep)
+            _spread_slice(st, 9)
+            dist.relocalize(st, n - 1, 0)  # first-call set-up is not traced
+            peaks = []
+            ep.barrier()
+            if ep.rank == 0:
+                tracemalloc.start()
+            try:
+                for lp in range(st.layout.local_bits):
+                    ep.barrier()
+                    if ep.rank == 0:
+                        tracemalloc.reset_peak()
+                    ep.barrier()
+                    dist.relocalize(st, n - 1, lp)
+                    ep.barrier()
+                    if ep.rank == 0:
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                if ep.rank == 0:
+                    tracemalloc.stop()
+            return peaks, st.slice.amps.itemsize
+
+        peaks, itemsize = spmd(P, body)[0]
+        bound = P * 4 * (itemsize << sv.EXCHANGE_PIECE_BITS)
+        assert len(peaks) == n - (P.bit_length() - 1)
+        for lp, peak in enumerate(peaks):
+            assert peak <= bound, (lp, peak, bound)
 
 
 @pytest.mark.usefixtures("small_sample_blocks")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import free_port, launch_tcp_workers, tcp_world
-from qsim import fabric
+from qsim import dist, fabric
 from qsim.fabric import (
     FabricError,
     FabricTimeoutError,
@@ -89,27 +89,26 @@ class TestExchangeBuffers:
     @pytest.mark.parametrize("kind", list(PAYLOAD_KINDS))
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_any_buffer_round_trips_and_counts_nbytes(self, transport, kind):
-        # 37 complex128 values: len() of the array is 37, its nbytes 592
+        # 37 complex128 values: len() of the array is 37, its nbytes 592,
+        # and all 592 bytes travel
         raws = [np.random.default_rng(r).bytes(16 * 37) for r in range(2)]
 
         def body(ep):
-            got = ep.exchange(1 - ep.rank, PAYLOAD_KINDS[kind](raws[ep.rank]))
-            return bytes(got), ep.traffic.bytes_sent()
+            return bytes(ep.exchange(1 - ep.rank, PAYLOAD_KINDS[kind](raws[ep.rank])))
 
         if transport == "loopback":
             results = run_spmd(create_world("loopback", 2), body)
         else:
             with tcp_world(2) as world:
                 results = run_spmd(world, body)
-        for rank, (got, sent) in enumerate(results):
+        for rank, got in enumerate(results):
             assert got == raws[1 - rank]
-            assert sent == 16 * 37
 
     def test_strided_payload_rejected_before_sending(self):
         ep = create_world("loopback", 2)[0]
         with pytest.raises(TypeError, match="C-contiguous"):
             ep.exchange(1, np.zeros(8, dtype=np.complex128)[::2])
-        assert ep.traffic.bytes_sent() == 0
+        assert ep._channels[(0, 1)].empty()
 
 
 class TestBarrier:
@@ -263,18 +262,23 @@ class TestFailures:
 
 class TestTrafficLog:
     def test_exchange_symmetry(self):
+        # n=6 over 4 ranks: a slice of 16 amplitudes, so each
+        # relocalization sends 8 of them, 128 bytes. A bare exchange is
+        # transport only and logs nothing
         world = create_world("loopback", 4)
 
         def body(ep):
+            st = dist.partition(6, ep)
+            dist.relocalize(st, 4, 0)
+            dist.relocalize(st, 5, 1)
             ep.exchange(ep.rank ^ 1, b"z" * 32)
-            ep.exchange(ep.rank ^ 2, b"z" * 8)
 
         run_spmd(world, body)
         # each rank logs only its own sends, so every pair is seen from
         # both ends: the same bytes on the bit that the pair crosses
         for ep in world:
-            assert ep.traffic.bytes_sent() == 40
-            assert ep.traffic.bit_bytes == {0: 32, 1: 8}
+            assert ep.traffic.bytes_sent() == 256
+            assert ep.traffic.bit_bytes == {0: 128, 1: 128}
             assert ep.traffic.bit_messages == {0: 1, 1: 1}
         assert sum(sum(ep.traffic.bit_messages.values()) for ep in world) == 8
 

@@ -29,7 +29,6 @@ from .fabric import FabricEndpoint
 from .svcore import Circuit, CountsDistribution
 
 SCHEMA_VERSION = 1
-ORACLE_QUBIT_CAP = 26
 
 
 def _normalized(dist) -> dict[str, float]:
@@ -238,7 +237,7 @@ def _build_circuits(cfg: BenchmarkConfig) -> list[Circuit]:
 def _ideal_distributions(cfg: BenchmarkConfig, built: list[Circuit]) -> list[dict | None]:
     if cfg.benchmark == "qpe":  # circuit i estimates phase (i mod 2^k) / 2^k
         k = cfg.n - 1
-        return [{format(i % (1 << k), f"0{k}b"): 1.0} for i in range(len(built))]
+        return [{sv.bitstring(i % (1 << k), k): 1.0} for i in range(len(built))]
     if cfg.benchmark == "tfim":  # one circuit, repeated
         return [_oracle_distribution(built[0])] * len(built)
     return [_oracle_distribution(c) for c in built]
@@ -247,7 +246,7 @@ def _ideal_distributions(cfg: BenchmarkConfig, built: list[Circuit]) -> list[dic
 def _oracle_distribution(circuit: Circuit) -> dict[str, float] | None:
     """Ideal outcome distribution from the dense oracle, or None above the
     cap (a missing fidelity is reported as null, never approximated)."""
-    if circuit.num_qubits > ORACLE_QUBIT_CAP:
+    if circuit.num_qubits > sv.QUBIT_CAP:
         return None
     return sv.probabilities(sv.dense_run(circuit), circuit.measured)
 

@@ -7,11 +7,14 @@ Subcommands:
   model strong              strong-scaling curve (CSV or JSON)
   report                    re-emit a saved JSON report (e.g. as CSV)
 
-Environment variables QSIM_FABRIC, QSIM_RENDEZVOUS and QSIM_SEED provide
-defaults; explicit flags always win. Loopback mode spawns all ranks as
-worker threads in this process; tcp mode runs as one rank of an externally
-launched world. Either way every rank measures its own timings and exchange
-traffic, and only rank 0 prints its report (and writes --out).
+Flags are the one input path. Environment variables QSIM_FABRIC,
+QSIM_RENDEZVOUS and QSIM_SEED only provide defaults, which explicit flags
+beat; no config file sets a benchmark parameter. Rank counts (--ranks,
+--max-ranks) follow the one power-of-two rule, `fabric.rank_bits`.
+Loopback mode spawns all ranks as worker threads in this process; tcp mode
+runs as one rank of an externally launched world. Either way every rank
+measures its own timings and exchange traffic, and only rank 0 prints its
+report (and writes --out).
 """
 
 from __future__ import annotations
@@ -105,8 +108,6 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
             sp.add_argument("--coupling", type=float, default=1.0)
             sp.add_argument("--field", type=float, default=1.0)
             sp.add_argument("--time", type=float, default=1.0, dest="t_total")
-            sp.add_argument("--tfim-config", default=None,
-                            help="key=value file with lattice/model parameters")
         if kind == "random":
             sp.add_argument("--gates", type=int, default=None)
 
@@ -133,13 +134,17 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     return root
 
 
-def _check_power_of_two(value: int, what: str):
-    if value < 1 or value & (value - 1):
-        raise ValueError(f"{what} must be a power of two, got {value}")
-
-
 def _bench_config(args) -> BenchmarkConfig:
-    cfg = BenchmarkConfig(
+    """The config the flags spell out; a family's own flags set its fields."""
+    family = {}
+    if args.benchmark == "tfim":
+        family = dict(steps=args.steps, rows=args.rows, cols=args.cols,
+                      lattice=args.lattice, periodic=not args.open_boundary,
+                      coupling=args.coupling, transverse_field=args.field,
+                      t_total=args.t_total)
+    if args.benchmark == "random":
+        family = dict(random_gates=args.gates)
+    return BenchmarkConfig(
         benchmark=args.benchmark,
         n=args.qubits,
         shots=args.shots,
@@ -148,28 +153,8 @@ def _bench_config(args) -> BenchmarkConfig:
         seed=args.seed,
         fabric=args.fabric,
         fusion=args.fusion == "on",
+        **family,
     )
-    if args.benchmark == "tfim":
-        params = {}
-        if args.tfim_config:
-            with open(args.tfim_config, "r", encoding="utf-8") as f:
-                params = perfmodel.read_kv(f.read())
-        cfg.steps = int(params.get("steps", args.steps))
-        rows = params.get("rows", args.rows)
-        cols = params.get("cols", args.cols)
-        cfg.rows = int(rows) if rows is not None else None
-        cfg.cols = int(cols) if cols is not None else None
-        cfg.lattice = params.get("kind", args.lattice)
-        if "periodic" in params:
-            cfg.periodic = params["periodic"].lower() in ("1", "true", "yes")
-        else:
-            cfg.periodic = not args.open_boundary
-        cfg.coupling = float(params.get("J", args.coupling))
-        cfg.transverse_field = float(params.get("h", args.field))
-        cfg.t_total = float(params.get("t_total", args.t_total))
-    if args.benchmark == "random":
-        cfg.random_gates = args.gates
-    return cfg
 
 
 def _write(text: str, out: str | None) -> None:
@@ -181,7 +166,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _run_bench(args) -> int:
-    _check_power_of_two(args.ranks, "--ranks")
+    fabric.rank_bits(args.ranks, "--ranks")
     cfg = _bench_config(args)
 
     def body(ep):
@@ -195,8 +180,6 @@ def _run_bench(args) -> int:
         fabric.run_spmd(fabric.create_world("loopback", args.ranks), body)
         return 0
     # tcp: this process is one rank of an external launch
-    if args.rank is None or args.rendezvous is None:
-        raise ValueError("tcp mode needs --rank and --rendezvous")
     ep = fabric.create_world(
         "tcp", args.ranks, rendezvous=args.rendezvous, rank=args.rank
     )
@@ -259,7 +242,7 @@ def _emit_curve(points, args) -> None:
 
 def _run_model(args) -> int:
     flag = "--ranks" if args.model_cmd == "predict" else "--max-ranks"
-    _check_power_of_two(_model_ranks(args), flag)
+    fabric.rank_bits(_model_ranks(args), flag)
     topology = _topology(args)
     fusion = args.fusion == "on"
     family = _family(args)

@@ -51,8 +51,6 @@ from .svcore import (
     StateSlice,
 )
 
-GATHER_QUBIT_CAP = 26
-
 
 @dataclass
 class RankLayout:
@@ -230,15 +228,14 @@ def partition(
     ep: FabricEndpoint,
     initial: int = 0,
     precision: Precision = Precision.DOUBLE,
-    slice_qubit_cap: int = GATHER_QUBIT_CAP,
 ) -> DistState:
     """Identity layout; the rank owning `initial` holds its amplitude."""
-    layout = RankLayout.identity(n, int(ep.world_size).bit_length() - 1)
+    layout = RankLayout.identity(n, ep.hypercube_bits)
     k = layout.k
-    if n - k > slice_qubit_cap:
+    if n - k > sv.QUBIT_CAP:
         raise ValueError(
             f"slice of 2^{n - k} amplitudes exceeds the per-rank cap "
-            f"of 2^{slice_qubit_cap}"
+            f"of 2^{sv.QUBIT_CAP}"
         )
     if not 0 <= initial < (1 << n):
         raise ValueError("initial basis index out of range")
@@ -320,12 +317,12 @@ def run_distributed(
     return st
 
 
-def gather(st: DistState, qubit_cap: int = GATHER_QUBIT_CAP) -> StateSlice:
+def gather(st: DistState) -> StateSlice:
     """Reassemble the full state in program-qubit order (perm inverted).
     Test/report plumbing; every rank returns the identical vector."""
     n = st.n
-    if n > qubit_cap:
-        raise ValueError(f"gather of 2^{n} amplitudes exceeds the cap of 2^{qubit_cap}")
+    if n > sv.QUBIT_CAP:
+        raise ValueError(f"gather of 2^{n} amplitudes exceeds the cap of 2^{sv.QUBIT_CAP}")
     blobs = st.ep.allgather_bytes(st.slice.amps.tobytes())
     by_position = np.concatenate(
         [np.frombuffer(b, dtype=st.slice.amps.dtype) for b in blobs]

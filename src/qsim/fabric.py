@@ -12,6 +12,11 @@ operations, both raise FramingError instead of reading the other's bytes.
 Closing an endpoint makes a peer blocked on it raise FabricError at once,
 so a failing rank does not leave the others to wait out their timeout.
 
+A world holds P = 2^k ranks, by the one power-of-two rule `rank_bits`.
+A tcp world checks its rank against P before it opens any socket, and a
+rank rejects a peer that announces a rank not above its own, not below P,
+or already taken.
+
 exchange() is a pure transport call:
   - a tcp frame is the 9-byte header plus the caller's buffer, written
     from where it lies (a small frame goes out in one write)
@@ -66,10 +71,12 @@ class FramingError(FabricError):
     pass
 
 
-def _check_world_size(world_size: int) -> int:
-    if world_size < 1 or world_size & (world_size - 1):
-        raise ValueError("world size must be a power of two")
-    return int(world_size).bit_length() - 1
+def rank_bits(count: int, what: str = "world size") -> int:
+    """log2 of a rank count. The one power-of-two rule: the engine, the
+    model and the command line all accept exactly the counts 1, 2, 4, ..."""
+    if count < 1 or count & (count - 1):
+        raise ValueError(f"{what} must be a power of two, got {count}")
+    return int(count).bit_length() - 1
 
 
 class FabricEndpoint:
@@ -83,9 +90,7 @@ class FabricEndpoint:
     kind = "abstract"
 
     def __init__(self, rank: int, world_size: int, timeout: float = DEFAULT_TIMEOUT):
-        self.hypercube_bits = _check_world_size(world_size)
-        if not 0 <= rank < world_size:
-            raise ValueError("rank out of range")
+        self.hypercube_bits = rank_bits(world_size)
         self.rank = rank
         self.world_size = world_size
         self.timeout = timeout
@@ -384,14 +389,18 @@ def _create_tcp_endpoint(rank, world_size, rendezvous, timeout) -> TcpEndpoint:
     opened: list[socket.socket] = []
 
     def accept(listener, on_timeout: str) -> tuple[int, socket.socket]:
+        """A peer's socket and its announced rank: above ours, below P, untaken."""
         try:
             conn, _ = listener.accept()
         except socket.timeout:
             raise FabricTimeoutError(on_timeout) from None
         opened.append(conn)
         _configure(conn, timeout)
-        (peer_rank,) = struct.unpack("<Q", _recv_exact(conn, 8))
-        return int(peer_rank), conn
+        (peer,) = struct.unpack("<Q", _recv_exact(conn, 8))
+        if not rank < peer < world_size or peer in socks:
+            raise FabricError(f"rank {rank}: a peer announced rank {peer}, "
+                              f"out of range or taken in a world of {world_size}")
+        return int(peer), conn
 
     def connect(addr) -> socket.socket:
         sock = _connect_with_retry(addr, timeout)
@@ -468,7 +477,7 @@ def create_world(
 ):
     """loopback -> list of P endpoints (run them on P workers);
     tcp -> this process's single endpoint (requires rendezvous and rank)."""
-    _check_world_size(world_size)
+    rank_bits(world_size)
     if kind == "loopback":
         channels = {
             (i, j): queue.Queue()
@@ -483,6 +492,8 @@ def create_world(
     if kind == "tcp":
         if rendezvous is None or rank is None:
             raise ValueError("tcp worlds need a rendezvous address and a rank")
+        if not 0 <= rank < world_size:
+            raise ValueError(f"rank {rank} out of range for world size {world_size}")
         return _create_tcp_endpoint(rank, world_size, rendezvous, timeout)
     raise ValueError(f"unknown fabric kind {kind!r}")
 

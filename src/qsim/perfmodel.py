@@ -19,10 +19,12 @@ not measurements; override them in topology configs as needed.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .dist import schedule
+from .fabric import rank_bits
 from .svcore import Circuit, Precision
 
 _GB = 1e9
@@ -54,14 +56,10 @@ _CATALOG_GBPS = {
 }
 
 
-def catalog() -> dict[str, LinkModel]:
-    """Peak bidirectional bandwidths for the interconnects modeled here."""
-    return {name: LinkModel(name, gbps * _GB) for name, gbps in _CATALOG_GBPS.items()}
-
-
 def link(name: str) -> LinkModel:
+    """A catalog interconnect at its peak bidirectional bandwidth."""
     try:
-        return catalog()[name]
+        return LinkModel(name, _CATALOG_GBPS[name] * _GB)
     except KeyError:
         raise ValueError(
             f"unknown interconnect {name!r}; known: {sorted(_CATALOG_GBPS)}"
@@ -84,24 +82,21 @@ class Topology:
         if self.mem_bw <= 0:
             raise ValueError("memory bandwidth must be positive")
         for size, _ in self.levels:
-            if size < 2 or size & (size - 1):
-                raise ValueError("domain sizes must be powers of two >= 2")
+            if rank_bits(size, "domain size") == 0:
+                raise ValueError("domain size must be at least 2, got 1")
 
     @property
     def total_ranks(self) -> int:
-        out = 1
-        for size, _ in self.levels:
-            out *= size
-        return out
+        return math.prod(size for size, _ in self.levels)
 
     @property
     def global_bits(self) -> int:
-        return int(self.total_ranks).bit_length() - 1
+        return rank_bits(self.total_ranks)
 
     def level_of_bit(self, g: int) -> int:
         acc = 0
         for lvl, (size, _) in enumerate(self.levels):
-            acc += int(size).bit_length() - 1
+            acc += rank_bits(size)
             if g < acc:
                 return lvl
         raise ValueError(f"global bit {g} beyond {self.global_bits} bits")
@@ -111,14 +106,11 @@ class Topology:
 
     def for_ranks(self, world_size: int) -> "Topology":
         """The same hierarchy truncated to the first log2(P) global bits."""
-        if world_size & (world_size - 1):
-            raise ValueError("world size must be a power of two")
+        rank_bits(world_size)
         if world_size > self.total_ranks:
             raise ValueError(
                 f"topology covers {self.total_ranks} ranks, not {world_size}"
             )
-        if world_size == 1:
-            return Topology((), self.mem_bw)
         remaining = world_size
         levels = []
         for size, lnk in self.levels:
@@ -126,39 +118,35 @@ class Topology:
             if take > 1:
                 levels.append((take, lnk))
                 remaining //= take
-            if remaining == 1:
-                break
         return Topology(tuple(levels), self.mem_bw)
 
 
-def nvl72_topology(intranode: int = 4, total: int = 64,
-                   mem_bw: float = DEFAULT_MEM_BW) -> Topology:
-    """All-to-all NVLink 5 rack: intranode domain, then rack level on the
+def _two_level(inside: str, between: str, total: int, mem_bw: float) -> Topology:
+    """Nodes of 4 ranks on link `inside`, joined by link `between` when
+    `total` spans more than one node."""
+    levels = [(4, link(inside))]
+    if total > 4:
+        levels.append((total // 4, link(between)))
+    return Topology(tuple(levels), mem_bw)
+
+
+def nvl72_topology(total: int = 64, mem_bw: float = DEFAULT_MEM_BW) -> Topology:
+    """All-to-all NVLink 5 rack: 4-GPU nodes, then a rack level on the
     same fabric."""
-    nvl5 = link("NVLink 5")
-    levels = [(intranode, nvl5)]
-    if total > intranode:
-        levels.append((total // intranode, nvl5))
-    return Topology(tuple(levels), mem_bw)
+    return _two_level("NVLink 5", "NVLink 5", total, mem_bw)
 
 
-def ib_topology(intranode: int = 4, total: int = 64,
-                mem_bw: float = DEFAULT_MEM_BW) -> Topology:
-    """NVLink 5 inside the node, NDR InfiniBand (ConnectX-7) between nodes."""
-    levels = [(intranode, link("NVLink 5"))]
-    if total > intranode:
-        levels.append((total // intranode, link("ConnectX-7")))
-    return Topology(tuple(levels), mem_bw)
+def ib_topology(total: int = 64, mem_bw: float = DEFAULT_MEM_BW) -> Topology:
+    """NVLink 5 inside a 4-GPU node, NDR InfiniBand (ConnectX-7) between
+    nodes."""
+    return _two_level("NVLink 5", "ConnectX-7", total, mem_bw)
 
 
 def perlmutter_topology(total: int = 64, mem_bw: float = 2e12) -> Topology:
     """A100-class baseline: NVLink 3 inside a 4-GPU node, Slingshot 11
     between nodes. mem_bw is a public-knowledge placeholder, not a paper
     value; treat it as a calibration input."""
-    levels = [(4, link("NVLink 3"))]
-    if total > 4:
-        levels.append((total // 4, link("Slingshot 11")))
-    return Topology(tuple(levels), mem_bw)
+    return _two_level("NVLink 3", "Slingshot 11", total, mem_bw)
 
 
 @dataclass
@@ -241,10 +229,8 @@ def weak_scaling_curve(
     base_n + j qubits. The ideal time is the same circuit's single-rank
     time divided by P (normalizing away the growing gate count);
     efficiency = T_ideal / T_P and speedup = P * efficiency."""
-    if max_ranks < 1 or max_ranks & (max_ranks - 1):
-        raise ValueError("max_ranks must be a power of two")
     points = []
-    for j in range(int(max_ranks).bit_length()):
+    for j in range(rank_bits(max_ranks, "max_ranks") + 1):
         P = 1 << j
         n = base_n + j
         circuit = base_circuit_family(n)
@@ -268,11 +254,9 @@ def strong_scaling_curve(
     precision: Precision = Precision.DOUBLE,
 ) -> list[CurvePoint]:
     """Fixed problem, growing ranks; speedup relative to P = 1."""
-    if max_ranks < 1 or max_ranks & (max_ranks - 1):
-        raise ValueError("max_ranks must be a power of two")
     points = []
     t1 = None
-    for j in range(int(max_ranks).bit_length()):
+    for j in range(rank_bits(max_ranks, "max_ranks") + 1):
         P = 1 << j
         topo = topology.for_ranks(P)
         t = predict_time(schedule_traffic(circuit, n, topo, fusion, precision), topo)

@@ -51,6 +51,8 @@ Conventions shared by every module in this package:
     per block of 2^8 amplitudes (`_SAMPLE_BLOCK_BITS`) and squares again
     only the blocks that draw shots, so no temporary is full-size
   - global phase is not significant
+  - `QUBIT_CAP` (26) is the most qubits one array may hold: a reference
+    state, a rank's slice, a gathered state or the bench oracle's state
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import numpy as np
 
 MAX_FUSION_WIDTH = 5
 DEFAULT_FUSION_WIDTH = 3
-DENSE_QUBIT_CAP = 26
+QUBIT_CAP = 26
 # low index bits over which `_apply_diagonal` spells out its factor. 2^13
 # is numpy's default ufunc buffer size (np.getbufsize()); with a shorter
 # contiguous run the broadcast multiply goes through the iterator's buffers
@@ -570,12 +572,11 @@ def dense_run(
     circuit: Circuit,
     initial: int = 0,
     precision: Precision = Precision.DOUBLE,
-    qubit_cap: int = DENSE_QUBIT_CAP,
 ) -> StateSlice:
     """Reference simulator: apply all ops in order to |initial>."""
-    if circuit.num_qubits > qubit_cap:
+    if circuit.num_qubits > QUBIT_CAP:
         raise ValueError(
-            f"{circuit.num_qubits} qubits exceeds the dense cap of {qubit_cap}"
+            f"{circuit.num_qubits} qubits exceeds the dense cap of {QUBIT_CAP}"
         )
     state = basis_state(circuit.num_qubits, initial, precision)
     for op in circuit.ops:

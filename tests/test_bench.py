@@ -110,6 +110,15 @@ def test_oracle_time_not_counted_as_creation(family, monkeypatch):
     assert report.creation_time_seconds < 100.0
 
 
+def test_fidelity_is_null_above_the_oracle_cap(monkeypatch):
+    # each rank's 2^5 slice fits the patched cap; the 2^6 oracle state does not
+    monkeypatch.setattr(sv, "QUBIT_CAP", 5)
+    cfg = BenchmarkConfig("random", 6, num_circuits=2)
+    report = run_spmd(create_world("loopback", 2), lambda ep: run_benchmark(cfg, ep))[0]
+    circuits = json.loads(report.render("json"))["circuits"]
+    assert [c["fidelity"] for c in circuits] == [None, None]
+
+
 def test_empty_register_sampled_and_exact_agree():
     state = sv.basis_state(3, 5)
     counts = sample_one_rank(state, 10, seed=0, measured=())

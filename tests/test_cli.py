@@ -4,7 +4,7 @@ import json
 import sys
 
 import pytest
-from conftest import model_traffic, run_ranks
+from conftest import free_port, model_traffic, run_ranks
 
 from qsim import bench, circuits, cli, perfmodel
 
@@ -83,8 +83,10 @@ def test_unknown_name_lists_presets(capsys):
     [
         ("level.0.size = 4\nlevel.0.link = NVLink 9\n", "unknown interconnect 'NVLink 9'"),
         ("level.0.link = NVLink 5\n", "level 0 needs a size"),
+        ("level.0.size = 3\nlevel.0.link = NVLink 5\n", "domain size must be a power of two, got 3"),
+        ("level.0.size = 1\nlevel.0.link = NVLink 5\n", "domain size must be at least 2, got 1"),
     ],
-    ids=["unknown-link", "no-size"],
+    ids=["unknown-link", "no-size", "size-3", "size-1"],
 )
 def test_bad_config_file_reports_error(capsys, tmp_path, text, message):
     path = tmp_path / "bad.cfg"
@@ -153,6 +155,57 @@ def run_fails(capsys, *argv):
 def test_random_bench_rejects_a_negative_gate_count(capsys):
     err = run_fails(capsys, "bench", "random", "-n", "4", "-c", "2", "--gates", "-5")
     assert err == "error: num_gates must be >= 0, got -5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["model", "predict", "-n", "12", "--ranks", "0"], "--ranks must be a power of two, got 0"),
+        (["model", "weak", "--base-n", "8", "--max-ranks", "6"],
+         "--max-ranks must be a power of two, got 6"),
+        (["bench", "qpe", "-n", "4", "-c", "2", "--ranks", "3"],
+         "--ranks must be a power of two, got 3"),
+    ],
+    ids=["predict", "weak", "bench"],
+)
+def test_rank_counts_must_be_powers_of_two(capsys, argv, message):
+    assert run_fails(capsys, *argv) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("rank", ["5", "-1"])
+def test_tcp_rank_out_of_range_fails_before_rendezvous(capsys, rank):
+    # nothing listens at the address: a rank that reached the rendezvous
+    # would wait out its timeout instead
+    err = run_fails(capsys, *BENCH_ARGV, "--fabric", "tcp", "--rank", rank,
+                    "--rendezvous", f"127.0.0.1:{free_port()}")
+    assert err == f"error: rank {rank} out of range for world size 2\n"
+
+
+def test_tcp_bench_needs_rank_and_rendezvous(capsys):
+    err = run_fails(capsys, *BENCH_ARGV, "--fabric", "tcp", "--rank", "0")
+    assert err == "error: tcp worlds need a rendezvous address and a rank\n"
+
+
+TFIM_ARGV = ["bench", "tfim", "-n", "6", "--rows", "2", "--cols", "3", "--lattice",
+             "triangular", "--open-boundary", "--coupling", "0.5", "--field", "2",
+             "--time", "0.3", "--steps", "4"]
+
+
+def test_tfim_flags_set_the_config():
+    cfg = cli._bench_config(cli.build_parser({}).parse_args(TFIM_ARGV))
+    assert cfg == bench.BenchmarkConfig(
+        "tfim", 6, steps=4, rows=2, cols=3, lattice="triangular", periodic=False,
+        coupling=0.5, transverse_field=2.0, t_total=0.3,
+    )
+
+
+def test_tfim_takes_no_config_file(capsys, tmp_path):
+    path = tmp_path / "tfim.cfg"
+    path.write_text("steps = 2\n")
+    with pytest.raises(SystemExit) as exit_:
+        cli.parse_and_run([*TFIM_ARGV, "--tfim-config", str(path)], env={})
+    assert exit_.value.code == 2
+    assert "--tfim-config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fusion", ["on", "off"])

@@ -48,10 +48,11 @@ class TestPartition:
 
         spmd(4, body)
 
-    def test_slice_cap(self):
+    def test_slice_cap(self, monkeypatch):
+        monkeypatch.setattr(sv, "QUBIT_CAP", 10)
         (ep,) = create_world("loopback", 1)
         with pytest.raises(ValueError, match="cap"):
-            partition(12, ep, slice_qubit_cap=10)
+            partition(12, ep)
 
 
 def relocalize_oracle(n, k, global_pos, local_pos, full_index):
@@ -661,11 +662,14 @@ class TestGather:
             assert amps[45] == 1.0
             assert np.count_nonzero(amps) == 1
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        # each rank's 2^7 slice is within the cap; the gathered 2^8 is not
+        monkeypatch.setattr(sv, "QUBIT_CAP", 7)
+
         def body(ep):
             st = partition(8, ep)
             with pytest.raises(ValueError, match="cap"):
-                dist.gather(st, qubit_cap=7)
+                dist.gather(st)
 
         spmd(2, body)
 

@@ -1,3 +1,4 @@
+import json
 import socket
 import struct
 import threading
@@ -37,6 +38,14 @@ class TestWorldConstruction:
     def test_tcp_needs_rank_and_rendezvous(self):
         with pytest.raises(ValueError, match="rendezvous"):
             create_world("tcp", 2)
+
+    @pytest.mark.parametrize("world_size, rank", [(2, 5), (2, -1), (2, 2), (1, 1)])
+    def test_tcp_rank_out_of_range_rejected_before_any_socket(self, world_size, rank):
+        # nothing listens at the address, so reaching the rendezvous would
+        # wait out the timeout
+        with pytest.raises(ValueError, match=f"rank {rank} out of range"):
+            create_world("tcp", world_size, rendezvous=f"127.0.0.1:{free_port()}",
+                         rank=rank, timeout=30.0)
 
 
 class TestExchange:
@@ -413,6 +422,78 @@ class TestTcpTransport:
             assert peer.recv(1) == b""
         finally:
             peer.close()
+
+    @pytest.mark.parametrize("announced", [[5], [1, 1]], ids=["out-of-range", "duplicate"])
+    def test_rank_0_rejects_a_bad_announced_rank(self, announced):
+        # raw peers announce ranks to rank 0 of 4; the last one is bad, so
+        # rank 0 fails naming it, before it reads that peer's address, and
+        # closes every peer it accepted
+        port = free_port()
+        errors = []
+
+        def leader():
+            try:
+                create_world("tcp", 4, rendezvous=f"127.0.0.1:{port}", rank=0,
+                             timeout=10.0)
+            except FabricError as e:
+                errors.append(e)
+
+        thread = threading.Thread(target=leader)
+        thread.start()
+        peers = []
+        try:
+            for i, rank in enumerate(announced, 1):
+                peer = fabric._connect_with_retry(("127.0.0.1", port), 5.0)
+                peers.append(peer)
+                peer.sendall(struct.pack("<Q", rank))
+                if i < len(announced):
+                    fabric._send_frame(peer, b"127.0.0.1:1")
+            thread.join(10)
+            assert not thread.is_alive()
+            assert len(errors) == 1
+            assert type(errors[0]) is FabricError
+            assert f"announced rank {announced[-1]}" in str(errors[0])
+            for peer in peers:
+                peer.settimeout(2.0)
+                assert peer.recv(1) == b""
+        finally:
+            for peer in peers:
+                peer.close()
+
+    def test_mesh_rejects_a_bad_announced_rank(self):
+        # this test plays rank 0 of 4 for a real rank 1, then connects to
+        # rank 1's mesh listener as a peer announcing rank 5
+        port = free_port()
+        errors = []
+
+        def member():
+            try:
+                create_world("tcp", 4, rendezvous=f"127.0.0.1:{port}", rank=1,
+                             timeout=10.0)
+            except FabricError as e:
+                errors.append(e)
+
+        with socket.create_server(("127.0.0.1", port)) as server:
+            server.settimeout(10.0)
+            thread = threading.Thread(target=member)
+            thread.start()
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(10.0)
+                assert struct.unpack("<Q", fabric._recv_exact(conn, 8)) == (1,)
+                address = fabric._recv_frame(conn)[1].decode()
+                fabric._send_frame(conn, json.dumps({"1": address}).encode())
+                with socket.create_connection(fabric._parse_address(address), 5.0) as peer:
+                    peer.sendall(struct.pack("<Q", 5))
+                    thread.join(10)
+                    assert not thread.is_alive()
+                    assert len(errors) == 1
+                    assert type(errors[0]) is FabricError
+                    assert "rank 1: a peer announced rank 5" in str(errors[0])
+                    peer.settimeout(2.0)
+                    assert peer.recv(1) == b""
+                conn.settimeout(2.0)
+                assert conn.recv(1) == b""
 
     def test_large_symmetric_exchange_no_deadlock(self):
         # a 2-rank swap far beyond socket buffers, through threads sharing

@@ -80,3 +80,20 @@ def test_network_upgrade_beats_gpu_upgrade(paper_circuits, name):
     base = seconds["perlmutter"]
     assert base / seconds["network only"] > base / seconds["gpu only"]
     assert seconds["nvl72"] < seconds["ib"] < seconds["perlmutter"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda topo, family: topo.for_ranks(0),
+        lambda topo, family: perfmodel.weak_scaling_curve(4, family, topo, max_ranks=0),
+        lambda topo, family: perfmodel.strong_scaling_curve(4, family(4), topo, max_ranks=0),
+    ],
+    ids=["for_ranks", "weak", "strong"],
+)
+def test_rank_counts_follow_the_one_power_of_two_rule(call):
+    def family(n):
+        return circuits.build_qpe(circuits.QpeSpec(n - 1, 1))
+
+    with pytest.raises(ValueError, match="must be a power of two, got 0"):
+        call(perfmodel.nvl72_topology(), family)

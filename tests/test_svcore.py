@@ -441,9 +441,10 @@ class TestDenseRun:
             state.amps, [2**-0.5, 0, 0, 2**-0.5], atol=1e-12
         )
 
-    def test_memory_guard(self):
+    def test_memory_guard(self, monkeypatch):
+        monkeypatch.setattr(sv, "QUBIT_CAP", 6)
         with pytest.raises(ValueError, match="cap"):
-            dense_run(Circuit(7, []), qubit_cap=6)
+            dense_run(Circuit(7, []))
 
     def test_initial_basis_index(self):
         state = dense_run(Circuit(4, []), initial=9)

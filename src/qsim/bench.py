@@ -48,11 +48,14 @@ def hellinger_fidelity(p: dict[str, float], q: dict[str, float]) -> float:
     return overlap * overlap
 
 
-def fidelity(measured, ideal) -> float:
+def fidelity(measured, ideal) -> float | None:
     """Normalized Hellinger fidelity in [0, 1]: the raw fidelity rescaled
     against the ideal's fidelity with the uniform distribution over the
     measured register, clamped to [0, 1]. Equal distributions score 1,
-    uniform output against a nonuniform ideal scores 0."""
+    uniform output against a nonuniform ideal scores 0. A uniform ideal
+    over two or more outcomes leaves nothing to rescale against, and shot
+    noise keeps a correct run's counts from matching it exactly, so it
+    scores None (reported as null, like a state above the oracle cap)."""
     p = _normalized(measured)
     q = _normalized(ideal)
     widths = {len(k) for k in p} | {len(k) for k in q}
@@ -66,7 +69,10 @@ def fidelity(measured, ideal) -> float:
     overlap_u = math.fsum(math.sqrt(v * u) for v in q.values())
     f_uniform = overlap_u * overlap_u
     if 1.0 - f_uniform < 1e-12:
-        # the ideal *is* uniform; only an exact match counts
+        # the ideal *is* uniform: over one outcome (an empty register) only
+        # an exact match counts, over more no sampled fidelity is defined
+        if width:
+            return None
         return 1.0 if f > 1.0 - 1e-12 else 0.0
     return min(1.0, max(0.0, (f - f_uniform) / (1.0 - f_uniform)))
 
@@ -113,7 +119,8 @@ class CircuitResult:
     index: int
     name: str
     wall_time_seconds: float
-    fidelity: float | None  # None above the oracle cap
+    # None above the oracle cap, or when the ideal is uniform (`fidelity`)
+    fidelity: float | None
 
 
 @dataclass

@@ -44,9 +44,14 @@ Conventions shared by every module in this package:
     view (`_apply_swap`); the distributed engine only relabels it
   - every other gate takes `_apply_matrix`, which transposes that view to
     put the target axes in front and multiplies one block of 2^14
-    amplitudes (`_DENSE_BLOCK_BITS`) at a time: 256 KiB at complex128, so
-    the block's gathered copy and its product stay in a 2 MiB L2 and no
-    temporary is full-size
+    amplitudes (`_DENSE_BLOCK_BITS`) at a time. It copies each block out
+    with the block's other axes in `_copy_order`, so the copy and the copy
+    back step along a long run of index bits rather than the 1 or 2
+    amplitudes below a low target. It multiplies the copy x as reals,
+    [Re M | Im M] @ [x ; 1j x]: one real GEMM with the complex GEMM's flop
+    count, the one arithmetic of every caller at every position. x, 1j x
+    and the product take 768 KiB at complex128, so they stay in a 2 MiB L2
+    beside the 256 KiB block, and no temporary is full-size
   - read-out squares |amp|^2 as re^2 + im^2 in float64; sampling sums it
     per block of 2^8 amplitudes (`_SAMPLE_BLOCK_BITS`) and squares again
     only the blocks that draw shots, so no temporary is full-size
@@ -79,9 +84,11 @@ _DIAGONAL_INNER_BITS = 13
 # h <= 3, 1.2 ms with h = 5, and 1.65 ms, 3.4 sweeps, with h = 7, which an
 # unbounded 13-qubit TFIM stretch has
 _DIAGONAL_HIGH_BITS = 3
-# log2 of the amplitudes in one block of `_apply_matrix`. Of 2^12 to 2^16,
-# 2^14 and 2^15 ran fastest at n=20 and 2^13 to 2^15 at n=25; 2^16 ran up
-# to 1.4x slower than 2^14 with the target at bit 5
+# log2 of the amplitudes in one block of `_apply_matrix`, whose staging
+# holds three times as many. Summed over 12 target sets of width 1-3 at
+# n=20 (2-vCPU Xeon, median of 9), 2^13 / 2^14 / 2^15 took 57 / 55 / 78 ms
+# with 1 BLAS thread and 60 / 58 / 79 ms with 2: at 2^15 the block and its
+# 1.5 MiB of staging outgrow a 2 MiB L2
 _DENSE_BLOCK_BITS = 14
 # log2 of the amplitudes that `dist.relocalize` packs and exchanges at once:
 # 256 KiB at complex128. Over tcp at n=20, P=2 (2-vCPU Xeon, median over
@@ -368,34 +375,67 @@ def diagonal_of(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
     return phases.reshape((2,) * w).transpose(order).ravel(), qubits
 
 
+def _copy_order(bits: list[int]) -> list[int]:
+    """The ascending free index bits of one `_apply_matrix` block as axes,
+    slowest first: descending, except that the run of consecutive bits the
+    copies step along comes last. That is the run from bit 0 if it holds at
+    least 8 amplitudes, else the longest run (the lowest of equals)."""
+    if bits[:3] == [0, 1, 2]:
+        # descending puts that run last
+        return bits[::-1]
+    # bits[start:stop] is the longest run so far, bits[first:i] the current
+    start = stop = first = 0
+    for i in range(1, len(bits) + 1):
+        if i == len(bits) or bits[i] != bits[i - 1] + 1:
+            if i - first > stop - start:
+                start, stop = first, i
+            first = i
+    return bits[stop:][::-1] + bits[:start][::-1] + bits[start:stop][::-1]
+
+
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
     """In-place matrix application on the target bits of a 2^m amplitude
     array, restricted to indices whose control bits are all 1.
 
     The matrix multiplies one block of 2^max(B, w) amplitudes at a time,
-    B = `_DENSE_BLOCK_BITS`: the w target axes times the lowest other
-    index bits. A block's gathered copy and its product fit in cache, and
-    no temporary is full-size."""
+    B = `_DENSE_BLOCK_BITS`: the w target axes times the lowest B - w other
+    index bits. Each block is copied out with its other bits in
+    `_copy_order`, so the copy's inner loop steps along a long run of them,
+    and multiplied as reals: with x the block's 2^w rows and ix = 1j * x,
+    one real GEMM [Re M | Im M] @ [x ; ix] gives M @ x as interleaved
+    reals, with the complex GEMM's flop count. Every caller and every
+    position takes this one arithmetic. The staged rows and the product
+    stay in cache, and no temporary is full-size."""
     m = int(amps.size).bit_length() - 1
     w = len(targets)
+    free = [b for b in range(m) if b not in targets and b not in controls]
+    inside = max(0, _DENSE_BLOCK_BITS - w)
     # one transpose puts the control axes first, then target j on axis
-    # w-1-j after them, then the other axes in order; fixing the control
-    # axes at 1 leaves the controlled part, whose leading axes index the
-    # matrix
-    axes = [m - 1 - b for b in (*controls, *targets[::-1])]
-    front = amps.reshape((2,) * m).transpose(axes + [a for a in range(m) if a not in axes])
-    front = front[(1,) * len(controls)]
-    mat = mat.astype(amps.dtype, copy=False)
-    # the loop fixes the leading axes after the matrix axes
+    # w-1-j after them, then the other bits outside the block, descending,
+    # then those inside it; fixing the control axes at 1 leaves the
+    # controlled part, whose leading axes index the matrix
+    order = (*controls, *targets[::-1], *reversed(free[inside:]), *_copy_order(free[:inside]))
+    front = amps.reshape((2,) * m).transpose(_bit_axes(m, order))[(1,) * len(controls)]
+    # the loop fixes the axes after the matrix axes that lie outside the block
     outer = max(0, front.ndim - max(_DENSE_BLOCK_BITS, w))
-    # one product buffer serves every block: with a fresh one per block, a
-    # target at bit 5 of n=25 faulted in new pages for every block (196k
-    # minor faults, 3x the time)
-    product = np.empty((1 << w, 1 << (front.ndim - outer - w)), amps.dtype)
+    shape = (2,) * (front.ndim - outer)
+    rows = 1 << w
+    reals = amps.real.dtype
+    wide = np.concatenate((mat.real, mat.imag), axis=1, dtype=reals)
+    # one staging buffer serves every block: x, ix and the product. With a
+    # fresh product per block, a target at bit 5 of n=25 faulted in new
+    # pages for every block (196k minor faults, 3x the time)
+    stage = np.empty((3, *shape), amps.dtype)
+    x, ix, product = stage[0], stage[1], stage[2]
+    flat = stage.view(reals).reshape(3 * rows, -1)
+    pairs, out = flat[: 2 * rows], flat[2 * rows :]
     for lead in itertools.product((0, 1), repeat=outer):
         blk = front[(slice(None),) * w + lead]
-        np.matmul(mat, blk.reshape(1 << w, -1), out=product)
-        blk[...] = product.reshape(blk.shape)
+        x[...] = blk
+        # exact: times 1j swaps each pair and negates one of them
+        np.multiply(x, 1j, out=ix)
+        np.matmul(wide, pairs, out=out)
+        blk[...] = product
 
 
 def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, positions) -> None:
@@ -428,7 +468,7 @@ def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
     It works one chunk of 2^c amplitudes at a time, c covering both bits
     and at least `_DENSE_BLOCK_BITS`, so the quarter it holds stays in
     cache. At n=20 on a 2-vCPU Xeon, a SWAP of bits 0 and 1 took 9-12 ms
-    unchunked, 3.2-3.5 ms chunked and 6-8 ms through `_apply_matrix`."""
+    unchunked, 2.8-3.5 ms chunked and 6.8-7.8 ms through `_apply_matrix`."""
     m = int(amps.size).bit_length() - 1
     c = min(m, max(a, b, _DENSE_BLOCK_BITS - 1) + 1)
     chunks = amps.reshape((-1,) + (2,) * c)

@@ -119,6 +119,14 @@ def test_fidelity_is_null_above_the_oracle_cap(monkeypatch):
     assert [c["fidelity"] for c in circuits] == [None, None]
 
 
+def test_uniform_ideal_has_no_sampled_fidelity():
+    # shot noise keeps correct counts off a uniform ideal; they read None, not 0
+    counts = {"00": 262, "01": 239, "10": 247, "11": 252}
+    ideal = {k: 0.25 for k in counts}
+    assert bench.fidelity(counts, ideal) is None
+    assert bench.fidelity(ideal, ideal) is None
+
+
 def test_empty_register_sampled_and_exact_agree():
     state = sv.basis_state(3, 5)
     counts = sample_one_rank(state, 10, seed=0, measured=())

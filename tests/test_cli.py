@@ -208,6 +208,13 @@ def test_tfim_takes_no_config_file(capsys, tmp_path):
     assert "--tfim-config" in capsys.readouterr().err
 
 
+def test_tfim_on_one_site_reads_null_fidelity(capsys):
+    # the 1-site TFIM leaves |+>: a uniform ideal, which shot noise never
+    # matches, so the report carries null rather than 0.0
+    report = json.loads(run(capsys, "bench", "tfim", "-n", "1", "-c", "2", "--format", "json"))
+    assert [c["fidelity"] for c in report["circuits"]] == [None, None]
+
+
 @pytest.mark.parametrize("fusion", ["on", "off"])
 @pytest.mark.parametrize("qubits", [3, 4])
 def test_bench_names_a_split_over_too_many_ranks(capsys, qubits, fusion):

@@ -229,9 +229,11 @@ class TestKernelOracleSmallBlocks(TestKernelOracle):
     """The same oracle with the smallest `_apply_matrix` blocks."""
 
 
-def one_shot_apply_matrix(amps, mat, targets, controls=()):
+def one_shot_apply_matrix(amps, mat, targets, controls=(), arithmetic="real"):
     """Reference for `_apply_matrix`: the same view, multiplied in one
-    `matmul` over all of it rather than block by block."""
+    product over all of it rather than block by block. By default it is the
+    kernel's own arithmetic, [Re M | Im M] @ [x ; 1j x] over interleaved
+    reals; "complex" multiplies `mat @ x` as complex numbers."""
     m = int(amps.size).bit_length() - 1
     w = len(targets)
     caxes = sv._bit_axes(m, controls)
@@ -240,14 +242,22 @@ def one_shot_apply_matrix(amps, mat, targets, controls=()):
     ]
     taxes = [a - sum(c < a for c in caxes) for a in sv._bit_axes(m, targets)]
     front = np.moveaxis(sub, taxes, sv._bit_axes(w, range(w)))
-    front[...] = (
-        mat.astype(amps.dtype, copy=False) @ front.reshape(1 << w, -1)
-    ).reshape(front.shape)
+    x = front.reshape(1 << w, -1)
+    if arithmetic == "complex":
+        product = mat.astype(amps.dtype) @ x
+    else:
+        reals = amps.real.dtype
+        wide = np.concatenate((mat.real, mat.imag), axis=1).astype(reals)
+        stacked = np.ascontiguousarray(np.concatenate((x, x * 1j)))
+        product = (wide @ stacked.view(reals)).view(amps.dtype)
+    front[...] = product.reshape(front.shape)
 
 
 # blocks hold the targets and the lowest 14-w other bits of n=17: the cases
 # put targets low, in the middle, high, on both sides of the block edge and
-# unsorted, with controls above and below
+# unsorted, with controls above and below; the gapped low targets leave
+# short runs of other bits below and between them, so the copies step
+# along a longer run higher up
 _BLOCK_CASES = [
     ((0,), ()),
     ((0, 1, 2), ()),
@@ -261,7 +271,38 @@ _BLOCK_CASES = [
     ((7,), (16, 1)),
     ((2, 11), (0, 15)),
     ((14,), (13,)),
+    ((1, 4, 5), ()),
+    ((0, 2, 10), ()),
+    ((1, 9), ()),
+    ((1,), ()),
+    ((2, 13, 14), ()),
 ]
+
+
+def _block_case(targets, controls, precision):
+    """A random n=17 state and a random unitary for one `_BLOCK_CASES` case."""
+    n = 17
+    assert n - len(controls) > sv._DENSE_BLOCK_BITS  # more than one block
+    rng = np.random.default_rng(len(targets) + 7 * len(controls))
+    psi = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).astype(
+        precision.dtype
+    )
+    return psi, random_unitary(len(targets), targets[0])
+
+
+@pytest.mark.parametrize(
+    "bits, order",
+    [
+        ([], []),
+        ([0, 1, 2, 5, 6, 7, 8], [8, 7, 6, 5, 2, 1, 0]),  # 8 amplitudes from bit 0
+        ([0, 2, 3, 6, 7, 8], [3, 2, 0, 8, 7, 6]),  # the longest run last
+        ([0, 1, 3, 4], [4, 3, 1, 0]),  # of equal runs, the lowest
+        ([1, 2, 3, 4], [4, 3, 2, 1]),
+        ([0, 3, 4, 5, 6, 9], [9, 0, 6, 5, 4, 3]),
+    ],
+)
+def test_copy_order_puts_the_chosen_run_innermost(bits, order):
+    assert sv._copy_order(bits) == order
 
 
 class TestBlockedDenseKernel:
@@ -270,18 +311,24 @@ class TestBlockedDenseKernel:
         "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
     )
     def test_equals_one_shot_matmul(self, targets, controls, precision):
-        n = 17
-        assert n - len(controls) > sv._DENSE_BLOCK_BITS  # more than one block
-        rng = np.random.default_rng(len(targets) + 7 * len(controls))
-        psi = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).astype(
-            precision.dtype
-        )
-        mat = random_unitary(len(targets), targets[0])
+        psi, mat = _block_case(targets, controls, precision)
         got, expect = psi.copy(), psi.copy()
         sv._apply_matrix(got, mat, targets, controls)
         one_shot_apply_matrix(expect, mat, targets, controls)
         assert not np.array_equal(got, psi)
         assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
+    )
+    def test_matches_complex_matmul(self, targets, controls, precision):
+        psi, mat = _block_case(targets, controls, precision)
+        got, expect = psi.copy(), psi.copy()
+        sv._apply_matrix(got, mat, targets, controls)
+        one_shot_apply_matrix(expect, mat, targets, controls, arithmetic="complex")
+        tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
+        assert np.max(np.abs(got - expect)) <= tol
 
 
 # the kernel spells its factor out over the low B index bits; the cases

@@ -155,7 +155,7 @@ class BenchmarkReport:
             writer.writerow([c.index, c.name, repr(c.wall_time_seconds),
                              "" if c.fidelity is None else repr(c.fidelity)])
         suffix = "_excl_warmup" if self.warmup_excluded else ""
-        benchmark = self.config.get("benchmark", "")
+        benchmark = self.config["benchmark"]
         writer.writerow(["mean" + suffix, benchmark, repr(self.mean_wall_time_seconds), ""])
         writer.writerow(["std" + suffix, benchmark, repr(self.std_wall_time_seconds), ""])
         return buf.getvalue()
@@ -164,22 +164,16 @@ class BenchmarkReport:
 def report_from_json(text: str) -> BenchmarkReport:
     """The inverse of `render("json")`. A document that is not a report
     raises ValueError naming its missing or unknown keys, or the field
-    whose value has the wrong type. Inside `config` and `traffic`, only the
-    values of the keys present are checked: `config` against
-    `BenchmarkConfig`'s fields, `traffic` against its int totals and its
-    `bytes_by_global_bit` of str -> int."""
+    whose value has the wrong type: at the top level, in each circuit, in
+    `config` against `BenchmarkConfig`'s fields, and in `traffic` (or null)
+    against its int totals and its `bytes_by_global_bit` of str -> int."""
     d = _fields_of(json.loads(text), BenchmarkReport)
     d["circuits"] = [CircuitResult(**_fields_of(c, CircuitResult)) for c in d["circuits"]]
-    config_types = {f.name: f.type for f in fields(BenchmarkConfig)}
-    for name, value in d["config"].items():
-        if name in config_types:
-            _check_type("BenchmarkConfig", name, config_types[name], value)
-    traffic = d["traffic"] or {}
-    for name, value in traffic.items():
-        if name in _TRAFFIC_TYPES:
-            _check_type("traffic", name, _TRAFFIC_TYPES[name], value)
-    for bit, nbytes in traffic.get("bytes_by_global_bit", {}).items():
-        _check_type("traffic bytes_by_global_bit", bit, "int", nbytes)
+    _fields_of(d["config"], BenchmarkConfig)
+    if d["traffic"] is not None:
+        _keys_of(d["traffic"], "traffic", _TRAFFIC_TYPES)
+        for bit, nbytes in d["traffic"]["bytes_by_global_bit"].items():
+            _check_type("traffic bytes_by_global_bit", bit, "int", nbytes)
     return BenchmarkReport(**d)
 
 
@@ -200,19 +194,24 @@ def _check_type(owner: str, name: str, annotation: str, value) -> None:
 
 
 def _fields_of(d, cls) -> dict:
-    """`d` if it holds exactly the fields of `cls`, each a JSON value of the
-    field's annotated type; otherwise ValueError naming what is wrong."""
-    names = [f.name for f in fields(cls)]
+    """`d` if it holds exactly the fields of dataclass `cls`, each a JSON
+    value of the field's annotated type; otherwise ValueError naming what
+    is wrong."""
+    return _keys_of(d, cls.__name__, {f.name: f.type for f in fields(cls)})
+
+
+def _keys_of(d, owner: str, types: dict[str, str]) -> dict:
+    """`d` if it holds exactly the keys of `types`, each a JSON value of its
+    annotated type; otherwise ValueError naming what is wrong."""
+    names = list(types)
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object with keys {names}, got {type(d).__name__}")
     missing = [k for k in names if k not in d]
     unknown = [k for k in d if k not in names]
     if missing or unknown:
-        raise ValueError(
-            f"not a {cls.__name__}: missing keys {missing}, unknown keys {unknown}"
-        )
-    for f in fields(cls):
-        _check_type(cls.__name__, f.name, f.type, d[f.name])
+        raise ValueError(f"not a {owner}: missing keys {missing}, unknown keys {unknown}")
+    for name, annotation in types.items():
+        _check_type(owner, name, annotation, d[name])
     return d
 
 

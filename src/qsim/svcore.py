@@ -42,16 +42,31 @@ Conventions shared by every module in this package:
     `apply_gate` (a stretch's phases by `_product`)
   - a SWAP in the reference simulator trades two quarter-blocks of that
     view (`_apply_swap`); the distributed engine only relabels it
-  - every other gate takes `_apply_matrix`, which transposes that view to
-    put the target axes in front and multiplies one block of 2^14
-    amplitudes (`_DENSE_BLOCK_BITS`) at a time. It copies each block out
+  - every other gate takes `_apply_matrix`. For complex128 it runs one
+    compiled C kernel (`ckernel.c`), which `ckernel.load` builds with the
+    system C compiler on the first dense step, caches under the package's
+    `__pycache__` and loads through ctypes, which releases the GIL, so
+    loopback rank threads multiply in parallel. One 64-byte vector holds
+    the 4 amplitudes that index bits 0 and 1 tell apart, and each matrix
+    entry m adds Re m * x + Im m * (i x): the arithmetic below, with the
+    same products summed in another order, so the two kernels agree to
+    about 1e-15. With no target or control at bit 0 or 1 a vector holds 4
+    groups; otherwise it holds several rows, or control values, of fewer
+    groups, and the kernel multiplies by per-lane coefficients and moves
+    lanes in registers rather than gather amplitudes
+  - the numpy kernel, `_apply_matrix_numpy`, runs complex64 arrays, and
+    every array where the compiled kernel is missing: no compiler, a
+    failed build, or a cache that cannot be written. The tests hold it as
+    the reference. It transposes the bit-axis view to put the target axes
+    in front and multiplies one block of 2^14 amplitudes
+    (`_DENSE_BLOCK_BITS`) at a time. It copies each block out
     with the block's other axes in `_copy_order`, so the copy and the copy
     back step along a long run of index bits rather than the 1 or 2
     amplitudes below a low target. It multiplies the copy x as reals,
     [Re M | Im M] @ [x ; 1j x]: one real GEMM with the complex GEMM's flop
-    count, the one arithmetic of every caller at every position. x, 1j x
-    and the product take 768 KiB at complex128, so they stay in a 2 MiB L2
-    beside the 256 KiB block, and no temporary is full-size
+    count. x, 1j x and the product take 768 KiB at complex128, so they
+    stay in a 2 MiB L2 beside the 256 KiB block, and no temporary is
+    full-size
   - read-out squares |amp|^2 as re^2 + im^2 in float64; sampling sums it
     per block of 2^8 amplitudes (`_SAMPLE_BLOCK_BITS`) and squares again
     only the blocks that draw shots, so no temporary is full-size
@@ -70,6 +85,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import ckernel
+
 MAX_FUSION_WIDTH = 5
 DEFAULT_FUSION_WIDTH = 3
 QUBIT_CAP = 26
@@ -84,8 +101,9 @@ _DIAGONAL_INNER_BITS = 13
 # h <= 3, 1.2 ms with h = 5, and 1.65 ms, 3.4 sweeps, with h = 7, which an
 # unbounded 13-qubit TFIM stretch has
 _DIAGONAL_HIGH_BITS = 3
-# log2 of the amplitudes in one block of `_apply_matrix`, whose staging
-# holds three times as many. Summed over 12 target sets of width 1-3 at
+# log2 of the amplitudes in one block of `_apply_matrix_numpy`, the
+# fallback kernel, whose staging holds three times as many; it also sizes
+# `_apply_swap`'s chunks. Summed over 12 target sets of width 1-3 at
 # n=20 (2-vCPU Xeon, median of 9), 2^13 / 2^14 / 2^15 took 57 / 55 / 78 ms
 # with 1 BLAS thread and 60 / 58 / 79 ms with 2: at 2^15 the block and its
 # 1.5 MiB of staging outgrow a 2 MiB L2
@@ -395,7 +413,23 @@ def _copy_order(bits: list[int]) -> list[int]:
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
     """In-place matrix application on the target bits of a 2^m amplitude
-    array, restricted to indices whose control bits are all 1.
+    array, restricted to indices whose control bits are all 1: by the
+    compiled kernel for a contiguous complex128 array, else, or if the
+    kernel cannot be built, by `_apply_matrix_numpy`."""
+    compiled = amps.dtype == np.complex128 and amps.flags.c_contiguous
+    apply = ckernel.load() if compiled else None
+    if apply is not None:
+        mat = np.ascontiguousarray(mat, dtype=np.complex128)
+        packed = sum(t << (8 * j) for j, t in enumerate(targets))
+        cmask = sum(1 << c for c in controls)
+        m = int(amps.size).bit_length() - 1
+        if apply(amps.ctypes.data, m, mat.ctypes.data, len(targets), packed, cmask) == 0:
+            return
+    _apply_matrix_numpy(amps, mat, targets, controls)
+
+
+def _apply_matrix_numpy(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
+    """`_apply_matrix` in numpy: the fallback, and the tests' reference.
 
     The matrix multiplies one block of 2^max(B, w) amplitudes at a time,
     B = `_DENSE_BLOCK_BITS`: the w target axes times the lowest B - w other
@@ -403,9 +437,9 @@ def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> No
     `_copy_order`, so the copy's inner loop steps along a long run of them,
     and multiplied as reals: with x the block's 2^w rows and ix = 1j * x,
     one real GEMM [Re M | Im M] @ [x ; ix] gives M @ x as interleaved
-    reals, with the complex GEMM's flop count. Every caller and every
-    position takes this one arithmetic. The staged rows and the product
-    stay in cache, and no temporary is full-size."""
+    reals, with the complex GEMM's flop count, for every caller at every
+    position. The staged rows and the product stay in cache, and no
+    temporary is full-size."""
     m = int(amps.size).bit_length() - 1
     w = len(targets)
     free = [b for b in range(m) if b not in targets and b not in controls]

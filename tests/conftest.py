@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qsim import bench, dist, perfmodel, svcore as sv
+from qsim import bench, ckernel, dist, perfmodel, svcore as sv
 from qsim.fabric import create_world, run_spmd
 from qsim.svcore import Circuit
 
@@ -114,10 +114,19 @@ def mixed_circuits(draw, k):
 
 
 @pytest.fixture(scope="class")
-def small_dense_blocks():
-    """Shrink `_apply_matrix` blocks to 2^max(2, w) amplitudes for w
-    targets, so that the few-qubit states of the oracle and property tests
-    cross block boundaries."""
+def numpy_kernel():
+    """Run every `_apply_matrix` of the class on its numpy path, as where
+    the compiled kernel cannot be built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckernel, "load", lambda: None)
+        yield
+
+
+@pytest.fixture(scope="class")
+def small_dense_blocks(numpy_kernel):
+    """Run `_apply_matrix` on its numpy path with blocks shrunk to
+    2^max(2, w) amplitudes for w targets, so that the few-qubit states of
+    the oracle and property tests cross block boundaries."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sv, "_DENSE_BLOCK_BITS", 2)
         yield

@@ -327,6 +327,36 @@ class TestReportOutput:
         bad.write_text(json.dumps(report))
         assert run_fails(capsys, "report", str(bad)) == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r["config"].pop("n"),
+             "not a BenchmarkConfig: missing keys ['n'], unknown keys []"),
+            (lambda r: r["config"].pop("benchmark"),
+             "not a BenchmarkConfig: missing keys ['benchmark'], unknown keys []"),
+            (lambda r: r["config"].update(ranks=2),
+             "not a BenchmarkConfig: missing keys [], unknown keys ['ranks']"),
+            (lambda r: r["traffic"].pop("messages_total"),
+             "not a traffic: missing keys ['messages_total'], unknown keys []"),
+        ],
+        ids=["no-n", "no-benchmark", "unknown-config-key", "no-messages-total"],
+    )
+    def test_report_names_a_missing_or_unknown_nested_key(self, saved_report, edit, message):
+        path, _ = saved_report
+        report = json.loads(path.read_text())
+        edit(report)
+        with pytest.raises(ValueError) as raised:
+            bench.report_from_json(json.dumps(report))
+        assert str(raised.value) == message
+
+    def test_report_without_traffic_still_reads(self, saved_report):
+        # written before every endpoint counted its traffic
+        path, _ = saved_report
+        report = json.loads(path.read_text())
+        report["traffic"] = None
+        text = json.dumps(report, indent=2) + "\n"
+        assert bench.report_from_json(text).render("json") == text
+
     def test_report_names_unknown_keys(self, saved_report):
         path, _ = saved_report
         report = json.loads(path.read_text())

@@ -631,9 +631,23 @@ class TestDistributedEqualsDense:
         check_distributed_equals_dense(P, fusion, precision, c)
 
 
+@pytest.mark.usefixtures("numpy_kernel")
+class TestDistributedEqualsDenseNumpy:
+    """The same property on the numpy kernel."""
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize("P", [1, 2, 4, 8])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_gathered_state_matches_dense_run(self, P, fusion, precision, data):
+        c = data.draw(mixed_circuits(P.bit_length() - 1))
+        check_distributed_equals_dense(P, fusion, precision, c)
+
+
 @pytest.mark.usefixtures("small_dense_blocks")
 class TestDistributedEqualsDenseSmallBlocks:
-    """The same property with the smallest `_apply_matrix` blocks."""
+    """The same property on the numpy kernel with its smallest blocks."""
 
     @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
     @pytest.mark.parametrize("P", [1, 2, 4, 8])

@@ -12,7 +12,7 @@ from conftest import (
 )
 from hypothesis import given, settings, strategies as st
 
-from qsim import svcore as sv
+from qsim import ckernel, svcore as sv
 from qsim.circuits import build_random_circuit
 from qsim.svcore import (
     Circuit,
@@ -224,13 +224,18 @@ class TestKernelOracle:
         assert np.max(np.abs(state.amps - brute_force_matrix(op, n) @ psi)) <= tol
 
 
+@pytest.mark.usefixtures("numpy_kernel")
+class TestKernelOracleNumpy(TestKernelOracle):
+    """The same oracle on the numpy kernel."""
+
+
 @pytest.mark.usefixtures("small_dense_blocks")
 class TestKernelOracleSmallBlocks(TestKernelOracle):
-    """The same oracle with the smallest `_apply_matrix` blocks."""
+    """The same oracle on the numpy kernel with its smallest blocks."""
 
 
 def one_shot_apply_matrix(amps, mat, targets, controls=(), arithmetic="real"):
-    """Reference for `_apply_matrix`: the same view, multiplied in one
+    """Reference for `_apply_matrix_numpy`: the same view, multiplied in one
     product over all of it rather than block by block. By default it is the
     kernel's own arithmetic, [Re M | Im M] @ [x ; 1j x] over interleaved
     reals; "complex" multiplies `mat @ x` as complex numbers."""
@@ -311,9 +316,11 @@ class TestBlockedDenseKernel:
         "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
     )
     def test_equals_one_shot_matmul(self, targets, controls, precision):
+        # bit for bit, so only the numpy kernel: the compiled one sums the
+        # same products in another order
         psi, mat = _block_case(targets, controls, precision)
         got, expect = psi.copy(), psi.copy()
-        sv._apply_matrix(got, mat, targets, controls)
+        sv._apply_matrix_numpy(got, mat, targets, controls)
         one_shot_apply_matrix(expect, mat, targets, controls)
         assert not np.array_equal(got, psi)
         assert np.array_equal(got, expect)
@@ -329,6 +336,66 @@ class TestBlockedDenseKernel:
         one_shot_apply_matrix(expect, mat, targets, controls, arithmetic="complex")
         tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
         assert np.max(np.abs(got - expect)) <= tol
+
+
+def _small_cases():
+    """(m, targets, controls) on arrays of 2^2 to 2^6 amplitudes, down to
+    the 2^2 of a 1-qubit block in `fuse`: every width to 5 at each size,
+    on shuffled bits, with up to two controls."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for m in range(2, 7):
+        for w in range(1, min(m, sv.MAX_FUSION_WIDTH) + 1):
+            for _ in range(3):
+                bits = [int(b) for b in rng.permutation(m)]
+                nc = int(rng.integers(0, min(2, m - w) + 1))
+                cases.append((m, tuple(bits[:w]), tuple(bits[w : w + nc])))
+    return cases
+
+
+class TestCompiledKernel:
+    """The compiled kernel against the numpy one, within 1e-12."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        if ckernel.load() is None:
+            pytest.skip("the compiled kernel could not be built")
+
+    @staticmethod
+    def check(psi, mat, targets, controls):
+        got, expect = psi.copy(), psi.copy()
+        sv._apply_matrix(got, mat, targets, controls)
+        sv._apply_matrix_numpy(expect, mat, targets, controls)
+        assert not np.array_equal(got, psi)
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
+    )
+    def test_block_cases(self, targets, controls):
+        self.check(*_block_case(targets, controls, Precision.DOUBLE), targets, controls)
+
+    @pytest.mark.parametrize("m, targets, controls", _small_cases())
+    def test_small_arrays(self, m, targets, controls):
+        rng = np.random.default_rng(m)
+        psi = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        self.check(psi, random_unitary(len(targets), m), targets, controls)
+
+    @pytest.mark.parametrize(
+        "m, targets, cmask",
+        [(4, (4,), 0), (4, (1, 1), 0), (4, (1,), 0b10), (4, (0,), 0b10000),
+         (4, (0,) * 6, 0), (4, (), 0), (1, (0,), 0)],
+        ids=["target-out-of-range", "repeated-target", "target-is-control",
+             "control-out-of-range", "too-wide", "no-target", "two-amplitudes"],
+    )
+    def test_rejects_what_it_cannot_take_untouched(self, m, targets, cmask):
+        psi = np.arange(1 << m, dtype=complex)
+        mat = np.eye(1 << len(targets), dtype=complex)[::-1].copy()
+        packed = sum(t << (8 * j) for j, t in enumerate(targets))
+        got = psi.copy()
+        apply = ckernel.load()
+        assert apply(got.ctypes.data, m, mat.ctypes.data, len(targets), packed, cmask) == -1
+        assert np.array_equal(got, psi)
 
 
 # the kernel spells its factor out over the low B index bits; the cases
@@ -462,18 +529,32 @@ def circuit_action(circuit: Circuit, probe: np.ndarray) -> np.ndarray:
     return probe
 
 
+def check_fuse_preserves_unitary(circuit, max_width):
+    # two unitaries that differ move four random unit vectors apart with
+    # probability 1; four columns keep an 8-qubit check cheap
+    rng = np.random.default_rng(0)
+    probe = rng.normal(size=(1 << circuit.num_qubits, 4, 2)).view(complex)[..., 0]
+    probe /= np.linalg.norm(probe, axis=0)
+    expect = circuit_action(circuit, probe)
+    got = circuit_action(fuse(circuit, max_width), probe)
+    assert np.max(np.abs(got - expect)) <= 1e-10
+
+
 class TestFusionProperty:
     @settings(max_examples=60, deadline=None)
     @given(circuit=small_circuits(), max_width=st.integers(1, 5))
     def test_fuse_preserves_unitary(self, circuit, max_width):
-        # two unitaries that differ move four random unit vectors apart
-        # with probability 1; four columns keep an 8-qubit check cheap
-        rng = np.random.default_rng(0)
-        probe = rng.normal(size=(1 << circuit.num_qubits, 4, 2)).view(complex)[..., 0]
-        probe /= np.linalg.norm(probe, axis=0)
-        expect = circuit_action(circuit, probe)
-        got = circuit_action(fuse(circuit, max_width), probe)
-        assert np.max(np.abs(got - expect)) <= 1e-10
+        check_fuse_preserves_unitary(circuit, max_width)
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestFusionPropertyNumpy:
+    """The same property, fusing on the numpy kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    def test_fuse_preserves_unitary(self, circuit, max_width):
+        check_fuse_preserves_unitary(circuit, max_width)
 
 
 class TestDenseRun:

@@ -12,9 +12,13 @@ QSIM_RENDEZVOUS and QSIM_SEED only provide defaults, which explicit flags
 beat; no config file sets a benchmark parameter. Rank counts (--ranks,
 --max-ranks) follow the one power-of-two rule, `fabric.rank_bits`.
 Loopback mode spawns all ranks as worker threads in this process; tcp mode
-runs as one rank of an externally launched world. Either way every rank
-measures its own timings and exchange traffic, and only rank 0 prints its
-report (and writes --out).
+runs as one rank of an externally launched world. A dense step splits over
+the process's cores, or over OMP_NUM_THREADS of them if that is set, one
+step at a time, so a loopback rank whose step overlaps another's runs it
+serially; ranks that share a host set OMP_NUM_THREADS to their share of
+its cores, as perfbench does. Either way every rank measures its own
+timings and exchange traffic, and only rank 0 prints its report (and
+writes --out).
 """
 
 from __future__ import annotations

@@ -54,6 +54,17 @@ Conventions shared by every module in this package:
     groups; otherwise it holds several rows, or control values, of fewer
     groups, and the kernel multiplies by per-lane coefficients and moves
     lanes in registers rather than gather amplitudes
+  - the compiled kernel splits a step that touches at least 2^15
+    amplitudes into chunks of 2^12 over the process's share of cores:
+    OMP_NUM_THREADS if it is a positive integer, else the CPUs the process
+    may run on (`ckernel.core_share`). One step is split at a time; a
+    call made meanwhile, such as another loopback rank's, runs serially.
+    The caller and its helper threads claim chunks from one atomic
+    counter and run the same body, so any thread count gives the same
+    bytes. Helpers block between steps and never spin, and the caller
+    waits only for helpers that have joined its step, so one that wakes
+    late or never starts stalls nothing. Fusion's unitaries and small
+    states never start a thread
   - the numpy kernel, `_apply_matrix_numpy`, runs complex64 arrays, and
     every array where the compiled kernel is missing: no compiler, a
     failed build, or a cache that cannot be written. The tests hold it as
@@ -423,7 +434,8 @@ def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> No
         packed = sum(t << (8 * j) for j, t in enumerate(targets))
         cmask = sum(1 << c for c in controls)
         m = int(amps.size).bit_length() - 1
-        if apply(amps.ctypes.data, m, mat.ctypes.data, len(targets), packed, cmask) == 0:
+        if apply(amps.ctypes.data, m, mat.ctypes.data, len(targets), packed, cmask,
+                 ckernel.cores) == 0:
             return
     _apply_matrix_numpy(amps, mat, targets, controls)
 

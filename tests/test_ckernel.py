@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -145,3 +146,110 @@ def test_import_starts_no_compiler(tmp_path):
 @needs_compiler
 def test_compiled_kernel_is_active_where_a_compiler_is():
     assert ckernel.load() is not None
+
+
+@needs_compiler
+def test_a_new_build_deletes_an_unused_old_library(fresh, monkeypatch, tmp_path):
+    source = tmp_path / "ckernel.c"
+    source.write_text(ckernel.SOURCE.read_text())
+    monkeypatch.setattr(ckernel, "SOURCE", source)
+    assert ckernel.load() is not None
+    old = ckernel.library_path()
+    # loads the old library, then applies X to |00> once told to
+    script = textwrap.dedent("""
+        import ctypes, sys
+        import numpy as np
+        fn = ctypes.CDLL(sys.argv[1]).qsim_apply_matrix
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int,
+                       ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int]
+        print("loaded", flush=True)
+        sys.stdin.readline()
+        psi = np.array([1, 0, 0, 0], dtype=complex)
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert fn(psi.ctypes.data, 2, x.ctypes.data, 1, 0, 0, 1) == 0
+        print(psi.real.tolist())
+    """)
+    proc = subprocess.Popen([sys.executable, "-c", script, str(old)], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "loaded\n"
+        source.write_text(source.read_text() + "/* another source */\n")
+        unused = time.time() - ckernel._STALE_SECONDS - 60
+        os.utime(old, (unused, unused))
+        monkeypatch.setattr(ckernel, "_loaded", False)
+        assert ckernel.load() is not None
+        assert ckernel.library_path() != old
+        assert list(fresh.iterdir()) == [ckernel.library_path()]
+        out, err = proc.communicate("go\n", timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert (proc.returncode, out) == (0, "[0.0, 1.0, 0.0, 0.0]\n"), err
+    assert applies_like_numpy()
+
+
+@needs_compiler
+def test_two_keys_building_at_once_keep_both_libraries(tmp_path):
+    # two compile commands, so two keys, against one cache: neither build
+    # deletes the other's recent library, so each later process loads its
+    # own without compiling
+    cc = os.environ.get("CC") or "cc"
+    script = textwrap.dedent("""
+        import subprocess, sys
+        from pathlib import Path
+        from qsim import ckernel
+        ckernel.CACHE_DIR = Path(sys.argv[1])
+        built = ckernel.library_path().exists()
+        real_run = subprocess.run
+        def run(*args, **kwargs):
+            if built:
+                raise AssertionError("the compiler ran again")
+            return real_run(*args, **kwargs)
+        subprocess.run = run
+        print(ckernel.load() is not None)
+    """)
+    cache = tmp_path / "cache"
+    for _ in range(2):
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script, str(cache)],
+                             env=checkout_env(CC=f"{cc} {flag}"), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for flag in ("-DQSIM_KEY_A", "-DQSIM_KEY_B")
+        ]
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, out) == (0, "True\n"), err
+        assert len(list(cache.glob("ckernel-*.so"))) == 2
+
+
+@needs_compiler
+def test_a_library_deleted_before_it_loads_is_built_again(fresh, monkeypatch):
+    import ctypes
+
+    ckernel._build(ckernel.library_path())
+    real_cdll = ctypes.CDLL
+    deleted = []
+
+    def delete_first(name, *args, **kwargs):
+        # another key's build deletes the library after it was found
+        if not deleted:
+            deleted.append(name)
+            os.unlink(name)
+        return real_cdll(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", delete_first)
+    assert ckernel.load() is not None
+    assert deleted == [str(ckernel.library_path())]
+    assert list(fresh.iterdir()) == [ckernel.library_path()]
+    assert applies_like_numpy()
+
+
+@pytest.mark.parametrize("value", ["", "0", "-2", "abc"])
+def test_unusable_omp_num_threads_means_every_allowed_cpu(value):
+    assert ckernel.core_share({"OMP_NUM_THREADS": value}) == len(os.sched_getaffinity(0))
+
+
+def test_omp_num_threads_sets_the_core_share():
+    assert ckernel.core_share({"OMP_NUM_THREADS": "3"}) == 3
+    assert ckernel.core_share({}) == len(os.sched_getaffinity(0))

@@ -1,5 +1,9 @@
+import ctypes
+import hashlib
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -394,8 +398,74 @@ class TestCompiledKernel:
         packed = sum(t << (8 * j) for j, t in enumerate(targets))
         got = psi.copy()
         apply = ckernel.load()
-        assert apply(got.ctypes.data, m, mat.ctypes.data, len(targets), packed, cmask) == -1
+        assert apply(got.ctypes.data, m, mat.ctypes.data, len(targets), packed, cmask, 2) == -1
         assert np.array_equal(got, psi)
+
+    @pytest.mark.parametrize(
+        "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
+    )
+    def test_same_bytes_at_any_thread_count(self, targets, controls):
+        psi, mat = _block_case(targets, controls, Precision.DOUBLE)
+        # big enough that 3 cores split the step three ways
+        assert kernel_threads(psi.size.bit_length() - 1 - len(controls), 3) == 3
+        digests = {compiled_digest(psi, mat, targets, controls, cores) for cores in (1, 2, 3)}
+        assert len(digests) == 1
+
+    def test_calls_at_once_give_the_serial_bytes(self):
+        # three threads whose calls overlap, each with a share of 6 cores:
+        # one call's step splits while the others find it open and run
+        # serially
+        cases = [(*_block_case(t, c, Precision.DOUBLE), t, c) for t, c in _BLOCK_CASES[:3]]
+        expect = [compiled_digest(*case, 1, rounds=8) for case in cases]
+        got = [None] * len(cases)
+
+        def body(i):
+            got[i] = compiled_digest(*cases[i], 6, rounds=8)
+
+        threads = [threading.Thread(target=body, args=(i,), daemon=True)
+                   for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expect
+
+    @pytest.mark.parametrize(
+        "bits, share, count",
+        [(2, 4, 1), (14, 2, 1), (15, 0, 1), (15, 1, 1), (15, 2, 2), (15, 100, 8),
+         (20, 3, 3), (40, 1000, 64)],
+        ids=["fused-block", "below-threshold", "no-share", "one-core", "two-cores",
+             "one-per-chunk", "three-cores", "at-most-64"],
+    )
+    def test_thread_count(self, bits, share, count):
+        # 2^15 amplitudes before a step splits, 2^12 per chunk
+        assert kernel_threads(bits, share) == count
+
+
+def compiled_digest(psi, mat, targets, controls, cores, rounds=1) -> str:
+    """sha256 of psi after `rounds` steps through the compiled kernel's
+    entry with a share of `cores` cores."""
+    apply = ckernel.load()
+    mat = np.ascontiguousarray(mat, dtype=np.complex128)
+    packed = sum(t << (8 * j) for j, t in enumerate(targets))
+    cmask = sum(1 << c for c in controls)
+    got = psi.copy()
+    for _ in range(rounds):
+        assert apply(got.ctypes.data, got.size.bit_length() - 1, mat.ctypes.data,
+                     len(targets), packed, cmask, cores) == 0
+    return hashlib.sha256(got.tobytes()).hexdigest()
+
+
+def kernel_threads(bits: int, share: int) -> int:
+    """The threads the compiled kernel gives a step over 2^bits amplitudes
+    from a share of `share` cores, computed without starting any."""
+    return ctypes.CDLL(str(ckernel.library_path())).qsim_threads(bits, share)
 
 
 # the kernel spells its factor out over the low B index bits; the cases

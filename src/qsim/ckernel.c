@@ -37,8 +37,23 @@
  * the caller's. The caller waits only for helpers that have joined its
  * step: a helper that wakes late finds the chunks taken, and one that
  * never starts leaves them all to the caller.
+ *
+ * A step may also carry a diagonal to apply before the matrix and one to
+ * apply after it, so a diagonal costs no sweep of its own: each a table
+ * of 2^d complex128 phases over d index bits in ascending order (`mask`),
+ * the entry for amplitude i being pext(i, mask). Each loaded row vector is
+ * multiplied by the before phases ahead of `mix`/`mix_lanes`, and each
+ * stored one by the after phases. Index bits 0 and 1 are the lowest bits
+ * of an entry's number, so the 4 lanes' entries lie among 4 consecutive
+ * ones: one 64-byte load, and a shuffle that gives each lane its own.
+ * Width 0 is a serial sweep with no matrix. Every path multiplies an
+ * amplitude by its phase in `times`, so a diagonal folded into a dense
+ * step and the same diagonal applied alone give the same bytes.
  */
 #define _GNU_SOURCE
+#ifdef __BMI2__
+#include <immintrin.h>
+#endif
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
@@ -55,6 +70,8 @@
 #define CHUNK_BITS 12
 /* the most threads, caller included, that one step takes */
 #define MAX_THREADS 64
+/* the most index bits that one phase table spans: a DIAGONAL op's 13 */
+#define MAX_PHASE_BITS 13
 
 typedef double v8d __attribute__((vector_size(64)));
 typedef int64_t v8i __attribute__((vector_size(64)));
@@ -69,6 +86,50 @@ static inline v8d load4(const double *p)
 static inline void store4(double *p, v8d v)
 {
     memcpy(p, &v, sizeof v);
+}
+
+/* the bits of x at the set bits of mask, packed into the low bits */
+static inline uint64_t pext(uint64_t x, uint64_t mask)
+{
+#ifdef __BMI2__
+    return _pext_u64(x, mask);
+#else
+    uint64_t r = 0;
+    for (uint64_t bit = 1; mask; mask &= mask - 1, bit <<= 1)
+        if (x & mask & -mask)
+            r |= bit;
+    return r;
+#endif
+}
+
+/* A diagonal applied with a step: a copy of its table, padded so that 4
+ * entries load from any entry's number, the mask of its index bits, and
+ * the shuffles that give lane l the real and the imaginary part of entry
+ * pext(l, mask & 3) of the 4 loaded */
+struct phases {
+    double *table;
+    uint64_t mask;
+    v8i re, im;
+    uint64_t off[MAX_ROWS]; /* the entry number of each row vector's offset */
+};
+
+/* x times the phases whose real parts fill re and whose imaginary parts,
+ * signed for i x, fill im: the one complex multiply of every path */
+static inline __attribute__((always_inline)) v8d times(v8d x, v8d re, v8d im)
+{
+    const v8i swap = {1, 0, 3, 2, 5, 4, 7, 6};
+    return x * re + __builtin_shuffle(x, swap) * im;
+}
+
+/* the phases of the 4 amplitudes from the one numbered `entry` by the
+ * mask, spread as `times` takes them */
+static inline __attribute__((always_inline)) void lanes(const struct phases *P,
+                                                        uint64_t entry, v8d *re, v8d *im)
+{
+    const v8d sign = {-1, 1, -1, 1, -1, 1, -1, 1};
+    v8d e = load4(P->table + 2 * entry);
+    *re = __builtin_shuffle(e, P->re);
+    *im = __builtin_shuffle(e, P->im) * sign;
 }
 
 struct layout {
@@ -87,6 +148,8 @@ struct layout {
     int vector_of[MAX_ROWS], lanes_of[MAX_ROWS];
     v8i perm[8];
     v8d *coef;
+    /* the diagonals before and after the matrix, each NULL if none */
+    const struct phases *before, *after;
 };
 
 /* x <- M x for `rows` row vectors, M's entries the same in every lane.
@@ -166,12 +229,14 @@ static inline uint64_t spread(uint64_t g, const int *sorted, int k)
 }
 
 /* bases h0 to h1 of the array through `mix` (held 0) or `mix_lanes`,
- * whose row vectors each hold `held` rows; base h starts at the vector
- * numbered h * step with the zero bits inserted, and spans `step`
- * consecutive amplitudes, which no inserted bit splits */
+ * whose row vectors each hold `held` rows, with L's diagonals if
+ * `phased`; base h starts at the vector numbered h * step with the zero
+ * bits inserted, and spans `step` consecutive amplitudes, which no
+ * inserted bit splits */
 static inline __attribute__((always_inline)) void run(double *a, const struct layout *L,
-                                                      int rows, int held, uint64_t h0,
-                                                      uint64_t h1, uint64_t step)
+                                                      int rows, int held, int phased,
+                                                      uint64_t h0, uint64_t h1,
+                                                      uint64_t step)
 {
     const int vectors = held ? rows / held : rows, k = L->k;
     const uint64_t cmask = L->cmask;
@@ -199,33 +264,75 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
      * hold one vector took up to 1.3x as long */
     if (step < 4)
         __builtin_unreachable();
+    /* the diagonals as local copies too, for the same reason */
+    const int hasB = phased && L->before, hasA = phased && L->after;
+    struct phases pb = {0}, pa = {0};
+    if (hasB)
+        pb = *L->before;
+    if (hasA)
+        pa = *L->after;
     for (uint64_t h = h0; h < h1; h++) {
-        double *base = a + 2 * (spread(h * step, sorted, k) | cmask);
+        const uint64_t first = spread(h * step, sorted, k) | cmask;
+        double *base = a + 2 * first;
         for (uint64_t j = 0; j < step; j += 4) {
             double *at = base + 2 * j;
-            for (int c = 0; c < vectors; c++)
+            /* the row vectors' entries differ only by their offsets' */
+            const uint64_t eb = hasB ? pext(first + j, pb.mask) : 0,
+                           ea = hasA ? pext(first + j, pa.mask) : 0;
+            v8d re, im;
+            for (int c = 0; c < vectors; c++) {
                 x[c] = load4(at + 2 * off[c]);
+                if (hasB) {
+                    lanes(&pb, eb + pb.off[c], &re, &im);
+                    x[c] = times(x[c], re, im);
+                }
+            }
             if (held)
                 mix_lanes(x, coef, perm, vector_of, lanes_of, held, rows);
             else
                 mix(x, mat, rows);
-            for (int c = 0; c < vectors; c++)
+            for (int c = 0; c < vectors; c++) {
+                if (hasA) {
+                    lanes(&pa, ea + pa.off[c], &re, &im);
+                    x[c] = times(x[c], re, im);
+                }
                 store4(at + 2 * off[c], x[c]);
+            }
         }
     }
 }
 
-#define CASE(rows)                            \
-    case rows:                                \
-        if (!held)                            \
-            run(a, L, rows, 0, h0, h1, step); \
-        else if (held == 1)                   \
-            run(a, L, rows, 1, h0, h1, step); \
-        else if (held == 2)                   \
-            run(a, L, rows, 2, h0, h1, step); \
-        else                                  \
-            run(a, L, rows, 4, h0, h1, step); \
+#define CASE(rows, phased)                                  \
+    case rows:                                              \
+        if (!held)                                          \
+            run(a, L, rows, 0, phased, h0, h1, step);       \
+        else if (held == 1)                                 \
+            run(a, L, rows, 1, phased, h0, h1, step);       \
+        else if (held == 2)                                 \
+            run(a, L, rows, 2, phased, h0, h1, step);       \
+        else                                                \
+            run(a, L, rows, 4, phased, h0, h1, step);       \
         break;
+
+#define SWITCH(phased)      \
+    switch (1 << w) {       \
+        CASE(2, phased)     \
+        CASE(4, phased)     \
+        CASE(8, phased)     \
+        CASE(16, phased)    \
+        CASE(32, phased)    \
+    }
+
+/* `run` with L's diagonals, specialised as in `run_bases`: one copy for
+ * both of its callers, which choose it before they reach `run_bases`. A
+ * copy in each made the build about twice as long again, and a branch to
+ * it inside `run_bases` made steps without diagonals 1.04-1.06x as long at
+ * one thread (lane target sets, n=20, median of 81) */
+static __attribute__((noinline)) void run_phased(
+    double *a, const struct layout *L, int w, int held, uint64_t h0, uint64_t h1, uint64_t step)
+{
+    SWITCH(1)
+}
 
 /* `run` specialised for 2^w rows and `held` rows per row vector (0 for
  * `mix`): the one body of a step, whole or in chunks. It is inlined into
@@ -235,12 +342,31 @@ static inline __attribute__((always_inline)) void run_bases(double *a, const str
                                                             int w, int held, uint64_t h0,
                                                             uint64_t h1, uint64_t step)
 {
-    switch (1 << w) {
-        CASE(2)
-        CASE(4)
-        CASE(8)
-        CASE(16)
-        CASE(32)
+    SWITCH(0)
+}
+
+/* The diagonals alone over 2^m amplitudes, in runs of consecutive
+ * amplitudes below the lowest of their bits above bit 1, whose lanes'
+ * phases stay the same */
+static void run_phases(double *a, int m, const struct phases *B, const struct phases *A)
+{
+    const uint64_t high = ((B ? B->mask : 0) | (A ? A->mask : 0)) & ~UINT64_C(3);
+    const int low = high ? __builtin_ctzll(high) : m;
+    const uint64_t span = UINT64_C(1) << low;
+    v8d bre = {0}, bim = {0}, are = {0}, aim = {0};
+    for (uint64_t first = 0; first < UINT64_C(1) << m; first += span) {
+        if (B)
+            lanes(B, pext(first, B->mask), &bre, &bim);
+        if (A)
+            lanes(A, pext(first, A->mask), &are, &aim);
+        for (double *at = a + 2 * first, *end = at + 2 * span; at < end; at += 8) {
+            v8d x = load4(at);
+            if (B)
+                x = times(x, bre, bim);
+            if (A)
+                x = times(x, are, aim);
+            store4(at, x);
+        }
     }
 }
 
@@ -272,9 +398,14 @@ static struct {
 static void run_chunks(struct job *J)
 {
     uint64_t c;
+    const int phased = J->L->before || J->L->after;
     while ((c = __atomic_fetch_add(&J->next, 1, __ATOMIC_RELAXED)) < J->chunks)
-        run_bases(J->amps, J->L, J->w, J->held, c * J->per_chunk, (c + 1) * J->per_chunk,
-                  J->step);
+        if (phased)
+            run_phased(J->amps, J->L, J->w, J->held, c * J->per_chunk,
+                       (c + 1) * J->per_chunk, J->step);
+        else
+            run_bases(J->amps, J->L, J->w, J->held, c * J->per_chunk,
+                      (c + 1) * J->per_chunk, J->step);
 }
 
 static void *helper(void *unused)
@@ -443,21 +574,58 @@ int qsim_threads(int bits, int share)
     return share < chunks ? share : (int)chunks;
 }
 
+/* P for a caller's table of 2^d phases over the d bits of `mask`; 0, or
+ * -1 if the copy cannot be allocated */
+static int phases_of(struct phases *P, const double *table, uint64_t mask)
+{
+    const size_t entries = (size_t)1 << __builtin_popcountll(mask);
+    /* 3 entries more, so that 4 load from the last, in whole vectors */
+    const size_t bytes = (16 * (entries + 3) + 63) & ~(size_t)63;
+    P->table = aligned_alloc(64, bytes);
+    if (!P->table)
+        return -1;
+    memcpy(P->table, table, 16 * entries);
+    memset(P->table + 2 * entries, 0, bytes - 16 * entries);
+    P->mask = mask;
+    for (int l = 0; l < 4; l++) {
+        const int64_t e = (int64_t)pext(l, mask & 3);
+        P->re[2 * l] = P->re[2 * l + 1] = 2 * e;
+        P->im[2 * l] = P->im[2 * l + 1] = 2 * e + 1;
+    }
+    return 0;
+}
+
 /* amps: 2^m complex128; mat: 2^w x 2^w complex128, row-major; byte j of
  * `targets` is the index bit of target j (matrix bit j); `cmask` holds the
  * control bits; `cores` is the share of cores a split step may take.
- * Returns 0, or -1, touching nothing, for a
- * width the kernel does not take, fewer than 4 amplitudes, bits that
- * repeat or lie outside the m index bits, or no memory for the
- * coefficients. */
+ * `before` and `after`, each NULL or 2^d complex128 phases over the d
+ * index bits set in its mask, ascending, multiply every amplitude before
+ * and after the matrix; width 0 has no matrix, and applies them alone.
+ * Returns 0, or -1, touching nothing, for a width outside 0 to 5, width 0
+ * with no phases, fewer than 4 amplitudes, bits that repeat or lie outside
+ * the m index bits, phases with controls or over more than 13 bits, or no
+ * memory for the coefficients or the tables. */
 int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
-                      uint64_t targets, uint64_t cmask, int cores)
+                      uint64_t targets, uint64_t cmask, int cores,
+                      const double *before, uint64_t before_mask,
+                      const double *after, uint64_t after_mask)
 {
     struct layout L = {0};
+    struct phases pb = {0}, pa = {0};
     int pos[MAX_WIDTH], high[MAX_WIDTH], nhigh = 0;
     uint64_t tmask = 0;
-    if (w < 1 || w > MAX_WIDTH || m < 2 || m > 62)
+    if (w < 0 || w > MAX_WIDTH || m < 2 || m > 62)
         return -1;
+    before_mask = before ? before_mask : 0;
+    after_mask = after ? after_mask : 0;
+    if (before || after) {
+        if (cmask || ((before_mask | after_mask) >> m) ||
+            __builtin_popcountll(before_mask) > MAX_PHASE_BITS ||
+            __builtin_popcountll(after_mask) > MAX_PHASE_BITS)
+            return -1;
+    } else if (!w) {
+        return -1;
+    }
     for (int j = 0; j < w; j++) {
         pos[j] = (targets >> (8 * j)) & 0xff;
         if (pos[j] >= m || (tmask >> pos[j]) & 1)
@@ -468,6 +636,17 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
     }
     if ((tmask & cmask) || (cmask >> m))
         return -1;
+    int status = -1;
+    if ((before && phases_of(&pb, before, before_mask)) ||
+        (after && phases_of(&pa, after, after_mask)))
+        goto done;
+    L.before = before ? &pb : NULL;
+    L.after = after ? &pa : NULL;
+    if (!w) {
+        run_phases(amps, m, L.before, L.after);
+        status = 0;
+        goto done;
+    }
     L.k = 0;
     for (int b = 2; b < m; b++)
         if (((tmask | cmask) >> b) & 1)
@@ -478,11 +657,13 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
         L.off[i] = 0;
         for (int q = 0; q < nhigh; q++)
             L.off[i] |= (int64_t)((i >> q) & 1) << pos[high[q]];
+        pb.off[i] = pext(L.off[i], before_mask);
+        pa.off[i] = pext(L.off[i], after_mask);
     }
     L.mat = mat;
     if ((tmask | cmask) & 3) {
         if (lane_coefficients(&L, mat, w, pos, high, nhigh, tmask & 3, cmask & 3))
-            return -1;
+            goto done;
     }
     const int held = L.coef ? L.held : 0;
     /* the amplitudes below the lowest inserted bit are consecutive */
@@ -501,8 +682,14 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
                         .per_chunk = span / sub, .chunks = chunks};
         serial = run_parallel(&J, threads);
     }
-    if (serial)
+    if (serial && (before || after))
+        run_phased(amps, &L, w, held, 0, L.amps / step, step);
+    else if (serial)
         run_bases(amps, &L, w, held, 0, L.amps / step, step);
+    status = 0;
+done:
     free(L.coef);
-    return 0;
+    free(pb.table);
+    free(pa.table);
+    return status;
 }

@@ -34,6 +34,12 @@ spin, since a spinning helper holds a core that another rank or process
 needs, and they keep off the caller's CPU. The caller waits only for
 helpers that have joined its step, so a helper that has not started
 stalls nothing.
+
+A call may carry a diagonal to multiply in before the matrix and one
+after it, each as a table of phases over its index bits in ascending
+order and the mask of those bits; width 0 applies them with no matrix, in
+one serial sweep. A folded diagonal and the same diagonal applied alone
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -145,7 +151,8 @@ def _open():
     except OSError:
         pass
     fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int,
-                   ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int]
+                   ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int,
+                   ctypes.c_void_p, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_uint64]
     fn.restype = ctypes.c_int
     return fn
 
@@ -162,10 +169,10 @@ def core_share(env=None) -> int:
 
 
 def load():
-    """`qsim_apply_matrix(amps, m, mat, w, targets, cmask, cores)` of the
-    compiled kernel, or None if it cannot be built; `cores` reads
-    `core_share()` then. Only the first call builds or loads; every later
-    one returns the same answer."""
+    """`qsim_apply_matrix(amps, m, mat, w, targets, cmask, cores, before,
+    before_mask, after, after_mask)` of the compiled kernel, or None if it
+    cannot be built; `cores` reads `core_share()` then. Only the first
+    call builds or loads; every later one returns the same answer."""
     global _loaded, _apply, cores
     if not _loaded:
         with _lock:

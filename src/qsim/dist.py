@@ -9,7 +9,11 @@ Gates dispatch as:
   (a) all targets on local bits  -> local matrix application; a global
       control reads its bit of the rank id, and a 0 skips the rank
   (b) any diagonal gate, with local or global targets -> phase multiply;
-      a global qubit's phase reads its bit of the rank id, no messages
+      a global qubit's phase reads its bit of the rank id, no messages.
+      The engine folds it into the (a) step right after it, or else the
+      one right before it, if that step's gate has no controls
+      (`sweeps`), so with the compiled kernel it costs no sweep of its
+      own
   (c) otherwise -> relocalize each global target (pairwise half-slice
       exchange with the partner rank, streamed in pieces of at most
       2^14 amplitudes through one reused buffer), then apply locally
@@ -27,8 +31,9 @@ and diagonal gates never need a local bit, and a SWAP is a relabel, so
 the lookahead renames the qubit through each SWAP it passes.
 
 `plan_gate` encodes this policy once, and `schedule` plans a whole circuit
-into one step list: the engine executes those steps on amplitudes and the
-performance model sums the same list, so the two always agree.
+into one step list, which `sweeps` pairs into the slice sweeps that run
+it: the engine executes those on amplitudes and the performance model sums
+the same pairs, so the two always agree.
 """
 
 from __future__ import annotations
@@ -218,6 +223,37 @@ def schedule(circuit: Circuit, n: int, k: int, fusion: bool) -> list[PlanStep]:
     return [step for i, op in enumerate(ops) for step in plan_gate(layout, op, ops[i + 1 :])]
 
 
+def sweeps(steps: list[PlanStep]) -> list[tuple[PlanStep, PlanStep | None, PlanStep | None]]:
+    """`steps` as the engine runs them: each step with the "diagonal"
+    steps folded into it to run before and after its op, or None. A
+    diagonal step folds into the "local" step right after it, else into
+    the one right before it, if that step's op has no controls and that
+    side is still free; else it is a sweep of its own. Adjacent steps see
+    the same layout, so a fold changes no result, and the compiled kernel
+    multiplies a folded diagonal's phases in as the local step's sweep
+    loads and stores each vector. The engine runs these; the model counts
+    one slice sweep for each that holds a local or diagonal step."""
+
+    def takes(step) -> bool:
+        return step.action == "local" and not step.op.controls
+
+    out: list[list] = []
+    i = 0
+    while i < len(steps):
+        step = steps[i]
+        if step.action == "diagonal" and i + 1 < len(steps) and takes(steps[i + 1]):
+            out.append([steps[i + 1], step, None])
+            i += 2
+            continue
+        if step.action == "diagonal" and i and takes(steps[i - 1]) and out[-1][2] is None:
+            # a local step always heads the sweep that holds it
+            out[-1][2] = step
+        else:
+            out.append([step, None, None])
+        i += 1
+    return [tuple(s) for s in out]
+
+
 # --------------------------------------------------------------------------
 # execution on real amplitudes
 # --------------------------------------------------------------------------
@@ -280,9 +316,11 @@ def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
     lay.swap_positions(global_pos, local_pos)
 
 
-def _execute(st: DistState, step: PlanStep) -> None:
-    """Run one step on the amplitudes; a relabel or relocalize step moves
-    `st.layout` as it runs, so steps execute in their planned order."""
+def _execute(st: DistState, step: PlanStep, before: PlanStep | None = None,
+             after: PlanStep | None = None) -> None:
+    """Run one step on the amplitudes, with the diagonal steps folded into
+    it (`sweeps`); a relabel or relocalize step moves `st.layout` as it
+    runs, so steps execute in their planned order."""
     lay = st.layout
     if step.action == "relabel":
         a, b = step.op.targets
@@ -290,7 +328,8 @@ def _execute(st: DistState, step: PlanStep) -> None:
     elif step.action == "relocalize":
         relocalize(st, step.global_pos, step.local_pos)
     elif step.action in ("local", "diagonal"):
-        sv.apply_gate(st.slice.amps, step.op, lay.perm, st.ep.rank)
+        sv.apply_gate(st.slice.amps, step.op, lay.perm, st.ep.rank,
+                      before=before and before.op, after=after and after.op)
     else:
         raise AssertionError(f"unknown plan step {step.action!r}")
 
@@ -312,8 +351,8 @@ def run_distributed(
 ) -> DistState:
     """SPMD circuit execution; every rank calls with identical arguments."""
     st = partition(circuit.num_qubits, ep, precision=precision)
-    for step in schedule(circuit, st.n, st.layout.k, fusion):
-        _execute(st, step)
+    for step, before, after in sweeps(schedule(circuit, st.n, st.layout.k, fusion)):
+        _execute(st, step, before, after)
     return st
 
 

@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .dist import schedule
+from .dist import schedule, sweeps
 from .fabric import rank_bits
 from .svcore import Circuit, Precision
 
@@ -177,14 +177,15 @@ def schedule_traffic(
     fusion: bool = False,
     precision: Precision = Precision.DOUBLE,
 ) -> TrafficProfile:
-    """Sum the distributed engine's own step list, `dist.schedule`.
-    Every local or diagonal application sweeps the slice once (read+write);
-    a diagonal step from fusion may span up to 13 qubits and is still one
-    sweep. Every relocalization moves half the slice per rank in each
-    direction."""
+    """Sum the distributed engine's own step list, `dist.schedule`, as the
+    engine runs it (`dist.sweeps`). Every local step, with the diagonal
+    steps folded into it, and every diagonal step left on its own sweeps
+    the slice once (read+write); a diagonal step from fusion may span up
+    to 13 qubits and is still one sweep. Every relocalization moves half
+    the slice per rank in each direction."""
     k = topology.global_bits
     steps = schedule(circuit, n, k, fusion)
-    sweeps = sum(step.action in ("local", "diagonal") for step in steps)
+    swept = sum(step.action in ("local", "diagonal") for step, _, _ in sweeps(steps))
     # a relocalization crosses the rank-id bit of its global position
     swaps = Counter(step.global_pos - (n - k) for step in steps if step.action == "relocalize")
     bpa = precision.value
@@ -193,8 +194,8 @@ def schedule_traffic(
     return TrafficProfile(
         n=n,
         k=k,
-        local_sweeps=sweeps,
-        local_bytes=sweeps * 2 * slice_bytes,
+        local_sweeps=swept,
+        local_bytes=swept * 2 * slice_bytes,
         exchange_bytes_per_level={b: c * half_slice for b, c in sorted(swaps.items())},
         swap_count_per_level=dict(sorted(swaps.items())),
     )

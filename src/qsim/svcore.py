@@ -16,20 +16,31 @@ Conventions shared by every module in this package:
     for the engine, the reference simulator and fusion: qubit q sits at
     index bit positions[q] of 2^m amplitudes, and a position p >= m reads
     bit p - m of `high` (a rank's id). A diagonal op never takes the
-    matrix path:
-    `_apply_diagonal` multiplies the view `amps.reshape((2,) * (m-L) +
-    (2^L,))`, L = min(m, 13) (`_DIAGONAL_INNER_BITS`), in place by a
-    factor spelled out over the low L index bits, so its inner loop is a
-    contiguous run of 2^L amplitudes wherever the gate's bits sit.
-    `diagonal_of` gives any diagonal op as a phase vector over its sorted
-    qubits
+    matrix path. `_apply_diagonal` hands the compiled kernel (below) a
+    table of its phases over the d index bits it touches, ascending
+    (`_phase_table`: 2^d entries, at most 128 KiB), for one serial sweep
+    that looks each amplitude's phase up by its index bits. For complex64,
+    or without the compiled kernel, `_apply_diagonal_numpy` multiplies the
+    view `amps.reshape((2,) * (m-L) + (2^L,))`, L = min(m, 13)
+    (`_DIAGONAL_INNER_BITS`), in place by a factor spelled out over the
+    low L index bits, so its inner loop is a contiguous run of 2^L
+    amplitudes wherever the gate's bits sit. `diagonal_of` gives any
+    diagonal op as a phase vector over its sorted qubits
+  - `apply_gate` also takes the diagonal ops to apply just before and
+    just after a non-diagonal op (`dist.sweeps` pairs them). For an op
+    without controls the compiled kernel multiplies their tables into
+    each vector as its sweep loads and stores it, so a folded diagonal
+    costs no sweep of its own; otherwise, and without the compiled
+    kernel, the three are applied in order. Every path multiplies an
+    amplitude by its phase alike, so both give the same bytes
   - a "DIAGONAL" op holds only that phase vector, for 1 to 13 qubits, so
     it is never densified. `fuse` emits one for each stretch of diagonal
     gates wider than its cap: such a step costs about one sweep at any
     width, while a dense block's cost grows with its width. A stretch
     stays within 13 qubits with at most 3 at bit 13 or above
-    (`_DIAGONAL_HIGH_BITS`), because the factor is spelled out over the
-    low 13 bits times 2^h for h positions above them
+    (`_DIAGONAL_HIGH_BITS`), because the numpy fallback's factor is
+    spelled out over the low 13 bits times 2^h for h positions above
+    them; the compiled kernel's table costs the same wherever they sit
   - `fuse` keeps a frontier of open blocks on pairwise disjoint qubits.
     Disjoint blocks commute, so a gate on other qubits never flushes a
     block, and a gate that would overfill the blocks it touches emits the
@@ -53,7 +64,10 @@ Conventions shared by every module in this package:
     about 1e-15. With no target or control at bit 0 or 1 a vector holds 4
     groups; otherwise it holds several rows, or control values, of fewer
     groups, and the kernel multiplies by per-lane coefficients and moves
-    lanes in registers rather than gather amplitudes
+    lanes in registers rather than gather amplitudes. A diagonal's phase
+    for amplitude i is entry pext(i, mask) of its table (BMI2's pext
+    where the compiler targets it, else a loop), and the 4 lanes of a
+    vector take theirs from one 64-byte load and a shuffle
   - the compiled kernel splits a step that touches at least 2^15
     amplitudes into chunks of 2^12 over the process's share of cores:
     OMP_NUM_THREADS if it is a positive integer, else the CPUs the process
@@ -107,10 +121,12 @@ QUBIT_CAP = 26
 # and ran about 30% slower at n=20
 _DIAGONAL_INNER_BITS = 13
 # positions at or above bit 13 that one DIAGONAL op from `fuse` may hold;
-# its factor holds 2^h x 2^13 entries for h such positions. A 13-qubit step
-# at n=20 (2-vCPU Xeon, one streaming sweep 0.48 ms) took 0.58-0.72 ms with
-# h <= 3, 1.2 ms with h = 5, and 1.65 ms, 3.4 sweeps, with h = 7, which an
-# unbounded 13-qubit TFIM stretch has
+# the numpy fallback's factor holds 2^h x 2^13 entries for h such
+# positions. A 13-qubit step at n=20 (2-vCPU Xeon, one streaming sweep
+# 0.48 ms) took 0.58-0.72 ms with h <= 3, 1.2 ms with h = 5, and 1.65 ms,
+# 3.4 sweeps, with h = 7, which an unbounded 13-qubit TFIM stretch has.
+# The compiled kernel's table does not grow with h (a 13-qubit step with
+# h = 7 took 0.84 ms against numpy's 2.4), so this bounds the fallback only
 _DIAGONAL_HIGH_BITS = 3
 # log2 of the amplitudes in one block of `_apply_matrix_numpy`, the
 # fallback kernel, whose staging holds three times as many; it also sizes
@@ -422,22 +438,51 @@ def _copy_order(bits: list[int]) -> list[int]:
     return bits[stop:][::-1] + bits[:start][::-1] + bits[start:stop][::-1]
 
 
+def _phase_table(diag: np.ndarray, positions) -> tuple[np.ndarray, int]:
+    """A diagonal indexed over the given bit positions (bit j of its index
+    = positions[j]) as the compiled kernel takes one: complex128 entries
+    over the same positions in ascending order, and their mask."""
+    w = len(positions)
+    order = sorted(range(w), key=positions.__getitem__)
+    table = np.ascontiguousarray(diag, dtype=np.complex128)
+    if order != list(range(w)):
+        # axis w-1-j holds positions[j] before and the j-th lowest after
+        table = table.reshape((2,) * w).transpose([w - 1 - j for j in reversed(order)]).ravel()
+    return table, sum(1 << p for p in positions)
+
+
+def _compiled(amps: np.ndarray, mat=None, targets=(), controls=(), before=None,
+              after=None) -> bool:
+    """Whether the compiled kernel applied, in place on a 2^m amplitude
+    array: the diagonal `before`, then `mat` on the target bits over the
+    indices whose control bits are all 1 (no matrix if None), then the
+    diagonal `after`, each a `_phase_table` or None. False, touching
+    nothing, if the array is not contiguous complex128, the kernel cannot
+    be built, or it does not take the call."""
+    if amps.dtype != np.complex128 or not amps.flags.c_contiguous:
+        return False
+    apply = ckernel.load()
+    if apply is None:
+        return False
+    if mat is not None:
+        mat = np.ascontiguousarray(mat, dtype=np.complex128)
+    (bt, bmask), (at, amask) = before or (None, 0), after or (None, 0)
+    return apply(
+        amps.ctypes.data, int(amps.size).bit_length() - 1,
+        None if mat is None else mat.ctypes.data, len(targets),
+        sum(t << (8 * j) for j, t in enumerate(targets)), sum(1 << c for c in controls),
+        ckernel.cores, None if bt is None else bt.ctypes.data, bmask,
+        None if at is None else at.ctypes.data, amask,
+    ) == 0
+
+
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
     """In-place matrix application on the target bits of a 2^m amplitude
     array, restricted to indices whose control bits are all 1: by the
     compiled kernel for a contiguous complex128 array, else, or if the
     kernel cannot be built, by `_apply_matrix_numpy`."""
-    compiled = amps.dtype == np.complex128 and amps.flags.c_contiguous
-    apply = ckernel.load() if compiled else None
-    if apply is not None:
-        mat = np.ascontiguousarray(mat, dtype=np.complex128)
-        packed = sum(t << (8 * j) for j, t in enumerate(targets))
-        cmask = sum(1 << c for c in controls)
-        m = int(amps.size).bit_length() - 1
-        if apply(amps.ctypes.data, m, mat.ctypes.data, len(targets), packed, cmask,
-                 ckernel.cores) == 0:
-            return
-    _apply_matrix_numpy(amps, mat, targets, controls)
+    if not _compiled(amps, mat, targets, controls):
+        _apply_matrix_numpy(amps, mat, targets, controls)
 
 
 def _apply_matrix_numpy(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
@@ -486,7 +531,15 @@ def _apply_matrix_numpy(amps: np.ndarray, mat: np.ndarray, targets, controls=())
 
 def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, positions) -> None:
     """In-place multiply by a diagonal indexed over the given bit positions
-    (bit j of the diagonal's index = positions[j])."""
+    (bit j of the diagonal's index = positions[j]): by the compiled
+    kernel's width-0 sweep for a contiguous complex128 array, else, or if
+    the kernel cannot be built, by `_apply_diagonal_numpy`."""
+    if not _compiled(amps, before=_phase_table(diag, positions)):
+        _apply_diagonal_numpy(amps, diag, positions)
+
+
+def _apply_diagonal_numpy(amps: np.ndarray, diag: np.ndarray, positions) -> None:
+    """`_apply_diagonal` in numpy: the fallback, and the tests' reference."""
     m = int(amps.size).bit_length() - 1
     w = len(positions)
     d = diag.astype(amps.dtype, copy=False).reshape((2,) * w + (1,) * (m - w))
@@ -535,24 +588,46 @@ def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
         y[...] = held
 
 
-def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0) -> None:
+def _local_phases(op: GateOp, positions, m: int, high: int):
+    """A diagonal op's phases over the index bits below m that its qubits
+    sit at, and those bits; a position p >= m reads bit p - m of `high`."""
+    phases, qubits = diagonal_of(op)
+    at = [positions[q] for q in qubits]
+    if max(at) >= m:
+        # axis len(at)-1-j of the phase tensor holds qubits[j]
+        fixed = [(high >> (p - m)) & 1 if p >= m else slice(None) for p in reversed(at)]
+        phases = phases.reshape((2,) * len(at))[tuple(fixed)].ravel()
+        at = [p for p in at if p < m]
+    return phases, at
+
+
+def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0,
+               before: GateOp | None = None, after: GateOp | None = None) -> None:
     """Apply `op` in place to a slice of 2^m amplitudes, qubit q at index
     bit positions[q]. A position p >= m reads bit p - m of `high`: it fixes
-    a diagonal op's phases, and a control reading 0 skips the op."""
+    a diagonal op's phases, and a control reading 0 skips the op.
+
+    `before` and `after`, diagonal ops or None, are applied just before and
+    just after a non-diagonal `op`: in the same compiled call, so in one
+    sweep, when `op` has no controls and the compiled kernel takes the
+    array, else in calls of their own. Both give the same bytes."""
     m = int(amps.size).bit_length() - 1
-    controls = [positions[c] for c in op.controls]
     if op.is_diagonal():
-        phases, qubits = diagonal_of(op)
-        at = [positions[q] for q in qubits]
-        if max(at) >= m:
-            # axis len(at)-1-j of the phase tensor holds qubits[j]
-            fixed = [(high >> (p - m)) & 1 if p >= m else slice(None) for p in reversed(at)]
-            phases = phases.reshape((2,) * len(at))[tuple(fixed)].ravel()
-            at = [p for p in at if p < m]
-        _apply_diagonal(amps, phases, at)
-    elif not controls or all((high >> (p - m)) & 1 for p in controls if p >= m):
-        targets = [positions[t] for t in op.targets]
+        _apply_diagonal(amps, *_local_phases(op, positions, m, high))
+        return
+    controls = [positions[c] for c in op.controls]
+    targets = [positions[t] for t in op.targets]
+    if (before is not None or after is not None) and not controls:
+        tables = [None if d is None else _phase_table(*_local_phases(d, positions, m, high))
+                  for d in (before, after)]
+        if _compiled(amps, base_matrix(op), targets, (), *tables):
+            return
+    if before is not None:
+        apply_gate(amps, before, positions, high)
+    if not controls or all((high >> (p - m)) & 1 for p in controls if p >= m):
         _apply_matrix(amps, base_matrix(op), targets, [p for p in controls if p < m])
+    if after is not None:
+        apply_gate(amps, after, positions, high)
 
 
 @dataclass
@@ -751,6 +826,18 @@ def _renamed(op: GateOp, where) -> GateOp:
     return out
 
 
+def _trusted(kind: str, qubits, array: np.ndarray, diagonal: bool) -> GateOp:
+    """A FUSED or DIAGONAL op of `fuse` over its sorted qubits, adopting
+    `array`, whose diagonality the caller gives. The array is a product of
+    checked ops, built from the identity or from ones by the kernels, so
+    `GateOp.__post_init__`'s checks (a unitarity product and a scan for
+    entries off the diagonal among them) do not run."""
+    out = object.__new__(GateOp)
+    out.__dict__.update(kind=kind, targets=qubits, controls=(), params=(), matrix=array,
+                        _diagonal=diagonal)
+    return out
+
+
 def _over(phases: np.ndarray, qubits, union) -> np.ndarray:
     """`phases` over sorted `qubits` as a tensor that broadcasts over the
     bit axes of the sorted superset `union`: size 2 on the axis of each of
@@ -799,11 +886,13 @@ class _Block:
             flat, rows = mat.reshape(-1), {q: u + j for j, q in enumerate(self.qubits)}
             for op in self.ops:
                 apply_gate(flat, op, rows)
-            return fused(self.qubits, mat)
+            # a product of dense gates can still be diagonal, as H H is
+            diag = np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
+            return _trusted("FUSED", self.qubits, mat, bool(diag))
         phases = _product(diagonal_of(op) for op in self.ops)
         if u > max_width:
-            return diagonal(self.qubits, phases)
-        return fused(self.qubits, np.diag(phases))
+            return _trusted("DIAGONAL", self.qubits, phases, True)
+        return _trusted("FUSED", self.qubits, np.diag(phases), True)
 
 
 def _fits(qubits: tuple[int, ...], dense: bool, max_width: int) -> bool:

@@ -161,12 +161,13 @@ def test_a_new_build_deletes_an_unused_old_library(fresh, monkeypatch, tmp_path)
         import numpy as np
         fn = ctypes.CDLL(sys.argv[1]).qsim_apply_matrix
         fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int,
-                       ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int]
+                       ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int,
+                       ctypes.c_void_p, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_uint64]
         print("loaded", flush=True)
         sys.stdin.readline()
         psi = np.array([1, 0, 0, 0], dtype=complex)
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert fn(psi.ctypes.data, 2, x.ctypes.data, 1, 0, 0, 1) == 0
+        assert fn(psi.ctypes.data, 2, x.ctypes.data, 1, 0, 0, 1, None, 0, None, 0) == 0
         print(psi.real.tolist())
     """)
     proc = subprocess.Popen([sys.executable, "-c", script, str(old)], stdin=subprocess.PIPE,

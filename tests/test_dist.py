@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,10 @@ from qsim.circuits import build_qpe, build_random_circuit, QpeSpec
 from qsim.dist import RankLayout, partition, plan_gate
 from qsim.fabric import FabricEndpoint, create_world, run_spmd
 from qsim.svcore import Circuit, Precision, dense_run
+
+# the traced benchmark's runner, imported as its worker imports it
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
 
 
 def spmd(P, fn, with_log=False):
@@ -512,43 +519,69 @@ TRACED_CIRCUITS = {
 }
 
 
+class _PlanRecorder:
+    """`dist` as `tracing` sees it, whose `plan_gate` also records the
+    steps it plans for the calling rank thread."""
+
+    def __init__(self):
+        self.local = threading.local()
+
+    def __getattr__(self, name):
+        return getattr(dist, name)
+
+    def plan_gate(self, layout, op, future_ops=()):
+        steps = dist.plan_gate(layout, op, future_ops)
+        self.local.planned += steps
+        return steps
+
+
+_RECORDER = _PlanRecorder()
+
+
+@pytest.fixture(scope="module")
+def recording_plans():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracing, "dist", _RECORDER)
+        yield
+
+
 def traced_calls(c, ep):
-    """The public calls of the traced benchmark run: relocalizations are
-    taken out of `dist.apply` by planning each op on a layout copy.
-    Returns the state and every step planned, in order."""
-    k = ep.world_size.bit_length() - 1
-    ops = dist.scheduled_ops(c, c.num_qubits, k, True)
-    st = partition(c.num_qubits, ep)
-    planned = []
-    for i, op in enumerate(ops):
-        steps = plan_gate(st.layout.copy(), op, ops[i + 1:])
-        for step in steps:
-            if step.action == "relocalize":
-                dist.relocalize(st, step.global_pos, step.local_pos)
-        dist.apply(st, op, ops[i + 1:])
-        planned += steps
-    return st, planned
+    """The traced benchmark's own run, `tracing.traced_run`, on `ep`
+    wrapped as its worker wraps it: relocalizations are taken out of
+    `dist.apply` by planning each op on a layout copy, and no diagonal step
+    is folded. Returns the state, every step the run planned, in order, and
+    the traced endpoint."""
+    tep = tracing.TracedEndpoint(ep, tracing.Tracer(ep.rank))
+    _RECORDER.local.planned = []
+    st, _, _ = tracing.traced_run(c, tep, 0)
+    return st, _RECORDER.local.planned, tep
 
 
+@pytest.mark.usefixtures("recording_plans")
 @pytest.mark.parametrize("P", [2, 4])
 @pytest.mark.parametrize("name", TRACED_CIRCUITS)
 def test_traced_calls_equal_run_distributed_and_model(name, P):
+    # run_distributed folds diagonal steps into their neighbours, the
+    # traced run applies op by op: the same bytes either way
     c = TRACED_CIRCUITS[name]()
     topo = perfmodel.nvl72_topology().for_ranks(P)
     prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion=True)
     assert prof.swap_count > 0
-    traced, traffic = spmd(P, lambda ep: traced_calls(c, ep)[0], with_log=True)
+    traced = spmd(P, lambda ep: traced_calls(c, ep))
     plain = spmd(P, lambda ep: dist.run_distributed(c, ep, fusion=True))
     for rank in range(P):
-        assert np.array_equal(traced[rank].slice.amps, plain[rank].slice.amps)
-        assert traced[rank].layout.perm == plain[rank].layout.perm
-        assert traffic[rank].bytes_sent() == prof.total_exchange_bytes
+        st, _, tep = traced[rank]
+        assert np.array_equal(st.slice.amps, plain[rank].slice.amps)
+        assert st.layout.perm == plain[rank].layout.perm
+        assert tep.traffic.bytes_sent() == prof.total_exchange_bytes
+        assert tep.exchange_bytes == prof.total_exchange_bytes
 
 
 def step_fields(steps):
     return [(s.action, s.global_pos, s.local_pos) for s in steps]
 
 
+@pytest.mark.usefixtures("recording_plans")
 @pytest.mark.parametrize("P", [2, 4])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -558,7 +591,7 @@ def test_schedule_equals_traced_per_op_plans(P, data):
     k = P.bit_length() - 1
     c = data.draw(mixed_circuits(k))
     expect = step_fields(dist.schedule(c, c.num_qubits, k, True))
-    for _, planned in spmd(P, lambda ep: traced_calls(c, ep)):
+    for _, planned, _ in spmd(P, lambda ep: traced_calls(c, ep)):
         assert step_fields(planned) == expect
 
 

@@ -7,15 +7,17 @@ from qsim.fabric import create_world, run_spmd
 from qsim.svcore import Precision
 
 # (local_sweeps, total_exchange_bytes, swap_count) per rank on 64 NVL72 ranks.
-# A "local" and a "diagonal" plan step each cost one sweep and move no data,
-# so which of the two a diagonal on local bits plans to leaves these unchanged
+# A "local" step, with the diagonal steps folded into it (`dist.sweeps`), and
+# a diagonal step left on its own each cost one sweep; diagonal steps move no
+# data, so folding them changes the sweeps alone (before folding: 226, 628,
+# 237, 714, 561 and 1733)
 PAPER_TRAFFIC = {
-    ("qpe34", True): (226, 27917287424, 13),
-    ("qpe34", False): (628, 25769803776, 12),
-    ("tfim34", True): (237, 141733920768, 66),
-    ("tfim34", False): (714, 141733920768, 66),
-    ("random34", True): (561, 161061273600, 75),
-    ("random34", False): (1733, 111669149696, 52),
+    ("qpe34", True): (165, 27917287424, 13),
+    ("qpe34", False): (569, 25769803776, 12),
+    ("tfim34", True): (151, 141733920768, 66),
+    ("tfim34", False): (694, 141733920768, 66),
+    ("random34", True): (399, 161061273600, 75),
+    ("random34", False): (1258, 111669149696, 52),
 }
 
 

@@ -357,6 +357,18 @@ def _small_cases():
     return cases
 
 
+# diagonal bit sets for the fold at n=17: bit 0, bit 1, both, neither,
+# bits 13 and above, a 13-bit stretch with 5 of them there, and none (an
+# all-global diagonal: one scalar phase)
+_FOLD_SETS = [(0,), (1,), (0, 1), (5, 9), (13, 15, 16),
+              (0, 1, 2, 3, 4, 5, 8, 10, 12, 13, 14, 15, 16), ()]
+
+
+def _random_phases(rng, bits):
+    """Random unit phases over `bits` as a `_phase_table`."""
+    return sv._phase_table(np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))), bits)
+
+
 class TestCompiledKernel:
     """The compiled kernel against the numpy one, within 1e-12."""
 
@@ -386,20 +398,67 @@ class TestCompiledKernel:
         self.check(psi, random_unitary(len(targets), m), targets, controls)
 
     @pytest.mark.parametrize(
-        "m, targets, cmask",
-        [(4, (4,), 0), (4, (1, 1), 0), (4, (1,), 0b10), (4, (0,), 0b10000),
-         (4, (0,) * 6, 0), (4, (), 0), (1, (0,), 0)],
+        "m, targets, cmask, w, phase_mask",
+        [(4, (4,), 0, 1, None), (4, (1, 1), 0, 2, None), (4, (1,), 0b10, 1, None),
+         (4, (0,), 0b10000, 1, None), (4, (0,) * 6, 0, 6, None), (4, (), 0, 0, None),
+         (1, (0,), 0, 1, None), (4, (0,), 0b10, 1, 0b100), (4, (), 0b10, 0, 0b100),
+         (4, (0,), 0, 1, 0b10000), (4, (), 0, 0, 0b10010), (4, (0,) * 6, 0, 6, 0b10),
+         (4, (), 0, -1, 0b10), (15, (), 0, 0, (1 << 14) - 1)],
         ids=["target-out-of-range", "repeated-target", "target-is-control",
-             "control-out-of-range", "too-wide", "no-target", "two-amplitudes"],
+             "control-out-of-range", "too-wide", "no-target", "two-amplitudes",
+             "phases-with-control", "width-0-phases-with-control", "phase-bit-at-m",
+             "width-0-phase-bit-above-m", "too-wide-with-phases", "negative-width",
+             "phases-over-14-bits"],
     )
-    def test_rejects_what_it_cannot_take_untouched(self, m, targets, cmask):
+    def test_rejects_what_it_cannot_take_untouched(self, m, targets, cmask, w, phase_mask):
         psi = np.arange(1 << m, dtype=complex)
         mat = np.eye(1 << len(targets), dtype=complex)[::-1].copy()
-        packed = sum(t << (8 * j) for j, t in enumerate(targets))
         got = psi.copy()
-        apply = ckernel.load()
-        assert apply(got.ctypes.data, m, mat.ctypes.data, len(targets), packed, cmask, 2) == -1
-        assert np.array_equal(got, psi)
+        for side in ("before", "after") if phase_mask is not None else (None,):
+            phases = None
+            if side:
+                phases = (np.full(1 << bin(phase_mask).count("1"), 1j), phase_mask)
+            assert raw_call(got, mat, targets, cmask, 2, w=w,
+                            **({side: phases} if side else {})) == -1
+            assert np.array_equal(got, psi)
+
+    @pytest.mark.parametrize(
+        "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
+    )
+    def test_fold_gives_the_bytes_of_separate_sweeps(self, targets, controls):
+        # the fold takes no controls, so each case runs on its targets
+        # alone; each diagonal set comes before the next one after
+        psi, mat = _block_case(targets, controls, Precision.DOUBLE)
+        rng = np.random.default_rng(len(targets))
+        tables = [_random_phases(rng, bits) for bits in _FOLD_SETS]
+        for i, table in enumerate(tables):
+            before, after = table, tables[(i + 1) % len(tables)]
+            for sides in ({"before": before}, {"after": after},
+                          {"before": before, "after": after}):
+                separate = psi.copy()
+                if "before" in sides:
+                    assert raw_call(separate, None, (), 0, 1, before=before) == 0
+                assert raw_call(separate, mat, targets, 0, 1) == 0
+                if "after" in sides:
+                    assert raw_call(separate, None, (), 0, 1, before=after) == 0
+                expect = digest(separate)
+                for cores in (1, 2, 3):
+                    got = psi.copy()
+                    assert raw_call(got, mat, targets, 0, cores, **sides) == 0
+                    assert digest(got) == expect, (sides.keys(), _FOLD_SETS[i], cores)
+
+    @pytest.mark.parametrize("bits", _FOLD_SETS, ids=[str(b) for b in _FOLD_SETS])
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_width_0_matches_numpy(self, bits, order):
+        psi, _ = _block_case((0,), (), Precision.DOUBLE)
+        bits = bits if order == "ascending" else bits[::-1]
+        rng = np.random.default_rng(len(bits))
+        diag = np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits)))
+        got, expect = psi.copy(), psi.copy()
+        assert raw_call(got, None, (), 0, 1, before=sv._phase_table(diag, bits)) == 0
+        sv._apply_diagonal_numpy(expect, diag, bits)
+        assert not np.array_equal(got, psi)
+        assert np.max(np.abs(got - expect)) <= 1e-14
 
     @pytest.mark.parametrize(
         "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
@@ -448,18 +507,33 @@ class TestCompiledKernel:
         assert kernel_threads(bits, share) == count
 
 
+def raw_call(amps, mat, targets, cmask, cores, before=None, after=None, w=None) -> int:
+    """The compiled kernel's entry on `amps`: `mat` (None for width 0) on
+    `targets` under the controls in `cmask`, with each of `before` and
+    `after` a (table, mask) pair or None; `w` defaults to the target
+    count."""
+    apply = ckernel.load()
+    mat = None if mat is None else np.ascontiguousarray(mat, dtype=np.complex128)
+    (bt, bmask), (at, amask) = before or (None, 0), after or (None, 0)
+    return apply(amps.ctypes.data, amps.size.bit_length() - 1,
+                 None if mat is None else mat.ctypes.data,
+                 len(targets) if w is None else w,
+                 sum(t << (8 * j) for j, t in enumerate(targets)), cmask, cores,
+                 None if bt is None else bt.ctypes.data, bmask,
+                 None if at is None else at.ctypes.data, amask)
+
+
+def digest(amps) -> str:
+    return hashlib.sha256(amps.tobytes()).hexdigest()
+
+
 def compiled_digest(psi, mat, targets, controls, cores, rounds=1) -> str:
     """sha256 of psi after `rounds` steps through the compiled kernel's
     entry with a share of `cores` cores."""
-    apply = ckernel.load()
-    mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    packed = sum(t << (8 * j) for j, t in enumerate(targets))
-    cmask = sum(1 << c for c in controls)
     got = psi.copy()
     for _ in range(rounds):
-        assert apply(got.ctypes.data, got.size.bit_length() - 1, mat.ctypes.data,
-                     len(targets), packed, cmask, cores) == 0
-    return hashlib.sha256(got.tobytes()).hexdigest()
+        assert raw_call(got, mat, targets, sum(1 << c for c in controls), cores) == 0
+    return digest(got)
 
 
 def kernel_threads(bits: int, share: int) -> int:

@@ -7,8 +7,10 @@ circuit's time never enters the statistics. The clock is injectable so the
 timing protocol itself is testable; the dense oracle runs outside it.
 
 Every rank returns a `BenchmarkReport` holding its own timings and its own
-exchange traffic; the caller prints rank 0's. The report's fields are its
-JSON keys, so `render("json")` and `report_from_json` are inverses.
+exchange traffic, and which dense kernel ran (the compiled one, or numpy
+where it cannot be built, which runs several times slower); the caller
+prints rank 0's. The report's fields are its JSON keys, so
+`render("json")` and `report_from_json` are inverses.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import circuits as circ
+from . import ckernel
 from . import svcore as sv
 from .dist import run_distributed, sample_distributed
 from .fabric import FabricEndpoint
@@ -127,12 +130,15 @@ class CircuitResult:
 class BenchmarkReport:
     """One rank's report. The fields, in order, are the JSON keys. `traffic`
     counts this rank's exchange() traffic since its endpoint was created;
-    reports written before every endpoint counted its traffic may hold null."""
+    reports written before every endpoint counted its traffic may hold null.
+    `kernel` is "compiled" or "numpy"; reports written before it was
+    recorded lack the key and read as null."""
 
     schema_version: int
     config: dict
     world_size: int
     transport: str
+    kernel: str | None
     creation_time_seconds: float
     circuits: list[CircuitResult]
     warmup_excluded: bool
@@ -143,7 +149,8 @@ class BenchmarkReport:
 
     def render(self, fmt: str) -> str:
         """The report as JSON, or as CSV: one row per circuit, then the mean
-        and the std of the timed circuits' wall times."""
+        and the std of the timed circuits' wall times, then the kernel, if
+        known."""
         if fmt == "json":
             return json.dumps(asdict(self), indent=2) + "\n"
         if fmt != "csv":
@@ -158,6 +165,8 @@ class BenchmarkReport:
         benchmark = self.config["benchmark"]
         writer.writerow(["mean" + suffix, benchmark, repr(self.mean_wall_time_seconds), ""])
         writer.writerow(["std" + suffix, benchmark, repr(self.std_wall_time_seconds), ""])
+        if self.kernel is not None:
+            writer.writerow(["kernel", self.kernel, "", ""])
         return buf.getvalue()
 
 
@@ -166,8 +175,12 @@ def report_from_json(text: str) -> BenchmarkReport:
     raises ValueError naming its missing or unknown keys, or the field
     whose value has the wrong type: at the top level, in each circuit, in
     `config` against `BenchmarkConfig`'s fields, and in `traffic` (or null)
-    against its int totals and its `bytes_by_global_bit` of str -> int."""
-    d = _fields_of(json.loads(text), BenchmarkReport)
+    against its int totals and its `bytes_by_global_bit` of str -> int.
+    A report without `kernel` reads as one with a null kernel."""
+    d = json.loads(text)
+    if isinstance(d, dict):
+        d.setdefault("kernel", None)
+    d = _fields_of(d, BenchmarkReport)
     d["circuits"] = [CircuitResult(**_fields_of(c, CircuitResult)) for c in d["circuits"]]
     _fields_of(d["config"], BenchmarkConfig)
     if d["traffic"] is not None:
@@ -263,16 +276,20 @@ def run_benchmark(
     clock=time.perf_counter,
 ) -> BenchmarkReport:
     """SPMD benchmark body; every rank calls with an identical config and
-    returns its own report (timings and traffic are measured per rank)."""
+    returns its own report (timings and traffic are measured per rank).
+    A loopback world whose ranks pass the same `cfg` object builds the
+    circuits and runs the dense oracle once (`FabricEndpoint.shared`), so
+    its ranks run the same circuit objects and plan each once; a rank that
+    waits for another's build counts the wait as creation time."""
     cfg.validate()
     blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     if ep.broadcast(0, blob) != blob:
         raise ValueError("benchmark config differs across ranks")
 
     t_create = clock()
-    built = _build_circuits(cfg)
+    built = ep.shared(cfg, lambda: _build_circuits(cfg))
     creation_seconds = clock() - t_create
-    ideals = _ideal_distributions(cfg, built)
+    ideals = ep.shared(cfg, lambda: _ideal_distributions(cfg, built))
 
     results: list[CircuitResult] = []
     for i, circuit in enumerate(built):
@@ -293,6 +310,7 @@ def run_benchmark(
         config=asdict(cfg),
         world_size=ep.world_size,
         transport=ep.kind,
+        kernel="numpy" if ckernel.load() is None else "compiled",
         creation_time_seconds=creation_seconds,
         circuits=results,
         warmup_excluded=cfg.exclude_warmup,

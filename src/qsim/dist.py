@@ -14,9 +14,11 @@ Gates dispatch as:
       one right before it, if that step's gate has no controls
       (`sweeps`), so with the compiled kernel it costs no sweep of its
       own
-  (c) otherwise -> relocalize each global target (pairwise half-slice
-      exchange with the partner rank, streamed in pieces of at most
-      2^14 amplitudes through one reused buffer), then apply locally
+  (c) otherwise -> relocalize each global target (the partner ranks
+      trade half-slices in place with one `FabricEndpoint.swap`: loopback
+      swaps them directly, any other endpoint streams them in pieces of
+      at most 2^14 amplitudes through one reused buffer), then apply
+      locally
   (d) SWAP -> permutation relabel only, zero data movement
 Rule (d) is tried first, then (b), then (a), then (c); (a) and (b) are
 one `svcore.apply_gate` call. Rule (d) holds with fusion on too:
@@ -33,12 +35,13 @@ the lookahead renames the qubit through each SWAP it passes.
 `plan_gate` encodes this policy once, and `schedule` plans a whole circuit
 into one step list, which `sweeps` pairs into the slice sweeps that run
 it: the engine executes those on amplitudes and the performance model sums
-the same pairs, so the two always agree.
+the same pairs, so the two always agree. The ranks of a world all plan the
+same circuit, so `run_distributed` asks its endpoint for the plan
+(`FabricEndpoint.shared`), and a loopback world plans it once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svcore as sv
-from .fabric import FabricEndpoint
+from .fabric import EXCHANGE_PIECE_BITS, FabricEndpoint
 from .svcore import (
     Circuit,
     CountsDistribution,
@@ -223,7 +226,7 @@ def schedule(circuit: Circuit, n: int, k: int, fusion: bool) -> list[PlanStep]:
     return [step for i, op in enumerate(ops) for step in plan_gate(layout, op, ops[i + 1 :])]
 
 
-def sweeps(steps: list[PlanStep]) -> list[tuple[PlanStep, PlanStep | None, PlanStep | None]]:
+def sweeps(steps) -> tuple[tuple[PlanStep, PlanStep | None, PlanStep | None], ...]:
     """`steps` as the engine runs them: each step with the "diagonal"
     steps folded into it to run before and after its op, or None. A
     diagonal step folds into the "local" step right after it, else into
@@ -232,7 +235,8 @@ def sweeps(steps: list[PlanStep]) -> list[tuple[PlanStep, PlanStep | None, PlanS
     the same layout, so a fold changes no result, and the compiled kernel
     multiplies a folded diagonal's phases in as the local step's sweep
     loads and stores each vector. The engine runs these; the model counts
-    one slice sweep for each that holds a local or diagonal step."""
+    one slice sweep for each that holds a local or diagonal step. The
+    result is a tuple, so the ranks of a loopback world can share it."""
 
     def takes(step) -> bool:
         return step.action == "local" and not step.op.controls
@@ -251,7 +255,7 @@ def sweeps(steps: list[PlanStep]) -> list[tuple[PlanStep, PlanStep | None, PlanS
         else:
             out.append([step, None, None])
         i += 1
-    return [tuple(s) for s in out]
+    return tuple(tuple(s) for s in out)
 
 
 # --------------------------------------------------------------------------
@@ -283,35 +287,28 @@ def partition(
 
 
 def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
-    """Swap an index bit between a global position and a local one via a
-    pairwise half-slice exchange with the partner rank; updates the layout
-    permutation. The half-slice moves in pieces of 2^EXCHANGE_PIECE_BITS
-    amplitudes through one reused buffer, so a relocalization stages one
-    piece, not a slice, and is logged as one message of half a slice."""
+    """Swap an index bit between a global position and a local one: the
+    partner ranks trade half-slices in place with one `ep.swap`, which a
+    loopback world does directly and any other endpoint streams through
+    one reused piece buffer, so a relocalization stages one piece, not a
+    slice. Logged as one message of half a slice; updates the layout
+    permutation."""
     lay = st.layout
     if not lay.local_bits <= global_pos < lay.n:
         raise ValueError(f"global position {global_pos} out of range")
     if not 0 <= local_pos < lay.local_bits:
         raise ValueError(f"local position {local_pos} out of range")
     bit = global_pos - lay.local_bits
-    peer = st.ep.rank ^ (1 << bit)
     g = (st.ep.rank >> bit) & 1
     amps = st.slice.amps
     # entries whose local bit differs from the rank's global bit move out;
     # the partner's complementary half lands in the same slots. Each run of
-    # 2^local_pos of them is split into rows of at most one piece, and a
-    # piece is as many whole rows from consecutive runs as fit
-    run, piece_len = 1 << local_pos, 1 << sv.EXCHANGE_PIECE_BITS
-    row = min(run, piece_len)
+    # 2^local_pos of them is split into rows of at most one piece, and
+    # `ep.swap` moves whole rows
+    run = 1 << local_pos
+    row = min(run, 1 << EXCHANGE_PIECE_BITS)
     moving = amps.reshape(-1, 2, run // row, row)[:, 1 - g]
-    buf = np.empty((min(len(moving), piece_len // row), row), amps.dtype)
-    # a 1-D byte view, so that its len() is the piece's byte count
-    wire = buf.reshape(-1).view(np.uint8)
-    for a, b in itertools.product(range(0, len(moving), len(buf)), range(run // row)):
-        piece = moving[a : a + len(buf), b]
-        buf[...] = piece
-        received = st.ep.exchange(peer, wire)
-        piece[...] = np.frombuffer(received, dtype=amps.dtype).reshape(buf.shape)
+    st.ep.swap(st.ep.rank ^ (1 << bit), moving)
     st.ep.traffic.record(bit, moving.nbytes)
     lay.swap_positions(global_pos, local_pos)
 
@@ -349,9 +346,12 @@ def run_distributed(
     fusion: bool = False,
     precision: Precision = Precision.DOUBLE,
 ) -> DistState:
-    """SPMD circuit execution; every rank calls with identical arguments."""
+    """SPMD circuit execution; every rank calls with identical arguments,
+    and a loopback world whose ranks pass the same `circuit` object plans
+    it once for all of them (`FabricEndpoint.shared`)."""
     st = partition(circuit.num_qubits, ep, precision=precision)
-    for step, before, after in sweeps(schedule(circuit, st.n, st.layout.k, fusion)):
+    plan = ep.shared(circuit, lambda: sweeps(schedule(circuit, st.n, st.layout.k, fusion)))
+    for step, before, after in plan:
         _execute(st, step, before, after)
     return st
 

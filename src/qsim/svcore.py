@@ -135,13 +135,6 @@ _DIAGONAL_HIGH_BITS = 3
 # with 1 BLAS thread and 60 / 58 / 79 ms with 2: at 2^15 the block and its
 # 1.5 MiB of staging outgrow a 2 MiB L2
 _DENSE_BLOCK_BITS = 14
-# log2 of the amplitudes that `dist.relocalize` packs and exchanges at once:
-# 256 KiB at complex128. Over tcp at n=20, P=2 (2-vCPU Xeon, median over
-# local positions 0-13), one relocalization took 3.1-3.9 ms with 2^14,
-# 3.7-4.4 ms with 2^13 and 2.7-3.3 ms with 2^15 or 2^16, against 5.9-7.3 ms
-# for the whole half at once; 2^14 stages a quarter of what 2^16 does for
-# about 0.5 ms more per relocalization
-EXCHANGE_PIECE_BITS = 14
 # log2 of the amplitudes in one block of `block_masses`: 2^8 to 2^12 all
 # took about 1 ms at n=20, and smaller blocks leave less to square again
 _SAMPLE_BLOCK_BITS = 8
@@ -831,7 +824,9 @@ def _trusted(kind: str, qubits, array: np.ndarray, diagonal: bool) -> GateOp:
     `array`, whose diagonality the caller gives. The array is a product of
     checked ops, built from the identity or from ones by the kernels, so
     `GateOp.__post_init__`'s checks (a unitarity product and a scan for
-    entries off the diagonal among them) do not run."""
+    entries off the diagonal among them) do not run. The array is made
+    read-only, so the ranks of a loopback world can share the op."""
+    array.flags.writeable = False
     out = object.__new__(GateOp)
     out.__dict__.update(kind=kind, targets=qubits, controls=(), params=(), matrix=array,
                         _diagonal=diagonal)

@@ -6,7 +6,7 @@ import sys
 import pytest
 from conftest import SRC_DIR, model_traffic, sample_one_rank
 
-from qsim import bench
+from qsim import bench, ckernel, dist
 from qsim import svcore as sv
 from qsim.bench import BenchmarkConfig, run_benchmark
 from qsim.fabric import create_world, run_spmd
@@ -92,6 +92,36 @@ def test_report_counts_this_ranks_traffic(family):
     for report in reports:
         assert report.transport == "loopback"
         assert report.traffic == expect
+
+
+@pytest.mark.parametrize("family", ["qpe", "tfim", "random"])
+def test_loopback_world_plans_each_circuit_once(family, monkeypatch):
+    # the ranks share one build of the circuits, so each run's schedule
+    # is shared too, and one run of the oracle
+    calls, oracles = [], []
+    schedule, oracle = dist.schedule, bench._oracle_distribution
+    monkeypatch.setattr(dist, "schedule", lambda *a: calls.append(1) or schedule(*a))
+    monkeypatch.setattr(bench, "_oracle_distribution", lambda c: oracles.append(1) or oracle(c))
+    cfg = BenchmarkConfig(family, 6, num_circuits=3)
+    reports = run_spmd(create_world("loopback", 4), lambda ep: run_benchmark(cfg, ep))
+    assert len(calls) == 3
+    assert len(oracles) == {"qpe": 0, "tfim": 1, "random": 3}[family]
+    for report in reports:
+        assert all(c.fidelity is None or c.fidelity > 0.9 for c in report.circuits)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_report_names_the_kernel(compiled, monkeypatch):
+    if not compiled:
+        monkeypatch.setattr(ckernel, "load", lambda: None)
+    elif ckernel.load() is None:
+        pytest.skip("the compiled kernel could not be built")
+    kernel = "compiled" if compiled else "numpy"
+    report = run_benchmark(BenchmarkConfig("qpe", 4, num_circuits=2),
+                           create_world("loopback", 1)[0])
+    assert report.kernel == kernel
+    assert json.loads(report.render("json"))["kernel"] == kernel
+    assert report.render("csv").splitlines()[-1] == f"kernel,{kernel},,"
 
 
 @pytest.mark.parametrize("family", ["tfim", "random"])

@@ -98,7 +98,7 @@ def test_bad_config_file_reports_error(capsys, tmp_path, text, message):
 
 
 REPORT_KEYS = [
-    "schema_version", "config", "world_size", "transport",
+    "schema_version", "config", "world_size", "transport", "kernel",
     "creation_time_seconds", "circuits", "warmup_excluded", "timed_circuits",
     "mean_wall_time_seconds", "std_wall_time_seconds", "traffic",
 ]
@@ -253,7 +253,9 @@ class TestReportOutput:
         ] + [
             ["mean_excl_warmup", "qpe", repr(report["mean_wall_time_seconds"]), ""],
             ["std_excl_warmup", "qpe", repr(report["std_wall_time_seconds"]), ""],
+            ["kernel", report["kernel"], "", ""],
         ]
+        assert report["kernel"] in ("compiled", "numpy")
         assert rows == expect
         fresh = csv_rows(run(capsys, *BENCH_ARGV, "--format", "csv"))
         # wall times differ between runs; the row structure does not
@@ -356,6 +358,15 @@ class TestReportOutput:
         report["traffic"] = None
         text = json.dumps(report, indent=2) + "\n"
         assert bench.report_from_json(text).render("json") == text
+
+    def test_report_without_kernel_still_reads(self, saved_report):
+        # written before the kernel was recorded: null, and no CSV row
+        path, _ = saved_report
+        report = json.loads(path.read_text())
+        del report["kernel"]
+        got = bench.report_from_json(json.dumps(report))
+        assert got.kernel is None
+        assert [row[0] for row in csv_rows(got.render("csv"))][-1] == "std_excl_warmup"
 
     def test_report_names_unknown_keys(self, saved_report):
         path, _ = saved_report

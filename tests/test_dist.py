@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -141,7 +142,7 @@ class TestRelocalize:
             dist.relocalize(st, 17, local_pos)
 
         (_, logs) = spmd(4, body, with_log=True)
-        assert (1 << 15) >> sv.EXCHANGE_PIECE_BITS == 2
+        assert (1 << 15) >> fabric.EXCHANGE_PIECE_BITS == 2
         for log in logs:
             assert log.bit_messages == {1: 1}
             assert log.bit_bytes == {1: (1 << 15) * 16}
@@ -233,7 +234,7 @@ class TestExchangePayloadLength:
         c = build_random_circuit(18, 30, seed=41)
         topo = perfmodel.nvl72_topology().for_ranks(P)
         prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion=True)
-        pieces = (1 << (18 - P.bit_length())) >> sv.EXCHANGE_PIECE_BITS
+        pieces = (1 << (18 - P.bit_length())) >> fabric.EXCHANGE_PIECE_BITS
         world = [LenCountingEndpoint(ep) for ep in create_world("loopback", P)]
         run_spmd(world, lambda ep: dist.run_distributed(c, ep, True))
         assert prof.swap_count > 0 and pieces > 1
@@ -241,6 +242,103 @@ class TestExchangePayloadLength:
             assert ep.counted == prof.total_exchange_bytes
             assert ep.calls == pieces * prof.swap_count
             assert ep.traffic.bit_messages == prof.swap_count_per_level
+
+
+class ExchangeOnlyEndpoint(FabricEndpoint):
+    """Wraps an endpoint and overrides only `exchange`, counting its calls
+    and bytes, as perfbench's `TracedEndpoint` does, so its swaps stream
+    through the base class's piece loop, one exchange per piece."""
+
+    def __init__(self, inner: FabricEndpoint):
+        super().__init__(inner.rank, inner.world_size, inner.timeout)
+        self.inner = inner
+        self.counted = 0
+        self.calls = 0
+
+    def exchange(self, peer, payload):
+        got = self.inner.exchange(peer, payload)
+        self.counted += len(payload)
+        self.calls += 1
+        return got
+
+
+class TestStreamedSwapEqualsDirect:
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_every_local_position(self, P):
+        # n = 16 + k: each half-slice is 2^15 amplitudes, two pieces. The
+        # global position cycles over every global bit
+        k = P.bit_length() - 1
+        n = 16 + k
+
+        def body(ep):
+            st = partition(n, ep)
+            _spread_slice(st, 5)
+            digests = []
+            for lp in range(n - k):
+                dist.relocalize(st, n - 1 - lp % k, lp)
+                h = hashlib.sha256(st.slice.amps.tobytes())
+                h.update(repr(st.layout.perm).encode())
+                digests.append(h.hexdigest())
+            return digests
+
+        direct = spmd(P, body)
+        world = [ExchangeOnlyEndpoint(ep) for ep in create_world("loopback", P)]
+        assert run_spmd(world, body) == direct
+        half = 1 << (n - k - 1)
+        for ep in world:
+            assert ep.calls == (n - k) * (half >> fabric.EXCHANGE_PIECE_BITS)
+            assert ep.counted == ep.traffic.bytes_sent() == (n - k) * half * 16
+
+
+class TestOneSchedulePerWorld:
+    """A loopback world plans each `run_distributed` call once for all of
+    its ranks; ranks of other endpoints plan for themselves."""
+
+    @pytest.fixture
+    def schedules(self, monkeypatch):
+        calls = []
+        schedule = dist.schedule
+
+        def counting(*args, **kwargs):
+            calls.append(threading.current_thread().name)
+            return schedule(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "schedule", counting)
+        return calls
+
+    @staticmethod
+    def body(c):
+        return lambda ep: dist.gather(dist.run_distributed(c, ep, fusion=True)).amps
+
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_one_schedule_per_call(self, P, schedules):
+        c = build_random_circuit(8, 100, seed=17)
+        dense = dense_run(c).amps
+        world = create_world("loopback", P)
+        for call in (1, 2):
+            for amps in run_spmd(world, self.body(c)):
+                assert np.max(np.abs(amps - dense)) <= 1e-12
+            assert len(schedules) == call
+        # every rank took the plan, so the world holds none
+        assert world[0]._shared.by_call == {}
+
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_a_wrapped_endpoint_plans_per_rank(self, P, schedules):
+        c = build_random_circuit(8, 100, seed=17)
+        run_spmd([LenCountingEndpoint(ep) for ep in create_world("loopback", P)], self.body(c))
+        assert len(schedules) == P
+
+    def test_a_mutated_circuit_gets_a_fresh_schedule(self, schedules):
+        c = build_random_circuit(8, 60, seed=3)
+        world = create_world("loopback", 2)
+        first = run_spmd(world, self.body(c))
+        # qubit 7 is the global one: the new H relocalizes it
+        c.ops[:0] = [sv.h(7), sv.cx(7, 0)]
+        second = run_spmd(world, self.body(c))
+        assert len(schedules) == 2
+        assert not np.allclose(first[0], second[0])
+        for amps in second:
+            assert np.max(np.abs(amps - dense_run(c).amps)) <= 1e-12
 
 
 class TestApplyDispatch:
@@ -923,7 +1021,7 @@ class TestRelocalizeMemory:
             return peaks, st.slice.amps.itemsize
 
         peaks, itemsize = spmd(P, body)[0]
-        bound = P * 4 * (itemsize << sv.EXCHANGE_PIECE_BITS)
+        bound = P * 4 * (itemsize << fabric.EXCHANGE_PIECE_BITS)
         assert len(peaks) == n - (P.bit_length() - 1)
         for lp, peak in enumerate(peaks):
             assert peak <= bound, (lp, peak, bound)

@@ -1,6 +1,7 @@
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -267,6 +268,193 @@ class TestFailures:
         with pytest.raises(ValueError, match="real cause"):
             run_spmd(world, body)
         assert time.monotonic() - start < 0.5
+
+
+def moving_view(rank: int, rows: int = 8, runs: int = 2, row: int = 4, dtype=np.complex128):
+    """A slice of `rows * 2 * runs * row` amplitudes numbered from
+    1000 * rank, and its upper half as the (rows, runs, row) view that
+    `dist.relocalize` swaps."""
+    amps = np.arange(rows * 2 * runs * row, dtype=dtype) + 1000 * rank
+    return amps, amps.reshape(rows, 2, runs, row)[:, 1]
+
+
+class TestLoopbackSwap:
+    def test_views_trade_in_place(self):
+        # 2 runs of rows of 4 amplitudes, a piece per 4 rows of one run:
+        # 8 pieces per half, 4 swapped by each rank
+        rows = 1 << fabric.EXCHANGE_PIECE_BITS
+        world = create_world("loopback", 2)
+
+        def body(ep):
+            amps, moving = moving_view(ep.rank, rows=rows)
+            ep.swap(1 - ep.rank, moving)
+            return amps
+
+        got = run_spmd(world, body)
+        for rank in (0, 1):
+            expect, expect_moving = moving_view(rank, rows=rows)
+            expect_moving[...] = moving_view(1 - rank, rows=rows)[1]
+            assert np.array_equal(got[rank], expect)
+        assert all(ch.empty() for ch in world[0]._channels.values())
+
+    @pytest.mark.parametrize("other", [dict(rows=4), dict(dtype=np.complex64)],
+                             ids=["shape", "dtype"])
+    def test_mismatch_raises_on_both_ranks_before_any_byte_moves(self, other):
+        world = create_world("loopback", 2, timeout=5)
+        errors = {}
+
+        def body(ep):
+            amps, moving = moving_view(ep.rank, **(other if ep.rank else {}))
+            before = amps.copy()
+            with pytest.raises(FramingError, match="swap mismatch") as err:
+                ep.swap(1 - ep.rank, moving)
+            errors[ep.rank] = str(err.value)
+            assert np.array_equal(amps, before)
+
+        run_spmd(world, body)
+        assert sorted(errors) == [0, 1]
+
+    def test_swap_against_exchange_raises_on_both_ranks(self):
+        world = create_world("loopback", 2, timeout=5)
+        errors = {}
+
+        def body(ep):
+            with pytest.raises(FramingError) as err:
+                if ep.rank == 0:
+                    ep.swap(1, moving_view(0)[1])
+                else:
+                    ep.exchange(0, b"x" * 16)
+            errors[ep.rank] = str(err.value)
+
+        run_spmd(world, body)
+        assert "rank 0 in swap met rank 1 in exchange" in errors[0]
+        assert "rank 1 in exchange met rank 0 in swap" in errors[1]
+
+    def test_swap_with_self_rejected(self):
+        (ep, _) = create_world("loopback", 2)
+        with pytest.raises(FabricError, match="swap with self"):
+            ep.swap(0, moving_view(0)[1])
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["lower-rank", "higher-rank"])
+    def test_peer_of_a_rank_failing_mid_relocalization_fails_at_once(self, failing):
+        # the failing rank posts its view and then raises instead of taking
+        # its peer's; run_spmd closes it. Its peer swaps its own pieces,
+        # and then, waiting for the failed rank's pieces, fails at once
+        world = create_world("loopback", 2, timeout=30)
+
+        def cause(peer):
+            raise RuntimeError("real cause")
+
+        world[failing]._take_swap = cause
+        seen = {}
+
+        def body(ep):
+            st = dist.partition(16, ep)
+            try:
+                dist.relocalize(st, 15, 0)
+            except FabricError as e:
+                seen[ep.rank] = e
+                raise
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="real cause"):
+            run_spmd(world, body)
+        assert time.monotonic() - start < 2.0
+        assert list(seen) == [1 - failing]
+        assert str(seen[1 - failing]) == f"rank {failing} closed"
+
+
+class TestShared:
+    @pytest.mark.parametrize("P", [1, 2, 4])
+    def test_loopback_builds_once_per_call(self, P):
+        world = create_world("loopback", P)
+        key, builds = object(), []
+
+        def build():
+            builds.append(threading.current_thread().name)
+            return (len(builds),)
+
+        def body(ep):
+            got = []
+            for _ in range(3):
+                ep.barrier()
+                got.append(ep.shared(key, build))
+            return got
+
+        got = run_spmd(world, body)
+        assert len(builds) == 3
+        assert all(g == [(1,), (2,), (3,)] for g in got)
+        # every rank passed each call, so no value is held
+        assert world[0]._shared.by_call == {}
+
+    def test_a_rank_running_ahead_leaves_each_value_for_the_others(self):
+        # rank 0 makes all its calls before rank 1 makes any
+        world = create_world("loopback", 2)
+        key = object()
+        go = threading.Event()
+
+        def body(ep):
+            if ep.rank:
+                assert go.wait(timeout=10)
+            got = [ep.shared(key, lambda i=i: (ep.rank, i)) for i in range(3)]
+            go.set()
+            return got
+
+        got = run_spmd(world, body)
+        assert got == [[(0, 0), (0, 1), (0, 2)]] * 2
+        assert world[0]._shared.by_call == {}
+
+    def test_stress_more_ranks_than_cores(self):
+        # 8 rank threads with no barrier, switching every microsecond:
+        # every rank reads each call's own value, built once
+        world = create_world("loopback", 8)
+        key, calls, builds = object(), 60, []
+        interval = sys.getswitchinterval()
+
+        def body(ep):
+            return [ep.shared(key, lambda i=i: builds.append(i) or i) for i in range(calls)]
+
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_spmd(world, body)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [list(range(calls))] * 8
+        assert sorted(builds) == list(range(calls))
+        assert world[0]._shared.by_call == {}
+
+    def test_another_key_object_builds_its_own(self):
+        world = create_world("loopback", 2)
+        keys, builds = [object(), object()], []
+
+        def build():
+            builds.append(1)
+            return len(builds)
+
+        got = run_spmd(world, lambda ep: ep.shared(keys[ep.rank], build))
+        assert sorted(got) == [1, 2]
+
+    def test_close_drops_the_value(self):
+        world = create_world("loopback", 2)
+        world[0].shared("key", lambda: [1])
+        assert world[0]._shared.by_call == {1: ("key", [1])}
+        world[0].close()
+        assert world[0]._shared.by_call == {}
+
+    def test_failing_build_leaves_the_next_rank_to_build(self):
+        world = create_world("loopback", 2)
+        calls = []
+
+        def build():
+            calls.append(1)
+            raise ValueError("bad plan")
+
+        def body(ep):
+            with pytest.raises(ValueError, match="bad plan"):
+                ep.shared("key", build)
+
+        run_spmd(world, body)
+        assert len(calls) == 2
 
 
 class TestTrafficLog:

@@ -783,6 +783,44 @@ class TestProbabilities:
         assert probabilities(sv.basis_state(3, 5), ()) == {"": 1.0}
 
 
+class TestFusedOpsReadOnly:
+    """`fuse` adopts its arrays read-only, so that the ranks of a loopback
+    world can share one schedule, and both kernels apply them, folded as
+    the engine folds them or each on its own."""
+
+    @pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+    def test_kernels_take_read_only_ops(self, kernel, monkeypatch):
+        if kernel == "numpy":
+            monkeypatch.setattr(ckernel, "load", lambda: None)
+        elif ckernel.load() is None:
+            pytest.skip("the compiled kernel could not be built")
+        n = 8
+        # a diagonal stretch over every qubit first, wider than a block: one
+        # DIAGONAL op, which folds into the dense block after it
+        head = [sv.rz(0.1 * q + 0.2, q) for q in range(n)]
+        c = Circuit(n, head + build_random_circuit(n, 80, seed=9).ops)
+        ops = fuse(c, 3).ops
+        adopted = [op for op in ops if op.kind in ("FUSED", "DIAGONAL")]
+        assert {op.kind for op in adopted} == {"FUSED", "DIAGONAL"}
+        assert not any(op.matrix.flags.writeable for op in adopted)
+        with pytest.raises(ValueError, match="read-only"):
+            adopted[0].matrix[0] = 0
+        amps = sv.basis_state(n, 0).amps
+        positions = list(range(n))
+        folded, i = 0, 0
+        while i < len(ops):
+            op, after = ops[i], ops[i + 1] if i + 1 < len(ops) else None
+            if op.is_diagonal() and after is not None and not after.is_diagonal() \
+                    and not after.controls:
+                sv.apply_gate(amps, after, positions, before=op)
+                folded, i = folded + 1, i + 2
+            else:
+                sv.apply_gate(amps, op, positions)
+                i += 1
+        assert folded
+        assert max_deviation(dense_run(c).amps, amps) <= 1e-10
+
+
 class TestFusion:
     def test_hh_is_identity(self):
         fused_c = fuse(Circuit(1, [sv.h(0), sv.h(0)]), max_width=1)

@@ -6,7 +6,6 @@ from .svcore import (
     Circuit,
     CountsDistribution,
     GateOp,
-    Precision,
     StateSlice,
     apply_gate_dense,
     dense_run,
@@ -17,7 +16,6 @@ __all__ = [
     "Circuit",
     "CountsDistribution",
     "GateOp",
-    "Precision",
     "StateSlice",
     "apply_gate_dense",
     "dense_run",

@@ -23,14 +23,18 @@
  * l stands for and r, or the identity's entry where lane l fails a
  * control. Both sum the terms of each output in the order of r, so a gate
  * rounds alike wherever its bits sit. The bodies are specialised for 2 to
- * 32 rows (widths 1 to 5) and 1, 2 or 4 rows per row vector.
+ * 32 rows (widths 1 to 5), 0 (`mix`), 1, 2 or 4 rows per row vector, and
+ * with or without diagonals: 33 bodies, as 4 rows per row vector need 4
+ * rows or more, and 1 means a control at bit 0 or 1, which a step with
+ * diagonals never has.
  *
  * A step that touches at least 2^PARALLEL_BITS amplitudes is split into
  * chunks of consecutive bases, 2^CHUNK_BITS amplitudes each, when its
  * share of cores, `cores`, is more than one. The caller and up to that
  * many less one helper threads claim chunks from an atomic counter and run
  * each through the same body, so the result is the same bytes for any
- * count. One split step is open in a process at a time: a call that finds
+ * count. A serial step is a split step of one chunk, run by the caller
+ * alone. One split step is open in a process at a time: a call that finds
  * one open runs its step serially, so threads that call at once add one
  * thread each, not a share each. Helpers block on a condition variable
  * between steps and never spin, and may run on any CPU of the process but
@@ -302,15 +306,20 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
     }
 }
 
+/* `run` for each (rows, held) that a step can have (see the top). 4 rows
+ * per row vector stay the last branch: ordered as the others, the 8-row
+ * step on bits 0, 1 and 2 took 1.04x as long at one thread (n=20, median
+ * of 101, 5 processes) */
 #define CASE(rows, phased)                                  \
     case rows:                                              \
         if (!held)                                          \
             run(a, L, rows, 0, phased, h0, h1, step);       \
-        else if (held == 1)                                 \
-            run(a, L, rows, 1, phased, h0, h1, step);       \
-        else if (held == 2)                                 \
+        else if (held == 1) {                               \
+            if (!phased)                                    \
+                run(a, L, rows, 1, phased, h0, h1, step);   \
+        } else if (held == 2)                               \
             run(a, L, rows, 2, phased, h0, h1, step);       \
-        else                                                \
+        else if (rows > 2)                                  \
             run(a, L, rows, 4, phased, h0, h1, step);       \
         break;
 
@@ -323,11 +332,10 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
         CASE(32, phased)    \
     }
 
-/* `run` with L's diagonals, specialised as in `run_bases`: one copy for
- * both of its callers, which choose it before they reach `run_bases`. A
- * copy in each made the build about twice as long again, and a branch to
- * it inside `run_bases` made steps without diagonals 1.04-1.06x as long at
- * one thread (lane target sets, n=20, median of 81) */
+/* `run` with L's diagonals, specialised as in `run_bases`. `run_chunks`
+ * chooses it per chunk; kept out of line, since a branch to it inside
+ * `run_bases` made steps without diagonals 1.04-1.06x as long at one
+ * thread (lane target sets, n=20, median of 81) */
 static __attribute__((noinline)) void run_phased(
     double *a, const struct layout *L, int w, int held, uint64_t h0, uint64_t h1, uint64_t step)
 {
@@ -335,9 +343,9 @@ static __attribute__((noinline)) void run_phased(
 }
 
 /* `run` specialised for 2^w rows and `held` rows per row vector (0 for
- * `mix`): the one body of a step, whole or in chunks. It is inlined into
- * both of its callers: called as a function, lane steps at one thread took
- * 1.02-1.04x as long as inside the entry point */
+ * `mix`): the one body of every chunk. It is inlined into `run_chunks`:
+ * called as a function, lane steps at one thread took 1.02-1.04x as long
+ * as inlined */
 static inline __attribute__((always_inline)) void run_bases(double *a, const struct layout *L,
                                                             int w, int held, uint64_t h0,
                                                             uint64_t h1, uint64_t step)
@@ -370,8 +378,9 @@ static void run_phases(double *a, int m, const struct phases *B, const struct ph
     }
 }
 
-/* One step split into chunks of `per_chunk` consecutive bases, which the
- * caller and the helpers that join claim through `next` and run alike */
+/* One step as chunks of `per_chunk` consecutive bases, which the caller
+ * and the helpers that join claim through `next` and run alike; a serial
+ * step is one chunk of every base */
 struct job {
     int w, held;
     double *amps;
@@ -395,7 +404,9 @@ static struct {
 } pool = {.lock = PTHREAD_MUTEX_INITIALIZER, .work = PTHREAD_COND_INITIALIZER,
           .done = PTHREAD_COND_INITIALIZER, .avoided = -1};
 
-static void run_chunks(struct job *J)
+/* The chunks of J that this thread claims: the one copy of the bodies,
+ * which the entry point and the helpers call */
+static __attribute__((noinline)) void run_chunks(struct job *J)
 {
     uint64_t c;
     const int phased = J->L->before || J->L->after;
@@ -682,10 +693,11 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
                         .per_chunk = span / sub, .chunks = chunks};
         serial = run_parallel(&J, threads);
     }
-    if (serial && (before || after))
-        run_phased(amps, &L, w, held, 0, L.amps / step, step);
-    else if (serial)
-        run_bases(amps, &L, w, held, 0, L.amps / step, step);
+    if (serial) {
+        struct job J = {.w = w, .held = held, .amps = amps, .L = &L, .step = step,
+                        .per_chunk = L.amps / step, .chunks = 1};
+        run_chunks(&J);
+    }
     status = 0;
 done:
     free(L.coef);

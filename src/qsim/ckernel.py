@@ -26,10 +26,11 @@ kernel loads, which is OMP_NUM_THREADS if that is a positive integer, else
 the CPUs this process may run on; ranks that share a host set
 OMP_NUM_THREADS to their part. The step's chunks of 2^12 amplitudes go to
 the caller and up to share - 1 helper threads through an atomic counter,
-through the same body, so every thread count gives the same bytes. One
-step is split at a time: a call made while another thread's step is split
-runs serially, so loopback rank threads add a thread each rather than a
-share each. Helpers block on a condition variable between steps and never
+through the same body, so every thread count gives the same bytes; a
+serial step is one chunk, which the caller runs through that body too.
+One step is split at a time: a call made while another thread's step is
+split runs serially, so loopback rank threads add a thread each rather
+than a share each. Helpers block on a condition variable between steps and never
 spin, since a spinning helper holds a core that another rank or process
 needs, and they keep off the caller's CPU. The caller waits only for
 helpers that have joined its step, so a helper that has not started

@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 
 from .dist import schedule, sweeps
 from .fabric import rank_bits
-from .svcore import Circuit, Precision
+from .svcore import Circuit
 
 _GB = 1e9
+# bytes per complex128 amplitude
+_AMP_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,6 @@ def schedule_traffic(
     n: int,
     topology: Topology,
     fusion: bool = False,
-    precision: Precision = Precision.DOUBLE,
 ) -> TrafficProfile:
     """Sum the distributed engine's own step list, `dist.schedule`, as the
     engine runs it (`dist.sweeps`). Every local step, with the diagonal
@@ -188,9 +189,8 @@ def schedule_traffic(
     swept = sum(step.action in ("local", "diagonal") for step, _, _ in sweeps(steps))
     # a relocalization crosses the rank-id bit of its global position
     swaps = Counter(step.global_pos - (n - k) for step in steps if step.action == "relocalize")
-    bpa = precision.value
-    slice_bytes = (1 << (n - k)) * bpa
-    half_slice = (1 << max(n - k - 1, 0)) * bpa
+    slice_bytes = (1 << (n - k)) * _AMP_BYTES
+    half_slice = (1 << max(n - k - 1, 0)) * _AMP_BYTES
     return TrafficProfile(
         n=n,
         k=k,
@@ -224,7 +224,6 @@ def weak_scaling_curve(
     topology: Topology,
     max_ranks: int,
     fusion: bool = True,
-    precision: Precision = Precision.DOUBLE,
 ) -> list[CurvePoint]:
     """One qubit is added per rank doubling: at P = 2^j the circuit has
     base_n + j qubits. The ideal time is the same circuit's single-rank
@@ -236,11 +235,9 @@ def weak_scaling_curve(
         n = base_n + j
         circuit = base_circuit_family(n)
         topo = topology.for_ranks(P)
-        t = predict_time(schedule_traffic(circuit, n, topo, fusion, precision), topo)
+        t = predict_time(schedule_traffic(circuit, n, topo, fusion), topo)
         topo1 = topology.for_ranks(1)
-        t1 = predict_time(
-            schedule_traffic(circuit, n, topo1, fusion, precision), topo1
-        )
+        t1 = predict_time(schedule_traffic(circuit, n, topo1, fusion), topo1)
         eff = (t1 / P) / t
         points.append(CurvePoint(P, n, t, eff, P * eff))
     return points
@@ -252,7 +249,6 @@ def strong_scaling_curve(
     topology: Topology,
     max_ranks: int,
     fusion: bool = True,
-    precision: Precision = Precision.DOUBLE,
 ) -> list[CurvePoint]:
     """Fixed problem, growing ranks; speedup relative to P = 1."""
     points = []
@@ -260,7 +256,7 @@ def strong_scaling_curve(
     for j in range(rank_bits(max_ranks, "max_ranks") + 1):
         P = 1 << j
         topo = topology.for_ranks(P)
-        t = predict_time(schedule_traffic(circuit, n, topo, fusion, precision), topo)
+        t = predict_time(schedule_traffic(circuit, n, topo, fusion), topo)
         if t1 is None:
             t1 = t
         speedup = t1 / t

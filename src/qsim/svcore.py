@@ -19,9 +19,9 @@ Conventions shared by every module in this package:
     matrix path. `_apply_diagonal` hands the compiled kernel (below) a
     table of its phases over the d index bits it touches, ascending
     (`_phase_table`: 2^d entries, at most 128 KiB), for one serial sweep
-    that looks each amplitude's phase up by its index bits. For complex64,
-    or without the compiled kernel, `_apply_diagonal_numpy` multiplies the
-    view `amps.reshape((2,) * (m-L) + (2^L,))`, L = min(m, 13)
+    that looks each amplitude's phase up by its index bits. Without the
+    compiled kernel, `_apply_diagonal_numpy` multiplies the view
+    `amps.reshape((2,) * (m-L) + (2^L,))`, L = min(m, 13)
     (`_DIAGONAL_INNER_BITS`), in place by a factor spelled out over the
     low L index bits, so its inner loop is a contiguous run of 2^L
     amplitudes wherever the gate's bits sit. `diagonal_of` gives any
@@ -53,21 +53,21 @@ Conventions shared by every module in this package:
     `apply_gate` (a stretch's phases by `_product`)
   - a SWAP in the reference simulator trades two quarter-blocks of that
     view (`_apply_swap`); the distributed engine only relabels it
-  - every other gate takes `_apply_matrix`. For complex128 it runs one
-    compiled C kernel (`ckernel.c`), which `ckernel.load` builds with the
-    system C compiler on the first dense step, caches under the package's
-    `__pycache__` and loads through ctypes, which releases the GIL, so
-    loopback rank threads multiply in parallel. One 64-byte vector holds
-    the 4 amplitudes that index bits 0 and 1 tell apart, and each matrix
-    entry m adds Re m * x + Im m * (i x): the arithmetic below, with the
-    same products summed in another order, so the two kernels agree to
-    about 1e-15. With no target or control at bit 0 or 1 a vector holds 4
-    groups; otherwise it holds several rows, or control values, of fewer
-    groups, and the kernel multiplies by per-lane coefficients and moves
-    lanes in registers rather than gather amplitudes. A diagonal's phase
-    for amplitude i is entry pext(i, mask) of its table (BMI2's pext
-    where the compiler targets it, else a loop), and the 4 lanes of a
-    vector take theirs from one 64-byte load and a shuffle
+  - every other gate takes `_apply_matrix`: one compiled C kernel
+    (`ckernel.c`), which `ckernel.load` builds with the system C compiler
+    on the first dense step, caches under the package's `__pycache__` and
+    loads through ctypes, which releases the GIL, so loopback rank threads
+    multiply in parallel. One 64-byte vector holds the 4 amplitudes that
+    index bits 0 and 1 tell apart, and each matrix entry m adds
+    Re m * x + Im m * (i x): the arithmetic below, with the same products
+    summed in another order, so the two kernels agree to about 1e-15.
+    With no target or control at bit 0 or 1 a vector holds 4 groups;
+    otherwise it holds several rows, or control values, of fewer groups,
+    and the kernel multiplies by per-lane coefficients and moves lanes in
+    registers rather than gather amplitudes. A diagonal's phase for
+    amplitude i is entry pext(i, mask) of its table (BMI2's pext where the
+    compiler targets it, else a loop), and the 4 lanes of a vector take
+    theirs from one 64-byte load and a shuffle
   - the compiled kernel splits a step that touches at least 2^15
     amplitudes into chunks of 2^12 over the process's share of cores:
     OMP_NUM_THREADS if it is a positive integer, else the CPUs the process
@@ -75,27 +75,28 @@ Conventions shared by every module in this package:
     call made meanwhile, such as another loopback rank's, runs serially.
     The caller and its helper threads claim chunks from one atomic
     counter and run the same body, so any thread count gives the same
-    bytes. Helpers block between steps and never spin, and the caller
-    waits only for helpers that have joined its step, so one that wakes
-    late or never starts stalls nothing. Fusion's unitaries and small
-    states never start a thread
-  - the numpy kernel, `_apply_matrix_numpy`, runs complex64 arrays, and
-    every array where the compiled kernel is missing: no compiler, a
-    failed build, or a cache that cannot be written. The tests hold it as
-    the reference. It transposes the bit-axis view to put the target axes
-    in front and multiplies one block of 2^14 amplitudes
-    (`_DENSE_BLOCK_BITS`) at a time. It copies each block out
-    with the block's other axes in `_copy_order`, so the copy and the copy
-    back step along a long run of index bits rather than the 1 or 2
-    amplitudes below a low target. It multiplies the copy x as reals,
-    [Re M | Im M] @ [x ; 1j x]: one real GEMM with the complex GEMM's flop
-    count. x, 1j x and the product take 768 KiB at complex128, so they
-    stay in a 2 MiB L2 beside the 256 KiB block, and no temporary is
-    full-size
+    bytes; a serial step is one chunk through that body. Helpers block
+    between steps and never spin, and the caller waits only for helpers
+    that have joined its step, so one that wakes late or never starts
+    stalls nothing. Fusion's unitaries and small states never start a
+    thread
+  - the numpy kernel, `_apply_matrix_numpy`, runs only where the compiled
+    kernel is missing: no compiler, a failed build, or a cache that cannot
+    be written. The tests hold it as the reference. It transposes the
+    bit-axis view to put the target axes in front and multiplies one block
+    of 2^14 amplitudes (`_DENSE_BLOCK_BITS`) at a time. It copies each
+    block out with the block's other axes in `_copy_order`, so the copy
+    and the copy back step along a long run of index bits rather than the
+    1 or 2 amplitudes below a low target. It multiplies the copy x as
+    reals, [Re M | Im M] @ [x ; 1j x]: one real GEMM with the complex
+    GEMM's flop count. x, 1j x and the product take 768 KiB, so they stay
+    in a 2 MiB L2 beside the 256 KiB block, and no temporary is full-size
   - read-out squares |amp|^2 as re^2 + im^2 in float64; sampling sums it
     per block of 2^8 amplitudes (`_SAMPLE_BLOCK_BITS`) and squares again
     only the blocks that draw shots, so no temporary is full-size
   - global phase is not significant
+  - amplitudes are complex128, 16 bytes each: the one precision, in which
+    the model and the traffic log count bytes
   - `QUBIT_CAP` (26) is the most qubits one array may hold: a reference
     state, a rank's slice, a gathered state or the bench oracle's state
 """
@@ -194,14 +195,12 @@ KINDS = {
 
 
 class Precision(Enum):
-    """Bytes per complex amplitude."""
+    """Bytes per complex amplitude, of the one precision: complex128. It
+    stays only as the value of the `precision` keyword of
+    `dist.partition` and `dist.run_distributed`, which the benchmark
+    passes; the benchmark's next change drops both."""
 
-    SINGLE = 8
     DOUBLE = 16
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.complex64 if self is Precision.SINGLE else np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -632,19 +631,18 @@ class StateSlice:
     constructor copies `amps`, and `_adopt` wraps only arrays made for it."""
 
     amps: np.ndarray
-    precision: Precision = Precision.DOUBLE
 
     def __post_init__(self):
-        self.amps = np.array(self.amps, dtype=self.precision.dtype, order="C")
+        self.amps = np.array(self.amps, dtype=np.complex128, order="C")
         if self.amps.ndim != 1 or self.amps.size & (self.amps.size - 1):
             raise ValueError("amplitude count must be a power of two")
 
     @classmethod
-    def _adopt(cls, amps: np.ndarray, precision: Precision) -> "StateSlice":
-        """Wrap a fresh 1-D array of `precision.dtype` that no caller holds,
-        without the constructor's copy."""
+    def _adopt(cls, amps: np.ndarray) -> "StateSlice":
+        """Wrap a fresh 1-D complex128 array that no caller holds, without
+        the constructor's copy."""
         state = cls.__new__(cls)
-        state.amps, state.precision = amps, precision
+        state.amps = amps
         return state
 
     @property
@@ -652,15 +650,15 @@ class StateSlice:
         return int(self.amps.size).bit_length() - 1
 
     def copy(self) -> "StateSlice":
-        return StateSlice._adopt(self.amps.copy(), self.precision)
+        return StateSlice._adopt(self.amps.copy())
 
 
-def basis_state(n: int, index: int, precision: Precision = Precision.DOUBLE) -> StateSlice:
+def basis_state(n: int, index: int) -> StateSlice:
     if not 0 <= index < (1 << n):
         raise ValueError("basis index out of range")
-    amps = np.zeros(1 << n, dtype=precision.dtype)
+    amps = np.zeros(1 << n, dtype=np.complex128)
     amps[index] = 1.0
-    return StateSlice._adopt(amps, precision)
+    return StateSlice._adopt(amps)
 
 
 @dataclass
@@ -722,17 +720,13 @@ def apply_gate_dense(state: StateSlice, gate: GateOp) -> StateSlice:
     return state
 
 
-def dense_run(
-    circuit: Circuit,
-    initial: int = 0,
-    precision: Precision = Precision.DOUBLE,
-) -> StateSlice:
+def dense_run(circuit: Circuit, initial: int = 0) -> StateSlice:
     """Reference simulator: apply all ops in order to |initial>."""
     if circuit.num_qubits > QUBIT_CAP:
         raise ValueError(
             f"{circuit.num_qubits} qubits exceeds the dense cap of {QUBIT_CAP}"
         )
-    state = basis_state(circuit.num_qubits, initial, precision)
+    state = basis_state(circuit.num_qubits, initial)
     for op in circuit.ops:
         apply_gate_dense(state, op)
     return state
@@ -766,11 +760,9 @@ def split_shots(rng: np.random.Generator, shots: int, weights: np.ndarray) -> np
 
 def block_masses(amps: np.ndarray) -> np.ndarray:
     """|amp|^2 summed over each block of 2^`_SAMPLE_BLOCK_BITS` amplitudes
-    (one block for a smaller array), as float64. complex64 sums in float32
-    (under 4e-7 relative error on a random n=20 state), as a cast would
-    hold 128 KiB of buffers: 1/8 of a 2^17-amplitude slice."""
-    floats = amps.view(amps.real.dtype).reshape(-1, 2 * min(amps.size, 1 << _SAMPLE_BLOCK_BITS))
-    return np.einsum("ij,ij->i", floats, floats).astype(np.float64, copy=False)
+    (one block for a smaller array)."""
+    floats = amps.view(np.float64).reshape(-1, 2 * min(amps.size, 1 << _SAMPLE_BLOCK_BITS))
+    return np.einsum("ij,ij->i", floats, floats)
 
 
 def draw_indices(
@@ -782,7 +774,7 @@ def draw_indices(
     cumulative |amp|^2 of its block. Chosen blocks are squared in float64
     `_SAMPLE_BATCH_BLOCKS` at a time, with one search per batch, so no
     temporary is full-size and no Python loop runs per block."""
-    floats = amps.view(amps.real.dtype).reshape(masses.size, -1)
+    floats = amps.view(np.float64).reshape(masses.size, -1)
     width = floats.shape[1] // 2
     per_block = split_shots(rng, shots, masses)
     chosen = np.flatnonzero(per_block)

@@ -215,14 +215,13 @@ class LenCountingEndpoint(FabricEndpoint):
 
 
 class TestExchangePayloadLength:
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize("P", [2, 4])
-    def test_len_of_every_payload_is_its_byte_count(self, P, precision):
+    def test_len_of_every_payload_is_its_byte_count(self, P):
         c = build_random_circuit(8, 120, seed=41)
         topo = perfmodel.nvl72_topology().for_ranks(P)
-        prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, True, precision)
+        prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, True)
         world = [LenCountingEndpoint(ep) for ep in create_world("loopback", P)]
-        run_spmd(world, lambda ep: dist.run_distributed(c, ep, True, precision))
+        run_spmd(world, lambda ep: dist.run_distributed(c, ep, True))
         assert prof.total_exchange_bytes > 0
         for ep in world:
             assert ep.counted == prof.total_exchange_bytes
@@ -521,7 +520,7 @@ class TestEvictionLookahead:
             s for i, op in enumerate(c.ops) for s in plan_gate(layout, op, c.ops[i + 1:])
         ]
         assert sum(s.action == "relocalize" for s in steps) == 1
-        check_distributed_equals_dense(2, False, Precision.DOUBLE, c)
+        check_distributed_equals_dense(2, False, c)
 
 
 class TestFusedSwapsRelabel:
@@ -735,45 +734,43 @@ def test_schedule_relocalizes_as_few_times_as_any_eviction_order(P, fusion, data
     assert got == fewest_relocalizations(ops, n, k)
 
 
-def check_distributed_equals_dense(P, fusion, precision, c):
+def check_distributed_equals_dense(P, fusion, c):
     dense = dense_run(c).amps
-    tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
 
     def body(ep):
-        st = dist.run_distributed(c, ep, fusion=fusion, precision=precision)
+        # with the one `precision` there is, as the benchmark's worker passes it
+        st = dist.run_distributed(c, ep, fusion=fusion, precision=Precision.DOUBLE)
         return dist.gather(st).amps
 
     for amps in spmd(P, body):
-        assert amps.dtype == precision.dtype
-        assert np.max(np.abs(amps - dense), initial=0.0) <= tol
+        assert amps.dtype == np.complex128
+        assert np.max(np.abs(amps - dense), initial=0.0) <= 1e-12
     if P == 1 and not fusion:
         # one rank runs the same kernels on the same ops as dense_run
-        assert np.array_equal(amps, dense_run(c, precision=precision).amps)
+        assert np.array_equal(amps, dense)
 
 
 class TestDistributedEqualsDense:
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
     @pytest.mark.parametrize("P", [1, 2, 4, 8])
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
-    def test_gathered_state_matches_dense_run(self, P, fusion, precision, data):
+    def test_gathered_state_matches_dense_run(self, P, fusion, data):
         c = data.draw(mixed_circuits(P.bit_length() - 1))
-        check_distributed_equals_dense(P, fusion, precision, c)
+        check_distributed_equals_dense(P, fusion, c)
 
 
 @pytest.mark.usefixtures("numpy_kernel")
 class TestDistributedEqualsDenseNumpy:
     """The same property on the numpy kernel."""
 
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
     @pytest.mark.parametrize("P", [1, 2, 4, 8])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_gathered_state_matches_dense_run(self, P, fusion, precision, data):
+    def test_gathered_state_matches_dense_run(self, P, fusion, data):
         c = data.draw(mixed_circuits(P.bit_length() - 1))
-        check_distributed_equals_dense(P, fusion, precision, c)
+        check_distributed_equals_dense(P, fusion, c)
 
 
 @pytest.mark.usefixtures("small_dense_blocks")
@@ -786,8 +783,7 @@ class TestDistributedEqualsDenseSmallBlocks:
     @given(data=st.data())
     def test_gathered_state_matches_dense_run(self, P, fusion, data):
         c = data.draw(mixed_circuits(P.bit_length() - 1))
-        precision = data.draw(st.sampled_from(list(Precision)))
-        check_distributed_equals_dense(P, fusion, precision, c)
+        check_distributed_equals_dense(P, fusion, c)
 
 
 class TestGather:
@@ -949,21 +945,19 @@ def _spread_slice(st: dist.DistState, seed: int) -> None:
 
 class TestSampleMemory:
     """Sampling holds no slice-sized temporary: the traced peak of a draw
-    stays under 1/8 of the slices' bytes (at the parent commit it was 2x
-    the slice at DOUBLE and 4x at SINGLE). The P=2 ranks share this
-    process, so the bound covers both slices. The register is one local and
-    one global qubit: the counts returned are no temporary, and a dict of
-    1000 distinct 18-bit keys alone holds about 100 KiB per rank; the draw
-    of the spread state still visits almost every block."""
+    stays under 1/8 of the slices' bytes. The P=2 ranks share this process,
+    so the bound covers both slices. The register is one local and one
+    global qubit: the counts returned are no temporary, and a dict of 1000
+    distinct 18-bit keys alone holds about 100 KiB per rank; the draw of
+    the spread state still visits almost every block."""
 
     @pytest.mark.parametrize("spread", [False, True], ids=["delta", "spread"])
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize("P", [1, 2])
-    def test_peak_under_an_eighth_of_the_slice(self, P, precision, spread):
+    def test_peak_under_an_eighth_of_the_slice(self, P, spread):
         n = 18
 
         def body(ep):
-            st = partition(n, ep, initial=(1 << n) - 77, precision=precision)
+            st = partition(n, ep, initial=(1 << n) - 77)
             if spread:
                 _spread_slice(st, 5)
             dist.sample_distributed(st, 10, 0)  # first-call set-up is not traced

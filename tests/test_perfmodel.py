@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from qsim import circuits, dist, perfmodel
 from qsim.fabric import create_world, run_spmd
-from qsim.svcore import Precision
 
 # (local_sweeps, total_exchange_bytes, swap_count) per rank on 64 NVL72 ranks.
 # A "local" step, with the diagonal steps folded into it (`dist.sweeps`), and
@@ -48,11 +47,10 @@ class TestModelBytesEqualRecorded:
     @given(data=st.data())
     def test_schedule_traffic_equals_endpoint_traffic(self, P, fusion, data):
         c = data.draw(mixed_circuits(P.bit_length() - 1))
-        precision = data.draw(st.sampled_from(list(Precision)))
         topo = perfmodel.nvl72_topology().for_ranks(P)
-        prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion, precision)
+        prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion)
         world = create_world("loopback", P)
-        run_spmd(world, lambda ep: dist.run_distributed(c, ep, fusion, precision))
+        run_spmd(world, lambda ep: dist.run_distributed(c, ep, fusion))
         for ep in world:
             assert ep.traffic.bytes_sent() == prof.total_exchange_bytes
             assert ep.traffic.bit_bytes == prof.exchange_bytes_per_level

@@ -183,10 +183,7 @@ class TestApplyGateDense:
 
     # 2-bit chunks make the SWAP cross chunk boundaries at n=5
     @pytest.mark.parametrize("block_bits", [2, sv._DENSE_BLOCK_BITS])
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
-    def test_swap_matches_matrix_path_for_every_pair(
-        self, precision, block_bits, monkeypatch
-    ):
+    def test_swap_matches_matrix_path_for_every_pair(self, block_bits, monkeypatch):
         monkeypatch.setattr(sv, "_DENSE_BLOCK_BITS", block_bits)
         n = 5
         rng = np.random.default_rng(17)
@@ -196,9 +193,9 @@ class TestApplyGateDense:
                 if a == b:
                     continue
                 op = sv.swap(a, b)
-                expect = StateSlice(psi, precision).amps
+                expect = StateSlice(psi).amps
                 sv._apply_matrix(expect, sv.base_matrix(op), op.targets)
-                got = apply_gate_dense(StateSlice(psi, precision), op).amps
+                got = apply_gate_dense(StateSlice(psi), op).amps
                 np.testing.assert_array_equal(got, expect)
 
     def test_norm_preserved_over_random_ops(self):
@@ -212,20 +209,18 @@ class TestApplyGateDense:
 
 
 class TestKernelOracle:
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize(
         "op",
         ALL_KIND_SAMPLES + SCATTERED_SAMPLES,
         ids=lambda op: f"{op.kind}-t{op.targets}-c{op.controls}",
     )
-    def test_apply_gate_dense_matches_brute_force(self, op, precision):
+    def test_apply_gate_dense_matches_brute_force(self, op):
         n = 5
         rng = np.random.default_rng(3)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
-        state = apply_gate_dense(StateSlice(psi.copy(), precision), op)
-        tol = 1e-12 if precision is Precision.DOUBLE else 1e-6
-        assert np.max(np.abs(state.amps - brute_force_matrix(op, n) @ psi)) <= tol
+        state = apply_gate_dense(StateSlice(psi.copy()), op)
+        assert np.max(np.abs(state.amps - brute_force_matrix(op, n) @ psi)) <= 1e-12
 
 
 @pytest.mark.usefixtures("numpy_kernel")
@@ -266,7 +261,10 @@ def one_shot_apply_matrix(amps, mat, targets, controls=(), arithmetic="real"):
 # put targets low, in the middle, high, on both sides of the block edge and
 # unsorted, with controls above and below; the gapped low targets leave
 # short runs of other bits below and between them, so the copies step
-# along a longer run higher up
+# along a longer run higher up. Together they give the compiled kernel
+# every body it has: each width with 0, 1, 2 and 4 rows per 64-byte
+# vector where the width allows it (targets at bits 0 and 1, or a control
+# there), and the fold runs each case's targets with diagonals
 _BLOCK_CASES = [
     ((0,), ()),
     ((0, 1, 2), ()),
@@ -285,17 +283,23 @@ _BLOCK_CASES = [
     ((1, 9), ()),
     ((1,), ()),
     ((2, 13, 14), ()),
+    ((0, 1), ()),
+    ((0, 1, 9, 14), ()),
+    ((1, 6, 11, 15), ()),
+    ((0, 1, 8, 12, 16), ()),
+    ((5, 0, 9, 13, 16), ()),
+    ((3, 9, 12), (1,)),
+    ((4, 7, 10, 15), (0,)),
+    ((2, 5, 8, 11, 14), (1, 16)),
 ]
 
 
-def _block_case(targets, controls, precision):
+def _block_case(targets, controls):
     """A random n=17 state and a random unitary for one `_BLOCK_CASES` case."""
     n = 17
     assert n - len(controls) > sv._DENSE_BLOCK_BITS  # more than one block
     rng = np.random.default_rng(len(targets) + 7 * len(controls))
-    psi = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).astype(
-        precision.dtype
-    )
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return psi, random_unitary(len(targets), targets[0])
 
 
@@ -315,31 +319,28 @@ def test_copy_order_puts_the_chosen_run_innermost(bits, order):
 
 
 class TestBlockedDenseKernel:
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize(
         "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
     )
-    def test_equals_one_shot_matmul(self, targets, controls, precision):
+    def test_equals_one_shot_matmul(self, targets, controls):
         # bit for bit, so only the numpy kernel: the compiled one sums the
         # same products in another order
-        psi, mat = _block_case(targets, controls, precision)
+        psi, mat = _block_case(targets, controls)
         got, expect = psi.copy(), psi.copy()
         sv._apply_matrix_numpy(got, mat, targets, controls)
         one_shot_apply_matrix(expect, mat, targets, controls)
         assert not np.array_equal(got, psi)
         assert np.array_equal(got, expect)
 
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize(
         "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
     )
-    def test_matches_complex_matmul(self, targets, controls, precision):
-        psi, mat = _block_case(targets, controls, precision)
+    def test_matches_complex_matmul(self, targets, controls):
+        psi, mat = _block_case(targets, controls)
         got, expect = psi.copy(), psi.copy()
         sv._apply_matrix(got, mat, targets, controls)
         one_shot_apply_matrix(expect, mat, targets, controls, arithmetic="complex")
-        tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
-        assert np.max(np.abs(got - expect)) <= tol
+        assert np.max(np.abs(got - expect)) <= 1e-12
 
 
 def _small_cases():
@@ -389,7 +390,7 @@ class TestCompiledKernel:
         "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
     )
     def test_block_cases(self, targets, controls):
-        self.check(*_block_case(targets, controls, Precision.DOUBLE), targets, controls)
+        self.check(*_block_case(targets, controls), targets, controls)
 
     @pytest.mark.parametrize("m, targets, controls", _small_cases())
     def test_small_arrays(self, m, targets, controls):
@@ -428,7 +429,7 @@ class TestCompiledKernel:
     def test_fold_gives_the_bytes_of_separate_sweeps(self, targets, controls):
         # the fold takes no controls, so each case runs on its targets
         # alone; each diagonal set comes before the next one after
-        psi, mat = _block_case(targets, controls, Precision.DOUBLE)
+        psi, mat = _block_case(targets, controls)
         rng = np.random.default_rng(len(targets))
         tables = [_random_phases(rng, bits) for bits in _FOLD_SETS]
         for i, table in enumerate(tables):
@@ -450,7 +451,7 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("bits", _FOLD_SETS, ids=[str(b) for b in _FOLD_SETS])
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     def test_width_0_matches_numpy(self, bits, order):
-        psi, _ = _block_case((0,), (), Precision.DOUBLE)
+        psi, _ = _block_case((0,), ())
         bits = bits if order == "ascending" else bits[::-1]
         rng = np.random.default_rng(len(bits))
         diag = np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits)))
@@ -464,7 +465,7 @@ class TestCompiledKernel:
         "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
     )
     def test_same_bytes_at_any_thread_count(self, targets, controls):
-        psi, mat = _block_case(targets, controls, Precision.DOUBLE)
+        psi, mat = _block_case(targets, controls)
         # big enough that 3 cores split the step three ways
         assert kernel_threads(psi.size.bit_length() - 1 - len(controls), 3) == 3
         digests = {compiled_digest(psi, mat, targets, controls, cores) for cores in (1, 2, 3)}
@@ -474,7 +475,7 @@ class TestCompiledKernel:
         # three threads whose calls overlap, each with a share of 6 cores:
         # one call's step splits while the others find it open and run
         # serially
-        cases = [(*_block_case(t, c, Precision.DOUBLE), t, c) for t, c in _BLOCK_CASES[:3]]
+        cases = [(*_block_case(t, c), t, c) for t, c in _BLOCK_CASES[:3]]
         expect = [compiled_digest(*case, 1, rounds=8) for case in cases]
         got = [None] * len(cases)
 
@@ -548,7 +549,6 @@ _B = sv._DIAGONAL_INNER_BITS
 
 
 class TestDiagonalKernel:
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize(
         "positions",
         [(), (0,), (2, 5, _B - 1), (_B,), (_B + 1, _B), (_B - 2, _B, _B + 1),
@@ -556,20 +556,19 @@ class TestDiagonalKernel:
         ids=["none", "low", "low3", "high", "high2", "straddle3", "straddle2",
              "unsorted"],
     )
-    def test_matches_brute_force(self, positions, precision):
+    def test_matches_brute_force(self, positions):
         n = _B + 2
         rng = np.random.default_rng(len(positions))
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         diag = np.exp(1j * rng.uniform(-math.pi, math.pi, size=1 << len(positions)))
-        got = psi.astype(precision.dtype)
+        got = psi.copy()
         sv._apply_diagonal(got, diag, positions)
         # basis state |i> picks the entry whose bit j is bit positions[j] of i
         entry = [
             sum(((i >> pos) & 1) << j for j, pos in enumerate(positions))
             for i in range(1 << n)
         ]
-        tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
-        assert np.max(np.abs(got - diag[entry] * psi)) <= tol
+        assert np.max(np.abs(got - diag[entry] * psi)) <= 1e-12
 
 
 class TestDiagonalOp:
@@ -577,23 +576,21 @@ class TestDiagonalOp:
     basis state's phase: its factor is spelled out over the low 13 bits, so
     the cases put positions below, at and above bit 13, and unsorted."""
 
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
     @pytest.mark.parametrize(
         "targets",
         [(0,), (1, 4, 7, 12), (_B,), (_B + 1, _B), (_B - 1, _B, _B + 1),
          (_B + 1, 2, _B - 1, 0), tuple(range(_B - 3, -1, -1)) + (_B, _B + 1)],
         ids=["low", "low4", "at", "high2", "straddle3", "unsorted", "widest"],
     )
-    def test_matches_phase_per_basis_state(self, targets, precision):
+    def test_matches_phase_per_basis_state(self, targets):
         n = _B + 2
         rng = np.random.default_rng(len(targets))
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=1 << len(targets)))
-        state = apply_gate_dense(StateSlice(psi, precision), sv.diagonal(targets, phases))
+        state = apply_gate_dense(StateSlice(psi), sv.diagonal(targets, phases))
         index = np.arange(1 << n)
         entry = sum(((index >> t) & 1) << j for j, t in enumerate(targets))
-        tol = 1e-12 if precision is Precision.DOUBLE else 1e-5
-        assert np.max(np.abs(state.amps - phases[entry] * psi)) <= tol
+        assert np.max(np.abs(state.amps - phases[entry] * psi)) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -622,10 +619,9 @@ def test_apply_gate_per_block_equals_whole_state(k, data):
 
 
 class TestStateSliceOwnership:
-    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
-    def test_never_writes_into_callers_array(self, precision):
-        psi = np.array([1, 0], dtype=precision.dtype)
-        state = apply_gate_dense(StateSlice(psi, precision), sv.x(0))
+    def test_never_writes_into_callers_array(self):
+        psi = np.array([1, 0], dtype=complex)
+        state = apply_gate_dense(StateSlice(psi), sv.x(0))
         assert np.array_equal(state.amps, [0, 1])
         assert np.array_equal(psi, [1, 0])
 
@@ -1006,10 +1002,6 @@ class TestCircuitValidation:
 
 class TestPrecision:
     def test_bytes_per_amplitude(self):
-        assert Precision.SINGLE.value == 8
+        assert list(Precision) == [Precision.DOUBLE]
         assert Precision.DOUBLE.value == 16
-
-    def test_single_precision_run(self):
-        state = dense_run(Circuit(2, [sv.h(0), sv.cx(0, 1)]), precision=Precision.SINGLE)
-        assert state.amps.dtype == np.complex64
-        np.testing.assert_allclose(state.amps, [2**-0.5, 0, 0, 2**-0.5], atol=1e-6)
+        assert dense_run(Circuit(1, [])).amps.itemsize == 16

@@ -209,18 +209,22 @@ class TestApplyGateDense:
 
 
 class TestKernelOracle:
+    n = 5
+
     @pytest.mark.parametrize(
         "op",
         ALL_KIND_SAMPLES + SCATTERED_SAMPLES,
         ids=lambda op: f"{op.kind}-t{op.targets}-c{op.controls}",
     )
     def test_apply_gate_dense_matches_brute_force(self, op):
-        n = 5
         rng = np.random.default_rng(3)
-        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi = rng.normal(size=1 << self.n) + 1j * rng.normal(size=1 << self.n)
         psi /= np.linalg.norm(psi)
         state = apply_gate_dense(StateSlice(psi.copy()), op)
-        assert np.max(np.abs(state.amps - brute_force_matrix(op, n) @ psi)) <= 1e-12
+        # the samples act on bits 0 to 4: each run of 32 amplitudes takes
+        # the 5-qubit matrix
+        expect = psi.reshape(-1, 32) @ brute_force_matrix(op, 5).T
+        assert np.max(np.abs(state.amps - expect.ravel())) <= 1e-12
 
 
 @pytest.mark.usefixtures("numpy_kernel")
@@ -231,6 +235,22 @@ class TestKernelOracleNumpy(TestKernelOracle):
 @pytest.mark.usefixtures("small_dense_blocks")
 class TestKernelOracleSmallBlocks(TestKernelOracle):
     """The same oracle on the numpy kernel with its smallest blocks."""
+
+
+class TestKernelOracleSplit(TestKernelOracle):
+    """The same oracle on 2^17 amplitudes through the compiled kernel, on a
+    share of one core, where a step runs serially as one chunk, and of two,
+    where it is split into chunks over two threads."""
+
+    n = 17
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["one-chunk", "split"])
+    def cores(self, request, monkeypatch):
+        if ckernel.load() is None:
+            pytest.skip("the compiled kernel could not be built")
+        # no sample has more than one control
+        assert kernel_threads(self.n - 1, request.param) == request.param
+        monkeypatch.setattr(ckernel, "cores", request.param)
 
 
 def one_shot_apply_matrix(amps, mat, targets, controls=(), arithmetic="real"):
@@ -370,6 +390,27 @@ def _random_phases(rng, bits):
     return sv._phase_table(np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))), bits)
 
 
+# every (width, rows per 64-byte row vector, with diagonals) body that the
+# compiled kernel has (see the top of `ckernel.c`): 4 rows per vector need
+# width 2 or more, and 1, a control at bit 0 or 1, takes no diagonals
+_BODIES = [
+    (w, held, phased)
+    for w in range(1, 6) for held in (0, 1, 2, 4) for phased in (False, True)
+    if not (held == 4 and w < 2) and not (held == 1 and phased)
+]
+
+
+def _body_case(w, held, phased):
+    """(targets, controls) of a width-w step whose row vectors hold `held`
+    rows: held 0 has no target or control at bit 0 or 1, 1 a control at
+    bit 1, 2 a target at bit 1 and 4 targets at bits 0 and 1. A step
+    without diagonals also takes a control at bit 16."""
+    if held == 1:
+        return (3, 6, 9, 12, 15)[:w], (1,)
+    targets = {0: (2, 5, 8, 11, 14), 2: (1, 4, 7, 10, 13), 4: (1, 0, 6, 10, 14)}[held]
+    return targets[:w], () if phased else (16,)
+
+
 class TestCompiledKernel:
     """The compiled kernel against the numpy one, within 1e-12."""
 
@@ -470,6 +511,33 @@ class TestCompiledKernel:
         assert kernel_threads(psi.size.bit_length() - 1 - len(controls), 3) == 3
         digests = {compiled_digest(psi, mat, targets, controls, cores) for cores in (1, 2, 3)}
         assert len(digests) == 1
+
+    @pytest.mark.parametrize("cores", [1, 2], ids=["one-chunk", "split"])
+    @pytest.mark.parametrize(
+        "w, held, phased", _BODIES,
+        ids=[f"rows{1 << w}-held{h}-{'phased' if p else 'plain'}" for w, h, p in _BODIES],
+    )
+    def test_every_body_matches_numpy(self, w, held, phased, cores):
+        targets, controls = _body_case(w, held, phased)
+        psi, mat = _block_case(targets, controls)
+        assert kernel_threads(psi.size.bit_length() - 1 - len(controls), cores) == cores
+        rng = np.random.default_rng(w)
+        sides, expect = {}, psi.copy()
+        if phased:
+            # diagonals over the lane bits and above, one of each side
+            (bb, db), (ba, da) = [
+                (bits, np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))))
+                for bits in ((0, 5, 9), (1, 13, 16))
+            ]
+            sides = {"before": sv._phase_table(db, bb), "after": sv._phase_table(da, ba)}
+            sv._apply_diagonal_numpy(expect, db, bb)
+        sv._apply_matrix_numpy(expect, mat, targets, controls)
+        if phased:
+            sv._apply_diagonal_numpy(expect, da, ba)
+        got = psi.copy()
+        assert raw_call(got, mat, targets, sum(1 << c for c in controls), cores, **sides) == 0
+        assert not np.array_equal(got, psi)
+        assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_calls_at_once_give_the_serial_bytes(self):
         # three threads whose calls overlap, each with a share of 6 cores:
@@ -591,6 +659,17 @@ class TestDiagonalOp:
         index = np.arange(1 << n)
         entry = sum(((index >> t) & 1) << j for j, t in enumerate(targets))
         assert np.max(np.abs(state.amps - phases[entry] * psi)) <= 1e-12
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestDiagonalKernelNumpy(TestDiagonalKernel):
+    """The same cases on the numpy kernel, whose factor is spelled out over
+    the low 13 bits."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestDiagonalOpNumpy(TestDiagonalOp):
+    """The same cases on the numpy kernel."""
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

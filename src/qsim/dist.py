@@ -23,8 +23,9 @@ Gates dispatch as:
 Rule (d) is tried first, then (b), then (a), then (c); (a) and (b) are
 one `svcore.apply_gate` call. Rule (d) holds with fusion on too:
 `svcore.fuse` keeps every SWAP out of its blocks. Rule (b) holds for a
-DIAGONAL op of up to 13 qubits from `svcore.fuse` too, so a whole stretch
-of diagonal gates is one phase multiply.
+DIAGONAL op of up to 13 qubits from `svcore.fuse` too, local or global,
+wherever they sit, so a whole stretch of diagonal gates is one phase
+multiply.
 
 When rule (c) must evict a local qubit, it looks ahead (Belady) to each
 qubit's next use, and counts as a use only what rule (c) would have to

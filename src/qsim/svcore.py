@@ -23,8 +23,9 @@ Conventions shared by every module in this package:
     compiled kernel, `_apply_diagonal_numpy` multiplies the view
     `amps.reshape((2,) * (m-L) + (2^L,))`, L = min(m, 13)
     (`_DIAGONAL_INNER_BITS`), in place by a factor spelled out over the
-    low L index bits, so its inner loop is a contiguous run of 2^L
-    amplitudes wherever the gate's bits sit. `diagonal_of` gives any
+    low L index bits, one value of the gate's higher bits at a time, so
+    its inner loop is a contiguous run of 2^L amplitudes wherever the
+    gate's bits sit and its one temporary holds 2^L. `diagonal_of` gives any
     diagonal op as a phase vector over its sorted qubits
   - `apply_gate` also takes the diagonal ops to apply just before and
     just after a non-diagonal op (`dist.sweeps` pairs them). For an op
@@ -37,10 +38,10 @@ Conventions shared by every module in this package:
     it is never densified. `fuse` emits one for each stretch of diagonal
     gates wider than its cap: such a step costs about one sweep at any
     width, while a dense block's cost grows with its width. A stretch
-    stays within 13 qubits with at most 3 at bit 13 or above
-    (`_DIAGONAL_HIGH_BITS`), because the numpy fallback's factor is
-    spelled out over the low 13 bits times 2^h for h positions above
-    them; the compiled kernel's table costs the same wherever they sit
+    stays within 13 qubits (`_DIAGONAL_INNER_BITS`), wherever they sit:
+    the compiled kernel's table takes at most 128 KiB, and the numpy
+    fallback spells its factor out over the low 13 bits once per value
+    of the positions above them, so its temporary stays 128 KiB too
   - `fuse` keeps a frontier of open blocks on pairwise disjoint qubits.
     Disjoint blocks commute, so a gate on other qubits never flushes a
     block, and a gate that would overfill the blocks it touches emits the
@@ -116,19 +117,13 @@ from . import ckernel
 MAX_FUSION_WIDTH = 5
 DEFAULT_FUSION_WIDTH = 3
 QUBIT_CAP = 26
-# low index bits over which `_apply_diagonal` spells out its factor. 2^13
-# is numpy's default ufunc buffer size (np.getbufsize()); with a shorter
-# contiguous run the broadcast multiply goes through the iterator's buffers
-# and ran about 30% slower at n=20
+# the most qubits one DIAGONAL op holds, wherever they sit: the compiled
+# kernel's `_phase_table` then takes at most 128 KiB. It is also the count
+# of low index bits over which `_apply_diagonal_numpy` spells out its
+# factor: 2^13 is numpy's default ufunc buffer size (np.getbufsize()); with
+# a shorter contiguous run the broadcast multiply goes through the
+# iterator's buffers and ran about 30% slower at n=20
 _DIAGONAL_INNER_BITS = 13
-# positions at or above bit 13 that one DIAGONAL op from `fuse` may hold;
-# the numpy fallback's factor holds 2^h x 2^13 entries for h such
-# positions. A 13-qubit step at n=20 (2-vCPU Xeon, one streaming sweep
-# 0.48 ms) took 0.58-0.72 ms with h <= 3, 1.2 ms with h = 5, and 1.65 ms,
-# 3.4 sweeps, with h = 7, which an unbounded 13-qubit TFIM stretch has.
-# The compiled kernel's table does not grow with h (a 13-qubit step with
-# h = 7 took 0.84 ms against numpy's 2.4), so this bounds the fallback only
-_DIAGONAL_HIGH_BITS = 3
 # log2 of the amplitudes in one block of `_apply_matrix_numpy`, the
 # fallback kernel, whose staging holds three times as many; it also sizes
 # `_apply_swap`'s chunks. Summed over 12 target sets of width 1-3 at
@@ -531,7 +526,14 @@ def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, positions) -> None:
 
 
 def _apply_diagonal_numpy(amps: np.ndarray, diag: np.ndarray, positions) -> None:
-    """`_apply_diagonal` in numpy: the fallback, and the tests' reference."""
+    """`_apply_diagonal` in numpy: the fallback, and the tests' reference.
+
+    It spells the factor out over the low L = min(m, 13) index bits
+    (`_DIAGONAL_INNER_BITS`), once for each value of the h positions at or
+    above bit L, and multiplies the amplitudes where those positions read
+    that value, so the multiply's inner loop runs over 2^L contiguous
+    amplitudes whatever the positions, and its one temporary holds 2^L
+    amplitudes (128 KiB) for any h."""
     m = int(amps.size).bit_length() - 1
     w = len(positions)
     d = diag.astype(amps.dtype, copy=False).reshape((2,) * w + (1,) * (m - w))
@@ -541,14 +543,17 @@ def _apply_diagonal_numpy(amps: np.ndarray, diag: np.ndarray, positions) -> None
     at = {m - 1 - b: w - 1 - j for j, b in enumerate(positions)}
     spare = iter(range(w, m))
     factor = d.transpose([at[a] if a in at else next(spare) for a in range(m)])
-    # spell the factor out over the low index bits, so the multiply's inner
-    # loop runs over 2^low contiguous amplitudes whatever the positions
     low = min(m, _DIAGONAL_INNER_BITS)
-    high = factor.shape[: m - low]
-    spelled = np.empty(high + (2,) * low, amps.dtype)
-    spelled[...] = factor
     view = amps.reshape((2,) * (m - low) + (1 << low,))
-    view *= spelled.reshape(high + (1 << low,))
+    spelled = np.empty((2,) * low, amps.dtype)
+    flat = spelled.reshape(-1)
+    # one pass per value of the high positions; a high axis without a
+    # position (size 1 in the factor) stays whole in the view
+    high = factor.shape[: m - low]
+    for lead in np.ndindex(high):
+        spelled[...] = factor[lead]
+        part = view[tuple(v if size == 2 else slice(None) for v, size in zip(lead, high))]
+        np.multiply(part, flat, out=part)
 
 
 def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
@@ -885,14 +890,8 @@ class _Block:
 def _fits(qubits: tuple[int, ...], dense: bool, max_width: int) -> bool:
     """Whether one block may span the distinct `qubits`: `max_width` for a
     dense block, and for a diagonal stretch also up to
-    `_DIAGONAL_INNER_BITS` qubits with at most `_DIAGONAL_HIGH_BITS` at
-    index 13 or above."""
-    u = len(qubits)
-    return u <= max_width or (
-        not dense
-        and u <= _DIAGONAL_INNER_BITS
-        and sum(q >= _DIAGONAL_INNER_BITS for q in qubits) <= _DIAGONAL_HIGH_BITS
-    )
+    `_DIAGONAL_INNER_BITS` qubits, wherever they sit."""
+    return len(qubits) <= (max_width if dense else _DIAGONAL_INNER_BITS)
 
 
 def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
@@ -913,18 +912,18 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
 
     Diagonal gates commute and move no data, so a stretch of them grows
     past the cap into one phase vector, while it spans at most
-    `_DIAGONAL_INNER_BITS` qubits with at most `_DIAGONAL_HIGH_BITS` of
-    them at index 13 or above. fuse runs before any layout exists, so it
-    counts program qubits, which are the positions under the identity
-    layout. A stretch that ends within the cap is emitted as a FUSED block,
-    a wider one as a DIAGONAL op. A diagonal gate joins a dense block only
-    if it adds no qubit to it; otherwise it emits the dense blocks it
-    touches and joins or opens a stretch, because a dense block's sweep
-    costs more the wider it is, and a qubit it holds for a phase is one
-    that a later dense gate cannot use. A dense gate takes a stretch it
-    touches into its block when their union fits the cap. Ops wider than
-    the cap, diagonal or not, emit the blocks they touch and pass through
-    renamed.
+    `_DIAGONAL_INNER_BITS` qubits, wherever they sit: fuse runs before
+    any layout exists, and neither kernel needs one, since the compiled
+    kernel's phase table costs the same at any position and the numpy
+    fallback's temporary stays 2^13 amplitudes. A stretch that ends within
+    the cap is emitted as a FUSED block, a wider one as a DIAGONAL op. A
+    diagonal gate joins a dense block only if it adds no qubit to it;
+    otherwise it emits the dense blocks it touches and joins or opens a
+    stretch, because a dense block's sweep costs more the wider it is, and
+    a qubit it holds for a phase is one that a later dense gate cannot
+    use. A dense gate takes a stretch it touches into its block when their
+    union fits the cap. Ops wider than the cap, diagonal or not, emit the
+    blocks they touch and pass through renamed.
 
     SWAPs never enter a block: each one is deferred to the end of the
     stream, in input order, and every later op is renamed through it

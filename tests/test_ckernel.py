@@ -25,6 +25,56 @@ def fresh(monkeypatch, tmp_path):
     return tmp_path / "cache"
 
 
+# the cache tests build this instead of `ckernel.c`, which takes seconds
+# to compile: the same entry point, applying a matrix one index at a time
+# and declining phases, which the caller then applies in numpy
+STAND_IN = r"""
+#include <complex.h>
+#include <stdint.h>
+
+int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
+                      uint64_t targets, uint64_t cmask, int cores,
+                      const double *before, uint64_t before_mask,
+                      const double *after, uint64_t after_mask)
+{
+    double complex *a = (double complex *)amps, x[32];
+    const double complex *u = (const double complex *)mat;
+    uint64_t tmask = 0, off[32] = {0};
+    int rows = 1 << w;
+    if (!mat || before || after || w > 5)
+        return 1;
+    for (int j = 0; j < w; j++)
+        tmask |= UINT64_C(1) << ((targets >> (8 * j)) & 255);
+    for (int r = 0; r < rows; r++)
+        for (int j = 0; j < w; j++)
+            if (r >> j & 1)
+                off[r] |= UINT64_C(1) << ((targets >> (8 * j)) & 255);
+    for (uint64_t i = 0; i < UINT64_C(1) << m; i++) {
+        if ((i & tmask) || (i & cmask) != cmask)
+            continue;
+        for (int r = 0; r < rows; r++)
+            x[r] = a[i | off[r]];
+        for (int r = 0; r < rows; r++) {
+            double complex sum = 0;
+            for (int c = 0; c < rows; c++)
+                sum += u[r * rows + c] * x[c];
+            a[i | off[r]] = sum;
+        }
+    }
+    return 0;
+}
+"""
+
+
+@pytest.fixture
+def stand_in(monkeypatch, tmp_path):
+    """`ckernel.SOURCE` made the small stand-in, in a file of its own."""
+    source = tmp_path / "stand_in.c"
+    source.write_text(STAND_IN)
+    monkeypatch.setattr(ckernel, "SOURCE", source)
+    return source
+
+
 def fake_compiler(tmp_path, body: str) -> str:
     """A `$CC` that runs `body` as Python, with the compile command in argv."""
     path = tmp_path / "fake-cc"
@@ -77,7 +127,7 @@ def test_failing_compiler_leaves_no_partial_file(fresh, monkeypatch, tmp_path):
 
 
 @needs_compiler
-def test_second_load_reuses_the_cache(fresh, monkeypatch):
+def test_second_load_reuses_the_cache(fresh, stand_in, monkeypatch):
     assert ckernel.load() is not None
     built = list(fresh.iterdir())
     assert [p.name for p in built] == [ckernel.library_path().name]
@@ -93,13 +143,13 @@ def test_second_load_reuses_the_cache(fresh, monkeypatch):
 
 
 @needs_compiler
-def test_two_processes_loading_at_once_both_get_a_library(tmp_path):
+def test_two_processes_loading_at_once_both_get_a_library(stand_in, tmp_path):
     script = textwrap.dedent("""
         import sys
         from pathlib import Path
         import numpy as np
         from qsim import ckernel, svcore as sv
-        ckernel.CACHE_DIR = Path(sys.argv[1])
+        ckernel.CACHE_DIR, ckernel.SOURCE = Path(sys.argv[1]), Path(sys.argv[2])
         assert ckernel.load() is not None
         psi = np.arange(64, dtype=complex)
         got, expect = psi.copy(), psi.copy()
@@ -110,8 +160,9 @@ def test_two_processes_loading_at_once_both_get_a_library(tmp_path):
     """)
     cache = tmp_path / "cache"
     procs = [
-        subprocess.Popen([sys.executable, "-c", script, str(cache)], env=checkout_env(),
-                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        subprocess.Popen([sys.executable, "-c", script, str(cache), str(stand_in)],
+                         env=checkout_env(), stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
         for _ in range(2)
     ]
     for proc in procs:
@@ -149,10 +200,7 @@ def test_compiled_kernel_is_active_where_a_compiler_is():
 
 
 @needs_compiler
-def test_a_new_build_deletes_an_unused_old_library(fresh, monkeypatch, tmp_path):
-    source = tmp_path / "ckernel.c"
-    source.write_text(ckernel.SOURCE.read_text())
-    monkeypatch.setattr(ckernel, "SOURCE", source)
+def test_a_new_build_deletes_an_unused_old_library(fresh, stand_in, monkeypatch):
     assert ckernel.load() is not None
     old = ckernel.library_path()
     # loads the old library, then applies X to |00> once told to
@@ -174,7 +222,7 @@ def test_a_new_build_deletes_an_unused_old_library(fresh, monkeypatch, tmp_path)
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         assert proc.stdout.readline() == "loaded\n"
-        source.write_text(source.read_text() + "/* another source */\n")
+        stand_in.write_text(stand_in.read_text() + "/* another source */\n")
         unused = time.time() - ckernel._STALE_SECONDS - 60
         os.utime(old, (unused, unused))
         monkeypatch.setattr(ckernel, "_loaded", False)
@@ -191,7 +239,7 @@ def test_a_new_build_deletes_an_unused_old_library(fresh, monkeypatch, tmp_path)
 
 
 @needs_compiler
-def test_two_keys_building_at_once_keep_both_libraries(tmp_path):
+def test_two_keys_building_at_once_keep_both_libraries(stand_in, tmp_path):
     # two compile commands, so two keys, against one cache: neither build
     # deletes the other's recent library, so each later process loads its
     # own without compiling
@@ -200,7 +248,7 @@ def test_two_keys_building_at_once_keep_both_libraries(tmp_path):
         import subprocess, sys
         from pathlib import Path
         from qsim import ckernel
-        ckernel.CACHE_DIR = Path(sys.argv[1])
+        ckernel.CACHE_DIR, ckernel.SOURCE = Path(sys.argv[1]), Path(sys.argv[2])
         built = ckernel.library_path().exists()
         real_run = subprocess.run
         def run(*args, **kwargs):
@@ -213,7 +261,7 @@ def test_two_keys_building_at_once_keep_both_libraries(tmp_path):
     cache = tmp_path / "cache"
     for _ in range(2):
         procs = [
-            subprocess.Popen([sys.executable, "-c", script, str(cache)],
+            subprocess.Popen([sys.executable, "-c", script, str(cache), str(stand_in)],
                              env=checkout_env(CC=f"{cc} {flag}"), stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
             for flag in ("-DQSIM_KEY_A", "-DQSIM_KEY_B")
@@ -225,7 +273,7 @@ def test_two_keys_building_at_once_keep_both_libraries(tmp_path):
 
 
 @needs_compiler
-def test_a_library_deleted_before_it_loads_is_built_again(fresh, monkeypatch):
+def test_a_library_deleted_before_it_loads_is_built_again(fresh, stand_in, monkeypatch):
     import ctypes
 
     ckernel._build(ckernel.library_path())

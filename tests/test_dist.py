@@ -543,14 +543,14 @@ class TestFusedSwapsRelabel:
 # local or diagonal step is one sweep over the slice; the counts before the
 # fusion frontier were (26, 10, 0), (42, 20, 6) and (25, 34, 3)
 PLAN_CENSUS = {
-    "random": (lambda: build_random_circuit(20, 100, 61), 0, (16, 7, 0)),
+    "random": (lambda: build_random_circuit(20, 100, 61), 0, (16, 6, 0)),
     "tfim": (
         lambda: circuits.build_tfim(circuits.tfim_from_lattice(
             circuits.LatticeSpec(1, 20, "square", periodic=True), steps=5)),
         1,
-        (42, 17, 6),
+        (42, 10, 6),
     ),
-    "qpe": (lambda: build_qpe(QpeSpec(19, 299593)), 1, (26, 34, 3)),
+    "qpe": (lambda: build_qpe(QpeSpec(19, 299593)), 1, (26, 22, 2)),
 }
 
 

@@ -8,14 +8,14 @@ from qsim.fabric import create_world, run_spmd
 # (local_sweeps, total_exchange_bytes, swap_count) per rank on 64 NVL72 ranks.
 # A "local" step, with the diagonal steps folded into it (`dist.sweeps`), and
 # a diagonal step left on its own each cost one sweep; diagonal steps move no
-# data, so folding them changes the sweeps alone (before folding: 226, 628,
-# 237, 714, 561 and 1733)
+# data, so folding them changes the sweeps alone (before folding: 102, 628,
+# 162, 714, 488 and 1733)
 PAPER_TRAFFIC = {
-    ("qpe34", True): (165, 27917287424, 13),
+    ("qpe34", True): (56, 25769803776, 12),
     ("qpe34", False): (569, 25769803776, 12),
-    ("tfim34", True): (151, 141733920768, 66),
+    ("tfim34", True): (132, 152471339008, 71),
     ("tfim34", False): (694, 141733920768, 66),
-    ("random34", True): (399, 161061273600, 75),
+    ("random34", True): (366, 148176371712, 69),
     ("random34", False): (1258, 111669149696, 52),
 }
 

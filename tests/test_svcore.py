@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -618,24 +619,32 @@ _B = sv._DIAGONAL_INNER_BITS
 
 class TestDiagonalKernel:
     @pytest.mark.parametrize(
-        "positions",
-        [(), (0,), (2, 5, _B - 1), (_B,), (_B + 1, _B), (_B - 2, _B, _B + 1),
-         (_B - 1, _B), (_B + 1, 3, 7)],
+        "n, positions",
+        [(_B + 2, ()), (_B + 2, (0,)), (_B + 2, (2, 5, _B - 1)), (_B + 2, (_B,)),
+         (_B + 2, (_B + 1, _B)), (_B + 2, (_B - 2, _B, _B + 1)), (_B + 2, (_B - 1, _B)),
+         (_B + 2, (_B + 1, 3, 7)),
+         # 4 to 7 positions at bit 13 or above, which one stretch from
+         # `fuse` may hold wherever its qubits sit
+         (19, (_B, _B + 2, _B + 4, _B + 5)),
+         (19, (_B + 5, 3, _B, _B + 1, _B - 1, _B + 3, _B + 2)),
+         (19, tuple(range(_B, 19)) + (0, 1, 2, 7, 8, 9, 10)),
+         (20, (_B + 6, _B + 1, _B + 4, _B)),
+         (20, tuple(range(19, _B - 1, -1))),
+         (20, tuple(range(7, 20))),
+         (20, (_B + 6, 0, _B + 5, 1, _B + 4, 2, _B + 3, _B - 1, _B + 2, 11, _B + 1, 5, _B))],
         ids=["none", "low", "low3", "high", "high2", "straddle3", "straddle2",
-             "unsorted"],
+             "unsorted", "n19-high4", "n19-high5", "n19-high6", "n20-high4",
+             "n20-high7", "n20-chain13", "n20-interleaved13"],
     )
-    def test_matches_brute_force(self, positions):
-        n = _B + 2
+    def test_matches_brute_force(self, n, positions):
         rng = np.random.default_rng(len(positions))
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         diag = np.exp(1j * rng.uniform(-math.pi, math.pi, size=1 << len(positions)))
         got = psi.copy()
         sv._apply_diagonal(got, diag, positions)
         # basis state |i> picks the entry whose bit j is bit positions[j] of i
-        entry = [
-            sum(((i >> pos) & 1) << j for j, pos in enumerate(positions))
-            for i in range(1 << n)
-        ]
+        index = np.arange(1 << n)
+        entry = sum(((index >> pos) & 1) << j for j, pos in enumerate(positions))
         assert np.max(np.abs(got - diag[entry] * psi)) <= 1e-12
 
 
@@ -664,7 +673,23 @@ class TestDiagonalOp:
 @pytest.mark.usefixtures("numpy_kernel")
 class TestDiagonalKernelNumpy(TestDiagonalKernel):
     """The same cases on the numpy kernel, whose factor is spelled out over
-    the low 13 bits."""
+    the low 13 bits once per value of the positions above them."""
+
+    def test_temporaries_do_not_grow_with_high_positions(self):
+        # 7 of 13 positions at bit 13 or above at n=20. A factor spelled
+        # out over the low 13 bits times 2^7 would take 16 MiB; the bound
+        # is what a factor over 3 high positions took, 1 MiB
+        n, positions = 20, tuple(range(7, 20))
+        amps = np.ones(1 << n, dtype=complex)
+        diag = np.exp(1j * np.linspace(0, 1, 1 << len(positions)))
+        tracemalloc.start()
+        try:
+            sv._apply_diagonal_numpy(amps, diag, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        assert amps[-1] == diag[-1]
 
 
 @pytest.mark.usefixtures("numpy_kernel")
@@ -1041,6 +1066,20 @@ class TestFusion:
         got = apply_gate_dense(sv.basis_state(12, 0b101100111010), step).amps
         assert np.max(np.abs(got - expect)) <= 1e-12
 
+    def test_chain_over_high_qubits_is_one_diagonal_step(self):
+        # 13 sites on qubits 7-19 of 20: 7 of them at bit 13 or above
+        chain = Circuit(20, [sv.rzz(0.1 * q, q, q + 1) for q in range(7, 19)])
+        (step,) = fuse(chain, max_width=3).ops
+        assert (step.kind, step.targets) == ("DIAGONAL", tuple(range(7, 20)))
+        psi = sv.basis_state(20, 0)
+        for q in range(7, 20):
+            apply_gate_dense(psi, sv.h(q))
+        want, got = psi.copy(), psi.copy()
+        for op in chain.ops:
+            apply_gate_dense(want, op)
+        apply_gate_dense(got, step)
+        assert np.max(np.abs(got.amps - want.amps)) <= 1e-12
+
     def test_ring_of_20_takes_at_most_4_steps(self):
         ring = self.rzz_ring(20)
         steps = fuse(ring, max_width=3).ops
@@ -1048,8 +1087,6 @@ class TestFusion:
         for step in steps:
             assert step.is_diagonal()
             assert len(step.targets) <= sv._DIAGONAL_INNER_BITS
-            high = [q for q in step.targets if q >= sv._DIAGONAL_INNER_BITS]
-            assert len(high) <= sv._DIAGONAL_HIGH_BITS
         psi = sv.basis_state(20, 0)
         for q in range(20):
             apply_gate_dense(psi, sv.h(q))

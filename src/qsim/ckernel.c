@@ -21,12 +21,30 @@
  * gives each lane row r of its own group, and a coefficient vector per
  * output row vector holds, in lane l, the entry between the row that lane
  * l stands for and r, or the identity's entry where lane l fails a
- * control. Both sum the terms of each output in the order of r, so a gate
- * rounds alike wherever its bits sit. The bodies are specialised for 2 to
- * 32 rows (widths 1 to 5), 0 (`mix`), 1, 2 or 4 rows per row vector, and
- * with or without diagonals: 33 bodies, as 4 rows per row vector need 4
- * rows or more, and 1 means a control at bit 0 or 1, which a step with
- * diagonals never has.
+ * control.
+ *
+ * A step of 8 rows with no target or control at bit 0 or 1 whose matrix
+ * falls into blocks (`blocks_of`: each row has its nonzero entries among
+ * the 2 or 4 columns of one block, as in a generalized permutation, X (x)
+ * H (x) X, or X (x) U for a 2-qubit U) runs through `mix_blocks`, which
+ * sums 2 or 4 terms per output rather than 8. It loads the row vectors of
+ * each block side by side and stores each output at its own row's
+ * offset, so no row moves in registers. The entry point finds the blocks
+ * from the 64 entries on every call, and `qsim_terms` reports its choice;
+ * an entry counts unless it is exactly 0. At n=20 steps in blocks of 2
+ * took 0.46-0.65x the dense body's time and in blocks of 4 0.59-0.70x, at
+ * one thread and at two.
+ *
+ * All three bodies sum the terms of each output in the order of r and
+ * start each sum alike (`mix_blocks` spells out the FMA that GCC makes of
+ * the first term in the other two, and the tests compare its bytes), so a
+ * gate rounds alike wherever its bits sit and whichever body takes it: a
+ * block body leaves out only entries of 0, whose terms add zeros. The
+ * bodies are specialised for 2 to 32 rows (widths 1 to 5), 0 (`mix`), 1,
+ * 2 or 4 rows per row vector, and with or without diagonals, and the
+ * blocks of 2 and of 4 with or without diagonals: 37 bodies, as 4 rows
+ * per row vector need 4 rows or more, and 1 means a control at bit 0 or
+ * 1, which a step with diagonals never has.
  *
  * A step that touches at least 2^PARALLEL_BITS amplitudes is split into
  * chunks of consecutive bases, 2^CHUNK_BITS amplitudes each, when its
@@ -46,10 +64,11 @@
  * apply after it, so a diagonal costs no sweep of its own: each a table
  * of 2^d complex128 phases over d index bits in ascending order (`mask`),
  * the entry for amplitude i being pext(i, mask). Each loaded row vector is
- * multiplied by the before phases ahead of `mix`/`mix_lanes`, and each
- * stored one by the after phases. Index bits 0 and 1 are the lowest bits
- * of an entry's number, so the 4 lanes' entries lie among 4 consecutive
- * ones: one 64-byte load, and a shuffle that gives each lane its own.
+ * multiplied by the before phases ahead of the body, and each stored one
+ * by the after phases of the offset it is stored at. Index bits 0 and 1
+ * are the lowest bits of an entry's number, so the 4 lanes' entries lie
+ * among 4 consecutive ones: one 64-byte load, and a shuffle that gives
+ * each lane its own.
  * Width 0 is a serial sweep with no matrix. Every path multiplies an
  * amplitude by its phase in `times`, so a diagonal folded into a dense
  * step and the same diagonal applied alone give the same bytes.
@@ -76,6 +95,9 @@
 #define MAX_THREADS 64
 /* the most index bits that one phase table spans: a DIAGONAL op's 13 */
 #define MAX_PHASE_BITS 13
+/* the rows of a step through `mix_blocks`, and its widest block */
+#define BLOCK_ROWS 8
+#define MAX_BLOCK 4
 
 typedef double v8d __attribute__((vector_size(64)));
 typedef int64_t v8i __attribute__((vector_size(64)));
@@ -152,6 +174,11 @@ struct layout {
     int vector_of[MAX_ROWS], lanes_of[MAX_ROWS];
     v8i perm[8];
     v8d *coef;
+    /* for `mix_blocks`: the offset that each row vector is stored at
+     * (`off` is where it is loaded from), and each output's entries over
+     * the columns of its block */
+    int64_t put[BLOCK_ROWS];
+    double entry[BLOCK_ROWS][MAX_BLOCK][2];
     /* the diagonals before and after the matrix, each NULL if none */
     const struct phases *before, *after;
 };
@@ -185,6 +212,58 @@ static inline __attribute__((always_inline)) void mix(v8d *x, const double *mat,
     }
     for (int r = 0; r < rows; r++)
         x[r] = y[r];
+}
+
+/* p, which the compiler cannot see as a product, so that it is rounded
+ * on its own rather than taken into an FMA */
+static inline __attribute__((always_inline)) v8d rounded(v8d p)
+{
+#ifdef __AVX512F__
+    __asm__("" : "+v"(p));
+#else
+    __asm__("" : "+m"(p));
+#endif
+    return p;
+}
+
+/* x <- M x for BLOCK_ROWS row vectors in blocks of `size`: the outputs
+ * of a block have their nonzero entries in the columns that its row
+ * vectors hold, in ascending order, and x[0] holds column 0; e holds each
+ * output's entries over its block's columns. Each output sums its terms
+ * as `mix` sums its row, whose other entries add zeros that leave the sum
+ * as it is: block 0 starts as `mix` starts at column 0, Re m * x in one
+ * FMA with Im m * (i x) rounded alone (GCC's contraction of `mix`, here
+ * spelled out), and the other blocks from a zero, as `mix` reaches their
+ * first column. As in `mix`, each column's terms go to every output
+ * before the next column's: summed one output at a time, blocks of 4
+ * took 1.5x as long */
+static inline __attribute__((always_inline)) void mix_blocks(v8d *x,
+                                                             const double (*e)[MAX_BLOCK][2],
+                                                             int size)
+{
+    const v8i swap = {1, 0, 3, 2, 5, 4, 7, 6};
+    const v8d sign = {-1, 1, -1, 1, -1, 1, -1, 1};
+    v8d ix[BLOCK_ROWS], acc[BLOCK_ROWS];
+    for (int c = 0; c < BLOCK_ROWS; c++)
+        ix[c] = __builtin_shuffle(x[c], swap) * sign;
+    for (int r = 0; r < BLOCK_ROWS; r++) {
+        const int k = r - r % size;
+        if (k) {
+            acc[r] = (v8d){0};
+            acc[r] += e[r][0][0] * x[k];
+            acc[r] += e[r][0][1] * ix[k];
+        } else {
+            acc[r] = e[r][0][0] * x[0] + rounded(e[r][0][1] * ix[0]);
+        }
+    }
+    for (int j = 1; j < size; j++)
+        for (int r = 0; r < BLOCK_ROWS; r++) {
+            const int k = r - r % size;
+            acc[r] += e[r][j][0] * x[k + j];
+            acc[r] += e[r][j][1] * ix[k + j];
+        }
+    for (int r = 0; r < BLOCK_ROWS; r++)
+        x[r] = acc[r];
 }
 
 /* x <- the lane-wise product for the row vectors of `rows` rows. Each
@@ -232,14 +311,14 @@ static inline uint64_t spread(uint64_t g, const int *sorted, int k)
     return g;
 }
 
-/* bases h0 to h1 of the array through `mix` (held 0) or `mix_lanes`,
- * whose row vectors each hold `held` rows, with L's diagonals if
- * `phased`; base h starts at the vector numbered h * step with the zero
+/* bases h0 to h1 of the array through `mix` (held 0), `mix_lanes`,
+ * whose row vectors each hold `held` rows, or, with a block `size`,
+ * `mix_blocks`, with L's diagonals if `phased`; base h starts at the vector numbered h * step with the zero
  * bits inserted, and spans `step` consecutive amplitudes, which no
  * inserted bit splits */
 static inline __attribute__((always_inline)) void run(double *a, const struct layout *L,
-                                                      int rows, int held, int phased,
-                                                      uint64_t h0, uint64_t h1,
+                                                      int rows, int held, int size,
+                                                      int phased, uint64_t h0, uint64_t h1,
                                                       uint64_t step)
 {
     const int vectors = held ? rows / held : rows, k = L->k;
@@ -260,6 +339,15 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
     v8i perm[8];
     memcpy(sorted, L->sorted, sizeof sorted);
     memcpy(off, L->off, sizeof off);
+    /* the blocks' entries and where each row vector is stored, as local
+     * copies for the same reason */
+    double entry[BLOCK_ROWS][MAX_BLOCK][2];
+    int64_t put[BLOCK_ROWS];
+    if (size) {
+        memcpy(entry, L->entry, sizeof entry);
+        memcpy(put, L->put, sizeof put);
+    }
+    const int64_t *to = size ? put : off;
     memcpy(vector_of, L->vector_of, sizeof vector_of);
     memcpy(lanes_of, L->lanes_of, sizeof lanes_of);
     memcpy(perm, L->perm, sizeof perm);
@@ -293,6 +381,8 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
             }
             if (held)
                 mix_lanes(x, coef, perm, vector_of, lanes_of, held, rows);
+            else if (size)
+                mix_blocks(x, entry, size);
             else
                 mix(x, mat, rows);
             for (int c = 0; c < vectors; c++) {
@@ -300,7 +390,7 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
                     lanes(&pa, ea + pa.off[c], &re, &im);
                     x[c] = times(x[c], re, im);
                 }
-                store4(at + 2 * off[c], x[c]);
+                store4(at + 2 * to[c], x[c]);
             }
         }
     }
@@ -313,14 +403,14 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
 #define CASE(rows, phased)                                  \
     case rows:                                              \
         if (!held)                                          \
-            run(a, L, rows, 0, phased, h0, h1, step);       \
+            run(a, L, rows, 0, 0, phased, h0, h1, step);    \
         else if (held == 1) {                               \
             if (!phased)                                    \
-                run(a, L, rows, 1, phased, h0, h1, step);   \
+                run(a, L, rows, 1, 0, phased, h0, h1, step);\
         } else if (held == 2)                               \
-            run(a, L, rows, 2, phased, h0, h1, step);       \
+            run(a, L, rows, 2, 0, phased, h0, h1, step);    \
         else if (rows > 2)                                  \
-            run(a, L, rows, 4, phased, h0, h1, step);       \
+            run(a, L, rows, 4, 0, phased, h0, h1, step);    \
         break;
 
 #define SWITCH(phased)      \
@@ -340,6 +430,24 @@ static __attribute__((noinline)) void run_phased(
     double *a, const struct layout *L, int w, int held, uint64_t h0, uint64_t h1, uint64_t step)
 {
     SWITCH(1)
+}
+
+/* `run` through `mix_blocks` in blocks of `size`, with L's diagonals if
+ * `phased` */
+static __attribute__((noinline)) void run_blocks(double *a, const struct layout *L, int size,
+                                                 int phased, uint64_t h0, uint64_t h1,
+                                                 uint64_t step)
+{
+    if (size == 2) {
+        if (phased)
+            run(a, L, BLOCK_ROWS, 0, 2, 1, h0, h1, step);
+        else
+            run(a, L, BLOCK_ROWS, 0, 2, 0, h0, h1, step);
+    } else if (phased) {
+        run(a, L, BLOCK_ROWS, 0, 4, 1, h0, h1, step);
+    } else {
+        run(a, L, BLOCK_ROWS, 0, 4, 0, h0, h1, step);
+    }
 }
 
 /* `run` specialised for 2^w rows and `held` rows per row vector (0 for
@@ -382,7 +490,7 @@ static void run_phases(double *a, int m, const struct phases *B, const struct ph
  * and the helpers that join claim through `next` and run alike; a serial
  * step is one chunk of every base */
 struct job {
-    int w, held;
+    int w, held, size;
     double *amps;
     const struct layout *L;
     uint64_t step, per_chunk, chunks;
@@ -410,6 +518,15 @@ static __attribute__((noinline)) void run_chunks(struct job *J)
 {
     uint64_t c;
     const int phased = J->L->before || J->L->after;
+    /* a loop of its own: with a branch to `run_blocks` in the loop below,
+     * the dense 8-row step on bits 2, 13 and 14 took 1.01-1.06x as long
+     * at one thread (n=20, median of 41, 6 processes) */
+    if (J->size) {
+        while ((c = __atomic_fetch_add(&J->next, 1, __ATOMIC_RELAXED)) < J->chunks)
+            run_blocks(J->amps, J->L, J->size, phased, c * J->per_chunk,
+                       (c + 1) * J->per_chunk, J->step);
+        return;
+    }
     while ((c = __atomic_fetch_add(&J->next, 1, __ATOMIC_RELAXED)) < J->chunks)
         if (phased)
             run_phased(J->amps, J->L, J->w, J->held, c * J->per_chunk,
@@ -572,6 +689,123 @@ static int lane_coefficients(struct layout *L, const double *mat, int w, const i
     return 0;
 }
 
+/* The block size at which `mix_blocks` takes a 2^w x 2^w complex matrix
+ * on the target bits `tmask` under the controls `cmask`, or 0. It takes
+ * BLOCK_ROWS rows with no target or control at bit 0 or 1. The columns
+ * fall into groups where a row has nonzero entries (an entry is nonzero
+ * unless exactly 0) in more than one, and a row belongs to the group
+ * that holds them; no group may have more rows than columns. The groups
+ * are packed, widest first, into as few blocks of 2, else of 4, as they
+ * fill exactly, and rows with no nonzero entry fill the blocks. If L is
+ * not NULL, its offsets, one per matrix row, are reordered into
+ * `mix_blocks`'s slots, the blocks in the order of their lowest column
+ * and each block's columns ascending, and its `put` and entries are
+ * filled */
+static int blocks_of(struct layout *L, const double *mat, int w, uint64_t tmask,
+                     uint64_t cmask)
+{
+    const int rows = 1 << w;
+    unsigned nonzero[BLOCK_ROWS], group[BLOCK_ROWS];
+    if (rows != BLOCK_ROWS || ((tmask | cmask) & 3))
+        return 0;
+    for (int c = 0; c < rows; c++)
+        group[c] = 1u << c;
+    for (int r = 0; r < rows; r++) {
+        unsigned joined = 0;
+        nonzero[r] = 0;
+        for (int c = 0; c < rows; c++)
+            if (mat[2 * (r * rows + c)] != 0 || mat[2 * (r * rows + c) + 1] != 0) {
+                nonzero[r] |= 1u << c;
+                joined |= group[c];
+            }
+        for (int c = 0; c < rows; c++)
+            if (joined >> c & 1)
+                group[c] = joined;
+    }
+    int widest = 1;
+    for (int c = 0; c < rows; c++) {
+        int held = 0;
+        for (int r = 0; r < rows; r++)
+            held += (nonzero[r] & group[c]) != 0;
+        if (held > __builtin_popcount(group[c]))
+            return 0;
+        if (__builtin_popcount(group[c]) > widest)
+            widest = __builtin_popcount(group[c]);
+    }
+    for (int size = 2; size <= MAX_BLOCK; size *= 2) {
+        unsigned block[BLOCK_ROWS];
+        int blocks = 0;
+        if (size < widest)
+            continue;
+        for (int width = size; width > 0; width--)
+            for (int c = 0; c < rows; c++) {
+                if (__builtin_ctz(group[c]) != c || __builtin_popcount(group[c]) != width)
+                    continue;
+                int b = 0;
+                while (b < blocks && __builtin_popcount(block[b]) + width > size)
+                    b++;
+                if (b == blocks)
+                    block[blocks++] = 0;
+                block[b] |= group[c];
+            }
+        if (blocks * size != rows)
+            continue;
+        if (!L)
+            return size;
+        /* the column each slot is loaded as, and the row it is stored as */
+        int in[BLOCK_ROWS], out[BLOCK_ROWS], slot = 0;
+        unsigned spare = 0, placed = 0;
+        for (int r = 0; r < rows; r++)
+            spare |= (unsigned)!nonzero[r] << r;
+        for (int c = 0; c < rows; c++) {
+            if (placed >> c & 1)
+                continue;
+            unsigned cols = 0;
+            for (int b = 0; b < blocks; b++)
+                cols |= block[b] >> c & 1 ? block[b] : 0;
+            placed |= cols;
+            int o = slot;
+            for (int k = 0; k < rows; k++)
+                if (cols >> k & 1)
+                    in[slot++] = k;
+            for (int r = 0; r < rows; r++)
+                if (nonzero[r] & cols)
+                    out[o++] = r;
+            for (; o < slot; o++) {
+                out[o] = __builtin_ctz(spare);
+                spare &= spare - 1;
+            }
+        }
+        int64_t off[BLOCK_ROWS];
+        memcpy(off, L->off, sizeof off);
+        for (int s = 0; s < rows; s++) {
+            L->off[s] = off[in[s]];
+            L->put[s] = off[out[s]];
+            for (int j = 0; j < size; j++) {
+                const double *m = mat + 2 * (out[s] * rows + in[s - s % size + j]);
+                L->entry[s][j][0] = m[0];
+                L->entry[s][j][1] = m[1];
+            }
+        }
+        return size;
+    }
+    return 0;
+}
+
+/* The terms that each output of this step sums in `qsim_apply_matrix`
+ * (byte j of `targets` the bit of target j): 2 or 4 through `mix_blocks`,
+ * else 2^w; 0 for a width outside 1 to 5 */
+int qsim_terms(const double *mat, int w, uint64_t targets, uint64_t cmask)
+{
+    uint64_t tmask = 0;
+    if (w < 1 || w > MAX_WIDTH)
+        return 0;
+    for (int j = 0; j < w; j++)
+        tmask |= UINT64_C(1) << ((targets >> (8 * j)) & 63);
+    const int size = blocks_of(NULL, mat, w, tmask, cmask);
+    return size ? size : 1 << w;
+}
+
 /* The threads that one step over 2^bits amplitudes takes from a share of
  * `share` cores: 1 below 2^PARALLEL_BITS, else at most one per chunk of
  * 2^CHUNK_BITS amplitudes and at most MAX_THREADS */
@@ -668,8 +902,12 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
         L.off[i] = 0;
         for (int q = 0; q < nhigh; q++)
             L.off[i] |= (int64_t)((i >> q) & 1) << pos[high[q]];
+    }
+    /* with every target above bit 1, row vector i holds matrix row i */
+    const int size = blocks_of(&L, mat, w, tmask, cmask);
+    for (int i = 0; i < (1 << nhigh); i++) {
         pb.off[i] = pext(L.off[i], before_mask);
-        pa.off[i] = pext(L.off[i], after_mask);
+        pa.off[i] = pext(size ? L.put[i] : L.off[i], after_mask);
     }
     L.mat = mat;
     if ((tmask | cmask) & 3) {
@@ -689,12 +927,12 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
          * is a base of its own with a shorter step */
         const uint64_t chunks = UINT64_C(1) << (bits - CHUNK_BITS), span = L.amps / chunks,
                        sub = step < span ? step : span;
-        struct job J = {.w = w, .held = held, .amps = amps, .L = &L, .step = sub,
+        struct job J = {.w = w, .held = held, .size = size, .amps = amps, .L = &L, .step = sub,
                         .per_chunk = span / sub, .chunks = chunks};
         serial = run_parallel(&J, threads);
     }
     if (serial) {
-        struct job J = {.w = w, .held = held, .amps = amps, .L = &L, .step = step,
+        struct job J = {.w = w, .held = held, .size = size, .amps = amps, .L = &L, .step = step,
                         .per_chunk = L.amps / step, .chunks = 1};
         run_chunks(&J);
     }

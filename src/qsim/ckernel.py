@@ -36,6 +36,15 @@ needs, and they keep off the caller's CPU. The caller waits only for
 helpers that have joined its step, so a helper that has not started
 stalls nothing.
 
+A step of 8 rows (width 3) with no target or control at bit 0 or 1,
+whose matrix falls into blocks of 2 or 4 rows and columns (a generalized
+permutation, X (x) H (x) X, or X (x) U for a 2-qubit U), runs through a
+body that sums those 2 or 4 terms per output rather than 8. The kernel
+finds the blocks from the matrix's entries on each call, an entry
+counting unless it is exactly 0; its exported `qsim_terms` reports the
+terms a step sums without running it. The block bodies give the bytes of
+the dense body, whose other terms add zeros.
+
 A call may carry a diagonal to multiply in before the matrix and one
 after it, each as a table of phases over its index bits in ascending
 order and the mask of those bits; width 0 applies them with no matrix, in

@@ -31,9 +31,13 @@ received, never into a buffer sized only by an unchecked header.
 
 swap() trades an array view with the peer's, in place; `dist.relocalize`
 moves each half-slice with one call:
-  - by default, and so on tcp and on any endpoint that overrides only
-    exchange(), the view streams through one reused piece buffer of
+  - by default, and so on any endpoint that overrides only exchange(),
+    the view streams through one reused piece buffer of
     2^EXCHANGE_PIECE_BITS amplitudes, one exchange() per piece
+  - tcp sends the same exchange frames in the same order, and receives
+    every piece of the peer's into one reused buffer of its own: a
+    payload lands there only once its header announces an exchange
+    frame of the piece's length
   - loopback swaps directly: both ranks post their views and check each
     other's tag, shape and dtype before any byte moves; then each swaps
     every other piece of the two views through one buffer of its own,
@@ -133,11 +137,14 @@ class FabricEndpoint:
         self, peer: int, tag: int, payload: bytes | memoryview
     ) -> bytes | memoryview:
         got_tag, got = self._transfer(peer, tag, payload)
+        self._check_tag(peer, tag, got_tag)
+        return got
+
+    def _check_tag(self, peer: int, tag: int, got_tag: int):
         if got_tag != tag:
             raise FramingError(
                 f"rank {self.rank} in {_OPS[tag]} met rank {peer} in {_OPS[got_tag]}"
             )
-        return got
 
     def close(self):
         pass
@@ -445,13 +452,14 @@ def _recv_into(sock: socket.socket, buf: memoryview) -> None:
 
 
 def _recv_frame(
-    sock: socket.socket, expect: int | None = None
+    sock: socket.socket, expect: int | None = None, into: memoryview | None = None
 ) -> tuple[int, bytes | memoryview]:
     """The tag and payload of the next frame.
 
     With `expect` set, an exchange frame must announce exactly `expect`
     bytes. That is checked before any payload byte is read; the payload
-    then lands in one uninitialised buffer and comes back as a memoryview.
+    then lands in `into`, a byte memoryview of `expect` bytes, or if that
+    is None in one uninitialised buffer, and comes back as a memoryview.
     Any other frame is read in bounded pieces."""
     length, tag = struct.unpack("<QB", _recv_exact(sock, 9))
     if length > _MAX_FRAME:
@@ -464,7 +472,7 @@ def _recv_frame(
         raise FramingError(
             f"exchange length mismatch: sent {expect} bytes, peer announced {length}"
         )
-    buf = memoryview(np.empty(expect, dtype=np.uint8))
+    buf = memoryview(np.empty(expect, dtype=np.uint8)) if into is None else into
     _recv_into(sock, buf)
     return tag, buf
 
@@ -484,18 +492,36 @@ class TcpEndpoint(FabricEndpoint):
         self._socks = socks  # peer rank -> connected socket
 
     def _transfer(
-        self, peer: int, tag: int, payload: bytes | memoryview
+        self, peer: int, tag: int, payload: bytes | memoryview,
+        into: memoryview | None = None,
     ) -> tuple[int, bytes | memoryview]:
+        """`FabricEndpoint._transfer`; an exchange frame from the peer lands
+        in `into` if given (see `_recv_frame`)."""
         sock = self._socks[peer]
         # an exchange is symmetric: the peer's frame is as long as ours
         expect = len(payload) if tag == _EXCHANGE else None
         # lower rank sends first; keeps large symmetric swaps deadlock-free
         if self.rank < peer:
             _send_frame(sock, payload, tag)
-            return _recv_frame(sock, expect)
-        got = _recv_frame(sock, expect)
+            return _recv_frame(sock, expect, into)
+        got = _recv_frame(sock, expect, into)
         _send_frame(sock, payload, tag)
         return got
+
+    def swap(self, peer: int, moving: np.ndarray) -> None:
+        """`FabricEndpoint.swap`, the same exchange frames in the same
+        order, but each of the peer's pieces lands in one reused receive
+        buffer rather than a fresh one per frame."""
+        self._check_peer(peer, "exchange")
+        buf = _piece_buffer(moving)
+        received = np.empty_like(buf)
+        wire = memoryview(buf.reshape(-1).view(np.uint8))
+        into = memoryview(received.reshape(-1).view(np.uint8))
+        for piece in _pieces(moving, len(buf)):
+            buf[...] = piece
+            got_tag, _ = self._transfer(peer, _EXCHANGE, wire, into)
+            self._check_tag(peer, _EXCHANGE, got_tag)
+            piece[...] = received
 
     def close(self):
         for sock in self._socks.values():

@@ -65,7 +65,13 @@ Conventions shared by every module in this package:
     With no target or control at bit 0 or 1 a vector holds 4 groups;
     otherwise it holds several rows, or control values, of fewer groups,
     and the kernel multiplies by per-lane coefficients and moves lanes in
-    registers rather than gather amplitudes. A diagonal's phase for
+    registers rather than gather amplitudes. A width-3 step of 4 groups
+    whose matrix falls into blocks of 2 or 4 rows and columns (a
+    generalized permutation, X (x) H (x) X, or X (x) U: more than half of
+    a random circuit's local steps) sums only those 2 or 4 terms per
+    output, in the same order, so with the bytes of the 8-term sum, whose
+    other terms add zeros; the kernel finds the blocks from the matrix on
+    each call, so no op carries a flag for it. A diagonal's phase for
     amplitude i is entry pext(i, mask) of its table (BMI2's pext where the
     compiler targets it, else a loop), and the 4 lanes of a vector take
     theirs from one 64-byte load and a shuffle

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import socket
@@ -41,6 +42,17 @@ def random_unitary(width: int, seed: int) -> np.ndarray:
     dim = 1 << width
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kernel_terms(mat, targets, cmask: int = 0) -> int:
+    """The terms that each output of a step sums in the compiled kernel
+    (`qsim_terms`): 2 through its pair body, else 2^w; computed without
+    running the step."""
+    fn = ctypes.CDLL(str(ckernel.library_path())).qsim_terms
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_uint64, ctypes.c_uint64]
+    mat = np.ascontiguousarray(mat, dtype=np.complex128)
+    return fn(mat.ctypes.data, len(targets), sum(t << (8 * j) for j, t in enumerate(targets)),
+              cmask)
 
 
 def align_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import mixed_circuits, tcp_world
+from conftest import kernel_terms, mixed_circuits, tcp_world
 from hypothesis import given, settings, strategies as st
 
-from qsim import circuits, dist, fabric, perfmodel, svcore as sv
+from qsim import circuits, ckernel, dist, fabric, perfmodel, svcore as sv
 from qsim.circuits import build_qpe, build_random_circuit, QpeSpec
 from qsim.dist import RankLayout, partition, plan_gate
 from qsim.fabric import FabricEndpoint, create_world, run_spmd
@@ -20,6 +20,7 @@ from qsim.svcore import Circuit, Precision, dense_run
 # the traced benchmark's runner, imported as its worker imports it
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def spmd(P, fn, with_log=False):
@@ -561,6 +562,29 @@ def test_fused_plan_census_pinned(name):
     actions = [s.action for s in dist.schedule(c, c.num_qubits, k, fusion=True)]
     got = tuple(actions.count(a) for a in ("local", "diagonal", "relocalize"))
     assert got == expect
+
+
+def test_random_workload_block_steps_pinned():
+    # the local steps of the first four seed-1 random-p1 circuits at n=20
+    # on one rank, and those that the compiled kernel runs through a block
+    # body: the width-3 blocks whose rows and columns fall into blocks of
+    # 2 or 4, with no target or control at bit 0 or 1
+    if ckernel.load() is None:
+        pytest.skip("the compiled kernel could not be built")
+    got = []
+    for task in workloads.build("random-p1", 1, 4):
+        c = task.circuit
+        layout = RankLayout.identity(c.num_qubits, 0)
+        local = blocks = 0
+        for op in dist.scheduled_ops(c, c.num_qubits, 0, fusion=True):
+            if [step.action for step in plan_gate(layout, op)] != ["local"]:
+                continue
+            w = len(op.targets)
+            terms = kernel_terms(sv.base_matrix(op), [layout.perm[q] for q in op.targets],
+                                 sum(1 << layout.perm[q] for q in op.controls))
+            local, blocks = local + 1, blocks + (terms < 1 << w)
+        got.append((local, blocks))
+    assert got == [(34, 19), (39, 21), (39, 24), (37, 21)]
 
 
 class TestRunDistributed:

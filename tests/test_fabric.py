@@ -559,6 +559,54 @@ class TestFraming:
         a.close()
 
 
+class TestTcpSwap:
+    def test_views_trade_in_place_through_one_receive_buffer(self, monkeypatch):
+        # 8 pieces per half, as in `TestLoopbackSwap`; each rank receives
+        # all 8 of its peer's, every one into the same buffer (the spy
+        # holds each buffer, so no id is reused)
+        rows = 1 << fabric.EXCHANGE_PIECE_BITS
+        received = {}
+        recv_into = fabric._recv_into
+
+        def spy(sock, buf):
+            received.setdefault(threading.get_ident(), []).append(buf.obj)
+            recv_into(sock, buf)
+
+        monkeypatch.setattr(fabric, "_recv_into", spy)
+
+        def body(ep):
+            amps, moving = moving_view(ep.rank, rows=rows)
+            ep.swap(1 - ep.rank, moving)
+            return amps, threading.get_ident()
+
+        with tcp_world(2) as world:
+            got = run_spmd(world, body)
+        for rank, (amps, thread) in enumerate(got):
+            expect, expect_moving = moving_view(rank, rows=rows)
+            expect_moving[...] = moving_view(1 - rank, rows=rows)[1]
+            assert np.array_equal(amps, expect)
+            assert len(received[thread]) == 8
+            assert len({id(buf) for buf in received[thread]}) == 1
+
+    def test_length_checked_before_any_payload_byte(self):
+        # as `TestFraming`'s exchange check: rank 1 receives first, its
+        # peer announces 1 TiB, and the swap refuses it from the header,
+        # leaving the view as it was
+        a, b = socket.socketpair()
+        a.settimeout(2.0)
+        ep = TcpEndpoint(1, 2, {0: a}, timeout=2.0)
+        amps, moving = moving_view(1)
+        before = amps.copy()
+        try:
+            b.sendall(struct.pack("<QB", 1 << 40, fabric._EXCHANGE))
+            with pytest.raises(FramingError, match="length mismatch"):
+                ep.swap(0, moving)
+            assert np.array_equal(amps, before)
+        finally:
+            ep.close()
+            b.close()
+
+
 class TestTcpTransport:
     def test_two_rank_smoke(self, tmp_path):
         outs = [tmp_path / f"r{r}.txt" for r in range(2)]

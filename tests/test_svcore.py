@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import (
     align_phase,
+    kernel_terms,
     max_deviation,
     mixed_circuits,
     random_unitary,
@@ -315,12 +316,65 @@ _BLOCK_CASES = [
 ]
 
 
-def _block_case(targets, controls):
-    """A random n=17 state and a random unitary for one `_BLOCK_CASES` case."""
+def _sparse_matrix(kind: str, seed: int) -> np.ndarray:
+    """An 8 x 8 unitary with complex entries whose rows and columns fall
+    into blocks, as the compiled kernel's block bodies take them: a
+    "permutation" (one nonzero entry per row) or "pairs" (two per row: H
+    on one qubit and X on the other two, between random phases) in blocks
+    of 2, and "fours" (X on one qubit, a random 2-qubit unitary on the
+    others, with the rows and columns shuffled alike) in blocks of 4."""
+    rng = np.random.default_rng(seed)
+    left, right = (np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 8))) for _ in range(2))
+    shuffle = np.eye(8)[rng.permutation(8)]
+    flip = np.array([[0, 1], [1, 0]])
+    if kind == "permutation":
+        return left @ shuffle
+    if kind == "fours":
+        return left @ shuffle @ np.kron(flip, random_unitary(2, seed)) @ shuffle.T
+    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    return left @ np.kron(np.kron(flip, flip), hadamard) @ right
+
+
+def _ring_of_3() -> np.ndarray:
+    """A permutation whose rows 0, 1 and 2 also take 0.5j in columns 1, 2
+    and 0: a group of 3 columns, which a block of 4 holds with column 3."""
+    mat = np.eye(8, dtype=complex)[[0, 1, 2, 3, 5, 4, 7, 6]]
+    mat[0, 1] = mat[1, 2] = mat[2, 0] = 0.5j
+    return mat
+
+
+def _with_tiny_entries(mat: np.ndarray) -> np.ndarray:
+    """`mat` with 1e-300 in place of every zero entry: no entry is zero,
+    so the compiled kernel takes it through a dense body, and each tiny
+    term leaves a sum of normal amplitudes as it is."""
+    return np.where(mat == 0, 1e-300, mat)
+
+
+# sparse matrices for the fold and thread-count tests: through the block
+# bodies with targets above bit 1 (a control there too), and through the
+# lane bodies with a target or a control at bit 0 or 1
+_SPARSE_CASES = [
+    ((9, 4, 7), (), "permutation"),
+    ((2, 13, 14), (), "pairs"),
+    ((16, 5, 10), (12,), "pairs"),
+    ((8, 15, 3), (), "fours"),
+    ((1, 4, 5), (), "pairs"),
+    ((3, 9, 12), (1,), "permutation"),
+    ((0, 6, 11), (), "fours"),
+]
+_MATRIX_CASES = [(t, c, None) for t, c in _BLOCK_CASES] + _SPARSE_CASES
+_MATRIX_IDS = [f"t{t}-c{c}" + (f"-{kind}" if kind else "") for t, c, kind in _MATRIX_CASES]
+
+
+def _block_case(targets, controls, kind=None):
+    """A random n=17 state and a random unitary for one `_BLOCK_CASES` case,
+    or with `kind` the `_sparse_matrix` of that kind."""
     n = 17
     assert n - len(controls) > sv._DENSE_BLOCK_BITS  # more than one block
     rng = np.random.default_rng(len(targets) + 7 * len(controls))
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    if kind:
+        return psi, _sparse_matrix(kind, targets[0])
     return psi, random_unitary(len(targets), targets[0])
 
 
@@ -393,22 +447,26 @@ def _random_phases(rng, bits):
 
 # every (width, rows per 64-byte row vector, with diagonals) body that the
 # compiled kernel has (see the top of `ckernel.c`): 4 rows per vector need
-# width 2 or more, and 1, a control at bit 0 or 1, takes no diagonals
+# width 2 or more, and 1, a control at bit 0 or 1, takes no diagonals.
+# "pairs" and "fours" are the bodies of 8 rows with none at bit 0 or 1 in
+# blocks of 2 and of 4
 _BODIES = [
     (w, held, phased)
     for w in range(1, 6) for held in (0, 1, 2, 4) for phased in (False, True)
     if not (held == 4 and w < 2) and not (held == 1 and phased)
-]
+] + [(3, blocks, phased) for blocks in ("pairs", "fours") for phased in (False, True)]
+# the matrices that each block body is tried on, and the terms per output
+_BLOCK_BODIES = {"pairs": (("permutation", "pairs"), 2), "fours": (("fours",), 4)}
 
 
 def _body_case(w, held, phased):
     """(targets, controls) of a width-w step whose row vectors hold `held`
-    rows: held 0 has no target or control at bit 0 or 1, 1 a control at
-    bit 1, 2 a target at bit 1 and 4 targets at bits 0 and 1. A step
-    without diagonals also takes a control at bit 16."""
+    rows: held 0 and the block bodies have no target or control at bit 0
+    or 1, 1 a control at bit 1, 2 a target at bit 1 and 4 targets at bits
+    0 and 1. A step without diagonals also takes a control at bit 16."""
     if held == 1:
         return (3, 6, 9, 12, 15)[:w], (1,)
-    targets = {0: (2, 5, 8, 11, 14), 2: (1, 4, 7, 10, 13), 4: (1, 0, 6, 10, 14)}[held]
+    targets = {2: (1, 4, 7, 10, 13), 4: (1, 0, 6, 10, 14)}.get(held, (2, 5, 8, 11, 14))
     return targets[:w], () if phased else (16,)
 
 
@@ -465,13 +523,11 @@ class TestCompiledKernel:
                             **({side: phases} if side else {})) == -1
             assert np.array_equal(got, psi)
 
-    @pytest.mark.parametrize(
-        "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
-    )
-    def test_fold_gives_the_bytes_of_separate_sweeps(self, targets, controls):
+    @pytest.mark.parametrize("targets, controls, kind", _MATRIX_CASES, ids=_MATRIX_IDS)
+    def test_fold_gives_the_bytes_of_separate_sweeps(self, targets, controls, kind):
         # the fold takes no controls, so each case runs on its targets
         # alone; each diagonal set comes before the next one after
-        psi, mat = _block_case(targets, controls)
+        psi, mat = _block_case(targets, controls, kind)
         rng = np.random.default_rng(len(targets))
         tables = [_random_phases(rng, bits) for bits in _FOLD_SETS]
         for i, table in enumerate(tables):
@@ -503,11 +559,9 @@ class TestCompiledKernel:
         assert not np.array_equal(got, psi)
         assert np.max(np.abs(got - expect)) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
-    )
-    def test_same_bytes_at_any_thread_count(self, targets, controls):
-        psi, mat = _block_case(targets, controls)
+    @pytest.mark.parametrize("targets, controls, kind", _MATRIX_CASES, ids=_MATRIX_IDS)
+    def test_same_bytes_at_any_thread_count(self, targets, controls, kind):
+        psi, mat = _block_case(targets, controls, kind)
         # big enough that 3 cores split the step three ways
         assert kernel_threads(psi.size.bit_length() - 1 - len(controls), 3) == 3
         digests = {compiled_digest(psi, mat, targets, controls, cores) for cores in (1, 2, 3)}
@@ -516,29 +570,72 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("cores", [1, 2], ids=["one-chunk", "split"])
     @pytest.mark.parametrize(
         "w, held, phased", _BODIES,
-        ids=[f"rows{1 << w}-held{h}-{'phased' if p else 'plain'}" for w, h, p in _BODIES],
+        ids=[(f"rows{1 << w}-{h}" if h in _BLOCK_BODIES else f"rows{1 << w}-held{h}")
+             + f"-{'phased' if p else 'plain'}" for w, h, p in _BODIES],
     )
     def test_every_body_matches_numpy(self, w, held, phased, cores):
+        # a block body takes each of its sparse matrices, and gives the
+        # bytes that a dense body gives with 1e-300 for their zeros
         targets, controls = _body_case(w, held, phased)
         psi, mat = _block_case(targets, controls)
+        cmask = sum(1 << c for c in controls)
         assert kernel_threads(psi.size.bit_length() - 1 - len(controls), cores) == cores
         rng = np.random.default_rng(w)
-        sides, expect = {}, psi.copy()
+        sides, diagonals = {}, None
         if phased:
             # diagonals over the lane bits and above, one of each side
-            (bb, db), (ba, da) = [
+            diagonals = [
                 (bits, np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))))
                 for bits in ((0, 5, 9), (1, 13, 16))
             ]
-            sides = {"before": sv._phase_table(db, bb), "after": sv._phase_table(da, ba)}
-            sv._apply_diagonal_numpy(expect, db, bb)
-        sv._apply_matrix_numpy(expect, mat, targets, controls)
-        if phased:
-            sv._apply_diagonal_numpy(expect, da, ba)
-        got = psi.copy()
-        assert raw_call(got, mat, targets, sum(1 << c for c in controls), cores, **sides) == 0
-        assert not np.array_equal(got, psi)
-        assert np.max(np.abs(got - expect)) <= 1e-12
+            sides = {side: sv._phase_table(diag, bits)
+                     for side, (bits, diag) in zip(("before", "after"), diagonals)}
+        kinds, terms = _BLOCK_BODIES.get(held, ((), None))
+        for mat in [_sparse_matrix(kind, w) for kind in kinds] or [mat]:
+            expect = psi.copy()
+            if phased:
+                sv._apply_diagonal_numpy(expect, diagonals[0][1], diagonals[0][0])
+            sv._apply_matrix_numpy(expect, mat, targets, controls)
+            if phased:
+                sv._apply_diagonal_numpy(expect, diagonals[1][1], diagonals[1][0])
+            got = psi.copy()
+            assert raw_call(got, mat, targets, cmask, cores, **sides) == 0
+            assert not np.array_equal(got, psi)
+            assert np.max(np.abs(got - expect)) <= 1e-12
+            if terms:
+                dense = _with_tiny_entries(mat)
+                assert kernel_terms(mat, targets, cmask) == terms
+                assert kernel_terms(dense, targets, cmask) == 8
+                through_dense = psi.copy()
+                assert raw_call(through_dense, dense, targets, cmask, cores, **sides) == 0
+                assert np.array_equal(got, through_dense)
+
+    @pytest.mark.parametrize(
+        "mat, targets, cmask, terms",
+        [(_sparse_matrix("pairs", 1), (2, 5, 8), 0, 2),
+         (_sparse_matrix("permutation", 1), (9, 4, 7), 0, 2),
+         (_sparse_matrix("pairs", 2), (16, 3, 9), 1 << 12, 2),
+         (_sparse_matrix("fours", 1), (2, 5, 8), 0, 4),
+         (np.kron(np.eye(2), random_unitary(2, 3)) @ np.eye(8)[[0, 2, 4, 6, 1, 3, 5, 7]],
+          (6, 3, 12), 0, 4),
+         (_ring_of_3(), (2, 5, 8), 0, 4),
+         (random_unitary(3, 1), (2, 5, 8), 0, 8),
+         (_with_tiny_entries(_sparse_matrix("pairs", 1)), (2, 5, 8), 0, 8),
+         (_sparse_matrix("pairs", 1), (1, 5, 8), 0, 8),
+         (_sparse_matrix("permutation", 1), (9, 4, 7), 1, 8),
+         (np.eye(8, k=1) + np.eye(8, k=-7) + np.eye(8), (2, 5, 8), 0, 8),
+         (np.eye(4)[::-1], (2, 5), 0, 4)],
+        ids=["X-H-X", "generalized-permutation", "controlled", "blocks-of-4",
+             "blocks-of-4-interleaved", "ring-of-3", "dense", "tiny-entries",
+             "target-at-bit-1", "control-at-bit-0", "chain-of-8", "width-2"],
+    )
+    def test_sparse_steps_take_a_block_body(self, mat, targets, cmask, terms):
+        # a sparse step that fell back to a dense body would still pass
+        # every check of its amplitudes: only a slower sweep would show it.
+        # The interleaved blocks hold the even and the odd columns; each
+        # row of the chain has two nonzero entries, in columns r and r + 1
+        # (mod 8), so all 8 columns form one group
+        assert kernel_terms(mat, targets, cmask) == terms
 
     def test_calls_at_once_give_the_serial_bytes(self):
         # three threads whose calls overlap, each with a share of 6 cores:

@@ -1,7 +1,11 @@
 /* The compiled dense-gate kernel of qsim (see the Conventions in
- * svcore.py). `qsim_apply_matrix` multiplies a 2^w x 2^w complex matrix
- * into the target bits of 2^m interleaved complex128 amplitudes, in place,
- * over the indices whose control bits are all 1.
+ * svcore.py). `qsim_apply_matrix` multiplies a 2^w x 2^w complex matrix,
+ * w from 1 to 3, into the target bits of 2^m interleaved complex128
+ * amplitudes, in place, over the indices whose control bits are all 1.
+ * The engine fuses to 3 qubits and no named gate has more than 2
+ * targets, so no step it emits is wider. A wider step, which only a
+ * caller's FUSED op of 4 or 5 qubits makes, is declined, and svcore runs
+ * it on its numpy kernel.
  *
  * One 64-byte vector holds the 4 amplitudes that index bits 0 and 1 tell
  * apart, and every load and store moves one whole vector. A row vector is
@@ -40,9 +44,9 @@
  * the first term in the other two, and the tests compare its bytes), so a
  * gate rounds alike wherever its bits sit and whichever body takes it: a
  * block body leaves out only entries of 0, whose terms add zeros. The
- * bodies are specialised for 2 to 32 rows (widths 1 to 5), 0 (`mix`), 1,
+ * bodies are specialised for 2 to 8 rows (widths 1 to 3), 0 (`mix`), 1,
  * 2 or 4 rows per row vector, and with or without diagonals, and the
- * blocks of 2 and of 4 with or without diagonals: 37 bodies, as 4 rows
+ * blocks of 2 and of 4 with or without diagonals: 23 bodies, as 4 rows
  * per row vector need 4 rows or more, and 1 means a control at bit 0 or
  * 1, which a step with diagonals never has.
  *
@@ -83,8 +87,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define MAX_WIDTH 5
-#define MAX_ROWS (1 << MAX_WIDTH)
+/* the widest step: the engine's fusion width (see the top) */
+#define MAX_WIDTH 3
 /* log2 of the amplitudes a step must touch before it is split, and of
  * those in one chunk of a split step. On 2 threads (2-vCPU Xeon, median of
  * 200, width 1 and 3) a step over 2^13 amplitudes took 1.05-1.45x its
@@ -95,8 +99,9 @@
 #define MAX_THREADS 64
 /* the most index bits that one phase table spans: a DIAGONAL op's 13 */
 #define MAX_PHASE_BITS 13
-/* the rows of a step through `mix_blocks`, and its widest block */
-#define BLOCK_ROWS 8
+/* the most rows of a step, all of them in a step through `mix_blocks`,
+ * and the widest block of that */
+#define BLOCK_ROWS (1 << MAX_WIDTH)
 #define MAX_BLOCK 4
 
 typedef double v8d __attribute__((vector_size(64)));
@@ -136,7 +141,7 @@ struct phases {
     double *table;
     uint64_t mask;
     v8i re, im;
-    uint64_t off[MAX_ROWS]; /* the entry number of each row vector's offset */
+    uint64_t off[BLOCK_ROWS]; /* the entry number of each row vector's offset */
 };
 
 /* x times the phases whose real parts fill re and whose imaginary parts,
@@ -159,21 +164,21 @@ static inline __attribute__((always_inline)) void lanes(const struct phases *P,
 }
 
 struct layout {
-    int64_t off[MAX_ROWS]; /* amplitude offset of each row vector */
-    int sorted[64];        /* target and control bits above bit 1, ascending */
+    int64_t off[BLOCK_ROWS]; /* amplitude offset of each row vector */
+    int sorted[64];          /* target and control bits above bit 1, ascending */
     int k;
-    uint64_t cmask;        /* control bits above bit 1 */
-    uint64_t amps;         /* 2^(m - k): the amplitudes the bases step over */
-    const double *mat;     /* row-major interleaved, for `mix` */
+    uint64_t cmask;          /* control bits above bit 1 */
+    uint64_t amps;           /* 2^(m - k): the amplitudes the bases step over */
+    const double *mat;       /* row-major interleaved, for `mix` */
     /* for `mix_lanes`: the rows that one row vector holds; for each source
      * row, the row vector and the lane-target bits that hold it; for each
      * setting of those bits, the permutation that gives every lane that
      * setting, then the same with re/im swapped; and the coefficients, A
      * and B, per output row vector and source row */
     int held;
-    int vector_of[MAX_ROWS], lanes_of[MAX_ROWS];
+    int vector_of[BLOCK_ROWS], lanes_of[BLOCK_ROWS];
     v8i perm[8];
-    v8d *coef;
+    v8d coef[2 * BLOCK_ROWS * BLOCK_ROWS];
     /* for `mix_blocks`: the offset that each row vector is stored at
      * (`off` is where it is loaded from), and each output's entries over
      * the columns of its block */
@@ -184,30 +189,32 @@ struct layout {
 };
 
 /* x <- M x for `rows` row vectors, M's entries the same in every lane.
- * Up to 16 rows accumulate at once, each over the columns in order, so the
- * accumulators stay in registers while each column is read once per 16 */
+ * Every row accumulates at once, over the columns in order, so the
+ * accumulators stay in registers while each column is read once. The one
+ * pass is written as a loop over one block of outputs: without that loop,
+ * GCC made dense 8-row steps that took 1.01-1.05x as long at one thread
+ * (n=20, median of 41, 10 processes) */
 static inline __attribute__((always_inline)) void mix(v8d *x, const double *mat, int rows)
 {
     const v8i swap = {1, 0, 3, 2, 5, 4, 7, 6};
     const v8d sign = {-1, 1, -1, 1, -1, 1, -1, 1};
-    const int block = rows < 16 ? rows : 16;
-    v8d ix[MAX_ROWS], y[MAX_ROWS];
+    v8d ix[BLOCK_ROWS], y[BLOCK_ROWS];
     for (int c = 0; c < rows; c++)
         ix[c] = __builtin_shuffle(x[c], swap) * sign;
-    for (int r0 = 0; r0 < rows; r0 += block) {
-        v8d acc[16];
-        for (int r = 0; r < block; r++) {
+    for (int r0 = 0; r0 < rows; r0 += rows) {
+        v8d acc[BLOCK_ROWS];
+        for (int r = 0; r < rows; r++) {
             const double *e = mat + 2 * (r0 + r) * rows;
             acc[r] = e[0] * x[0];
             acc[r] += e[1] * ix[0];
         }
         for (int c = 1; c < rows; c++)
-            for (int r = 0; r < block; r++) {
+            for (int r = 0; r < rows; r++) {
                 const double *e = mat + 2 * ((r0 + r) * rows + c);
                 acc[r] += e[0] * x[c];
                 acc[r] += e[1] * ix[c];
             }
-        for (int r = 0; r < block; r++)
+        for (int r = 0; r < rows; r++)
             y[r0 + r] = acc[r];
     }
     for (int r = 0; r < rows; r++)
@@ -275,26 +282,28 @@ static inline __attribute__((always_inline)) void mix_lanes(
     v8d *restrict x, const v8d *restrict coef, const v8i *perm, const int *vector_of,
     const int *lanes_of, int held, int rows)
 {
-    const int vectors = rows / held, block = vectors < 16 ? vectors : 16;
-    v8d z[MAX_ROWS], sz[MAX_ROWS], y[MAX_ROWS];
+    const int vectors = rows / held;
+    v8d z[BLOCK_ROWS], sz[BLOCK_ROWS], y[BLOCK_ROWS];
     for (int r = 0; r < rows; r++) {
         z[r] = __builtin_shuffle(x[vector_of[r]], perm[2 * lanes_of[r]]);
         sz[r] = __builtin_shuffle(x[vector_of[r]], perm[2 * lanes_of[r] + 1]);
     }
-    for (int r0 = 0; r0 < vectors; r0 += block) {
-        v8d acc[16];
-        for (int r = 0; r < block; r++) {
+    /* one pass over the outputs, as in `mix`: without the loop, the 8-row
+     * step on bits 0, 1 and 2 took 1.03-1.06x as long */
+    for (int r0 = 0; r0 < vectors; r0 += vectors) {
+        v8d acc[BLOCK_ROWS];
+        for (int r = 0; r < vectors; r++) {
             const v8d *k = coef + 2 * (r0 + r) * rows;
             acc[r] = k[0] * z[0];
             acc[r] += k[1] * sz[0];
         }
         for (int u = 1; u < rows; u++)
-            for (int r = 0; r < block; r++) {
+            for (int r = 0; r < vectors; r++) {
                 const v8d *k = coef + 2 * ((r0 + r) * rows + u);
                 acc[r] += k[0] * z[u];
                 acc[r] += k[1] * sz[u];
             }
-        for (int r = 0; r < block; r++)
+        for (int r = 0; r < vectors; r++)
             y[r0 + r] = acc[r];
     }
     for (int r = 0; r < vectors; r++)
@@ -324,18 +333,14 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
     const int vectors = held ? rows / held : rows, k = L->k;
     const uint64_t cmask = L->cmask;
     const double *mat = L->mat;
-    /* the coefficients of up to 8 rows as a local copy, which the stores
-     * to the amplitudes cannot alias: read through L, they were reloaded
-     * after every store, and lane steps at one thread took 1.1-1.4x as
-     * long */
-    v8d kept[2 * 8 * 8];
-    const v8d *coef = L->coef;
-    if (rows <= 8 && held) {
-        memcpy(kept, coef, sizeof(v8d) * 2 * vectors * rows);
-        coef = kept;
-    }
-    int sorted[64], vector_of[MAX_ROWS], lanes_of[MAX_ROWS];
-    int64_t off[MAX_ROWS];
+    /* the coefficients as a local copy, which the stores to the
+     * amplitudes cannot alias: read through L, they were reloaded after
+     * every store, and lane steps at one thread took 1.1-1.4x as long */
+    v8d coef[2 * BLOCK_ROWS * BLOCK_ROWS];
+    if (held)
+        memcpy(coef, L->coef, sizeof(v8d) * 2 * vectors * rows);
+    int sorted[64], vector_of[BLOCK_ROWS], lanes_of[BLOCK_ROWS];
+    int64_t off[BLOCK_ROWS];
     v8i perm[8];
     memcpy(sorted, L->sorted, sizeof sorted);
     memcpy(off, L->off, sizeof off);
@@ -351,7 +356,7 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
     memcpy(vector_of, L->vector_of, sizeof vector_of);
     memcpy(lanes_of, L->lanes_of, sizeof lanes_of);
     memcpy(perm, L->perm, sizeof perm);
-    v8d x[MAX_ROWS];
+    v8d x[BLOCK_ROWS];
     /* every base holds a whole vector; without this, steps whose bases
      * hold one vector took up to 1.3x as long */
     if (step < 4)
@@ -418,8 +423,6 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
         CASE(2, phased)     \
         CASE(4, phased)     \
         CASE(8, phased)     \
-        CASE(16, phased)    \
-        CASE(32, phased)    \
     }
 
 /* `run` with L's diagonals, specialised as in `run_bases`. `run_chunks`
@@ -648,10 +651,9 @@ static int lane_row(int i, int l, const int *high, int nhigh, const int *pos, in
 }
 
 /* The tables and coefficients of `mix_lanes` for the lane bits `tl` that
- * are targets and `cl` that are controls; 0, or -1 if the coefficients
- * cannot be allocated */
-static int lane_coefficients(struct layout *L, const double *mat, int w, const int *pos,
-                             const int *high, int nhigh, int tl, int cl)
+ * are targets and `cl` that are controls */
+static void lane_coefficients(struct layout *L, const double *mat, int w, const int *pos,
+                              const int *high, int nhigh, int tl, int cl)
 {
     const int rows = 1 << w, vectors = 1 << nhigh;
     L->held = rows / vectors;
@@ -669,9 +671,6 @@ static int lane_coefficients(struct layout *L, const double *mat, int w, const i
             L->perm[2 * p][e] = from + (e & 1);
             L->perm[2 * p + 1][e] = from + 1 - (e & 1);
         }
-    L->coef = aligned_alloc(sizeof(v8d), sizeof(v8d) * 2 * vectors * rows);
-    if (!L->coef)
-        return -1;
     v8d *k = L->coef;
     for (int i = 0; i < vectors; i++)
         for (int r = 0; r < rows; r++, k += 2)
@@ -686,7 +685,6 @@ static int lane_coefficients(struct layout *L, const double *mat, int w, const i
                 k[1][2 * l] = -im;
                 k[1][2 * l + 1] = im;
             }
-    return 0;
 }
 
 /* The block size at which `mix_blocks` takes a 2^w x 2^w complex matrix
@@ -794,7 +792,7 @@ static int blocks_of(struct layout *L, const double *mat, int w, uint64_t tmask,
 
 /* The terms that each output of this step sums in `qsim_apply_matrix`
  * (byte j of `targets` the bit of target j): 2 or 4 through `mix_blocks`,
- * else 2^w; 0 for a width outside 1 to 5 */
+ * else 2^w; 0 for a width outside 1 to MAX_WIDTH */
 int qsim_terms(const double *mat, int w, uint64_t targets, uint64_t cmask)
 {
     uint64_t tmask = 0;
@@ -846,10 +844,10 @@ static int phases_of(struct phases *P, const double *table, uint64_t mask)
  * `before` and `after`, each NULL or 2^d complex128 phases over the d
  * index bits set in its mask, ascending, multiply every amplitude before
  * and after the matrix; width 0 has no matrix, and applies them alone.
- * Returns 0, or -1, touching nothing, for a width outside 0 to 5, width 0
- * with no phases, fewer than 4 amplitudes, bits that repeat or lie outside
- * the m index bits, phases with controls or over more than 13 bits, or no
- * memory for the coefficients or the tables. */
+ * Returns 0, or -1, touching nothing, for a width outside 0 to MAX_WIDTH,
+ * width 0 with no phases, fewer than 4 amplitudes, bits that repeat or lie
+ * outside the m index bits, phases with controls or over more than 13
+ * bits, or no memory for the tables. */
 int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
                       uint64_t targets, uint64_t cmask, int cores,
                       const double *before, uint64_t before_mask,
@@ -910,11 +908,9 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
         pa.off[i] = pext(size ? L.put[i] : L.off[i], after_mask);
     }
     L.mat = mat;
-    if ((tmask | cmask) & 3) {
-        if (lane_coefficients(&L, mat, w, pos, high, nhigh, tmask & 3, cmask & 3))
-            goto done;
-    }
-    const int held = L.coef ? L.held : 0;
+    if ((tmask | cmask) & 3)
+        lane_coefficients(&L, mat, w, pos, high, nhigh, tmask & 3, cmask & 3);
+    const int held = L.held;
     /* the amplitudes below the lowest inserted bit are consecutive */
     const uint64_t step = L.k ? UINT64_C(1) << L.sorted[0] : L.amps;
     const int bits = m - __builtin_popcountll(cmask);
@@ -938,7 +934,6 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
     }
     status = 0;
 done:
-    free(L.coef);
     free(pb.table);
     free(pa.table);
     return status;

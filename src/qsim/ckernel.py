@@ -36,6 +36,11 @@ needs, and they keep off the caller's CPU. The caller waits only for
 helpers that have joined its step, so a helper that has not started
 stalls nothing.
 
+The kernel takes steps of 1 to 3 targets, the engine's fusion width:
+no step the engine emits is wider. It declines a wider step, a caller's
+FUSED op of 4 or 5 qubits, touching nothing, and svcore runs that on its
+numpy kernel.
+
 A step of 8 rows (width 3) with no target or control at bit 0 or 1,
 whose matrix falls into blocks of 2 or 4 rows and columns (a generalized
 permutation, X (x) H (x) X, or X (x) U for a 2-qubit U), runs through a

@@ -187,6 +187,7 @@ class FabricEndpoint:
         view of the same shape and dtype, in place: one `exchange` per
         piece of at most 2^EXCHANGE_PIECE_BITS amplitudes, through one
         reused buffer, so a swap stages one piece."""
+        self._check_peer(peer, "swap")
         buf = _piece_buffer(moving)
         # a 1-D byte view, so that its len() is the piece's byte count
         wire = buf.reshape(-1).view(np.uint8)
@@ -512,7 +513,7 @@ class TcpEndpoint(FabricEndpoint):
         """`FabricEndpoint.swap`, the same exchange frames in the same
         order, but each of the peer's pieces lands in one reused receive
         buffer rather than a fresh one per frame."""
-        self._check_peer(peer, "exchange")
+        self._check_peer(peer, "swap")
         buf = _piece_buffer(moving)
         received = np.empty_like(buf)
         wire = memoryview(buf.reshape(-1).view(np.uint8))

@@ -58,10 +58,14 @@ Conventions shared by every module in this package:
     (`ckernel.c`), which `ckernel.load` builds with the system C compiler
     on the first dense step, caches under the package's `__pycache__` and
     loads through ctypes, which releases the GIL, so loopback rank threads
-    multiply in parallel. One 64-byte vector holds the 4 amplitudes that
-    index bits 0 and 1 tell apart, and each matrix entry m adds
-    Re m * x + Im m * (i x): the arithmetic below, with the same products
-    summed in another order, so the two kernels agree to about 1e-15.
+    multiply in parallel. It takes 1 to 3 targets: the engine fuses to
+    `DEFAULT_FUSION_WIDTH` (3), and no named gate has more than 2. A FUSED
+    op of 4 or 5 qubits, which only a caller builds, runs on the numpy
+    kernel, and its diagonals in sweeps of their own. One 64-byte vector
+    holds the 4 amplitudes that index bits 0 and 1 tell apart, and each
+    matrix entry m adds Re m * x + Im m * (i x): the arithmetic below,
+    with the same products summed in another order, so the two kernels
+    agree to about 1e-15.
     With no target or control at bit 0 or 1 a vector holds 4 groups;
     otherwise it holds several rows, or control values, of fewer groups,
     and the kernel multiplies by per-lane coefficients and moves lanes in
@@ -472,8 +476,9 @@ def _compiled(amps: np.ndarray, mat=None, targets=(), controls=(), before=None,
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
     """In-place matrix application on the target bits of a 2^m amplitude
     array, restricted to indices whose control bits are all 1: by the
-    compiled kernel for a contiguous complex128 array, else, or if the
-    kernel cannot be built, by `_apply_matrix_numpy`."""
+    compiled kernel for a contiguous complex128 array and at most 3
+    targets, else, or if the kernel cannot be built, by
+    `_apply_matrix_numpy`."""
     if not _compiled(amps, mat, targets, controls):
         _apply_matrix_numpy(amps, mat, targets, controls)
 
@@ -613,7 +618,8 @@ def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0,
     `before` and `after`, diagonal ops or None, are applied just before and
     just after a non-diagonal `op`: in the same compiled call, so in one
     sweep, when `op` has no controls and the compiled kernel takes the
-    array, else in calls of their own. Both give the same bytes."""
+    array and the width, else in calls of their own. Both give the same
+    bytes."""
     m = int(amps.size).bit_length() - 1
     if op.is_diagonal():
         _apply_diagonal(amps, *_local_phases(op, positions, m, high))

@@ -18,6 +18,10 @@ from qsim.svcore import Circuit
 
 TESTS_DIR = Path(__file__).parent
 SRC_DIR = TESTS_DIR.parent / "src"
+# the widest step that the compiled kernel takes (`ckernel.c`'s MAX_WIDTH,
+# the engine's fusion width); it declines a wider one, touching nothing,
+# and `svcore._apply_matrix` runs that on the numpy kernel
+KERNEL_WIDTH = 3
 
 
 def model_traffic(cfg, ranks) -> dict:

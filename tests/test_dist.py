@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import kernel_terms, mixed_circuits, tcp_world
+from conftest import KERNEL_WIDTH, kernel_terms, mixed_circuits, tcp_world
 from hypothesis import given, settings, strategies as st
 
 from qsim import circuits, ckernel, dist, fabric, perfmodel, svcore as sv
@@ -585,6 +585,22 @@ def test_random_workload_block_steps_pinned():
             local, blocks = local + 1, blocks + (terms < 1 << w)
         got.append((local, blocks))
     assert got == [(34, 19), (39, 21), (39, 24), (37, 21)]
+
+
+@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", PLAN_CENSUS)
+def test_dense_steps_fit_the_compiled_kernel(name, k, fusion):
+    # the compiled kernel has bodies for steps of up to KERNEL_WIDTH
+    # targets, the engine's fusion width, and declines a wider one, which
+    # then runs on the numpy kernel: a change that emits wider dense steps,
+    # or fuses wider, fails here, and must give the kernel their bodies
+    # back on purpose
+    c = PLAN_CENSUS[name][0]()
+    assert c.num_qubits == 20
+    ops = dist.scheduled_ops(c, 20, k, fusion)
+    widths = [len(op.targets) for op in ops if not op.is_diagonal() and op.kind != "SWAP"]
+    assert widths and max(widths) <= KERNEL_WIDTH
 
 
 class TestRunDistributed:

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from conftest import free_port, launch_tcp_workers, tcp_world
 from qsim import dist, fabric
 from qsim.fabric import (
+    FabricEndpoint,
     FabricError,
     FabricTimeoutError,
     FramingError,
@@ -331,9 +333,21 @@ class TestLoopbackSwap:
         assert "rank 1 in exchange met rank 0 in swap" in errors[1]
 
     def test_swap_with_self_rejected(self):
+        # loopback, tcp (a world of one opens no socket) and the base
+        # class's piece loop all name the swap, before any byte moves
         (ep, _) = create_world("loopback", 2)
-        with pytest.raises(FabricError, match="swap with self"):
-            ep.swap(0, moving_view(0)[1])
+        tcp = create_world("tcp", 1, rendezvous="127.0.0.1:1", rank=0)
+        try:
+            for swap in (ep.swap, tcp.swap, partial(FabricEndpoint.swap, tcp)):
+                amps, view = moving_view(0)
+                before = amps.copy()
+                with pytest.raises(FabricError, match="swap with self"):
+                    swap(0, view)
+                with pytest.raises(FabricError, match="peer 2 out of range"):
+                    swap(2, view)
+                assert np.array_equal(amps, before)
+        finally:
+            tcp.close()
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["lower-rank", "higher-rank"])
     def test_peer_of_a_rank_failing_mid_relocalization_fails_at_once(self, failing):

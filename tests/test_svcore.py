@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (
+    KERNEL_WIDTH,
     align_phase,
     kernel_terms,
     max_deviation,
@@ -445,16 +446,22 @@ def _random_phases(rng, bits):
     return sv._phase_table(np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))), bits)
 
 
-# every (width, rows per 64-byte row vector, with diagonals) body that the
-# compiled kernel has (see the top of `ckernel.c`): 4 rows per vector need
-# width 2 or more, and 1, a control at bit 0 or 1, takes no diagonals.
-# "pairs" and "fours" are the bodies of 8 rows with none at bit 0 or 1 in
-# blocks of 2 and of 4
-_BODIES = [
-    (w, held, phased)
-    for w in range(1, 6) for held in (0, 1, 2, 4) for phased in (False, True)
-    if not (held == 4 and w < 2) and not (held == 1 and phased)
-] + [(3, blocks, phased) for blocks in ("pairs", "fours") for phased in (False, True)]
+def _lane_shapes(widths):
+    """Every (width, rows per 64-byte row vector, with diagonals) of a step
+    of those widths: 4 rows per vector need width 2 or more, and 1, a
+    control at bit 0 or 1, takes no diagonals."""
+    return [(w, held, phased)
+            for w in widths for held in (0, 1, 2, 4) for phased in (False, True)
+            if not (held == 4 and w < 2) and not (held == 1 and phased)]
+
+
+# every body that the compiled kernel has (see the top of `ckernel.c`):
+# each shape to its width, and "pairs" and "fours", the bodies of 8 rows
+# with none at bit 0 or 1 in blocks of 2 and of 4
+_BODIES = _lane_shapes(range(1, KERNEL_WIDTH + 1)) + [
+    (3, blocks, phased) for blocks in ("pairs", "fours") for phased in (False, True)]
+# the same shapes at the widths that a caller's FUSED op may still have
+_WIDE_SHAPES = _lane_shapes(range(KERNEL_WIDTH + 1, sv.MAX_FUSION_WIDTH + 1))
 # the matrices that each block body is tried on, and the terms per output
 _BLOCK_BODIES = {"pairs": (("permutation", "pairs"), 2), "fours": (("fours",), 4)}
 
@@ -471,7 +478,8 @@ def _body_case(w, held, phased):
 
 
 class TestCompiledKernel:
-    """The compiled kernel against the numpy one, within 1e-12."""
+    """The compiled kernel against the numpy one, within 1e-12, and a step
+    wider than it takes, which it declines, against the complex product."""
 
     @pytest.fixture(autouse=True)
     def compiled(self):
@@ -482,7 +490,7 @@ class TestCompiledKernel:
     def check(psi, mat, targets, controls):
         got, expect = psi.copy(), psi.copy()
         sv._apply_matrix(got, mat, targets, controls)
-        sv._apply_matrix_numpy(expect, mat, targets, controls)
+        reference_matrix(expect, mat, targets, controls)
         assert not np.array_equal(got, psi)
         assert np.max(np.abs(got - expect)) <= 1e-12
 
@@ -504,12 +512,15 @@ class TestCompiledKernel:
          (4, (0,), 0b10000, 1, None), (4, (0,) * 6, 0, 6, None), (4, (), 0, 0, None),
          (1, (0,), 0, 1, None), (4, (0,), 0b10, 1, 0b100), (4, (), 0b10, 0, 0b100),
          (4, (0,), 0, 1, 0b10000), (4, (), 0, 0, 0b10010), (4, (0,) * 6, 0, 6, 0b10),
-         (4, (), 0, -1, 0b10), (15, (), 0, 0, (1 << 14) - 1)],
+         (4, (), 0, -1, 0b10), (15, (), 0, 0, (1 << 14) - 1),
+         (6, (0, 1, 2, 3), 0, 4, None), (6, (5, 1, 3, 0, 2), 0, 5, None),
+         (6, (2, 5, 3, 4), 0, 4, 0b100011), (6, (4, 0, 1, 2, 3), 0, 5, 0b100100)],
         ids=["target-out-of-range", "repeated-target", "target-is-control",
              "control-out-of-range", "too-wide", "no-target", "two-amplitudes",
              "phases-with-control", "width-0-phases-with-control", "phase-bit-at-m",
              "width-0-phase-bit-above-m", "too-wide-with-phases", "negative-width",
-             "phases-over-14-bits"],
+             "phases-over-14-bits", "width-4", "width-5", "width-4-with-phases",
+             "width-5-with-phases"],
     )
     def test_rejects_what_it_cannot_take_untouched(self, m, targets, cmask, w, phase_mask):
         psi = np.arange(1 << m, dtype=complex)
@@ -537,13 +548,13 @@ class TestCompiledKernel:
                 separate = psi.copy()
                 if "before" in sides:
                     assert raw_call(separate, None, (), 0, 1, before=before) == 0
-                assert raw_call(separate, mat, targets, 0, 1) == 0
+                kernel_step(separate, mat, targets, (), 1)
                 if "after" in sides:
                     assert raw_call(separate, None, (), 0, 1, before=after) == 0
                 expect = digest(separate)
                 for cores in (1, 2, 3):
                     got = psi.copy()
-                    assert raw_call(got, mat, targets, 0, cores, **sides) == 0
+                    kernel_step(got, mat, targets, (), cores, **sides)
                     assert digest(got) == expect, (sides.keys(), _FOLD_SETS[i], cores)
 
     @pytest.mark.parametrize("bits", _FOLD_SETS, ids=[str(b) for b in _FOLD_SETS])
@@ -569,13 +580,15 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("cores", [1, 2], ids=["one-chunk", "split"])
     @pytest.mark.parametrize(
-        "w, held, phased", _BODIES,
+        "w, held, phased", _BODIES + _WIDE_SHAPES,
         ids=[(f"rows{1 << w}-{h}" if h in _BLOCK_BODIES else f"rows{1 << w}-held{h}")
-             + f"-{'phased' if p else 'plain'}" for w, h, p in _BODIES],
+             + f"-{'phased' if p else 'plain'}" for w, h, p in _BODIES + _WIDE_SHAPES],
     )
     def test_every_body_matches_numpy(self, w, held, phased, cores):
         # a block body takes each of its sparse matrices, and gives the
-        # bytes that a dense body gives with 1e-300 for their zeros
+        # bytes that a dense body gives with 1e-300 for their zeros. A
+        # wide shape has no body: its step runs as `kernel_step` runs it,
+        # and matches the complex product
         targets, controls = _body_case(w, held, phased)
         psi, mat = _block_case(targets, controls)
         cmask = sum(1 << c for c in controls)
@@ -595,11 +608,11 @@ class TestCompiledKernel:
             expect = psi.copy()
             if phased:
                 sv._apply_diagonal_numpy(expect, diagonals[0][1], diagonals[0][0])
-            sv._apply_matrix_numpy(expect, mat, targets, controls)
+            reference_matrix(expect, mat, targets, controls)
             if phased:
                 sv._apply_diagonal_numpy(expect, diagonals[1][1], diagonals[1][0])
             got = psi.copy()
-            assert raw_call(got, mat, targets, cmask, cores, **sides) == 0
+            kernel_step(got, mat, targets, controls, cores, **sides)
             assert not np.array_equal(got, psi)
             assert np.max(np.abs(got - expect)) <= 1e-12
             if terms:
@@ -624,18 +637,42 @@ class TestCompiledKernel:
          (_sparse_matrix("pairs", 1), (1, 5, 8), 0, 8),
          (_sparse_matrix("permutation", 1), (9, 4, 7), 1, 8),
          (np.eye(8, k=1) + np.eye(8, k=-7) + np.eye(8), (2, 5, 8), 0, 8),
-         (np.eye(4)[::-1], (2, 5), 0, 4)],
+         (np.eye(4)[::-1], (2, 5), 0, 4),
+         (np.eye(16)[::-1], (2, 5, 8, 11), 0, 0)],
         ids=["X-H-X", "generalized-permutation", "controlled", "blocks-of-4",
              "blocks-of-4-interleaved", "ring-of-3", "dense", "tiny-entries",
-             "target-at-bit-1", "control-at-bit-0", "chain-of-8", "width-2"],
+             "target-at-bit-1", "control-at-bit-0", "chain-of-8", "width-2",
+             "width-4-declined"],
     )
     def test_sparse_steps_take_a_block_body(self, mat, targets, cmask, terms):
         # a sparse step that fell back to a dense body would still pass
         # every check of its amplitudes: only a slower sweep would show it.
         # The interleaved blocks hold the even and the odd columns; each
         # row of the chain has two nonzero entries, in columns r and r + 1
-        # (mod 8), so all 8 columns form one group
+        # (mod 8), so all 8 columns form one group. A step wider than the
+        # kernel takes reads 0
         assert kernel_terms(mat, targets, cmask) == terms
+
+    @pytest.mark.parametrize("w", [4, 5])
+    def test_wide_fused_op_gives_the_bytes_of_its_steps_apart(self, w):
+        # the kernel declines the fold, so `apply_gate` applies the
+        # diagonals through its width-0 sweep and the matrix through the
+        # numpy kernel
+        n = 17
+        rng = np.random.default_rng(w)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        op = sv.fused((2, 5, 9, 14, 0)[:w], random_unitary(w, w))
+        before, after = (
+            sv.diagonal(bits, np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))))
+            for bits in ((0, 5, 9), (1, 13, 16)))
+        positions = list(range(n))
+        got = psi.copy()
+        sv.apply_gate(got, op, positions, before=before, after=after)
+        apart = psi.copy()
+        for each in (before, op, after):
+            sv.apply_gate(apart, each, positions)
+        assert not np.array_equal(got, psi)
+        assert digest(got) == digest(apart)
 
     def test_calls_at_once_give_the_serial_bytes(self):
         # three threads whose calls overlap, each with a share of 6 cores:
@@ -690,16 +727,46 @@ def raw_call(amps, mat, targets, cmask, cores, before=None, after=None, w=None) 
                  None if at is None else at.ctypes.data, amask)
 
 
+def kernel_step(amps, mat, targets, controls, cores, before=None, after=None) -> None:
+    """One step as `apply_gate` runs it: `raw_call` with a share of `cores`
+    cores, which must take a width up to `KERNEL_WIDTH` and decline a
+    wider one, touching nothing. A declined step's diagonals then run
+    through width-0 calls and its matrix through `_apply_matrix`, on the
+    numpy kernel."""
+    cmask = sum(1 << c for c in controls)
+    if len(targets) <= KERNEL_WIDTH:
+        assert raw_call(amps, mat, targets, cmask, cores, before, after) == 0
+        return
+    untouched = amps.copy()
+    assert raw_call(amps, mat, targets, cmask, cores, before, after) == -1
+    assert np.array_equal(amps, untouched)
+    if before is not None:
+        assert raw_call(amps, None, (), 0, 1, before=before) == 0
+    sv._apply_matrix(amps, mat, targets, controls)
+    if after is not None:
+        assert raw_call(amps, None, (), 0, 1, before=after) == 0
+
+
+def reference_matrix(amps, mat, targets, controls) -> None:
+    """What the compiled kernel's steps are checked against: the numpy
+    kernel for a width that the compiled one takes, else the complex
+    product, since the numpy kernel is what runs such a step."""
+    if len(targets) <= KERNEL_WIDTH:
+        sv._apply_matrix_numpy(amps, mat, targets, controls)
+    else:
+        one_shot_apply_matrix(amps, mat, targets, controls, arithmetic="complex")
+
+
 def digest(amps) -> str:
     return hashlib.sha256(amps.tobytes()).hexdigest()
 
 
 def compiled_digest(psi, mat, targets, controls, cores, rounds=1) -> str:
-    """sha256 of psi after `rounds` steps through the compiled kernel's
-    entry with a share of `cores` cores."""
+    """sha256 of psi after `rounds` steps through `kernel_step` with a
+    share of `cores` cores."""
     got = psi.copy()
     for _ in range(rounds):
-        assert raw_call(got, mat, targets, sum(1 << c for c in controls), cores) == 0
+        kernel_step(got, mat, targets, controls, cores)
     return digest(got)
 
 

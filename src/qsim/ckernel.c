@@ -39,16 +39,38 @@
  * took 0.46-0.65x the dense body's time and in blocks of 4 0.59-0.70x, at
  * one thread and at two.
  *
- * All three bodies sum the terms of each output in the order of r and
+ * A step of 1 to 3 targets with no control at bit 0 or 1 whose matrix is
+ * real up to powers of i (`real_of`: M = D_a R D_b, R real, D_a and D_b
+ * diagonal with entries i^a_r and i^b_c for a bit a_r of each row and
+ * b_c of each column, as in RX (x) RX (x) RX, H (x) H (x) H or CX (H (x)
+ * RX)) and that does not fall into blocks runs through `mix_real`. Each
+ * of its entries is real or imaginary, so it adds one product rather than
+ * two: one shuffle per source row swaps re/im where b is odd (with the
+ * lane moves of `mix_lanes` where a target is at bit 0 or 1), each entry
+ * of R adds one FMA, signed for the turns by i, and one shuffle per output
+ * swaps re/im where a is odd. The entry point tests the matrix on every
+ * call, as it finds the blocks, and `qsim_real` reports its choice. At
+ * n=20, one thread (medians over 10 processes), width-3 steps took 0.64x
+ * the dense body's time on bits 0, 1 and 2, 0.65-0.70x on other sets with
+ * a target at bit 0 or 1, and 0.66-0.73x with none there, where a body
+ * with no FMA at all took as long: those steps are bound by moving their
+ * 8 row vectors. Width-2 steps took 0.89-0.98x and width-1 0.97-0.99x.
+ *
+ * All four bodies sum the terms of each output in the order of r and
  * start each sum alike (`mix_blocks` spells out the FMA that GCC makes of
- * the first term in the other two, and the tests compare its bytes), so a
- * gate rounds alike wherever its bits sit and whichever body takes it: a
- * block body leaves out only entries of 0, whose terms add zeros. The
- * bodies are specialised for 2 to 8 rows (widths 1 to 3), 0 (`mix`), 1,
- * 2 or 4 rows per row vector, and with or without diagonals, and the
- * blocks of 2 and of 4 with or without diagonals: 23 bodies, as 4 rows
- * per row vector need 4 rows or more, and 1 means a control at bit 0 or
- * 1, which a step with diagonals never has.
+ * the first term in `mix` and `mix_lanes`, and `mix_real` rounds its
+ * first product alone, which is what that FMA gives when one of its two
+ * products is 0; the tests compare their values), so a gate rounds alike
+ * wherever its bits sit and whichever body takes it, up to the signs of
+ * zero sums: a block body leaves out only entries of 0, and the real body
+ * the parts of 0, whose terms add zeros, and a turn by i only moves and
+ * negates. The bodies are specialised for 2 to 8 rows (widths 1 to 3), 0
+ * (`mix`), 1, 2 or 4 rows per row vector, and with or without diagonals;
+ * the blocks of 2 and of 4 with or without diagonals; and `mix_real` for
+ * 2 to 8 rows and 1, 2 or 4 rows per row vector with or without
+ * diagonals: 39 bodies, as 4 rows per row vector need 4 rows or more, and
+ * a dense body with 1 means a control at bit 0 or 1, which a step with
+ * diagonals never has.
  *
  * A step that touches at least 2^PARALLEL_BITS amplitudes is split into
  * chunks of consecutive bases, 2^CHUNK_BITS amplitudes each, when its
@@ -170,11 +192,12 @@ struct layout {
     uint64_t cmask;          /* control bits above bit 1 */
     uint64_t amps;           /* 2^(m - k): the amplitudes the bases step over */
     const double *mat;       /* row-major interleaved, for `mix` */
-    /* for `mix_lanes`: the rows that one row vector holds; for each source
-     * row, the row vector and the lane-target bits that hold it; for each
-     * setting of those bits, the permutation that gives every lane that
-     * setting, then the same with re/im swapped; and the coefficients, A
-     * and B, per output row vector and source row */
+    /* for `mix_lanes` (the first three for `mix_real` too): the rows that
+     * one row vector holds; for each source row, the row vector and the
+     * lane-target bits that hold it; for each setting of those bits, the
+     * permutation that gives every lane that setting, then the same with
+     * re/im swapped; and the coefficients, A and B, per output row vector
+     * and source row */
     int held;
     int vector_of[BLOCK_ROWS], lanes_of[BLOCK_ROWS];
     v8i perm[8];
@@ -184,6 +207,12 @@ struct layout {
      * the columns of its block */
     int64_t put[BLOCK_ROWS];
     double entry[BLOCK_ROWS][MAX_BLOCK][2];
+    /* for `mix_real`: per source row, the shuffle of its row vector that
+     * gives every lane that row of its own group, and per output row
+     * vector, the one that swaps re/im of the lanes to turn by i; its
+     * coefficients, one per output row vector and source row, are in
+     * `coef` */
+    v8i in[BLOCK_ROWS], out[BLOCK_ROWS];
     /* the diagonals before and after the matrix, each NULL if none */
     const struct phases *before, *after;
 };
@@ -310,6 +339,34 @@ static inline __attribute__((always_inline)) void mix_lanes(
         x[r] = y[r];
 }
 
+/* x <- D_a R D_b x for the row vectors of `rows` rows, `held` to a row
+ * vector, R real and D_a, D_b diagonal in powers of i (`real_of`). One
+ * shuffle of its row vector (`in`) gives every lane source row u of its
+ * own group, its re/im swapped where b_u is odd; each output sums its
+ * terms in the order of u, one FMA each, from a first product rounded
+ * alone, as `mix_blocks` starts; and one shuffle (`out`) swaps re/im of
+ * each output lane whose row has an odd a. The coefficients are R's
+ * entries with the signs of those turns by i: i (re, im) is (-im, re).
+ * A term whose part of M is 0 is an exact zero in `mix` and `mix_lanes`,
+ * and the other term is the same product up to sign, so each output
+ * takes the value that those bodies give it */
+static inline __attribute__((always_inline)) void mix_real(
+    v8d *restrict x, const v8d *restrict coef, const v8i *in, const v8i *out,
+    const int *vector_of, int held, int rows)
+{
+    const int vectors = rows / held;
+    v8d z[BLOCK_ROWS], acc[BLOCK_ROWS];
+    for (int u = 0; u < rows; u++)
+        z[u] = __builtin_shuffle(x[held == 1 ? u : vector_of[u]], in[u]);
+    for (int r = 0; r < vectors; r++)
+        acc[r] = rounded(coef[r * rows] * z[0]);
+    for (int u = 1; u < rows; u++)
+        for (int r = 0; r < vectors; r++)
+            acc[r] += coef[r * rows + u] * z[u];
+    for (int r = 0; r < vectors; r++)
+        x[r] = __builtin_shuffle(acc[r], out[r]);
+}
+
 /* g with a zero bit inserted at each of the k ascending positions */
 static inline uint64_t spread(uint64_t g, const int *sorted, int k)
 {
@@ -321,12 +378,13 @@ static inline uint64_t spread(uint64_t g, const int *sorted, int k)
 }
 
 /* bases h0 to h1 of the array through `mix` (held 0), `mix_lanes`,
- * whose row vectors each hold `held` rows, or, with a block `size`,
- * `mix_blocks`, with L's diagonals if `phased`; base h starts at the vector numbered h * step with the zero
- * bits inserted, and spans `step` consecutive amplitudes, which no
- * inserted bit splits */
+ * whose row vectors each hold `held` rows, with a block `size`
+ * `mix_blocks`, or if `real` `mix_real`, with L's diagonals if `phased`;
+ * base h starts at the vector numbered h * step with the zero bits
+ * inserted, and spans `step` consecutive amplitudes, which no inserted bit
+ * splits */
 static inline __attribute__((always_inline)) void run(double *a, const struct layout *L,
-                                                      int rows, int held, int size,
+                                                      int rows, int held, int size, int real,
                                                       int phased, uint64_t h0, uint64_t h1,
                                                       uint64_t step)
 {
@@ -337,8 +395,14 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
      * amplitudes cannot alias: read through L, they were reloaded after
      * every store, and lane steps at one thread took 1.1-1.4x as long */
     v8d coef[2 * BLOCK_ROWS * BLOCK_ROWS];
-    if (held)
+    v8i in[BLOCK_ROWS], out[BLOCK_ROWS];
+    if (real) {
+        memcpy(coef, L->coef, sizeof(v8d) * vectors * rows);
+        memcpy(in, L->in, sizeof in);
+        memcpy(out, L->out, sizeof out);
+    } else if (held) {
         memcpy(coef, L->coef, sizeof(v8d) * 2 * vectors * rows);
+    }
     int sorted[64], vector_of[BLOCK_ROWS], lanes_of[BLOCK_ROWS];
     int64_t off[BLOCK_ROWS];
     v8i perm[8];
@@ -384,7 +448,9 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
                     x[c] = times(x[c], re, im);
                 }
             }
-            if (held)
+            if (real)
+                mix_real(x, coef, in, out, vector_of, held, rows);
+            else if (held)
                 mix_lanes(x, coef, perm, vector_of, lanes_of, held, rows);
             else if (size)
                 mix_blocks(x, entry, size);
@@ -408,14 +474,14 @@ static inline __attribute__((always_inline)) void run(double *a, const struct la
 #define CASE(rows, phased)                                  \
     case rows:                                              \
         if (!held)                                          \
-            run(a, L, rows, 0, 0, phased, h0, h1, step);    \
+            run(a, L, rows, 0, 0, 0, phased, h0, h1, step); \
         else if (held == 1) {                               \
             if (!phased)                                    \
-                run(a, L, rows, 1, 0, phased, h0, h1, step);\
+                run(a, L, rows, 1, 0, 0, phased, h0, h1, step);\
         } else if (held == 2)                               \
-            run(a, L, rows, 2, 0, phased, h0, h1, step);    \
+            run(a, L, rows, 2, 0, 0, phased, h0, h1, step); \
         else if (rows > 2)                                  \
-            run(a, L, rows, 4, 0, phased, h0, h1, step);    \
+            run(a, L, rows, 4, 0, 0, phased, h0, h1, step); \
         break;
 
 #define SWITCH(phased)      \
@@ -435,22 +501,43 @@ static __attribute__((noinline)) void run_phased(
     SWITCH(1)
 }
 
-/* `run` through `mix_blocks` in blocks of `size`, with L's diagonals if
- * `phased` */
-static __attribute__((noinline)) void run_blocks(double *a, const struct layout *L, int size,
-                                                 int phased, uint64_t h0, uint64_t h1,
-                                                 uint64_t step)
+/* `run` with `phased` as a constant */
+#define PHASED(rows, held, size, real)                                  \
+    do {                                                                \
+        if (phased)                                                     \
+            run(a, L, rows, held, size, real, 1, h0, h1, step);         \
+        else                                                            \
+            run(a, L, rows, held, size, real, 0, h0, h1, step);         \
+    } while (0)
+
+#define REAL(rows)                      \
+    case rows:                          \
+        if (held == 1)                  \
+            PHASED(rows, 1, 0, 1);      \
+        else if (held == 2)             \
+            PHASED(rows, 2, 0, 1);      \
+        else if (rows > 2)              \
+            PHASED(rows, 4, 0, 1);      \
+        break;
+
+/* `run` through `mix_blocks` in blocks of `size`, or with `size` 0
+ * through `mix_real` for 2^w rows, L->held to a row vector; with L's
+ * diagonals if `phased` */
+static __attribute__((noinline)) void run_sparse(double *a, const struct layout *L, int w,
+                                                 int size, int phased, uint64_t h0,
+                                                 uint64_t h1, uint64_t step)
 {
-    if (size == 2) {
-        if (phased)
-            run(a, L, BLOCK_ROWS, 0, 2, 1, h0, h1, step);
-        else
-            run(a, L, BLOCK_ROWS, 0, 2, 0, h0, h1, step);
-    } else if (phased) {
-        run(a, L, BLOCK_ROWS, 0, 4, 1, h0, h1, step);
-    } else {
-        run(a, L, BLOCK_ROWS, 0, 4, 0, h0, h1, step);
-    }
+    const int held = L->held;
+    if (size == 2)
+        PHASED(BLOCK_ROWS, 0, 2, 0);
+    else if (size == 4)
+        PHASED(BLOCK_ROWS, 0, 4, 0);
+    else
+        switch (1 << w) {
+            REAL(2)
+            REAL(4)
+            REAL(8)
+        }
 }
 
 /* `run` specialised for 2^w rows and `held` rows per row vector (0 for
@@ -493,7 +580,7 @@ static void run_phases(double *a, int m, const struct phases *B, const struct ph
  * and the helpers that join claim through `next` and run alike; a serial
  * step is one chunk of every base */
 struct job {
-    int w, held, size;
+    int w, held, size, real;
     double *amps;
     const struct layout *L;
     uint64_t step, per_chunk, chunks;
@@ -521,12 +608,12 @@ static __attribute__((noinline)) void run_chunks(struct job *J)
 {
     uint64_t c;
     const int phased = J->L->before || J->L->after;
-    /* a loop of its own: with a branch to `run_blocks` in the loop below,
+    /* a loop of its own: with a branch to `run_sparse` in the loop below,
      * the dense 8-row step on bits 2, 13 and 14 took 1.01-1.06x as long
      * at one thread (n=20, median of 41, 6 processes) */
-    if (J->size) {
+    if (J->size || J->real) {
         while ((c = __atomic_fetch_add(&J->next, 1, __ATOMIC_RELAXED)) < J->chunks)
-            run_blocks(J->amps, J->L, J->size, phased, c * J->per_chunk,
+            run_sparse(J->amps, J->L, J->w, J->size, phased, c * J->per_chunk,
                        (c + 1) * J->per_chunk, J->step);
         return;
     }
@@ -650,10 +737,9 @@ static int lane_row(int i, int l, const int *high, int nhigh, const int *pos, in
     return r;
 }
 
-/* The tables and coefficients of `mix_lanes` for the lane bits `tl` that
- * are targets and `cl` that are controls */
-static void lane_coefficients(struct layout *L, const double *mat, int w, const int *pos,
-                              const int *high, int nhigh, int tl, int cl)
+/* The rows that one row vector holds, and for each source row the row
+ * vector and the lane-target bits that hold it */
+static void lane_rows(struct layout *L, int w, const int *pos, const int *high, int nhigh)
 {
     const int rows = 1 << w, vectors = 1 << nhigh;
     L->held = rows / vectors;
@@ -665,6 +751,15 @@ static void lane_coefficients(struct layout *L, const double *mat, int w, const 
             if (pos[j] < 2)
                 L->lanes_of[r] |= ((r >> j) & 1) << pos[j];
     }
+}
+
+/* The tables and coefficients of `mix_lanes` for the lane bits `tl` that
+ * are targets and `cl` that are controls */
+static void lane_coefficients(struct layout *L, const double *mat, int w, const int *pos,
+                              const int *high, int nhigh, int tl, int cl)
+{
+    const int rows = 1 << w, vectors = 1 << nhigh;
+    lane_rows(L, w, pos, high, nhigh);
     for (int p = 0; p < 4; p++)
         for (int e = 0; e < 8; e++) {
             int from = 2 * (((e >> 1) & ~tl) | p);
@@ -790,6 +885,86 @@ static int blocks_of(struct layout *L, const double *mat, int w, uint64_t tmask,
     return 0;
 }
 
+/* Whether `mix_real` takes a 2^w x 2^w complex matrix under the controls
+ * `cmask`: none at bit 0 or 1, and every nonzero entry (an entry is
+ * nonzero unless exactly 0) has a real or an imaginary part of exactly 0,
+ * imaginary just where a_r XOR b_c is 1 for some bit a_r of each row r
+ * and b_c of each column c. Then M = D_a R D_b, with R real and D_a, D_b
+ * diagonal with entries i^a_r and i^b_c. The rows take their bits one at
+ * a time, each next one sharing a nonzero column with those before if
+ * any does: its a is then fixed by the b found so far, else taken as 0.
+ * A column with no nonzero entry takes b = 0 */
+static int real_of(const double *mat, int w, uint64_t cmask, int *a, int *b)
+{
+    const int rows = 1 << w;
+    unsigned nonzero[BLOCK_ROWS], odd[BLOCK_ROWS], seen = 0, bits = 0;
+    if (cmask & 3)
+        return 0;
+    for (int r = 0; r < rows; r++) {
+        a[r] = -1;
+        nonzero[r] = odd[r] = 0;
+        for (int c = 0; c < rows; c++) {
+            const double re = mat[2 * (r * rows + c)], im = mat[2 * (r * rows + c) + 1];
+            if (re != 0 && im != 0)
+                return 0;
+            nonzero[r] |= (unsigned)(re != 0 || im != 0) << c;
+            odd[r] |= (unsigned)(im != 0) << c;
+        }
+    }
+    for (int done = 0; done < rows; done++) {
+        int r = -1;
+        for (int s = 0; s < rows; s++)
+            if (a[s] < 0 && (r < 0 || ((nonzero[s] & seen) && !(nonzero[r] & seen))))
+                r = s;
+        const unsigned shared = nonzero[r] & seen, differ = (odd[r] ^ bits) & shared;
+        if (differ && differ != shared)
+            return 0;
+        a[r] = differ != 0;
+        bits |= (odd[r] ^ (a[r] ? nonzero[r] : 0)) & nonzero[r] & ~seen;
+        seen |= nonzero[r];
+    }
+    for (int c = 0; c < rows; c++)
+        b[c] = bits >> c & 1;
+    return 1;
+}
+
+/* The tables and coefficients of `mix_real` for the bits a and b of
+ * `real_of`, with the lane bits `tl` that are targets. A source row whose
+ * b is odd is read with re/im swapped, and an output lane whose row's a
+ * is odd is stored with re/im swapped. As i (re, im) is (-im, re), an
+ * entry m then adds Re m in both parts where a = b, and where they differ
+ * Im m, negated in the part that the turn by i negates: the re part of
+ * the swapped source row, or the part stored as the output's re part */
+static void real_coefficients(struct layout *L, const double *mat, int w, const int *pos,
+                              const int *high, int nhigh, int tl, const int *a, const int *b)
+{
+    const int rows = 1 << w, vectors = 1 << nhigh;
+    int row[BLOCK_ROWS][4];
+    lane_rows(L, w, pos, high, nhigh);
+    for (int u = 0; u < rows; u++)
+        for (int e = 0; e < 8; e++)
+            L->in[u][e] = 2 * (((e >> 1) & ~tl) | L->lanes_of[u]) + ((e & 1) ^ b[u]);
+    for (int i = 0; i < vectors; i++)
+        for (int l = 0; l < 4; l++) {
+            row[i][l] = lane_row(i, l, high, nhigh, pos, w);
+            L->out[i][2 * l] = 2 * l + a[row[i][l]];
+            L->out[i][2 * l + 1] = 2 * l + 1 - a[row[i][l]];
+        }
+    for (int i = 0; i < vectors; i++)
+        for (int u = 0; u < rows; u++)
+            for (int l = 0; l < 4; l++) {
+                const int o = row[i][l];
+                const double *m = mat + 2 * (o * rows + u);
+                double *k = &L->coef[i * rows + u][2 * l];
+                if (a[o] == b[u]) {
+                    k[0] = k[1] = m[0];
+                } else {
+                    k[0] = a[o] ? m[1] : -m[1];
+                    k[1] = -k[0];
+                }
+            }
+}
+
 /* The terms that each output of this step sums in `qsim_apply_matrix`
  * (byte j of `targets` the bit of target j): 2 or 4 through `mix_blocks`,
  * else 2^w; 0 for a width outside 1 to MAX_WIDTH */
@@ -802,6 +977,15 @@ int qsim_terms(const double *mat, int w, uint64_t targets, uint64_t cmask)
         tmask |= UINT64_C(1) << ((targets >> (8 * j)) & 63);
     const int size = blocks_of(NULL, mat, w, tmask, cmask);
     return size ? size : 1 << w;
+}
+
+/* 1 if `qsim_apply_matrix` runs this step (as `qsim_terms` takes it)
+ * through `mix_real`, else 0: a step that falls into blocks keeps its
+ * block body */
+int qsim_real(const double *mat, int w, uint64_t targets, uint64_t cmask)
+{
+    int a[BLOCK_ROWS], b[BLOCK_ROWS];
+    return qsim_terms(mat, w, targets, cmask) == 1 << w && real_of(mat, w, cmask, a, b);
 }
 
 /* The threads that one step over 2^bits amplitudes takes from a share of
@@ -903,12 +1087,16 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
     }
     /* with every target above bit 1, row vector i holds matrix row i */
     const int size = blocks_of(&L, mat, w, tmask, cmask);
+    int a[BLOCK_ROWS], b[BLOCK_ROWS];
+    const int real = !size && real_of(mat, w, cmask, a, b);
     for (int i = 0; i < (1 << nhigh); i++) {
         pb.off[i] = pext(L.off[i], before_mask);
         pa.off[i] = pext(size ? L.put[i] : L.off[i], after_mask);
     }
     L.mat = mat;
-    if ((tmask | cmask) & 3)
+    if (real)
+        real_coefficients(&L, mat, w, pos, high, nhigh, tmask & 3, a, b);
+    else if ((tmask | cmask) & 3)
         lane_coefficients(&L, mat, w, pos, high, nhigh, tmask & 3, cmask & 3);
     const int held = L.held;
     /* the amplitudes below the lowest inserted bit are consecutive */
@@ -923,13 +1111,13 @@ int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
          * is a base of its own with a shorter step */
         const uint64_t chunks = UINT64_C(1) << (bits - CHUNK_BITS), span = L.amps / chunks,
                        sub = step < span ? step : span;
-        struct job J = {.w = w, .held = held, .size = size, .amps = amps, .L = &L, .step = sub,
-                        .per_chunk = span / sub, .chunks = chunks};
+        struct job J = {.w = w, .held = held, .size = size, .real = real, .amps = amps, .L = &L,
+                        .step = sub, .per_chunk = span / sub, .chunks = chunks};
         serial = run_parallel(&J, threads);
     }
     if (serial) {
-        struct job J = {.w = w, .held = held, .size = size, .amps = amps, .L = &L, .step = step,
-                        .per_chunk = L.amps / step, .chunks = 1};
+        struct job J = {.w = w, .held = held, .size = size, .real = real, .amps = amps, .L = &L,
+                        .step = step, .per_chunk = L.amps / step, .chunks = 1};
         run_chunks(&J);
     }
     status = 0;

@@ -44,11 +44,16 @@ numpy kernel.
 A step of 8 rows (width 3) with no target or control at bit 0 or 1,
 whose matrix falls into blocks of 2 or 4 rows and columns (a generalized
 permutation, X (x) H (x) X, or X (x) U for a 2-qubit U), runs through a
-body that sums those 2 or 4 terms per output rather than 8. The kernel
-finds the blocks from the matrix's entries on each call, an entry
-counting unless it is exactly 0; its exported `qsim_terms` reports the
-terms a step sums without running it. The block bodies give the bytes of
-the dense body, whose other terms add zeros.
+body that sums those 2 or 4 terms per output rather than 8. Any other
+step with no control at bit 0 or 1 whose matrix is real up to powers of
+i (D_a R D_b, R real and D_a, D_b diagonal in powers of i, as in RX (x)
+RX (x) RX or H (x) H (x) H: each entry real or imaginary, in a pattern
+that such a product gives) runs through a body that adds one product per
+entry rather than two. The kernel tests the matrix's entries on each
+call, an entry or a part of one counting unless it is exactly 0; its
+exported `qsim_terms` and `qsim_real` report the terms a step sums and
+whether it takes the real body, without running it. Those bodies give
+the dense body's values, whose other terms add zeros.
 
 A call may carry a diagonal to multiply in before the matrix and one
 after it, each as a table of phases over its index bits in ascending

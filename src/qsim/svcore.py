@@ -73,9 +73,13 @@ Conventions shared by every module in this package:
     whose matrix falls into blocks of 2 or 4 rows and columns (a
     generalized permutation, X (x) H (x) X, or X (x) U: more than half of
     a random circuit's local steps) sums only those 2 or 4 terms per
-    output, in the same order, so with the bytes of the 8-term sum, whose
-    other terms add zeros; the kernel finds the blocks from the matrix on
-    each call, so no op carries a flag for it. A diagonal's phase for
+    output, in the same order, so with the values of the 8-term sum, whose
+    other terms add zeros. Any other step without a control at bit 0 or
+    1 whose matrix is real up to powers of i (D_a R D_b, R real: products
+    of RX and H, as 72 of a TFIM echo's 77 local steps) adds one product
+    per entry, that of its nonzero part, and turns by i with shuffles,
+    so with those values too. The kernel tests the matrix on each call, so
+    no op carries a flag for either. A diagonal's phase for
     amplitude i is entry pext(i, mask) of its table (BMI2's pext where the
     compiler targets it, else a loop), and the 4 lanes of a vector take
     theirs from one 64-byte load and a shuffle

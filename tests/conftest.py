@@ -48,15 +48,29 @@ def random_unitary(width: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def kernel_terms(mat, targets, cmask: int = 0) -> int:
-    """The terms that each output of a step sums in the compiled kernel
-    (`qsim_terms`): 2 through its pair body, else 2^w; computed without
-    running the step."""
-    fn = ctypes.CDLL(str(ckernel.library_path())).qsim_terms
+def _kernel_query(name: str, mat, targets, cmask: int) -> int:
+    """The compiled kernel's export `name` on a step, which it answers
+    without running the step."""
+    fn = getattr(ctypes.CDLL(str(ckernel.library_path())), name)
     fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_uint64, ctypes.c_uint64]
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
     return fn(mat.ctypes.data, len(targets), sum(t << (8 * j) for j, t in enumerate(targets)),
               cmask)
+
+
+def kernel_terms(mat, targets, cmask: int = 0) -> int:
+    """The terms that each output of a step sums in the compiled kernel
+    (`qsim_terms`): 2 or 4 through a block body, else 2^w, through the
+    real body too, whose terms each take one FMA where the dense bodies'
+    take two; 0 for a width it declines."""
+    return _kernel_query("qsim_terms", mat, targets, cmask)
+
+
+def kernel_real(mat, targets, cmask: int = 0) -> bool:
+    """Whether the compiled kernel runs a step through its real body
+    (`qsim_real`): a matrix real up to powers of i that does not fall into
+    blocks, with no control at bit 0 or 1."""
+    return bool(_kernel_query("qsim_real", mat, targets, cmask))
 
 
 def align_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import KERNEL_WIDTH, kernel_terms, mixed_circuits, tcp_world
+from conftest import KERNEL_WIDTH, kernel_real, kernel_terms, mixed_circuits, tcp_world
 from hypothesis import given, settings, strategies as st
 
 from qsim import circuits, ckernel, dist, fabric, perfmodel, svcore as sv
@@ -585,6 +585,35 @@ def test_random_workload_block_steps_pinned():
             local, blocks = local + 1, blocks + (terms < 1 << w)
         got.append((local, blocks))
     assert got == [(34, 19), (39, 21), (39, 24), (37, 21)]
+
+
+def test_tfim_workload_real_steps_pinned():
+    # the local steps of the first four seed-1 tfim-tcp2 circuits at n=20
+    # on two ranks, each on the layout that the schedule has given it by
+    # then, and those that the compiled kernel runs through its real body:
+    # fused products of RX gates, real up to powers of i. A change to
+    # fusion or to the schedule that loses that structure fails here
+    if ckernel.load() is None:
+        pytest.skip("the compiled kernel could not be built")
+    got = []
+    for task in workloads.build("tfim-tcp2", 1, 4):
+        c = task.circuit
+        layout = RankLayout.identity(c.num_qubits, 1)
+        local = real = 0
+        for step in dist.schedule(c, c.num_qubits, 1, fusion=True):
+            if step.action == "relabel":
+                a, b = step.op.targets
+                layout.swap_positions(layout.position_of(a), layout.position_of(b))
+            elif step.action == "relocalize":
+                layout.swap_positions(step.global_pos, step.local_pos)
+            elif step.action == "local":
+                op = step.op
+                cmask = sum(1 << layout.perm[q] for q in op.controls if layout.is_local(q))
+                local += 1
+                real += kernel_real(sv.base_matrix(op), [layout.perm[q] for q in op.targets],
+                                    cmask)
+        got.append((local, real))
+    assert got == [(77, 72)] * 4
 
 
 @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     KERNEL_WIDTH,
     align_phase,
+    kernel_real,
     kernel_terms,
     max_deviation,
     mixed_circuits,
@@ -345,10 +346,52 @@ def _ring_of_3() -> np.ndarray:
 
 
 def _with_tiny_entries(mat: np.ndarray) -> np.ndarray:
-    """`mat` with 1e-300 in place of every zero entry: no entry is zero,
-    so the compiled kernel takes it through a dense body, and each tiny
-    term leaves a sum of normal amplitudes as it is."""
-    return np.where(mat == 0, 1e-300, mat)
+    """`mat` with 1e-300 in place of every real or imaginary part of 0: no
+    entry is zero, and none is real or imaginary, so the compiled kernel
+    takes it through a dense body, and each tiny term leaves a sum of
+    normal amplitudes as it is."""
+    return (np.where(mat.real == 0, 1e-300, mat.real)
+            + 1j * np.where(mat.imag == 0, 1e-300, mat.imag))
+
+
+def _rx(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def _kron(*gates) -> np.ndarray:
+    """The product of one-qubit gates, the first on the first target (the
+    least significant matrix bit)."""
+    out = np.eye(1)
+    for gate in reversed(gates):
+        out = np.kron(out, gate)
+    return out
+
+
+_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+_X = np.array([[0, 1], [1, 0]])
+
+
+def _real_matrix(kind: str, seed: int) -> np.ndarray:
+    """A unitary real up to powers of i (D_a R D_b, R real, D_a and D_b
+    diagonal in powers of i), as the compiled kernel's real body takes
+    it: "rx3" (RX (x) RX (x) RX at angles drawn from the seed), "h3" (H (x)
+    H (x) H), "cx-h-rx" (CX times H (x) RX, 4 x 4), "h" (H), or
+    "orthogonal-w" for w = 1 to 3 (a random real orthogonal R between
+    powers of i, half of the rows and half of the columns turned)."""
+    rng = np.random.default_rng(seed)
+    if kind == "rx3":
+        return _kron(*(_rx(t) for t in rng.uniform(-math.pi, math.pi, 3)))
+    if kind == "h3":
+        return _kron(_H, _H, _H)
+    if kind == "cx-h-rx":
+        return np.eye(4)[[0, 3, 2, 1]] @ _kron(_H, _rx(rng.uniform(-math.pi, math.pi)))
+    if kind == "h":
+        return _H
+    dim = 1 << int(kind.rsplit("-", 1)[1])
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    a, b = (1j ** rng.permutation(np.arange(dim) % 2) for _ in range(2))
+    return np.diag(a) @ q @ np.diag(b)
 
 
 # sparse matrices for the fold and thread-count tests: through the block
@@ -363,20 +406,47 @@ _SPARSE_CASES = [
     ((3, 9, 12), (1,), "permutation"),
     ((0, 6, 11), (), "fours"),
 ]
-_MATRIX_CASES = [(t, c, None) for t, c in _BLOCK_CASES] + _SPARSE_CASES
+# matrices real up to powers of i, through the real body: on row vectors
+# of one row (a control above bit 1 too), the lane set (0, 1, 2), and H
+# with its target at bit 0 and at bit 5
+_REAL_CASES = [
+    ((9, 4, 7), (), "rx3"),
+    ((6, 10, 14), (3,), "rx3"),
+    ((2, 13, 14), (), "h3"),
+    ((5, 11), (), "cx-h-rx"),
+    ((0, 1, 2), (), "rx3"),
+    ((0,), (), "h"),
+    ((5,), (), "h"),
+]
+_REAL_KINDS = {kind for _, _, kind in _REAL_CASES}
+_MATRIX_CASES = [(t, c, None) for t, c in _BLOCK_CASES] + _SPARSE_CASES + _REAL_CASES
 _MATRIX_IDS = [f"t{t}-c{c}" + (f"-{kind}" if kind else "") for t, c, kind in _MATRIX_CASES]
 
 
 def _block_case(targets, controls, kind=None):
     """A random n=17 state and a random unitary for one `_BLOCK_CASES` case,
-    or with `kind` the `_sparse_matrix` of that kind."""
+    or with `kind` the `_sparse_matrix` or `_real_matrix` of that kind."""
     n = 17
     assert n - len(controls) > sv._DENSE_BLOCK_BITS  # more than one block
     rng = np.random.default_rng(len(targets) + 7 * len(controls))
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    if kind in _REAL_KINDS:
+        return psi, _real_matrix(kind, targets[0])
     if kind:
         return psi, _sparse_matrix(kind, targets[0])
     return psi, random_unitary(len(targets), targets[0])
+
+
+def _through_dense(psi, mat, targets, controls, cores, **sides):
+    """psi after one step of `mat` through a dense body: with 1e-300 in
+    every part of 0 (`_with_tiny_entries`), which the real body does not
+    take. The real body's result must equal it, signs of zero aside."""
+    dense = _with_tiny_entries(mat)
+    cmask = sum(1 << c for c in controls)
+    assert not kernel_real(dense, targets, cmask)
+    got = psi.copy()
+    assert raw_call(got, dense, targets, cmask, cores, **sides) == 0
+    return got
 
 
 @pytest.mark.parametrize(
@@ -456,10 +526,14 @@ def _lane_shapes(widths):
 
 
 # every body that the compiled kernel has (see the top of `ckernel.c`):
-# each shape to its width, and "pairs" and "fours", the bodies of 8 rows
-# with none at bit 0 or 1 in blocks of 2 and of 4
+# each shape to its width; "pairs" and "fours", the bodies of 8 rows with
+# none at bit 0 or 1 in blocks of 2 and of 4; and "real-held0", "-held2"
+# and "-held4", the real body on the shapes of held 0, 2 and 4 (it takes
+# no control at bit 0 or 1)
 _BODIES = _lane_shapes(range(1, KERNEL_WIDTH + 1)) + [
-    (3, blocks, phased) for blocks in ("pairs", "fours") for phased in (False, True)]
+    (3, blocks, phased) for blocks in ("pairs", "fours") for phased in (False, True)] + [
+    (w, f"real-held{held}", phased)
+    for w, held, phased in _lane_shapes(range(1, KERNEL_WIDTH + 1)) if held != 1]
 # the same shapes at the widths that a caller's FUSED op may still have
 _WIDE_SHAPES = _lane_shapes(range(KERNEL_WIDTH + 1, sv.MAX_FUSION_WIDTH + 1))
 # the matrices that each block body is tried on, and the terms per output
@@ -470,7 +544,10 @@ def _body_case(w, held, phased):
     """(targets, controls) of a width-w step whose row vectors hold `held`
     rows: held 0 and the block bodies have no target or control at bit 0
     or 1, 1 a control at bit 1, 2 a target at bit 1 and 4 targets at bits
-    0 and 1. A step without diagonals also takes a control at bit 16."""
+    0 and 1; a real body takes the shape of the held it names. A step
+    without diagonals also takes a control at bit 16."""
+    if isinstance(held, str) and held.startswith("real"):
+        held = int(held.rsplit("held", 1)[1])
     if held == 1:
         return (3, 6, 9, 12, 15)[:w], (1,)
     targets = {2: (1, 4, 7, 10, 13), 4: (1, 0, 6, 10, 14)}.get(held, (2, 5, 8, 11, 14))
@@ -537,8 +614,11 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("targets, controls, kind", _MATRIX_CASES, ids=_MATRIX_IDS)
     def test_fold_gives_the_bytes_of_separate_sweeps(self, targets, controls, kind):
         # the fold takes no controls, so each case runs on its targets
-        # alone; each diagonal set comes before the next one after
+        # alone; each diagonal set comes before the next one after. A real
+        # case, which runs through the real body, also gives the values
+        # of a dense body
         psi, mat = _block_case(targets, controls, kind)
+        assert kernel_real(mat, targets) == (kind in _REAL_KINDS)
         rng = np.random.default_rng(len(targets))
         tables = [_random_phases(rng, bits) for bits in _FOLD_SETS]
         for i, table in enumerate(tables):
@@ -556,6 +636,8 @@ class TestCompiledKernel:
                     got = psi.copy()
                     kernel_step(got, mat, targets, (), cores, **sides)
                     assert digest(got) == expect, (sides.keys(), _FOLD_SETS[i], cores)
+                if kind in _REAL_KINDS:
+                    assert np.array_equal(got, _through_dense(psi, mat, targets, (), 1, **sides))
 
     @pytest.mark.parametrize("bits", _FOLD_SETS, ids=[str(b) for b in _FOLD_SETS])
     @pytest.mark.parametrize("order", ["ascending", "descending"])
@@ -577,18 +659,26 @@ class TestCompiledKernel:
         assert kernel_threads(psi.size.bit_length() - 1 - len(controls), 3) == 3
         digests = {compiled_digest(psi, mat, targets, controls, cores) for cores in (1, 2, 3)}
         assert len(digests) == 1
+        if kind in _REAL_KINDS:
+            cmask = sum(1 << c for c in controls)
+            assert kernel_real(mat, targets, cmask)
+            got = psi.copy()
+            kernel_step(got, mat, targets, controls, 3)
+            assert np.array_equal(got, _through_dense(psi, mat, targets, controls, 3))
 
     @pytest.mark.parametrize("cores", [1, 2], ids=["one-chunk", "split"])
     @pytest.mark.parametrize(
         "w, held, phased", _BODIES + _WIDE_SHAPES,
-        ids=[(f"rows{1 << w}-{h}" if h in _BLOCK_BODIES else f"rows{1 << w}-held{h}")
+        ids=[(f"rows{1 << w}-{h}" if isinstance(h, str) else f"rows{1 << w}-held{h}")
              + f"-{'phased' if p else 'plain'}" for w, h, p in _BODIES + _WIDE_SHAPES],
     )
     def test_every_body_matches_numpy(self, w, held, phased, cores):
         # a block body takes each of its sparse matrices, and gives the
-        # bytes that a dense body gives with 1e-300 for their zeros. A
-        # wide shape has no body: its step runs as `kernel_step` runs it,
-        # and matches the complex product
+        # bytes that a dense body gives with 1e-300 for their zeros; the
+        # real body takes a real orthogonal matrix between powers of i,
+        # and gives the values that a dense body gives with 1e-300 for its
+        # parts of 0. A wide shape has no body: its step runs as
+        # `kernel_step` runs it, and matches the complex product
         targets, controls = _body_case(w, held, phased)
         psi, mat = _block_case(targets, controls)
         cmask = sum(1 << c for c in controls)
@@ -604,7 +694,11 @@ class TestCompiledKernel:
             sides = {side: sv._phase_table(diag, bits)
                      for side, (bits, diag) in zip(("before", "after"), diagonals)}
         kinds, terms = _BLOCK_BODIES.get(held, ((), None))
-        for mat in [_sparse_matrix(kind, w) for kind in kinds] or [mat]:
+        real = isinstance(held, str) and held.startswith("real")
+        mats = [_sparse_matrix(kind, w) for kind in kinds]
+        if real:
+            mats = [_real_matrix(f"orthogonal-{w}", w + seed) for seed in (0, 10)]
+        for mat in mats or [mat]:
             expect = psi.copy()
             if phased:
                 sv._apply_diagonal_numpy(expect, diagonals[0][1], diagonals[0][0])
@@ -615,12 +709,11 @@ class TestCompiledKernel:
             kernel_step(got, mat, targets, controls, cores, **sides)
             assert not np.array_equal(got, psi)
             assert np.max(np.abs(got - expect)) <= 1e-12
-            if terms:
-                dense = _with_tiny_entries(mat)
-                assert kernel_terms(mat, targets, cmask) == terms
-                assert kernel_terms(dense, targets, cmask) == 8
-                through_dense = psi.copy()
-                assert raw_call(through_dense, dense, targets, cmask, cores, **sides) == 0
+            if terms or real:
+                assert kernel_terms(mat, targets, cmask) == (terms or 1 << w)
+                assert kernel_real(mat, targets, cmask) == real
+                assert kernel_terms(_with_tiny_entries(mat), targets, cmask) == 1 << w
+                through_dense = _through_dense(psi, mat, targets, controls, cores, **sides)
                 assert np.array_equal(got, through_dense)
 
     @pytest.mark.parametrize(
@@ -638,11 +731,12 @@ class TestCompiledKernel:
          (_sparse_matrix("permutation", 1), (9, 4, 7), 1, 8),
          (np.eye(8, k=1) + np.eye(8, k=-7) + np.eye(8), (2, 5, 8), 0, 8),
          (np.eye(4)[::-1], (2, 5), 0, 4),
-         (np.eye(16)[::-1], (2, 5, 8, 11), 0, 0)],
+         (np.eye(16)[::-1], (2, 5, 8, 11), 0, 0),
+         (_kron(_H, _X, _X), (2, 5, 8), 0, 2)],
         ids=["X-H-X", "generalized-permutation", "controlled", "blocks-of-4",
              "blocks-of-4-interleaved", "ring-of-3", "dense", "tiny-entries",
              "target-at-bit-1", "control-at-bit-0", "chain-of-8", "width-2",
-             "width-4-declined"],
+             "width-4-declined", "real-in-blocks-of-2"],
     )
     def test_sparse_steps_take_a_block_body(self, mat, targets, cmask, terms):
         # a sparse step that fell back to a dense body would still pass
@@ -652,6 +746,44 @@ class TestCompiledKernel:
         # (mod 8), so all 8 columns form one group. A step wider than the
         # kernel takes reads 0
         assert kernel_terms(mat, targets, cmask) == terms
+
+    @pytest.mark.parametrize(
+        "mat, targets, cmask, real",
+        [(_real_matrix("rx3", 1), (2, 5, 8), 0, True),
+         (_real_matrix("h3", 1), (9, 4, 7), 0, True),
+         (_real_matrix("rx3", 2), (0, 1, 2), 0, True),
+         (_real_matrix("cx-h-rx", 1), (5, 11), 0, True),
+         (_H, (0,), 0, True),
+         (_H, (5,), 0, True),
+         (_real_matrix("rx3", 3), (2, 5, 8), 1 << 12, True),
+         (_real_matrix("orthogonal-3", 1) @ np.diag([1, 1, 1, 1, 1, 1, 1, 1j]), (2, 5, 8), 0,
+          True),
+         (_real_matrix("rx3", 3), (2, 5, 8), 1, False),
+         (_real_matrix("rx3", 1) + np.diag([1e-3j, 0, 0, 0, 0, 0, 0, 0]), (2, 5, 8), 0, False),
+         (np.where(np.arange(64).reshape(8, 8) == 0, 1j, 1) * _real_matrix("rx3", 1),
+          (2, 5, 8), 0, False),
+         (np.where(np.arange(64).reshape(8, 8) == 9, 1j, 1) * _real_matrix("rx3", 1),
+          (0, 1, 2), 0, False),
+         (_kron(_H, _X, _X), (2, 5, 8), 0, False),
+         (_with_tiny_entries(_real_matrix("rx3", 1)), (2, 5, 8), 0, False),
+         (random_unitary(3, 1), (2, 5, 8), 0, False),
+         (np.eye(16)[::-1], (2, 5, 8, 11), 0, False)],
+        ids=["RX-RX-RX", "H-H-H", "lanes-0-1-2", "CX-H-RX", "H-at-bit-0", "H-at-bit-5",
+             "control-above-bit-1", "one-column-turned", "control-at-bit-0",
+             "both-parts-nonzero", "entry-0-0-turned", "entry-1-1-turned-at-lanes",
+             "falls-into-blocks", "tiny-parts", "dense", "width-4-declined"],
+    )
+    def test_real_steps_take_the_real_body(self, mat, targets, cmask, real):
+        # a real step that fell back to a dense body would pass every check
+        # of its amplitudes: only a slower sweep would show it. A near miss
+        # must not take it: an entry with both parts nonzero; RX (x) RX (x)
+        # RX, every entry nonzero, with entry (0, 0) turned by i, or entry
+        # (1, 1), so that no bits a and b give its pattern. Turning a whole
+        # column keeps the pattern. H (x) X (x) X falls into blocks of 2,
+        # and keeps that body (`test_sparse_steps_take_a_block_body`)
+        assert kernel_real(mat, targets, cmask) == real
+        if real:
+            assert kernel_terms(mat, targets, cmask) == 1 << len(targets)
 
     @pytest.mark.parametrize("w", [4, 5])
     def test_wide_fused_op_gives_the_bytes_of_its_steps_apart(self, w):

@@ -20,46 +20,16 @@ again, once.
 `load()` returns None, and the caller runs its numpy kernel, when there is
 no compiler, the build fails, or the cache cannot be written.
 
-A step over at least 2^15 of the amplitudes it touches runs on this
-process's share of cores (see `ckernel.c`): `core_share()`, read when the
-kernel loads, which is OMP_NUM_THREADS if that is a positive integer, else
-the CPUs this process may run on; ranks that share a host set
-OMP_NUM_THREADS to their part. The step's chunks of 2^12 amplitudes go to
-the caller and up to share - 1 helper threads through an atomic counter,
-through the same body, so every thread count gives the same bytes; a
-serial step is one chunk, which the caller runs through that body too.
-One step is split at a time: a call made while another thread's step is
-split runs serially, so loopback rank threads add a thread each rather
-than a share each. Helpers block on a condition variable between steps and never
-spin, since a spinning helper holds a core that another rank or process
-needs, and they keep off the caller's CPU. The caller waits only for
-helpers that have joined its step, so a helper that has not started
-stalls nothing.
+`apply` is the one place a kernel call is packed: every caller hands it
+the amplitudes, the matrix, the target and control bits and the
+diagonals, and gets the entry's status back. The kernel's design, its
+bodies and what they cost are described once, in the `ckernel.c` header.
 
-The kernel takes steps of 1 to 3 targets, the engine's fusion width:
-no step the engine emits is wider. It declines a wider step, a caller's
-FUSED op of 4 or 5 qubits, touching nothing, and svcore runs that on its
-numpy kernel.
-
-A step of 8 rows (width 3) with no target or control at bit 0 or 1,
-whose matrix falls into blocks of 2 or 4 rows and columns (a generalized
-permutation, X (x) H (x) X, or X (x) U for a 2-qubit U), runs through a
-body that sums those 2 or 4 terms per output rather than 8. Any other
-step with no control at bit 0 or 1 whose matrix is real up to powers of
-i (D_a R D_b, R real and D_a, D_b diagonal in powers of i, as in RX (x)
-RX (x) RX or H (x) H (x) H: each entry real or imaginary, in a pattern
-that such a product gives) runs through a body that adds one product per
-entry rather than two. The kernel tests the matrix's entries on each
-call, an entry or a part of one counting unless it is exactly 0; its
-exported `qsim_terms` and `qsim_real` report the terms a step sums and
-whether it takes the real body, without running it. Those bodies give
-the dense body's values, whose other terms add zeros.
-
-A call may carry a diagonal to multiply in before the matrix and one
-after it, each as a table of phases over its index bits in ascending
-order and the mask of those bits; width 0 applies them with no matrix, in
-one serial sweep. A folded diagonal and the same diagonal applied alone
-give the same bytes.
+A step over at least 2^15 of the amplitudes it touches is split over a
+share of cores (see `ckernel.c`): by default this process's,
+`core_share()`, read when the kernel loads, which is OMP_NUM_THREADS if
+that is a positive integer, else the CPUs this process may run on; ranks
+that share a host set OMP_NUM_THREADS to their part.
 """
 
 from __future__ import annotations
@@ -67,6 +37,8 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("ckernel.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -79,7 +51,7 @@ _STALE_SECONDS = 3600
 _lock = threading.Lock()
 _loaded = False
 _apply = None
-# the `cores` argument of every kernel call in this process
+# the share of cores of every kernel call in this process that names none
 cores = 1
 
 
@@ -189,10 +161,10 @@ def core_share(env=None) -> int:
 
 
 def load():
-    """`qsim_apply_matrix(amps, m, mat, w, targets, cmask, cores, before,
-    before_mask, after, after_mask)` of the compiled kernel, or None if it
-    cannot be built; `cores` reads `core_share()` then. Only the first
-    call builds or loads; every later one returns the same answer."""
+    """The compiled kernel's entry, `qsim_apply_matrix`, which `apply`
+    calls, or None if it cannot be built; `cores` reads `core_share()`
+    then. Only the first call builds or loads; every later one returns the
+    same answer."""
     global _loaded, _apply, cores
     if not _loaded:
         with _lock:
@@ -201,3 +173,29 @@ def load():
                 cores = core_share()
                 _loaded = True
     return _apply
+
+
+def apply(amps: np.ndarray, mat, targets, controls=(), before=None, after=None,
+          share=None) -> int:
+    """The kernel's entry on `amps`, 2^m contiguous complex128 amplitudes,
+    in place: the diagonal `before`, then `mat` (None for width 0) on the
+    index bits `targets` (the first the matrix's lowest bit) over the
+    indices whose `controls` bits are all 1, then the diagonal `after`, on
+    a share of `share` cores, by default this process's (`cores`). Each
+    diagonal is None or a pair (table, mask): 2^d contiguous complex128
+    phases over the d bits of `mask`, in ascending order. Returns the
+    entry's status, 0 when it applied the step, else nonzero, touching
+    nothing: the entry declined the step, or no library loads (-1)."""
+    fn = load()
+    if fn is None:
+        return -1
+    if mat is not None:
+        mat = np.ascontiguousarray(mat, dtype=np.complex128)
+    (bt, bmask), (at, amask) = before or (None, 0), after or (None, 0)
+    return fn(
+        amps.ctypes.data, amps.size.bit_length() - 1,
+        None if mat is None else mat.ctypes.data, len(targets),
+        sum(t << (8 * j) for j, t in enumerate(targets)), sum(1 << c for c in controls),
+        cores if share is None else share, None if bt is None else bt.ctypes.data, bmask,
+        None if at is None else at.ctypes.data, amask,
+    )

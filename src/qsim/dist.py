@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svcore as sv
-from .fabric import EXCHANGE_PIECE_BITS, FabricEndpoint
+from .fabric import FabricEndpoint
 from .svcore import (
     Circuit,
     CountsDistribution,
@@ -304,13 +304,11 @@ def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
     bit = global_pos - lay.local_bits
     g = (st.ep.rank >> bit) & 1
     amps = st.slice.amps
-    # entries whose local bit differs from the rank's global bit move out;
-    # the partner's complementary half lands in the same slots. Each run of
-    # 2^local_pos of them is split into rows of at most one piece, and
-    # `ep.swap` moves whole rows
+    # entries whose local bit differs from the rank's global bit move out,
+    # in runs of 2^local_pos; the partner's complementary half lands in the
+    # same slots
     run = 1 << local_pos
-    row = min(run, 1 << EXCHANGE_PIECE_BITS)
-    moving = amps.reshape(-1, 2, run // row, row)[:, 1 - g]
+    moving = amps.reshape(-1, 2, run)[:, 1 - g]
     st.ep.swap(st.ep.rank ^ (1 << bit), moving)
     st.ep.traffic.record(bit, moving.nbytes)
     lay.swap_positions(global_pos, local_pos)

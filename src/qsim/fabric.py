@@ -183,15 +183,16 @@ class FabricEndpoint:
         return got
 
     def swap(self, peer: int, moving: np.ndarray) -> None:
-        """Trade `moving`, a (rows, runs, row) array view, for the peer's
-        view of the same shape and dtype, in place: one `exchange` per
-        piece of at most 2^EXCHANGE_PIECE_BITS amplitudes, through one
-        reused buffer, so a swap stages one piece."""
+        """Trade `moving`, a (rows, run) array view with contiguous rows
+        of a power-of-two length, for the peer's view of the same shape
+        and dtype, in place: one `exchange` per piece of at most
+        2^EXCHANGE_PIECE_BITS amplitudes, through one reused buffer, so a
+        swap stages one piece."""
         self._check_peer(peer, "swap")
         buf = _piece_buffer(moving)
         # a 1-D byte view, so that its len() is the piece's byte count
         wire = buf.reshape(-1).view(np.uint8)
-        for piece in _pieces(moving, len(buf)):
+        for piece in _pieces(moving, buf.shape):
             buf[...] = piece
             received = self.exchange(peer, wire)
             piece[...] = np.frombuffer(received, dtype=moving.dtype).reshape(buf.shape)
@@ -242,19 +243,23 @@ class FabricEndpoint:
 
 
 def _piece_buffer(moving: np.ndarray) -> np.ndarray:
-    """An uninitialised buffer of one piece of a (rows, runs, row) view:
-    as many whole rows as fit in 2^EXCHANGE_PIECE_BITS amplitudes."""
-    rows, _, row = moving.shape
-    return np.empty((min(rows, (1 << EXCHANGE_PIECE_BITS) // row), row), moving.dtype)
+    """An uninitialised buffer of one piece of a (rows, run) view: as many
+    whole rows as fit in 2^EXCHANGE_PIECE_BITS amplitudes, or one piece's
+    part of a row that is longer."""
+    rows, run = moving.shape
+    part = min(run, 1 << EXCHANGE_PIECE_BITS)
+    return np.empty((min(rows, (1 << EXCHANGE_PIECE_BITS) // part), part), moving.dtype)
 
 
-def _pieces(moving: np.ndarray, piece_rows: int):
-    """The pieces of a (rows, runs, row) view, each `piece_rows` rows of
-    one run, in one fixed order; all are powers of two, so each piece has
-    the shape of `_piece_buffer`."""
-    rows, runs, _ = moving.shape
-    for a, b in itertools.product(range(0, rows, piece_rows), range(runs)):
-        yield moving[a : a + piece_rows, b]
+def _pieces(moving: np.ndarray, shape: tuple[int, int]):
+    """The pieces of a (rows, run) view in the `shape` of its
+    `_piece_buffer`, in one fixed order: each piece of rows, and within
+    it each part of the rows, from the first. All are powers of two, so
+    the pieces tile the view."""
+    rows, run = moving.shape
+    piece_rows, part = shape
+    for a, b in itertools.product(range(0, rows, piece_rows), range(0, run, part)):
+        yield moving[a : a + piece_rows, b : b + part]
 
 
 def _pack_items(items: dict[int, bytes]) -> bytes:
@@ -350,8 +355,7 @@ class LoopbackEndpoint(FabricEndpoint):
 
     def _take_swap(self, peer: int):
         tag, payload = self._take(peer)
-        if tag != _SWAP:
-            raise FramingError(f"rank {self.rank} in swap met rank {peer} in {_OPS[tag]}")
+        self._check_tag(peer, _SWAP, tag)
         return payload
 
     def _transfer(
@@ -377,7 +381,7 @@ class LoopbackEndpoint(FabricEndpoint):
         # numpy copies release the GIL, so the two ranks swap alternate
         # pieces at once, the lower rank from the first
         buf = _piece_buffer(moving)
-        pairs = zip(_pieces(moving, len(buf)), _pieces(theirs, len(buf)))
+        pairs = zip(_pieces(moving, buf.shape), _pieces(theirs, buf.shape))
         for mine, other in itertools.islice(pairs, int(self.rank > peer), None, 2):
             buf[...] = mine
             mine[...] = other
@@ -518,7 +522,7 @@ class TcpEndpoint(FabricEndpoint):
         received = np.empty_like(buf)
         wire = memoryview(buf.reshape(-1).view(np.uint8))
         into = memoryview(received.reshape(-1).view(np.uint8))
-        for piece in _pieces(moving, len(buf)):
+        for piece in _pieces(moving, buf.shape):
             buf[...] = piece
             got_tag, _ = self._transfer(peer, _EXCHANGE, wire, into)
             self._check_tag(peer, _EXCHANGE, got_tag)

@@ -12,21 +12,23 @@ Conventions shared by every module in this package:
   - a C-contiguous array of 2^m amplitudes viewed as `amps.reshape((2,) * m)`
     holds index bit b on axis m-1-b (`_bit_axes`); kernels, sampling and
     gather are views and reductions over that tensor, not index arrays
-  - `apply_gate(amps, op, positions, high)` applies every non-SWAP op,
-    for the engine, the reference simulator and fusion: qubit q sits at
-    index bit positions[q] of 2^m amplitudes, and a position p >= m reads
-    bit p - m of `high` (a rank's id). A diagonal op never takes the
-    matrix path. `_apply_diagonal` hands the compiled kernel (below) a
-    table of its phases over the d index bits it touches, ascending
-    (`_phase_table`: 2^d entries, at most 128 KiB), for one serial sweep
-    that looks each amplitude's phase up by its index bits. Without the
-    compiled kernel, `_apply_diagonal_numpy` multiplies the view
-    `amps.reshape((2,) * (m-L) + (2^L,))`, L = min(m, 13)
+  - `apply_gate(amps, op, positions, high)` is the one way an op reaches
+    amplitudes, for the engine, the reference simulator and fusion: qubit
+    q sits at index bit positions[q] of 2^m amplitudes, and a position
+    p >= m reads bit p - m of `high` (a rank's id). The engine plans a
+    SWAP as a relabel and never hands one over; the reference simulator
+    applies it as its matrix, an exact permutation. A diagonal op never
+    takes the matrix path. `_apply_diagonal` hands the compiled kernel
+    (below) a table of its phases over the d index bits it touches,
+    ascending (`_phase_table`: 2^d entries, at most 128 KiB), for one
+    serial sweep that looks each amplitude's phase up by its index bits.
+    Without the compiled kernel, `_apply_diagonal_numpy` multiplies the
+    view `amps.reshape((2,) * (m-L) + (2^L,))`, L = min(m, 13)
     (`_DIAGONAL_INNER_BITS`), in place by a factor spelled out over the
     low L index bits, one value of the gate's higher bits at a time, so
     its inner loop is a contiguous run of 2^L amplitudes wherever the
-    gate's bits sit and its one temporary holds 2^L. `diagonal_of` gives any
-    diagonal op as a phase vector over its sorted qubits
+    gate's bits sit and its one temporary holds 2^L. `diagonal_of` gives
+    any diagonal op as a phase vector over its sorted qubits
   - `apply_gate` also takes the diagonal ops to apply just before and
     just after a non-diagonal op (`dist.sweeps` pairs them). For an op
     without controls the compiled kernel multiplies their tables into
@@ -52,48 +54,20 @@ Conventions shared by every module in this package:
     Fusion has no matrix algebra of its own: an open block is its qubits
     and its ops, and its array is built once, when it is emitted, by
     `apply_gate` (a stretch's phases by `_product`)
-  - a SWAP in the reference simulator trades two quarter-blocks of that
-    view (`_apply_swap`); the distributed engine only relabels it
-  - every other gate takes `_apply_matrix`: one compiled C kernel
-    (`ckernel.c`), which `ckernel.load` builds with the system C compiler
-    on the first dense step, caches under the package's `__pycache__` and
-    loads through ctypes, which releases the GIL, so loopback rank threads
-    multiply in parallel. It takes 1 to 3 targets: the engine fuses to
-    `DEFAULT_FUSION_WIDTH` (3), and no named gate has more than 2. A FUSED
-    op of 4 or 5 qubits, which only a caller builds, runs on the numpy
-    kernel, and its diagonals in sweeps of their own. One 64-byte vector
-    holds the 4 amplitudes that index bits 0 and 1 tell apart, and each
-    matrix entry m adds Re m * x + Im m * (i x): the arithmetic below,
-    with the same products summed in another order, so the two kernels
-    agree to about 1e-15.
-    With no target or control at bit 0 or 1 a vector holds 4 groups;
-    otherwise it holds several rows, or control values, of fewer groups,
-    and the kernel multiplies by per-lane coefficients and moves lanes in
-    registers rather than gather amplitudes. A width-3 step of 4 groups
-    whose matrix falls into blocks of 2 or 4 rows and columns (a
-    generalized permutation, X (x) H (x) X, or X (x) U: more than half of
-    a random circuit's local steps) sums only those 2 or 4 terms per
-    output, in the same order, so with the values of the 8-term sum, whose
-    other terms add zeros. Any other step without a control at bit 0 or
-    1 whose matrix is real up to powers of i (D_a R D_b, R real: products
-    of RX and H, as 72 of a TFIM echo's 77 local steps) adds one product
-    per entry, that of its nonzero part, and turns by i with shuffles,
-    so with those values too. The kernel tests the matrix on each call, so
-    no op carries a flag for either. A diagonal's phase for
-    amplitude i is entry pext(i, mask) of its table (BMI2's pext where the
-    compiler targets it, else a loop), and the 4 lanes of a vector take
-    theirs from one 64-byte load and a shuffle
-  - the compiled kernel splits a step that touches at least 2^15
-    amplitudes into chunks of 2^12 over the process's share of cores:
-    OMP_NUM_THREADS if it is a positive integer, else the CPUs the process
-    may run on (`ckernel.core_share`). One step is split at a time; a
-    call made meanwhile, such as another loopback rank's, runs serially.
-    The caller and its helper threads claim chunks from one atomic
-    counter and run the same body, so any thread count gives the same
-    bytes; a serial step is one chunk through that body. Helpers block
-    between steps and never spin, and the caller waits only for helpers
-    that have joined its step, so one that wakes late or never starts
-    stalls nothing. Fusion's unitaries and small states never start a
+  - every other op takes `_apply_matrix`: one compiled C kernel
+    (`ckernel.c`, whose header describes its design, its bodies and what
+    they cost), which `ckernel.load` builds with the system C compiler on
+    the first dense step and caches under the package's `__pycache__`.
+    `ckernel.apply` is the one place a call to it is packed; the call
+    releases the GIL, so loopback rank threads multiply in parallel. It
+    takes 1 to 3 targets: the engine fuses to `DEFAULT_FUSION_WIDTH` (3),
+    and no named gate has more than 2. A FUSED op of 4 or 5 qubits, which
+    only a caller builds, runs on the numpy kernel, and its diagonals in
+    sweeps of their own. Both kernels add each matrix entry m as
+    Re m * x + Im m * (i x), the same products summed in another order,
+    so they agree to about 1e-15. A large step is split over the
+    process's share of cores (`ckernel.core_share`), and any share gives
+    the same bytes; fusion's unitaries and small states never start a
     thread
   - the numpy kernel, `_apply_matrix_numpy`, runs only where the compiled
     kernel is missing: no compiler, a failed build, or a cache that cannot
@@ -139,11 +113,10 @@ QUBIT_CAP = 26
 # iterator's buffers and ran about 30% slower at n=20
 _DIAGONAL_INNER_BITS = 13
 # log2 of the amplitudes in one block of `_apply_matrix_numpy`, the
-# fallback kernel, whose staging holds three times as many; it also sizes
-# `_apply_swap`'s chunks. Summed over 12 target sets of width 1-3 at
-# n=20 (2-vCPU Xeon, median of 9), 2^13 / 2^14 / 2^15 took 57 / 55 / 78 ms
-# with 1 BLAS thread and 60 / 58 / 79 ms with 2: at 2^15 the block and its
-# 1.5 MiB of staging outgrow a 2 MiB L2
+# fallback kernel, whose staging holds three times as many. Summed over 12
+# target sets of width 1-3 at n=20 (2-vCPU Xeon, median of 9), 2^13 /
+# 2^14 / 2^15 took 57 / 55 / 78 ms with 1 BLAS thread and 60 / 58 / 79 ms
+# with 2: at 2^15 the block and its 1.5 MiB of staging outgrow a 2 MiB L2
 _DENSE_BLOCK_BITS = 14
 # log2 of the amplitudes in one block of `block_masses`: 2^8 to 2^12 all
 # took about 1 ms at n=20, and smaller blocks leave less to square again
@@ -413,12 +386,23 @@ def diagonal_of(op: GateOp) -> tuple[np.ndarray, tuple[int, ...]]:
         full[-phases.size :] = phases
         phases = full
     qubits = tuple(sorted(listed))
-    if qubits == listed:
-        return phases, qubits
-    w = len(listed)
-    # axis w-1-j holds listed qubit j before and sorted qubit j after
-    order = [w - 1 - listed.index(q) for q in reversed(qubits)]
-    return phases.reshape((2,) * w).transpose(order).ravel(), qubits
+    if qubits != listed:
+        phases = _ascending(phases, listed)
+    return phases, qubits
+
+
+def _ascending(vector: np.ndarray, bits) -> np.ndarray:
+    """A vector indexed over the given distinct bits (bit j of its index =
+    bits[j]) as indexed over the same bits in ascending order: a transpose
+    of its bit axes, so every entry keeps its bytes."""
+    bits = list(bits)
+    ascending = sorted(bits)
+    if ascending == bits:
+        return vector
+    w = len(bits)
+    # axis w-1-j holds bits[j] before and the j-th lowest after
+    axes = [w - 1 - bits.index(b) for b in reversed(ascending)]
+    return vector.reshape((2,) * w).transpose(axes).ravel()
 
 
 def _copy_order(bits: list[int]) -> list[int]:
@@ -443,38 +427,19 @@ def _phase_table(diag: np.ndarray, positions) -> tuple[np.ndarray, int]:
     """A diagonal indexed over the given bit positions (bit j of its index
     = positions[j]) as the compiled kernel takes one: complex128 entries
     over the same positions in ascending order, and their mask."""
-    w = len(positions)
-    order = sorted(range(w), key=positions.__getitem__)
-    table = np.ascontiguousarray(diag, dtype=np.complex128)
-    if order != list(range(w)):
-        # axis w-1-j holds positions[j] before and the j-th lowest after
-        table = table.reshape((2,) * w).transpose([w - 1 - j for j in reversed(order)]).ravel()
+    table = _ascending(np.ascontiguousarray(diag, dtype=np.complex128), positions)
     return table, sum(1 << p for p in positions)
 
 
 def _compiled(amps: np.ndarray, mat=None, targets=(), controls=(), before=None,
               after=None) -> bool:
-    """Whether the compiled kernel applied, in place on a 2^m amplitude
-    array: the diagonal `before`, then `mat` on the target bits over the
-    indices whose control bits are all 1 (no matrix if None), then the
-    diagonal `after`, each a `_phase_table` or None. False, touching
-    nothing, if the array is not contiguous complex128, the kernel cannot
-    be built, or it does not take the call."""
+    """Whether the compiled kernel applied `ckernel.apply`'s step, in place
+    on a 2^m amplitude array, each diagonal a `_phase_table` or None.
+    False, touching nothing, if the array is not contiguous complex128,
+    the kernel cannot be built, or it does not take the call."""
     if amps.dtype != np.complex128 or not amps.flags.c_contiguous:
         return False
-    apply = ckernel.load()
-    if apply is None:
-        return False
-    if mat is not None:
-        mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    (bt, bmask), (at, amask) = before or (None, 0), after or (None, 0)
-    return apply(
-        amps.ctypes.data, int(amps.size).bit_length() - 1,
-        None if mat is None else mat.ctypes.data, len(targets),
-        sum(t << (8 * j) for j, t in enumerate(targets)), sum(1 << c for c in controls),
-        ckernel.cores, None if bt is None else bt.ctypes.data, bmask,
-        None if at is None else at.ctypes.data, amask,
-    ) == 0
+    return ckernel.apply(amps, mat, targets, controls, before, after) == 0
 
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
@@ -569,35 +534,6 @@ def _apply_diagonal_numpy(amps: np.ndarray, diag: np.ndarray, positions) -> None
         spelled[...] = factor[lead]
         part = view[tuple(v if size == 2 else slice(None) for v, size in zip(lead, high))]
         np.multiply(part, flat, out=part)
-
-
-def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
-    """In-place SWAP of index bits a and b: the amplitudes with bit a set
-    and bit b clear trade places with those the other way round, and the
-    other half stays put.
-
-    It works one chunk of 2^c amplitudes at a time, c covering both bits
-    and at least `_DENSE_BLOCK_BITS`, so the quarter it holds stays in
-    cache. At n=20 on a 2-vCPU Xeon, a SWAP of bits 0 and 1 took 9-12 ms
-    unchunked, 2.8-3.5 ms chunked and 6.8-7.8 ms through `_apply_matrix`."""
-    m = int(amps.size).bit_length() - 1
-    c = min(m, max(a, b, _DENSE_BLOCK_BITS - 1) + 1)
-    chunks = amps.reshape((-1,) + (2,) * c)
-    axis_a, axis_b = (1 + axis for axis in _bit_axes(c, (a, b)))
-
-    def quarter(bit_a: int, bit_b: int) -> np.ndarray:
-        index = [slice(None)] * (1 + c)
-        index[axis_a], index[axis_b] = bit_a, bit_b
-        return chunks[tuple(index)]
-
-    one_zero, zero_one = quarter(1, 0), quarter(0, 1)
-    held = np.empty_like(one_zero[0, ...])
-    for i in range(len(chunks)):
-        # [i, ...] is a view even when a quarter holds one amplitude
-        x, y = one_zero[i, ...], zero_one[i, ...]
-        np.copyto(held, x)
-        x[...] = y
-        y[...] = held
 
 
 def _local_phases(op: GateOp, positions, m: int, high: int):
@@ -728,16 +664,12 @@ def measured_register(measured, n: int) -> tuple[int, ...]:
 
 
 def apply_gate_dense(state: StateSlice, gate: GateOp) -> StateSlice:
-    """Apply one gate in place to a full dense state; returns the state.
-    A SWAP moves half the amplitudes instead of a matrix sweep over all,
-    which matters to a fused stream: it ends in all of the input's SWAPs."""
+    """Apply one gate, a SWAP too, in place to a full dense state through
+    `apply_gate`; returns the state."""
     n = state.num_qubits
     if any(q >= n for q in gate.qubits):
         raise ValueError(f"gate qubit out of range for {n}-qubit state")
-    if gate.kind == "SWAP":
-        _apply_swap(state.amps, *gate.targets)
-    else:
-        apply_gate(state.amps, gate, range(n))
+    apply_gate(state.amps, gate, range(n))
     return state
 
 

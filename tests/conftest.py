@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import math
 import os
 import socket
@@ -48,11 +49,22 @@ def random_unitary(width: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+@functools.cache
+def _kernel_library() -> ctypes.CDLL:
+    """The compiled kernel's library, opened once per session for the
+    exports that `svcore` never calls."""
+    lib = ctypes.CDLL(str(ckernel.library_path()))
+    for name in ("qsim_terms", "qsim_real"):
+        getattr(lib, name).argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_uint64,
+                                       ctypes.c_uint64]
+    lib.qsim_threads.argtypes = [ctypes.c_int, ctypes.c_int]
+    return lib
+
+
 def _kernel_query(name: str, mat, targets, cmask: int) -> int:
     """The compiled kernel's export `name` on a step, which it answers
     without running the step."""
-    fn = getattr(ctypes.CDLL(str(ckernel.library_path())), name)
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_uint64, ctypes.c_uint64]
+    fn = getattr(_kernel_library(), name)
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
     return fn(mat.ctypes.data, len(targets), sum(t << (8 * j) for j, t in enumerate(targets)),
               cmask)
@@ -71,6 +83,12 @@ def kernel_real(mat, targets, cmask: int = 0) -> bool:
     (`qsim_real`): a matrix real up to powers of i that does not fall into
     blocks, with no control at bit 0 or 1."""
     return bool(_kernel_query("qsim_real", mat, targets, cmask))
+
+
+def kernel_threads(bits: int, share: int) -> int:
+    """The threads the compiled kernel gives a step over 2^bits amplitudes
+    from a share of `share` cores, computed without starting any."""
+    return _kernel_library().qsim_threads(bits, share)
 
 
 def align_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:

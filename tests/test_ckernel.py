@@ -205,21 +205,21 @@ def test_a_new_build_deletes_an_unused_old_library(fresh, stand_in, monkeypatch)
     old = ckernel.library_path()
     # loads the old library, then applies X to |00> once told to
     script = textwrap.dedent("""
-        import ctypes, sys
+        import sys
+        from pathlib import Path
         import numpy as np
-        fn = ctypes.CDLL(sys.argv[1]).qsim_apply_matrix
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int,
-                       ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int,
-                       ctypes.c_void_p, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_uint64]
+        from qsim import ckernel
+        ckernel.CACHE_DIR, ckernel.SOURCE = Path(sys.argv[1]), Path(sys.argv[2])
+        assert ckernel.load() is not None
         print("loaded", flush=True)
         sys.stdin.readline()
         psi = np.array([1, 0, 0, 0], dtype=complex)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert fn(psi.ctypes.data, 2, x.ctypes.data, 1, 0, 0, 1, None, 0, None, 0) == 0
+        assert ckernel.apply(psi, np.array([[0, 1], [1, 0]]), (0,)) == 0
         print(psi.real.tolist())
     """)
-    proc = subprocess.Popen([sys.executable, "-c", script, str(old)], stdin=subprocess.PIPE,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc = subprocess.Popen([sys.executable, "-c", script, str(fresh), str(stand_in)],
+                            env=checkout_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
     try:
         assert proc.stdout.readline() == "loaded\n"
         stand_in.write_text(stand_in.read_text() + "/* another source */\n")

@@ -272,30 +272,30 @@ class TestFailures:
         assert time.monotonic() - start < 0.5
 
 
-def moving_view(rank: int, rows: int = 8, runs: int = 2, row: int = 4, dtype=np.complex128):
-    """A slice of `rows * 2 * runs * row` amplitudes numbered from
-    1000 * rank, and its upper half as the (rows, runs, row) view that
-    `dist.relocalize` swaps."""
-    amps = np.arange(rows * 2 * runs * row, dtype=dtype) + 1000 * rank
-    return amps, amps.reshape(rows, 2, runs, row)[:, 1]
+def moving_view(rank: int, rows: int = 8, run: int = 8, dtype=np.complex128):
+    """A slice of `rows * 2 * run` amplitudes numbered from 1000 * rank,
+    and its upper half as the (rows, run) view that `dist.relocalize`
+    swaps."""
+    amps = np.arange(rows * 2 * run, dtype=dtype) + 1000 * rank
+    return amps, amps.reshape(rows, 2, run)[:, 1]
 
 
 class TestLoopbackSwap:
     def test_views_trade_in_place(self):
-        # 2 runs of rows of 4 amplitudes, a piece per 4 rows of one run:
-        # 8 pieces per half, 4 swapped by each rank
-        rows = 1 << fabric.EXCHANGE_PIECE_BITS
+        # 2 rows of 4 pieces each, which the swap cuts: 8 pieces per half,
+        # 4 swapped by each rank
+        shape = dict(rows=2, run=4 << fabric.EXCHANGE_PIECE_BITS)
         world = create_world("loopback", 2)
 
         def body(ep):
-            amps, moving = moving_view(ep.rank, rows=rows)
+            amps, moving = moving_view(ep.rank, **shape)
             ep.swap(1 - ep.rank, moving)
             return amps
 
         got = run_spmd(world, body)
         for rank in (0, 1):
-            expect, expect_moving = moving_view(rank, rows=rows)
-            expect_moving[...] = moving_view(1 - rank, rows=rows)[1]
+            expect, expect_moving = moving_view(rank, **shape)
+            expect_moving[...] = moving_view(1 - rank, **shape)[1]
             assert np.array_equal(got[rank], expect)
         assert all(ch.empty() for ch in world[0]._channels.values())
 
@@ -575,9 +575,9 @@ class TestFraming:
 
 class TestTcpSwap:
     def test_views_trade_in_place_through_one_receive_buffer(self, monkeypatch):
-        # 8 pieces per half, as in `TestLoopbackSwap`; each rank receives
-        # all 8 of its peer's, every one into the same buffer (the spy
-        # holds each buffer, so no id is reused)
+        # rows of 8 amplitudes, 2^11 rows per piece: 8 pieces per half;
+        # each rank receives all 8 of its peer's, every one into the same
+        # buffer (the spy holds each buffer, so no id is reused)
         rows = 1 << fabric.EXCHANGE_PIECE_BITS
         received = {}
         recv_into = fabric._recv_into

@@ -1,5 +1,5 @@
-import ctypes
 import hashlib
+import itertools
 import math
 import re
 import sys
@@ -13,6 +13,7 @@ from conftest import (
     align_phase,
     kernel_real,
     kernel_terms,
+    kernel_threads,
     max_deviation,
     mixed_circuits,
     random_unitary,
@@ -185,23 +186,6 @@ class TestApplyGateDense:
                 state = apply_gate_dense(sv.basis_state(n, 0), sv.x(q))
                 assert np.argmax(np.abs(state.amps)) == 1 << q
 
-    # 2-bit chunks make the SWAP cross chunk boundaries at n=5
-    @pytest.mark.parametrize("block_bits", [2, sv._DENSE_BLOCK_BITS])
-    def test_swap_matches_matrix_path_for_every_pair(self, block_bits, monkeypatch):
-        monkeypatch.setattr(sv, "_DENSE_BLOCK_BITS", block_bits)
-        n = 5
-        rng = np.random.default_rng(17)
-        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                op = sv.swap(a, b)
-                expect = StateSlice(psi).amps
-                sv._apply_matrix(expect, sv.base_matrix(op), op.targets)
-                got = apply_gate_dense(StateSlice(psi), op).amps
-                np.testing.assert_array_equal(got, expect)
-
     def test_norm_preserved_over_random_ops(self):
         rng = np.random.default_rng(11)
         state = sv.basis_state(6, 0)
@@ -214,6 +198,8 @@ class TestApplyGateDense:
 
 class TestKernelOracle:
     n = 5
+    # the bit pairs that a SWAP exchanges in `test_swap_exchanges_index_bits`
+    swap_pairs = list(itertools.permutations(range(5), 2))
 
     @pytest.mark.parametrize(
         "op",
@@ -229,6 +215,17 @@ class TestKernelOracle:
         # the 5-qubit matrix
         expect = psi.reshape(-1, 32) @ brute_force_matrix(op, 5).T
         assert np.max(np.abs(state.amps - expect.ravel())) <= 1e-12
+
+    def test_swap_exchanges_index_bits(self):
+        # a SWAP runs as its matrix, and moves each amplitude exactly
+        rng = np.random.default_rng(17)
+        psi = rng.normal(size=1 << self.n) + 1j * rng.normal(size=1 << self.n)
+        index = np.arange(1 << self.n)
+        for a, b in self.swap_pairs:
+            # index i takes the amplitude at i with bits a and b exchanged
+            differ = ((index >> a) ^ (index >> b)) & 1
+            got = apply_gate_dense(StateSlice(psi), sv.swap(a, b)).amps
+            assert np.array_equal(got, psi[index ^ (differ << a) ^ (differ << b)])
 
 
 @pytest.mark.usefixtures("numpy_kernel")
@@ -247,6 +244,7 @@ class TestKernelOracleSplit(TestKernelOracle):
     where it is split into chunks over two threads."""
 
     n = 17
+    swap_pairs = [(0, 1), (3, 16), (15, 16)]
 
     @pytest.fixture(autouse=True, params=[1, 2], ids=["one-chunk", "split"])
     def cores(self, request, monkeypatch):
@@ -442,10 +440,9 @@ def _through_dense(psi, mat, targets, controls, cores, **sides):
     every part of 0 (`_with_tiny_entries`), which the real body does not
     take. The real body's result must equal it, signs of zero aside."""
     dense = _with_tiny_entries(mat)
-    cmask = sum(1 << c for c in controls)
-    assert not kernel_real(dense, targets, cmask)
+    assert not kernel_real(dense, targets, sum(1 << c for c in controls))
     got = psi.copy()
-    assert raw_call(got, dense, targets, cmask, cores, **sides) == 0
+    assert ckernel.apply(got, dense, targets, controls, share=cores, **sides) == 0
     return got
 
 
@@ -584,22 +581,22 @@ class TestCompiledKernel:
         self.check(psi, random_unitary(len(targets), m), targets, controls)
 
     @pytest.mark.parametrize(
-        "m, targets, cmask, w, phase_mask",
-        [(4, (4,), 0, 1, None), (4, (1, 1), 0, 2, None), (4, (1,), 0b10, 1, None),
-         (4, (0,), 0b10000, 1, None), (4, (0,) * 6, 0, 6, None), (4, (), 0, 0, None),
-         (1, (0,), 0, 1, None), (4, (0,), 0b10, 1, 0b100), (4, (), 0b10, 0, 0b100),
-         (4, (0,), 0, 1, 0b10000), (4, (), 0, 0, 0b10010), (4, (0,) * 6, 0, 6, 0b10),
-         (4, (), 0, -1, 0b10), (15, (), 0, 0, (1 << 14) - 1),
-         (6, (0, 1, 2, 3), 0, 4, None), (6, (5, 1, 3, 0, 2), 0, 5, None),
-         (6, (2, 5, 3, 4), 0, 4, 0b100011), (6, (4, 0, 1, 2, 3), 0, 5, 0b100100)],
+        "m, targets, controls, phase_mask",
+        [(4, (4,), (), None), (4, (1, 1), (), None), (4, (1,), (1,), None),
+         (4, (0,), (4,), None), (4, (0,) * 6, (), None), (4, (), (), None),
+         (1, (0,), (), None), (4, (0,), (1,), 0b100), (4, (), (1,), 0b100),
+         (4, (0,), (), 0b10000), (4, (), (), 0b10010), (4, (0,) * 6, (), 0b10),
+         (15, (), (), (1 << 14) - 1),
+         (6, (0, 1, 2, 3), (), None), (6, (5, 1, 3, 0, 2), (), None),
+         (6, (2, 5, 3, 4), (), 0b100011), (6, (4, 0, 1, 2, 3), (), 0b100100)],
         ids=["target-out-of-range", "repeated-target", "target-is-control",
              "control-out-of-range", "too-wide", "no-target", "two-amplitudes",
              "phases-with-control", "width-0-phases-with-control", "phase-bit-at-m",
-             "width-0-phase-bit-above-m", "too-wide-with-phases", "negative-width",
+             "width-0-phase-bit-above-m", "too-wide-with-phases",
              "phases-over-14-bits", "width-4", "width-5", "width-4-with-phases",
              "width-5-with-phases"],
     )
-    def test_rejects_what_it_cannot_take_untouched(self, m, targets, cmask, w, phase_mask):
+    def test_rejects_what_it_cannot_take_untouched(self, m, targets, controls, phase_mask):
         psi = np.arange(1 << m, dtype=complex)
         mat = np.eye(1 << len(targets), dtype=complex)[::-1].copy()
         got = psi.copy()
@@ -607,8 +604,8 @@ class TestCompiledKernel:
             phases = None
             if side:
                 phases = (np.full(1 << bin(phase_mask).count("1"), 1j), phase_mask)
-            assert raw_call(got, mat, targets, cmask, 2, w=w,
-                            **({side: phases} if side else {})) == -1
+            assert ckernel.apply(got, mat, targets, controls, share=2,
+                                 **({side: phases} if side else {})) == -1
             assert np.array_equal(got, psi)
 
     @pytest.mark.parametrize("targets, controls, kind", _MATRIX_CASES, ids=_MATRIX_IDS)
@@ -627,10 +624,10 @@ class TestCompiledKernel:
                           {"before": before, "after": after}):
                 separate = psi.copy()
                 if "before" in sides:
-                    assert raw_call(separate, None, (), 0, 1, before=before) == 0
+                    assert ckernel.apply(separate, None, (), before=before, share=1) == 0
                 kernel_step(separate, mat, targets, (), 1)
                 if "after" in sides:
-                    assert raw_call(separate, None, (), 0, 1, before=after) == 0
+                    assert ckernel.apply(separate, None, (), before=after, share=1) == 0
                 expect = digest(separate)
                 for cores in (1, 2, 3):
                     got = psi.copy()
@@ -647,7 +644,7 @@ class TestCompiledKernel:
         rng = np.random.default_rng(len(bits))
         diag = np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits)))
         got, expect = psi.copy(), psi.copy()
-        assert raw_call(got, None, (), 0, 1, before=sv._phase_table(diag, bits)) == 0
+        assert ckernel.apply(got, None, (), before=sv._phase_table(diag, bits), share=1) == 0
         sv._apply_diagonal_numpy(expect, diag, bits)
         assert not np.array_equal(got, psi)
         assert np.max(np.abs(got - expect)) <= 1e-14
@@ -843,40 +840,23 @@ class TestCompiledKernel:
         assert kernel_threads(bits, share) == count
 
 
-def raw_call(amps, mat, targets, cmask, cores, before=None, after=None, w=None) -> int:
-    """The compiled kernel's entry on `amps`: `mat` (None for width 0) on
-    `targets` under the controls in `cmask`, with each of `before` and
-    `after` a (table, mask) pair or None; `w` defaults to the target
-    count."""
-    apply = ckernel.load()
-    mat = None if mat is None else np.ascontiguousarray(mat, dtype=np.complex128)
-    (bt, bmask), (at, amask) = before or (None, 0), after or (None, 0)
-    return apply(amps.ctypes.data, amps.size.bit_length() - 1,
-                 None if mat is None else mat.ctypes.data,
-                 len(targets) if w is None else w,
-                 sum(t << (8 * j) for j, t in enumerate(targets)), cmask, cores,
-                 None if bt is None else bt.ctypes.data, bmask,
-                 None if at is None else at.ctypes.data, amask)
-
-
 def kernel_step(amps, mat, targets, controls, cores, before=None, after=None) -> None:
-    """One step as `apply_gate` runs it: `raw_call` with a share of `cores`
-    cores, which must take a width up to `KERNEL_WIDTH` and decline a
-    wider one, touching nothing. A declined step's diagonals then run
-    through width-0 calls and its matrix through `_apply_matrix`, on the
-    numpy kernel."""
-    cmask = sum(1 << c for c in controls)
+    """One step as `apply_gate` runs it: `ckernel.apply` with a share of
+    `cores` cores, which must take a width up to `KERNEL_WIDTH` and
+    decline a wider one, touching nothing. A declined step's diagonals
+    then run through width-0 calls and its matrix through `_apply_matrix`,
+    on the numpy kernel."""
     if len(targets) <= KERNEL_WIDTH:
-        assert raw_call(amps, mat, targets, cmask, cores, before, after) == 0
+        assert ckernel.apply(amps, mat, targets, controls, before, after, cores) == 0
         return
     untouched = amps.copy()
-    assert raw_call(amps, mat, targets, cmask, cores, before, after) == -1
+    assert ckernel.apply(amps, mat, targets, controls, before, after, cores) == -1
     assert np.array_equal(amps, untouched)
     if before is not None:
-        assert raw_call(amps, None, (), 0, 1, before=before) == 0
+        assert ckernel.apply(amps, None, (), before=before, share=1) == 0
     sv._apply_matrix(amps, mat, targets, controls)
     if after is not None:
-        assert raw_call(amps, None, (), 0, 1, before=after) == 0
+        assert ckernel.apply(amps, None, (), before=after, share=1) == 0
 
 
 def reference_matrix(amps, mat, targets, controls) -> None:
@@ -900,12 +880,6 @@ def compiled_digest(psi, mat, targets, controls, cores, rounds=1) -> str:
     for _ in range(rounds):
         kernel_step(got, mat, targets, controls, cores)
     return digest(got)
-
-
-def kernel_threads(bits: int, share: int) -> int:
-    """The threads the compiled kernel gives a step over 2^bits amplitudes
-    from a share of `share` cores, computed without starting any."""
-    return ctypes.CDLL(str(ckernel.library_path())).qsim_threads(bits, share)
 
 
 # the kernel spells its factor out over the low B index bits; the cases

@@ -20,9 +20,13 @@ Gates dispatch as:
       at most 2^14 amplitudes through one reused buffer), then apply
       locally
   (d) SWAP -> permutation relabel only, zero data movement
-Rule (d) is tried first, then (b), then (a), then (c); (a) and (b) are
-one `svcore.apply_gate` call. Rule (d) holds with fusion on too:
-`svcore.fuse` keeps every SWAP out of its blocks. Rule (b) holds for a
+  (e) START, the circuit's leading one-qubit gates (`svcore.split_start`)
+      -> each rank writes its slice of their product state over the
+      slice `partition` wrote, with no messages: a global qubit reads its
+      bit of the rank id, so it never relocalizes
+Rule (e) is tried first, then (d), then (b), then (a), then (c); (a), (b)
+and (e) are one `svcore.apply_gate` call. Rule (d) holds with fusion on
+too: `svcore.fuse` keeps every SWAP out of its blocks. Rule (b) holds for a
 DIAGONAL op of up to 13 qubits from `svcore.fuse` too, local or global,
 wherever they sit, so a whole stretch of diagonal gates is one phase
 multiply.
@@ -175,16 +179,20 @@ def plan_gate(layout: RankLayout, op: GateOp, future_ops=()) -> list[PlanStep]:
     Executing the steps in order moves a state's layout the same way, so
     plan on a copy of the layout the steps will run on.
 
-    A SWAP plans one "relabel" step. Every diagonal gate, wherever its
-    targets and controls sit, plans one "diagonal" step: a phase multiply
-    that reads global bits from the rank id, moves no data and leaves the
-    layout alone. A non-diagonal gate plans a "relocalize" step for each
-    global target and then one "local" step.
+    A START plans one "local" step wherever its qubits sit: it reads a
+    global qubit's bit of the rank id. A SWAP plans one "relabel" step.
+    Every diagonal gate, wherever its targets and controls sit, plans one
+    "diagonal" step: a phase multiply that reads global bits from the rank
+    id, moves no data and leaves the layout alone. A non-diagonal gate
+    plans a "relocalize" step for each global target and then one "local"
+    step.
 
     Width rule: a non-diagonal gate needs all of its targets on local bits
     at once; when the local space cannot hold them, `_choose_victim`
     raises ValueError ("needs more local index bits"). Diagonal gates and
     SWAPs need no local bits, so they have no width limit."""
+    if op.kind == "START":
+        return [PlanStep("local", op=op)]
     if op.kind == "SWAP":
         a, b = op.targets
         layout.swap_positions(layout.position_of(a), layout.position_of(b))
@@ -206,22 +214,26 @@ def plan_gate(layout: RankLayout, op: GateOp, future_ops=()) -> list[PlanStep]:
 
 
 def scheduled_ops(circuit: Circuit, n: int, k: int, fusion: bool) -> list[GateOp]:
-    """The op stream the engine will execute: fused (dense blocks capped
-    by the local address space; diagonal stretches of up to 13 qubits,
-    which need no local bits) or verbatim. Fused, blocks on disjoint
-    qubits stay open side by side, so a gate on other qubits never cuts a
-    block short; the input's SWAPs trail the stream in input order and the
-    ops after each SWAP are renamed through it (see `svcore.fuse`), so
-    each SWAP plans as a free relabel."""
-    if fusion:
-        return sv.fuse(circuit, min(DEFAULT_FUSION_WIDTH, n - k)).ops
-    return list(circuit.ops)
+    """The op stream the engine will execute on a slice as `partition`
+    wrote it: first the START op of the circuit's leading one-qubit gates
+    (`svcore.split_start`), if any, then the rest of the circuit, fused
+    (dense blocks capped by the local address space; diagonal stretches
+    of up to 13 qubits, which need no local bits) or verbatim. Fused,
+    blocks on disjoint qubits stay open side by side, so a gate on other
+    qubits never cuts a block short; the input's SWAPs trail the stream
+    in input order and the ops after each SWAP are renamed through it
+    (see `svcore.fuse`), so each SWAP plans as a free relabel."""
+    start, rest = sv.split_start(circuit)
+    ops = sv.fuse(rest, min(DEFAULT_FUSION_WIDTH, n - k)).ops if fusion else rest.ops
+    return ops if start is None else [start, *ops]
 
 
 def schedule(circuit: Circuit, n: int, k: int, fusion: bool) -> list[PlanStep]:
-    """Every step of one run: `plan_gate` over `scheduled_ops` from the
-    identity layout, built first so that a bad split fails before fusion
-    takes a width from it. The engine runs the list; the model sums it."""
+    """Every step of one run from |0...0>: `plan_gate` over
+    `scheduled_ops` from the identity layout, built first so that a bad
+    split fails before fusion takes a width from it. A START, when there
+    is one, is the first step, one "local" step. The engine runs the
+    list; the model sums it."""
     layout = RankLayout.identity(n, k)
     ops = scheduled_ops(circuit, n, k, fusion)
     return [step for i, op in enumerate(ops) for step in plan_gate(layout, op, ops[i + 1 :])]
@@ -231,16 +243,17 @@ def sweeps(steps) -> tuple[tuple[PlanStep, PlanStep | None, PlanStep | None], ..
     """`steps` as the engine runs them: each step with the "diagonal"
     steps folded into it to run before and after its op, or None. A
     diagonal step folds into the "local" step right after it, else into
-    the one right before it, if that step's op has no controls and that
-    side is still free; else it is a sweep of its own. Adjacent steps see
-    the same layout, so a fold changes no result, and the compiled kernel
-    multiplies a folded diagonal's phases in as the local step's sweep
-    loads and stores each vector. The engine runs these; the model counts
-    one slice sweep for each that holds a local or diagonal step. The
-    result is a tuple, so the ranks of a loopback world can share it."""
+    the one right before it, if that step's op has no controls, is not a
+    START, and that side is still free; else it is a sweep of its own.
+    Adjacent steps see the same layout, so a fold changes no result, and
+    the compiled kernel multiplies a folded diagonal's phases in as the
+    local step's sweep loads and stores each vector. The engine runs
+    these; the model counts one slice sweep for each that holds a local or
+    diagonal step. The result is a tuple, so the ranks of a loopback world
+    can share it."""
 
     def takes(step) -> bool:
-        return step.action == "local" and not step.op.controls
+        return step.action == "local" and not step.op.controls and step.op.kind != "START"
 
     out: list[list] = []
     i = 0

@@ -182,8 +182,10 @@ def schedule_traffic(
     engine runs it (`dist.sweeps`). Every local step, with the diagonal
     steps folded into it, and every diagonal step left on its own sweeps
     the slice once (read+write); a diagonal step from fusion may span up
-    to 13 qubits and is still one sweep. Every relocalization moves half
-    the slice per rank in each direction."""
+    to 13 qubits and is still one sweep. The START that writes the leading
+    one-qubit gates' product state is a "local" step, so its fill is
+    charged one sweep too, and it never relocalizes. Every relocalization
+    moves half the slice per rank in each direction."""
     k = topology.global_bits
     steps = schedule(circuit, n, k, fusion)
     swept = sum(step.action in ("local", "diagonal") for step, _, _ in sweeps(steps))

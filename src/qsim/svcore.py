@@ -17,11 +17,13 @@ Conventions shared by every module in this package:
     q sits at index bit positions[q] of 2^m amplitudes, and a position
     p >= m reads bit p - m of `high` (a rank's id). The engine plans a
     SWAP as a relabel and never hands one over; the reference simulator
-    applies it as its matrix, an exact permutation. A diagonal op never
-    takes the matrix path. `_apply_diagonal` hands the compiled kernel
-    (below) a table of its phases over the d index bits it touches,
-    ascending (`_phase_table`: 2^d entries, at most 128 KiB), for one
-    serial sweep that looks each amplitude's phase up by its index bits.
+    applies it as its matrix, an exact permutation. A "START" op
+    (`split_start`) writes a product state over a zero slice, with no
+    kernel call (`_fill_start`). A diagonal op never takes the matrix
+    path. `_apply_diagonal` hands the compiled kernel (below) a table of
+    its phases over the d index bits it touches, ascending (`_phase_table`:
+    2^d entries, at most 128 KiB), for one serial sweep that looks each
+    amplitude's phase up by its index bits.
     Without the compiled kernel, `_apply_diagonal_numpy` multiplies the
     view `amps.reshape((2,) * (m-L) + (2^L,))`, L = min(m, 13)
     (`_DIAGONAL_INNER_BITS`), in place by a factor spelled out over the
@@ -191,8 +193,13 @@ class GateOp:
 
     `targets` carry the gate matrix; `controls` gate it on |1> values.
     `matrix` is set only for kind "FUSED" (a dense block produced by fusion
-    or supplied directly) and for kind "DIAGONAL", where it holds the
-    matrix's diagonal: 2^w unit phases, bit j of whose index is target j.
+    or supplied directly), for kind "DIAGONAL", where it holds the
+    matrix's diagonal: 2^w unit phases, bit j of whose index is target j,
+    and for kind "START", the internal op that `split_start` makes of a
+    circuit's leading one-qubit gates: row j is the unit 2-vector that
+    target j holds, and every qubit it does not list is in |0>. A START
+    takes no controls, is not diagonal, and has no `base_matrix` and no
+    inverse.
     """
 
     kind: str
@@ -205,7 +212,7 @@ class GateOp:
     _diagonal: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("FUSED", "DIAGONAL") and self.kind not in KINDS:
+        if self.kind not in ("FUSED", "DIAGONAL", "START") and self.kind not in KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         for q in self.targets + self.controls:
             # a bool is an int to Python, and a float or a string fails only
@@ -248,6 +255,20 @@ class GateOp:
             if err > 1e-10:
                 raise ValueError(f"phases are not of unit modulus (deviation {err:.2e})")
             diagonal = True
+        elif self.kind == "START":
+            if not self.targets:
+                raise ValueError("a START op holds at least one qubit")
+            if self.controls:
+                raise ValueError("a START op takes no controls")
+            v = self.matrix
+            if v is None or v.shape != (len(self.targets), 2):
+                raise ValueError("START needs one 2-vector per target")
+            # a few 2-vectors, checked in Python: numpy's reductions would
+            # page in code that no other step of a run touches
+            err = max(abs(abs(a) ** 2 + abs(b) ** 2 - 1) for a, b in v.tolist())
+            if err > 1e-10:
+                raise ValueError(f"START vectors are not unit vectors (deviation {err:.2e})")
+            diagonal = False
         else:
             nt, nc, npar, diagonal, _ = KINDS[self.kind]
             if len(self.targets) != nt or len(self.controls) != nc:
@@ -549,6 +570,36 @@ def _local_phases(op: GateOp, positions, m: int, high: int):
     return phases, at
 
 
+def _fill_start(amps: np.ndarray, op: GateOp, positions, m: int, high: int) -> None:
+    """Write a START op's product state over a slice of zeros, in place.
+    Amplitude 0 takes the product of the global qubits' entries at their
+    bits of `high`, and of v[0] of each local qubit whose v[1] is 0; a
+    global qubit that the op leaves in |0> reads 0 where its bit is 1.
+    Then, for each other local qubit in ascending position p, the low 2^p
+    amplitudes double: the next 2^p become them times v[1], and they take
+    v[0]. Every multiply writes into the slice, so no temporary is made,
+    and a slice whose amplitude 0 is 0 is left all zeros."""
+    scalar = 1.0
+    listed = 0
+    doubling = []
+    for q, v in zip(op.targets, op.matrix.tolist()):
+        p = positions[q]
+        if p >= m:
+            scalar *= v[(high >> (p - m)) & 1]
+            listed |= 1 << (p - m)
+        elif v[1] == 0:
+            scalar *= v[0]
+        else:
+            doubling.append((p, v))
+    amps[0] = 0 if high & ~listed else scalar
+    if amps[0] == 0:
+        return
+    for p, v in sorted(doubling):
+        h = 1 << p
+        np.multiply(amps[:h], v[1], out=amps[h : 2 * h])
+        amps[:h] *= v[0]
+
+
 def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0,
                before: GateOp | None = None, after: GateOp | None = None) -> None:
     """Apply `op` in place to a slice of 2^m amplitudes, qubit q at index
@@ -559,8 +610,18 @@ def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0,
     just after a non-diagonal `op`: in the same compiled call, so in one
     sweep, when `op` has no controls and the compiled kernel takes the
     array and the width, else in calls of their own. Both give the same
-    bytes."""
+    bytes.
+
+    A "START" op writes the product state it holds (`_fill_start`), with
+    no diagonal folded in. Its precondition is a slice as
+    `dist.partition` wrote it for |0...0>: zeros, and a 1 at index 0 of
+    rank 0, or of a full state."""
     m = int(amps.size).bit_length() - 1
+    if op.kind == "START":
+        if before is not None or after is not None:
+            raise ValueError("a START op takes no folded diagonal")
+        _fill_start(amps, op, positions, m, high)
+        return
     if op.is_diagonal():
         _apply_diagonal(amps, *_local_phases(op, positions, m, high))
         return
@@ -842,6 +903,39 @@ def _fits(qubits: tuple[int, ...], dense: bool, max_width: int) -> bool:
     return len(qubits) <= (max_width if dense else _DIAGONAL_INNER_BITS)
 
 
+def split_start(circuit: Circuit) -> tuple[GateOp | None, Circuit]:
+    """A circuit's leading one-qubit gates as one "START" op, and the
+    circuit without them. A qubit's leading gates are the one-qubit ops on
+    it before its first op of more than one qubit (a SWAP among them);
+    they commute with every earlier op of the rest, which touches other
+    qubits, so on |0...0> they build the product of each qubit's u_k...u_1
+    |0>. The START lists the qubits that this leaves other than (1, 0),
+    ascending, and is None if there are none. The rest keeps its ops, and
+    their order."""
+    vectors: dict[int, tuple[complex, complex]] = {}
+    passed: set[int] = set()
+    rest = []
+    for op in circuit.ops:
+        if op.kind == "START":
+            raise ValueError("a START op is not an input gate")
+        if len(op.qubits) == 1 and op.targets[0] not in passed:
+            q = op.targets[0]
+            (a, b), (c, d) = base_matrix(op).tolist()
+            v0, v1 = vectors.get(q, (1, 0))
+            vectors[q] = (a * v0 + b * v1, c * v0 + d * v1)
+        else:
+            passed.update(op.qubits)
+            rest.append(op)
+    moved = sorted(q for q, v in vectors.items() if v != (1, 0))
+    start = None
+    if moved:
+        matrix = np.array([vectors[q] for q in moved], dtype=complex)
+        start = GateOp("START", tuple(moved), matrix=matrix)
+        # shared by the ranks of a loopback world
+        start.matrix.flags.writeable = False
+    return start, Circuit(circuit.num_qubits, rest, circuit.measured_qubits, circuit.name)
+
+
 def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     """Greedy left-to-right fusion into blocks of at most `max_width`
     qubits. The overall unitary is preserved.
@@ -905,6 +999,8 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
         out.append(block.op(max_width))
 
     for op in circuit.ops:
+        if op.kind == "START":
+            raise ValueError("a START op is not fused: it runs before the blocks")
         if op.kind == "SWAP":
             a, b = op.targets
             where[a], where[b] = where[b], where[a]

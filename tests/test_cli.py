@@ -263,9 +263,12 @@ class TestReportOutput:
 
     def test_tcp_world_prints_one_report_from_rank_0(self, tmp_path):
         outs = [tmp_path / f"r{r}.json" for r in range(2)]
+        # a tfim relocalizes over two ranks; a qpe's one global qubit only
+        # takes its X in the START, so it would exchange nothing
+        bench_argv = ["bench", "tfim", "-n", "4", "-c", "2", "--ranks", "2"]
 
         def argv(rank, rendezvous):
-            return [sys.executable, "-m", "qsim", *BENCH_ARGV, "--fabric", "tcp",
+            return [sys.executable, "-m", "qsim", *bench_argv, "--fabric", "tcp",
                     "--rank", str(rank), "--rendezvous", rendezvous,
                     "--format", "json", "--out", str(outs[rank])]
 
@@ -276,7 +279,7 @@ class TestReportOutput:
         report = json.loads(stdout[0])
         assert list(report) == REPORT_KEYS
         assert (report["world_size"], report["transport"]) == (2, "tcp")
-        expect = model_traffic(cli._bench_config(cli.build_parser({}).parse_args(BENCH_ARGV)), 2)
+        expect = model_traffic(cli._bench_config(cli.build_parser({}).parse_args(bench_argv)), 2)
         assert expect["exchange_bytes_total"] > 0
         assert report["traffic"] == expect
 

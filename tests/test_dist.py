@@ -541,17 +541,19 @@ class TestFusedSwapsRelabel:
 
 
 # (local, diagonal, relocalize) plan steps of the fused stream at n=20. A
-# local or diagonal step is one sweep over the slice; the counts before the
-# fusion frontier were (26, 10, 0), (42, 20, 6) and (25, 34, 3)
+# local or diagonal step is one sweep over the slice, the START among the
+# local ones; the counts before the fusion frontier were (26, 10, 0),
+# (42, 20, 6) and (25, 34, 3), and before the START (16, 6, 0), (42, 10, 6)
+# and (26, 22, 2)
 PLAN_CENSUS = {
-    "random": (lambda: build_random_circuit(20, 100, 61), 0, (16, 6, 0)),
+    "random": (lambda: build_random_circuit(20, 100, 61), 0, (14, 7, 0)),
     "tfim": (
         lambda: circuits.build_tfim(circuits.tfim_from_lattice(
             circuits.LatticeSpec(1, 20, "square", periodic=True), steps=5)),
         1,
-        (42, 10, 6),
+        (36, 10, 5),
     ),
-    "qpe": (lambda: build_qpe(QpeSpec(19, 299593)), 1, (26, 22, 2)),
+    "qpe": (lambda: build_qpe(QpeSpec(19, 299593)), 1, (20, 22, 0)),
 }
 
 
@@ -577,14 +579,17 @@ def test_random_workload_block_steps_pinned():
         layout = RankLayout.identity(c.num_qubits, 0)
         local = blocks = 0
         for op in dist.scheduled_ops(c, c.num_qubits, 0, fusion=True):
-            if [step.action for step in plan_gate(layout, op)] != ["local"]:
+            # the START is no kernel step
+            if [step.action for step in plan_gate(layout, op)] != ["local"] or op.kind == "START":
                 continue
             w = len(op.targets)
             terms = kernel_terms(sv.base_matrix(op), [layout.perm[q] for q in op.targets],
                                  sum(1 << layout.perm[q] for q in op.controls))
             local, blocks = local + 1, blocks + (terms < 1 << w)
         got.append((local, blocks))
-    assert got == [(34, 19), (39, 21), (39, 24), (37, 21)]
+    # before the START took the leading gates: (34, 19), (39, 21), (39, 24),
+    # (37, 21)
+    assert got == [(33, 18), (35, 23), (37, 24), (36, 19)]
 
 
 def test_tfim_workload_real_steps_pinned():
@@ -606,14 +611,15 @@ def test_tfim_workload_real_steps_pinned():
                 layout.swap_positions(layout.position_of(a), layout.position_of(b))
             elif step.action == "relocalize":
                 layout.swap_positions(step.global_pos, step.local_pos)
-            elif step.action == "local":
+            elif step.action == "local" and step.op.kind != "START":
                 op = step.op
                 cmask = sum(1 << layout.perm[q] for q in op.controls if layout.is_local(q))
                 local += 1
                 real += kernel_real(sv.base_matrix(op), [layout.perm[q] for q in op.targets],
                                     cmask)
         got.append((local, real))
-    assert got == [(77, 72)] * 4
+    # (77, 72) before the START took the leading gates
+    assert got == [(70, 66)] * 4
 
 
 @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
@@ -628,7 +634,9 @@ def test_dense_steps_fit_the_compiled_kernel(name, k, fusion):
     c = PLAN_CENSUS[name][0]()
     assert c.num_qubits == 20
     ops = dist.scheduled_ops(c, 20, k, fusion)
-    widths = [len(op.targets) for op in ops if not op.is_diagonal() and op.kind != "SWAP"]
+    # a START is no kernel step: it writes the product state it holds
+    widths = [len(op.targets) for op in ops
+              if not op.is_diagonal() and op.kind not in ("SWAP", "START")]
     assert widths and max(widths) <= KERNEL_WIDTH
 
 
@@ -640,7 +648,10 @@ class TestRunDistributed:
             return dist.gather(dist.run_distributed(c, ep)).amps
 
         amps = spmd(1, body)
-        assert np.array_equal(amps[0], dense_run(c).amps)
+        # one rank runs the same kernels on the same ops, the START among them
+        stream = Circuit(7, dist.scheduled_ops(c, 7, 0, False))
+        assert np.array_equal(amps[0], dense_run(stream).amps)
+        assert np.max(np.abs(amps[0] - dense_run(c).amps)) <= 1e-12
 
     @pytest.mark.parametrize("P", [2, 4, 8])
     @pytest.mark.parametrize("fusion", [False, True])
@@ -675,6 +686,66 @@ class TestRunDistributed:
                 dist.run_distributed(c, ep, fusion=fusion)
 
         spmd(4, body)
+
+
+class TestStart:
+    """Each rank writes its slice of the leading gates' product state: a
+    global qubit reads its bit of the rank id, and nothing relocalizes."""
+
+    @pytest.mark.parametrize(
+        "lead",
+        [[sv.x(3), sv.x(4)], [sv.h(4), sv.rx(0.7, 3)], [sv.x(4), sv.rx(-1.1, 3), sv.rz(0.4, 3)]],
+        ids=["ones", "superposed", "mixed"],
+    )
+    def test_global_qubits_start_on_each_rank(self, lead):
+        # qubits 3 and 4 sit on the two global bits of P=4
+        c = Circuit(5, lead + [sv.h(0), sv.cx(0, 1), sv.rz(0.3, 2), sv.cz(1, 3)])
+        ops = dist.scheduled_ops(c, 5, 2, False)
+        assert ops[0].kind == "START" and ops[0].targets == (0, 2, 3, 4)
+        assert [s.action for s in dist.schedule(c, 5, 2, False)] == ["local", "local", "diagonal"]
+        dense = dense_run(c)
+        probs = sv.probabilities(dense)
+        shots = 20000
+
+        def body(ep):
+            st = dist.run_distributed(c, ep)
+            counts = dist.sample_distributed(st, shots, 5)
+            return dist.gather(st).amps, counts, ep.traffic.bytes_sent()
+
+        for amps, counts, sent in spmd(4, body):
+            assert sent == 0
+            assert np.max(np.abs(amps - dense.amps)) <= 1e-12
+            assert set(counts.entries) <= set(probs)
+            for key, p in probs.items():
+                assert abs(counts.entries.get(key, 0) / shots - p) < 0.02
+
+    def test_a_rank_whose_scalar_is_zero_draws_no_shot(self):
+        # the X puts qubit 4, global, in |1>, so rank 0 holds only zeros; at
+        # P=4 qubit 3 is global too and stays in |0>, so only rank 2 is live
+        c = Circuit(5, [sv.x(4), sv.h(0), sv.cx(0, 1)])
+
+        def body(ep):
+            st = dist.run_distributed(c, ep)
+            return st.slice.amps.copy(), dist.sample_distributed(st, 500, 3)
+
+        for P, live in ((2, 1), (4, 2)):
+            for rank, (amps, counts) in enumerate(spmd(P, body)):
+                assert bool(np.count_nonzero(amps)) == (rank == live)
+                assert counts.entries.keys() == {"10000", "10011"}
+                assert sum(counts.entries.values()) == 500
+
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    def test_no_leading_one_qubit_gate_plans_todays_steps(self, fusion):
+        # every qubit meets a two-qubit gate first, so there is no START
+        c = Circuit(4, [sv.cx(0, 3), sv.rzz(0.5, 1, 2), sv.h(3), sv.h(0), sv.cx(3, 1),
+                        sv.swap(0, 2), sv.rx(0.2, 2)])
+        start, rest = sv.split_start(c)
+        assert start is None and rest.ops == c.ops
+        ops = sv.fuse(c, 3).ops if fusion else c.ops
+        layout = RankLayout.identity(4, 1)
+        expect = [s for i, op in enumerate(ops) for s in plan_gate(layout, op, ops[i + 1:])]
+        assert dist.scheduled_ops(c, 4, 1, fusion) == ops
+        assert dist.schedule(c, 4, 1, fusion) == expect
 
 
 TRACED_CIRCUITS = {
@@ -732,7 +803,11 @@ def test_traced_calls_equal_run_distributed_and_model(name, P):
     c = TRACED_CIRCUITS[name]()
     topo = perfmodel.nvl72_topology().for_ranks(P)
     prof = perfmodel.schedule_traffic(c, c.num_qubits, topo, fusion=True)
-    assert prof.swap_count > 0
+    if (name, P) == ("qpe", 2):
+        # the START writes the X on the one global qubit: no relocalization
+        assert prof.swap_count == 0 and prof.total_exchange_bytes == 0
+    else:
+        assert prof.swap_count > 0
     traced = spmd(P, lambda ep: traced_calls(c, ep))
     plain = spmd(P, lambda ep: dist.run_distributed(c, ep, fusion=True))
     for rank in range(P):
@@ -765,8 +840,8 @@ def fewest_relocalizations(ops, n, k) -> int:
     """The fewest relocalizations that any choice of evictions gives `ops`
     from the identity layout: an exhaustive DP over the set of qubits on
     global bits. A SWAP renames its two qubits in the set, a diagonal op
-    costs nothing, and a non-diagonal op pays one per global target, each
-    evicting any local qubit that is not one of its targets."""
+    and a START cost nothing, and any other op pays one per global target,
+    each evicting any local qubit that is not one of its targets."""
     cost = {frozenset(range(n - k, n)): 0}
     for op in ops:
         after: dict[frozenset, int] = {}
@@ -774,7 +849,7 @@ def fewest_relocalizations(ops, n, k) -> int:
             if op.kind == "SWAP":
                 a, b = op.targets
                 moves = [frozenset({a: b, b: a}.get(q, q) for q in glob)]
-            elif op.is_diagonal():
+            elif op.is_diagonal() or op.kind == "START":
                 moves = [glob]
             else:
                 incoming = glob & set(op.targets)
@@ -815,8 +890,10 @@ def check_distributed_equals_dense(P, fusion, c):
         assert amps.dtype == np.complex128
         assert np.max(np.abs(amps - dense), initial=0.0) <= 1e-12
     if P == 1 and not fusion:
-        # one rank runs the same kernels on the same ops as dense_run
-        assert np.array_equal(amps, dense)
+        # one rank runs the same kernels on the same ops as dense_run of
+        # its scheduled stream, the START among them
+        n = c.num_qubits
+        assert np.array_equal(amps, dense_run(Circuit(n, dist.scheduled_ops(c, n, 0, False))).amps)
 
 
 class TestDistributedEqualsDense:

@@ -9,14 +9,17 @@ from qsim.fabric import create_world, run_spmd
 # A "local" step, with the diagonal steps folded into it (`dist.sweeps`), and
 # a diagonal step left on its own each cost one sweep; diagonal steps move no
 # data, so folding them changes the sweeps alone (before folding: 102, 628,
-# 162, 714, 488 and 1733)
+# 162, 714, 488 and 1733). The START of each circuit's leading one-qubit
+# gates is one sweep and never relocalizes (before it: (56, 25769803776,
+# 12), (569, 25769803776, 12), (132, 152471339008, 71), (694, 141733920768,
+# 66), (366, 148176371712, 69) and (1258, 111669149696, 52))
 PAPER_TRAFFIC = {
-    ("qpe34", True): (56, 25769803776, 12),
-    ("qpe34", False): (569, 25769803776, 12),
-    ("tfim34", True): (132, 152471339008, 71),
-    ("tfim34", False): (694, 141733920768, 66),
-    ("random34", True): (366, 148176371712, 69),
-    ("random34", False): (1258, 111669149696, 52),
+    ("qpe34", True): (46, 17179869184, 8),
+    ("qpe34", False): (536, 12884901888, 6),
+    ("tfim34", True): (123, 133143986176, 62),
+    ("tfim34", False): (662, 128849018880, 60),
+    ("random34", True): (365, 148176371712, 69),
+    ("random34", False): (1250, 111669149696, 52),
 }
 
 

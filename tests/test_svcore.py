@@ -1368,6 +1368,115 @@ class TestFusion:
         assert np.max(np.abs(got.amps - want.amps)) <= 1e-12
 
 
+def start_op(qubits, vectors) -> GateOp:
+    return GateOp("START", tuple(qubits), matrix=np.asarray(vectors, dtype=complex))
+
+
+class TestStart:
+    """The START op of a circuit's leading one-qubit gates: its checks, its
+    split from a circuit and its fill of a zero slice."""
+
+    @pytest.mark.parametrize(
+        "qubits, vectors, controls, message",
+        [
+            ((0, 1), [[1, 0]], (), "one 2-vector per target"),
+            ((0,), [1, 0], (), "one 2-vector per target"),
+            ((0,), [[1, 0, 0]], (), "one 2-vector per target"),
+            ((0,), None, (), "one 2-vector per target"),
+            ((0, 1), [[1, 0], [0.5, 0.5]], (), "not unit vectors"),
+            ((0,), [[0, 1]], (1,), "no controls"),
+            ((), np.zeros((0, 2)), (), "at least one qubit"),
+        ],
+        ids=["rows", "flat", "columns", "none", "non-unit", "controls", "empty"],
+    )
+    def test_malformed_start_rejected(self, qubits, vectors, controls, message):
+        matrix = None if vectors is None else np.asarray(vectors, dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            GateOp("START", qubits, controls, matrix=matrix)
+
+    def test_start_is_neither_fused_nor_inverted(self):
+        op = start_op((0,), [[0, 1]])
+        assert not op.is_diagonal()
+        with pytest.raises(ValueError, match="not fused"):
+            fuse(Circuit(2, [op, sv.cx(0, 1)]))
+        with pytest.raises(ValueError, match="no inverse rule"):
+            sv.inverse(op)
+        with pytest.raises(ValueError, match="not an input gate"):
+            sv.split_start(Circuit(2, [op]))
+
+    def test_leading_one_qubit_ops_fold_into_the_vectors(self):
+        u = random_unitary(1, 4)
+        phase = np.exp(0.2j)
+        ops = [
+            sv.h(0), sv.rz(0.3, 0), sv.diagonal((0,), [1, phase]),
+            sv.h(1), sv.p(0.5, 1),
+            sv.h(2), sv.z(2),
+            sv.fused((3,), u),
+            sv.rz(0.9, 4),
+            sv.cx(0, 1), sv.h(0), sv.cz(2, 3), sv.x(5), sv.swap(4, 5), sv.h(5),
+        ]
+        c = Circuit(6, ops, measured_qubits=(0, 1), name="folded")
+        start, rest = sv.split_start(c)
+        r = 2**-0.5
+        expect = [
+            [r * np.exp(-0.15j), r * np.exp(0.15j) * phase],
+            [r, r * np.exp(0.5j)],
+            [r, -r],
+            u[:, 0],
+            [np.exp(-0.45j), 0],
+        ]
+        # qubit 5's X leaves it in |1>: 5 is listed, 4's phase stays with it
+        assert start.targets == (0, 1, 2, 3, 4, 5)
+        assert np.allclose(start.matrix, [*expect, [0, 1]], atol=1e-15)
+        assert not start.matrix.flags.writeable
+        assert rest.ops == ops[9:12] + ops[13:]
+        assert (rest.num_qubits, rest.measured_qubits, rest.name) == (6, (0, 1), "folded")
+        filled = dense_run(Circuit(6, [start, *rest.ops])).amps
+        assert max_deviation(filled, dense_run(c).amps) <= 1e-12
+
+    def test_qubits_left_in_zero_are_not_listed(self):
+        c = Circuit(3, [sv.x(0), sv.x(0), sv.h(1), sv.cx(1, 2)])
+        start, rest = sv.split_start(c)
+        assert start.targets == (1,)
+        assert rest.ops == [sv.cx(1, 2)]
+        assert sv.split_start(Circuit(2, [sv.x(1), sv.x(1), sv.cx(0, 1)]))[0] is None
+
+    @pytest.mark.parametrize("high", range(4))
+    def test_fill_writes_the_slice_of_the_product(self, high):
+        # 5 qubits on 3 local bits of one of 4 ranks, on a shuffled layout;
+        # qubit 3 is left in |0> on a global bit, qubit 0 keeps only a phase
+        vectors = {q: random_unitary(1, 10 + q)[:, 0] for q in (1, 2, 4)}
+        vectors[0] = np.array([np.exp(0.4j), 0])
+        op = start_op(sorted(vectors), [vectors[q] for q in sorted(vectors)])
+        positions = [2, 0, 4, 3, 1]
+        by_position = {positions[q]: v for q, v in vectors.items()}
+        full = np.ones(1)
+        for p in range(5):
+            full = np.kron(by_position.get(p, [1, 0]), full)
+        amps = np.zeros(8, dtype=complex)
+        if high == 0:
+            amps[0] = 1
+        sv.apply_gate(amps, op, positions, high)
+        assert max_deviation(amps, full[8 * high : 8 * high + 8]) <= 1e-15
+        # qubit 0's |0> halves the nonzeros of the ranks where qubit 3 reads 0
+        assert np.count_nonzero(amps) == (4 if high in (0, 2) else 0)
+
+    def test_fill_takes_no_folded_diagonal(self):
+        with pytest.raises(ValueError, match="no folded diagonal"):
+            sv.apply_gate(np.zeros(2, complex), start_op((0,), [[0, 1]]), [0], after=sv.z(0))
+
+    def test_fill_allocates_no_slice_sized_temporary(self):
+        op = start_op(range(16), [[2**-0.5, 2**-0.5]] * 16)
+        amps = np.zeros(1 << 16, dtype=complex)
+        amps[0] = 1
+        tracemalloc.start()
+        sv.apply_gate(amps, op, range(16))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < amps.nbytes // 16
+        assert np.allclose(amps, 2**-8, atol=1e-15)
+
+
 class TestCircuitValidation:
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="references"):

@@ -7,9 +7,9 @@ circuit's time never enters the statistics. The clock is injectable so the
 timing protocol itself is testable; the dense oracle runs outside it.
 
 Every rank returns a `BenchmarkReport` holding its own timings and its own
-exchange traffic, and which dense kernel ran (the compiled one, or numpy
-where it cannot be built, which runs several times slower); the caller
-prints rank 0's. The report's fields are its JSON keys, so
+relocalization traffic, and which dense kernel ran (the compiled one, or
+numpy where it cannot be built, which runs several times slower); the
+caller prints rank 0's. The report's fields are its JSON keys, so
 `render("json")` and `report_from_json` are inverses.
 """
 
@@ -129,8 +129,9 @@ class CircuitResult:
 @dataclass
 class BenchmarkReport:
     """One rank's report. The fields, in order, are the JSON keys. `traffic`
-    counts this rank's exchange() traffic since its endpoint was created;
-    reports written before every endpoint counted its traffic may hold null.
+    counts the relocalizations that `dist.relocalize` recorded in this
+    rank's endpoint since it was created; reports written before every
+    endpoint counted its traffic may hold null.
     `kernel` is "compiled" or "numpy"; reports written before it was
     recorded lack the key and read as null."""
 

@@ -22,8 +22,9 @@ no compiler, the build fails, or the cache cannot be written.
 
 `apply` is the one place a kernel call is packed: every caller hands it
 the amplitudes, the matrix, the target and control bits and the
-diagonals, and gets the entry's status back. The kernel's design, its
-bodies and what they cost are described once, in the `ckernel.c` header.
+diagonals, which it checks against what C will read and write, and gets
+the entry's status back. The kernel's design, its bodies and what they
+cost are described once, in the `ckernel.c` header.
 
 A step over at least 2^15 of the amplitudes it touches is split over a
 share of cores (see `ckernel.c`): by default this process's,
@@ -48,6 +49,7 @@ _BUILD_TIMEOUT = 120
 # another key deletes it
 _STALE_SECONDS = 3600
 
+_COMPLEX = np.dtype(np.complex128)
 _lock = threading.Lock()
 _loaded = False
 _apply = None
@@ -175,6 +177,13 @@ def load():
     return _apply
 
 
+def _table_fits(table, mask) -> bool:
+    """Whether a diagonal's table is what C reads over the d bits of
+    `mask`: 2^d contiguous complex128 phases."""
+    return (isinstance(table, np.ndarray) and table.dtype == _COMPLEX
+            and table.flags.c_contiguous and table.size == 1 << int(mask).bit_count())
+
+
 def apply(amps: np.ndarray, mat, targets, controls=(), before=None, after=None,
           share=None) -> int:
     """The kernel's entry on `amps`, 2^m contiguous complex128 amplitudes,
@@ -185,16 +194,26 @@ def apply(amps: np.ndarray, mat, targets, controls=(), before=None, after=None,
     diagonal is None or a pair (table, mask): 2^d contiguous complex128
     phases over the d bits of `mask`, in ascending order. Returns the
     entry's status, 0 when it applied the step, else nonzero, touching
-    nothing: the entry declined the step, or no library loads (-1)."""
+    nothing: the entry declined the step (its comment in `ckernel.c` lists
+    what it declines), or (-1) no library loads, or C would read or write
+    an array past its end or where it may not: `amps` is not an aligned,
+    writable, 1-D C-contiguous complex128 array, `mat` not 2^w x 2^w for
+    w = len(targets), or a table not 2^d contiguous complex128 phases."""
     fn = load()
-    if fn is None:
+    if (fn is None or not isinstance(amps, np.ndarray) or amps.dtype != _COMPLEX
+            or amps.ndim != 1 or not amps.flags.carray):
         return -1
-    if mat is not None:
-        mat = np.ascontiguousarray(mat, dtype=np.complex128)
+    w = len(targets)
+    if w:
+        mat = np.ascontiguousarray(mat, dtype=_COMPLEX)
+        if mat.shape != (1 << w, 1 << w):
+            return -1
     (bt, bmask), (at, amask) = before or (None, 0), after or (None, 0)
+    if ((bt is not None and not _table_fits(bt, bmask))
+            or (at is not None and not _table_fits(at, amask))):
+        return -1
     return fn(
-        amps.ctypes.data, amps.size.bit_length() - 1,
-        None if mat is None else mat.ctypes.data, len(targets),
+        amps.ctypes.data, amps.size.bit_length() - 1, mat.ctypes.data if w else None, w,
         sum(t << (8 * j) for j, t in enumerate(targets)), sum(1 << c for c in controls),
         cores if share is None else share, None if bt is None else bt.ctypes.data, bmask,
         None if at is None else at.ctypes.data, amask,

@@ -17,7 +17,7 @@ the process's cores, or over OMP_NUM_THREADS of them if that is set, one
 step at a time, so a loopback rank whose step overlaps another's runs it
 serially; ranks that share a host set OMP_NUM_THREADS to their share of
 its cores, as perfbench does. Either way every rank measures its own
-timings and exchange traffic, and only rank 0 prints its report (and
+timings and relocalization traffic, and only rank 0 prints its report (and
 writes --out).
 """
 

@@ -20,11 +20,11 @@ Conventions shared by every module in this package:
     applies it as its matrix, an exact permutation. A "START" op
     (`split_start`) writes a product state over a zero slice, with no
     kernel call (`_fill_start`). A diagonal op never takes the matrix
-    path. `_apply_diagonal` hands the compiled kernel (below) a table of
-    its phases over the d index bits it touches, ascending (`_phase_table`:
-    2^d entries, at most 128 KiB), for one serial sweep that looks each
+    path: `apply_gate` hands the compiled kernel (below) a table of its
+    phases over the d index bits it touches, ascending (`_phases`: 2^d
+    entries, at most 128 KiB), for one serial sweep that looks each
     amplitude's phase up by its index bits.
-    Without the compiled kernel, `_apply_diagonal_numpy` multiplies the
+    Where the kernel declines it, `_apply_diagonal_numpy` multiplies the
     view `amps.reshape((2,) * (m-L) + (2^L,))`, L = min(m, 13)
     (`_DIAGONAL_INNER_BITS`), in place by a factor spelled out over the
     low L index bits, one value of the gate's higher bits at a time, so
@@ -40,12 +40,12 @@ Conventions shared by every module in this package:
     amplitude by its phase alike, so both give the same bytes
   - a "DIAGONAL" op holds only that phase vector, for 1 to 13 qubits, so
     it is never densified. `fuse` emits one for each stretch of diagonal
-    gates wider than its cap: such a step costs about one sweep at any
-    width, while a dense block's cost grows with its width. A stretch
-    stays within 13 qubits (`_DIAGONAL_INNER_BITS`), wherever they sit:
-    the compiled kernel's table takes at most 128 KiB, and the numpy
-    fallback spells its factor out over the low 13 bits once per value
-    of the positions above them, so its temporary stays 128 KiB too
+    gates: such a step costs about one sweep at any width, while a dense
+    block's cost grows with its width. A stretch stays within 13 qubits
+    (`_DIAGONAL_INNER_BITS`), wherever they sit: the compiled kernel's
+    table takes at most 128 KiB, and the numpy fallback spells its factor
+    out over the low 13 bits once per value of the positions above them,
+    so its temporary stays 128 KiB too
   - `fuse` keeps a frontier of open blocks on pairwise disjoint qubits.
     Disjoint blocks commute, so a gate on other qubits never flushes a
     block, and a gate that would overfill the blocks it touches emits the
@@ -56,12 +56,14 @@ Conventions shared by every module in this package:
     Fusion has no matrix algebra of its own: an open block is its qubits
     and its ops, and its array is built once, when it is emitted, by
     `apply_gate` (a stretch's phases by `_product`)
-  - every other op takes `_apply_matrix`: one compiled C kernel
-    (`ckernel.c`, whose header describes its design, its bodies and what
-    they cost), which `ckernel.load` builds with the system C compiler on
-    the first dense step and caches under the package's `__pycache__`.
-    `ckernel.apply` is the one place a call to it is packed; the call
-    releases the GIL, so loopback rank threads multiply in parallel. It
+  - every other op is one `ckernel.apply` call from `apply_gate`, its
+    folded diagonals included when it has no controls, into one compiled C
+    kernel (`ckernel.c`, whose header describes its design, its bodies and
+    what they cost), which `ckernel.load` builds with the system C
+    compiler on the first dense step and caches under the package's
+    `__pycache__`. `ckernel.apply` is the one place a call to it is
+    packed, and it checks every array it hands over; the call releases the
+    GIL, so loopback rank threads multiply in parallel. The kernel
     takes 1 to 3 targets: the engine fuses to `DEFAULT_FUSION_WIDTH` (3),
     and no named gate has more than 2. A FUSED op of 4 or 5 qubits, which
     only a caller builds, runs on the numpy kernel, and its diagonals in
@@ -71,9 +73,10 @@ Conventions shared by every module in this package:
     process's share of cores (`ckernel.core_share`), and any share gives
     the same bytes; fusion's unitaries and small states never start a
     thread
-  - the numpy kernel, `_apply_matrix_numpy`, runs only where the compiled
-    kernel is missing: no compiler, a failed build, or a cache that cannot
-    be written. The tests hold it as the reference. It transposes the
+  - the numpy kernel, `_apply_matrix_numpy`, runs only where
+    `ckernel.apply` declines a step: a width above 3, or no compiled
+    kernel (no compiler, a failed build, or a cache that cannot be
+    written). The tests hold it as the reference. It transposes the
     bit-axis view to put the target axes in front and multiplies one block
     of 2^14 amplitudes (`_DENSE_BLOCK_BITS`) at a time. It copies each
     block out with the block's other axes in `_copy_order`, so the copy
@@ -107,12 +110,12 @@ from . import ckernel
 MAX_FUSION_WIDTH = 5
 DEFAULT_FUSION_WIDTH = 3
 QUBIT_CAP = 26
-# the most qubits one DIAGONAL op holds, wherever they sit: the compiled
-# kernel's `_phase_table` then takes at most 128 KiB. It is also the count
-# of low index bits over which `_apply_diagonal_numpy` spells out its
-# factor: 2^13 is numpy's default ufunc buffer size (np.getbufsize()); with
-# a shorter contiguous run the broadcast multiply goes through the
-# iterator's buffers and ran about 30% slower at n=20
+# the most qubits one DIAGONAL op holds, wherever they sit: its table from
+# `_phases` then takes at most 128 KiB. It is also the count of low index
+# bits over which `_apply_diagonal_numpy` spells out its factor: 2^13 is
+# numpy's default ufunc buffer size (np.getbufsize()); with a shorter
+# contiguous run the broadcast multiply goes through the iterator's
+# buffers and ran about 30% slower at n=20
 _DIAGONAL_INNER_BITS = 13
 # log2 of the amplitudes in one block of `_apply_matrix_numpy`, the
 # fallback kernel, whose staging holds three times as many. Summed over 12
@@ -427,7 +430,7 @@ def _ascending(vector: np.ndarray, bits) -> np.ndarray:
 
 
 def _copy_order(bits: list[int]) -> list[int]:
-    """The ascending free index bits of one `_apply_matrix` block as axes,
+    """The ascending free index bits of one numpy-kernel block as axes,
     slowest first: descending, except that the run of consecutive bits the
     copies step along comes last. That is the run from bit 0 if it holds at
     least 8 amplitudes, else the longest run (the lowest of equals)."""
@@ -444,37 +447,10 @@ def _copy_order(bits: list[int]) -> list[int]:
     return bits[stop:][::-1] + bits[:start][::-1] + bits[start:stop][::-1]
 
 
-def _phase_table(diag: np.ndarray, positions) -> tuple[np.ndarray, int]:
-    """A diagonal indexed over the given bit positions (bit j of its index
-    = positions[j]) as the compiled kernel takes one: complex128 entries
-    over the same positions in ascending order, and their mask."""
-    table = _ascending(np.ascontiguousarray(diag, dtype=np.complex128), positions)
-    return table, sum(1 << p for p in positions)
-
-
-def _compiled(amps: np.ndarray, mat=None, targets=(), controls=(), before=None,
-              after=None) -> bool:
-    """Whether the compiled kernel applied `ckernel.apply`'s step, in place
-    on a 2^m amplitude array, each diagonal a `_phase_table` or None.
-    False, touching nothing, if the array is not contiguous complex128,
-    the kernel cannot be built, or it does not take the call."""
-    if amps.dtype != np.complex128 or not amps.flags.c_contiguous:
-        return False
-    return ckernel.apply(amps, mat, targets, controls, before, after) == 0
-
-
-def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
-    """In-place matrix application on the target bits of a 2^m amplitude
-    array, restricted to indices whose control bits are all 1: by the
-    compiled kernel for a contiguous complex128 array and at most 3
-    targets, else, or if the kernel cannot be built, by
-    `_apply_matrix_numpy`."""
-    if not _compiled(amps, mat, targets, controls):
-        _apply_matrix_numpy(amps, mat, targets, controls)
-
-
 def _apply_matrix_numpy(amps: np.ndarray, mat: np.ndarray, targets, controls=()) -> None:
-    """`_apply_matrix` in numpy: the fallback, and the tests' reference.
+    """A matrix on the target bits of a 2^m amplitude array, in place, over
+    the indices whose control bits are all 1, in numpy: the fallback where
+    `ckernel.apply` declines a step, and the tests' reference.
 
     The matrix multiplies one block of 2^max(B, w) amplitudes at a time,
     B = `_DENSE_BLOCK_BITS`: the w target axes times the lowest B - w other
@@ -517,17 +493,11 @@ def _apply_matrix_numpy(amps: np.ndarray, mat: np.ndarray, targets, controls=())
         blk[...] = product
 
 
-def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, positions) -> None:
-    """In-place multiply by a diagonal indexed over the given bit positions
-    (bit j of the diagonal's index = positions[j]): by the compiled
-    kernel's width-0 sweep for a contiguous complex128 array, else, or if
-    the kernel cannot be built, by `_apply_diagonal_numpy`."""
-    if not _compiled(amps, before=_phase_table(diag, positions)):
-        _apply_diagonal_numpy(amps, diag, positions)
-
-
 def _apply_diagonal_numpy(amps: np.ndarray, diag: np.ndarray, positions) -> None:
-    """`_apply_diagonal` in numpy: the fallback, and the tests' reference.
+    """A multiply in place by a diagonal indexed over the given bit
+    positions (bit j of its index = positions[j]), in numpy: the fallback
+    where `ckernel.apply` declines a width-0 sweep, and the tests'
+    reference.
 
     It spells the factor out over the low L = min(m, 13) index bits
     (`_DIAGONAL_INNER_BITS`), once for each value of the h positions at or
@@ -557,9 +527,11 @@ def _apply_diagonal_numpy(amps: np.ndarray, diag: np.ndarray, positions) -> None
         np.multiply(part, flat, out=part)
 
 
-def _local_phases(op: GateOp, positions, m: int, high: int):
-    """A diagonal op's phases over the index bits below m that its qubits
-    sit at, and those bits; a position p >= m reads bit p - m of `high`."""
+def _phases(op: GateOp, positions, m: int, high: int) -> tuple[np.ndarray, int]:
+    """A diagonal op's phases as the compiled kernel takes them: contiguous
+    complex128 entries over the index bits below m that its qubits sit at,
+    in ascending order, and those bits' mask. A position p >= m fixes its
+    qubit's bit at bit p - m of `high`."""
     phases, qubits = diagonal_of(op)
     at = [positions[q] for q in qubits]
     if max(at) >= m:
@@ -567,7 +539,8 @@ def _local_phases(op: GateOp, positions, m: int, high: int):
         fixed = [(high >> (p - m)) & 1 if p >= m else slice(None) for p in reversed(at)]
         phases = phases.reshape((2,) * len(at))[tuple(fixed)].ravel()
         at = [p for p in at if p < m]
-    return phases, at
+    table = _ascending(np.ascontiguousarray(phases, dtype=np.complex128), at)
+    return table, sum(1 << p for p in at)
 
 
 def _fill_start(amps: np.ndarray, op: GateOp, positions, m: int, high: int) -> None:
@@ -606,11 +579,12 @@ def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0,
     bit positions[q]. A position p >= m reads bit p - m of `high`: it fixes
     a diagonal op's phases, and a control reading 0 skips the op.
 
-    `before` and `after`, diagonal ops or None, are applied just before and
-    just after a non-diagonal `op`: in the same compiled call, so in one
-    sweep, when `op` has no controls and the compiled kernel takes the
-    array and the width, else in calls of their own. Both give the same
-    bytes.
+    Every op but a START is one `ckernel.apply` call, or none where a
+    global control reads 0, and the numpy kernels run what a call
+    declines. `before` and `after`, diagonal ops or None, are applied just
+    before and just after a non-diagonal `op`: in its call, so in one
+    sweep, when `op` has no controls, else, and where that call is
+    declined, in calls of their own. Both give the same bytes.
 
     A "START" op writes the product state it holds (`_fill_start`), with
     no diagonal folded in. Its precondition is a slice as
@@ -623,19 +597,25 @@ def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0,
         _fill_start(amps, op, positions, m, high)
         return
     if op.is_diagonal():
-        _apply_diagonal(amps, *_local_phases(op, positions, m, high))
+        table, mask = _phases(op, positions, m, high)
+        if ckernel.apply(amps, None, (), before=(table, mask)):
+            _apply_diagonal_numpy(amps, table, [p for p in range(m) if mask >> p & 1])
         return
-    controls = [positions[c] for c in op.controls]
+    mat = base_matrix(op)
     targets = [positions[t] for t in op.targets]
-    if (before is not None or after is not None) and not controls:
-        tables = [None if d is None else _phase_table(*_local_phases(d, positions, m, high))
-                  for d in (before, after)]
-        if _compiled(amps, base_matrix(op), targets, (), *tables):
+    if not op.controls:
+        sides = (before, after)
+        if before is not None or after is not None:
+            sides = [None if d is None else _phases(d, positions, m, high) for d in sides]
+        if not ckernel.apply(amps, mat, targets, (), *sides):
             return
     if before is not None:
         apply_gate(amps, before, positions, high)
-    if not controls or all((high >> (p - m)) & 1 for p in controls if p >= m):
-        _apply_matrix(amps, base_matrix(op), targets, [p for p in controls if p < m])
+    controls = [positions[c] for c in op.controls]
+    if all((high >> (p - m)) & 1 for p in controls if p >= m):
+        local = [p for p in controls if p < m]
+        if not controls or ckernel.apply(amps, mat, targets, local):
+            _apply_matrix_numpy(amps, mat, targets, local)
     if after is not None:
         apply_gate(amps, after, positions, high)
 
@@ -877,9 +857,9 @@ class _Block:
         self.dense = False
         self.ops: list[GateOp] = []
 
-    def op(self, max_width: int) -> GateOp:
-        u = len(self.qubits)
+    def op(self) -> GateOp:
         if self.dense:
+            u = len(self.qubits)
             # the ops applied in order to the identity: flattened, the
             # 2^u x 2^u matrix is a 2u-bit state whose row bit j is index
             # bit u + j, and each op acts on the rows
@@ -891,9 +871,7 @@ class _Block:
             diag = np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
             return _trusted("FUSED", self.qubits, mat, bool(diag))
         phases = _product(diagonal_of(op) for op in self.ops)
-        if u > max_width:
-            return _trusted("DIAGONAL", self.qubits, phases, True)
-        return _trusted("FUSED", self.qubits, np.diag(phases), True)
+        return _trusted("DIAGONAL", self.qubits, phases, True)
 
 
 def _fits(qubits: tuple[int, ...], dense: bool, max_width: int) -> bool:
@@ -957,13 +935,13 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     `_DIAGONAL_INNER_BITS` qubits, wherever they sit: fuse runs before
     any layout exists, and neither kernel needs one, since the compiled
     kernel's phase table costs the same at any position and the numpy
-    fallback's temporary stays 2^13 amplitudes. A stretch that ends within
-    the cap is emitted as a FUSED block, a wider one as a DIAGONAL op. A
-    diagonal gate joins a dense block only if it adds no qubit to it;
-    otherwise it emits the dense blocks it touches and joins or opens a
-    stretch, because a dense block's sweep costs more the wider it is, and
-    a qubit it holds for a phase is one that a later dense gate cannot
-    use. A dense gate takes a stretch it touches into its block when their
+    fallback's temporary stays 2^13 amplitudes. A stretch is emitted as a
+    DIAGONAL op at any width, so a FUSED block always holds a dense gate
+    (its product may still be diagonal, as H H is). A diagonal gate joins
+    a dense block only if it adds no qubit to it; otherwise it emits the
+    dense blocks it touches and joins or opens a stretch, because a dense
+    block's sweep costs more the wider it is, and a qubit it holds for a
+    phase is one that a later dense gate cannot use. A dense gate takes a stretch it touches into its block when their
     union fits the cap. Ops wider than the cap, diagonal or not, emit the
     blocks they touch and pass through renamed.
 
@@ -996,7 +974,7 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
         frontier.remove(block)
         for q in block.qubits:
             del owner[q]
-        out.append(block.op(max_width))
+        out.append(block.op())
 
     for op in circuit.ops:
         if op.kind == "START":
@@ -1054,6 +1032,6 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
         block.ops.append(op)
         block.qubits = union
     for block in frontier:
-        out.append(block.op(max_width))
+        out.append(block.op())
     out.extend(swaps)
     return Circuit(circuit.num_qubits, out, circuit.measured_qubits, circuit.name)

@@ -21,7 +21,8 @@ TESTS_DIR = Path(__file__).parent
 SRC_DIR = TESTS_DIR.parent / "src"
 # the widest step that the compiled kernel takes (`ckernel.c`'s MAX_WIDTH,
 # the engine's fusion width); it declines a wider one, touching nothing,
-# and `svcore._apply_matrix` runs that on the numpy kernel
+# and `svcore.apply_gate` runs that on the numpy kernel,
+# `_apply_matrix_numpy`
 KERNEL_WIDTH = 3
 
 
@@ -163,8 +164,9 @@ def mixed_circuits(draw, k):
 
 @pytest.fixture(scope="class")
 def numpy_kernel():
-    """Run every `_apply_matrix` of the class on its numpy path, as where
-    the compiled kernel cannot be built."""
+    """Run every kernel call of the class on the numpy kernels, as where
+    the compiled kernel cannot be built: `ckernel.apply` returns -1, and
+    `apply_gate` runs `_apply_matrix_numpy` and `_apply_diagonal_numpy`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ckernel, "load", lambda: None)
         yield
@@ -172,9 +174,10 @@ def numpy_kernel():
 
 @pytest.fixture(scope="class")
 def small_dense_blocks(numpy_kernel):
-    """Run `_apply_matrix` on its numpy path with blocks shrunk to
-    2^max(2, w) amplitudes for w targets, so that the few-qubit states of
-    the oracle and property tests cross block boundaries."""
+    """Run every kernel call on the numpy kernels (`numpy_kernel`), with
+    the blocks of `_apply_matrix_numpy` shrunk to 2^max(2, w) amplitudes
+    for w targets, so that the few-qubit states of the oracle and property
+    tests cross block boundaries."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sv, "_DENSE_BLOCK_BITS", 2)
         yield

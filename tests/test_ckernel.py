@@ -88,7 +88,7 @@ def applies_like_numpy() -> bool:
     psi = rng.normal(size=1 << 6) + 1j * rng.normal(size=1 << 6)
     mat = random_unitary(2, 4)
     got, expect = psi.copy(), psi.copy()
-    sv._apply_matrix(got, mat, (3, 0))
+    sv.apply_gate(got, sv.fused((3, 0), mat), range(6))
     sv._apply_matrix_numpy(expect, mat, (3, 0))
     return bool(np.max(np.abs(got - expect)) <= 1e-12)
 
@@ -154,7 +154,7 @@ def test_two_processes_loading_at_once_both_get_a_library(stand_in, tmp_path):
         psi = np.arange(64, dtype=complex)
         got, expect = psi.copy(), psi.copy()
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        sv._apply_matrix(got, h, (2,))
+        sv.apply_gate(got, sv.fused((2,), h), range(6))
         sv._apply_matrix_numpy(expect, h, (2,))
         print(np.max(np.abs(got - expect)) <= 1e-12)
     """)

@@ -479,9 +479,12 @@ class TestBlockedDenseKernel:
         "targets, controls", _BLOCK_CASES, ids=[f"t{t}-c{c}" for t, c in _BLOCK_CASES]
     )
     def test_matches_complex_matmul(self, targets, controls):
+        # whichever kernel runs the step: the compiled one, or the numpy one
+        # where it declines
         psi, mat = _block_case(targets, controls)
         got, expect = psi.copy(), psi.copy()
-        sv._apply_matrix(got, mat, targets, controls)
+        if ckernel.apply(got, mat, targets, controls):
+            sv._apply_matrix_numpy(got, mat, targets, controls)
         one_shot_apply_matrix(expect, mat, targets, controls, arithmetic="complex")
         assert np.max(np.abs(got - expect)) <= 1e-12
 
@@ -508,9 +511,18 @@ _FOLD_SETS = [(0,), (1,), (0, 1), (5, 9), (13, 15, 16),
               (0, 1, 2, 3, 4, 5, 8, 10, 12, 13, 14, 15, 16), ()]
 
 
+def _kernel_table(diag, bits, n=17):
+    """A diagonal over the index `bits` of 2^n amplitudes (bit j of its
+    index = bits[j]) as `sv._phases` hands it to the kernel. No bits is a
+    diagonal whose one qubit sits at global position n, whose bit reads 0."""
+    if not bits:
+        return sv._phases(sv.diagonal((n,), [diag[0], 1]), range(n + 1), n, 0)
+    return sv._phases(sv.diagonal(bits, diag), range(n), n, 0)
+
+
 def _random_phases(rng, bits):
-    """Random unit phases over `bits` as a `_phase_table`."""
-    return sv._phase_table(np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))), bits)
+    """Random unit phases over `bits` as the kernel takes them."""
+    return _kernel_table(np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))), bits)
 
 
 def _lane_shapes(widths):
@@ -551,6 +563,20 @@ def _body_case(w, held, phased):
     return targets[:w], () if phased else (16,)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The status of every `ckernel.apply` call the test makes, in order."""
+    calls = []
+    real = ckernel.apply
+
+    def counted(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(ckernel, "apply", counted)
+    return calls
+
+
 class TestCompiledKernel:
     """The compiled kernel against the numpy one, within 1e-12, and a step
     wider than it takes, which it declines, against the complex product."""
@@ -563,7 +589,7 @@ class TestCompiledKernel:
     @staticmethod
     def check(psi, mat, targets, controls):
         got, expect = psi.copy(), psi.copy()
-        sv._apply_matrix(got, mat, targets, controls)
+        kernel_step(got, mat, targets, controls, None)
         reference_matrix(expect, mat, targets, controls)
         assert not np.array_equal(got, psi)
         assert np.max(np.abs(got - expect)) <= 1e-12
@@ -581,32 +607,87 @@ class TestCompiledKernel:
         self.check(psi, random_unitary(len(targets), m), targets, controls)
 
     @pytest.mark.parametrize(
-        "m, targets, controls, phase_mask",
-        [(4, (4,), (), None), (4, (1, 1), (), None), (4, (1,), (1,), None),
-         (4, (0,), (4,), None), (4, (0,) * 6, (), None), (4, (), (), None),
-         (1, (0,), (), None), (4, (0,), (1,), 0b100), (4, (), (1,), 0b100),
-         (4, (0,), (), 0b10000), (4, (), (), 0b10010), (4, (0,) * 6, (), 0b10),
-         (15, (), (), (1 << 14) - 1),
-         (6, (0, 1, 2, 3), (), None), (6, (5, 1, 3, 0, 2), (), None),
-         (6, (2, 5, 3, 4), (), 0b100011), (6, (4, 0, 1, 2, 3), (), 0b100100)],
+        "m, targets, controls, phase_mask, spoil",
+        [(*case, None) for case in (
+            (4, (4,), (), None), (4, (1, 1), (), None), (4, (1,), (1,), None),
+            (4, (0,), (4,), None), (4, (0,) * 6, (), None), (4, (), (), None),
+            (1, (0,), (), None), (4, (0,), (1,), 0b100), (4, (), (1,), 0b100),
+            (4, (0,), (), 0b10000), (4, (), (), 0b10010), (4, (0,) * 6, (), 0b10),
+            (15, (), (), (1 << 14) - 1),
+            (6, (0, 1, 2, 3), (), None), (6, (5, 1, 3, 0, 2), (), None),
+            (6, (2, 5, 3, 4), (), 0b100011), (6, (4, 0, 1, 2, 3), (), 0b100100))] + [
+         (4, (0, 2), (), None, "short-matrix"), (4, (0,), (), None, "no-matrix"),
+         (4, (0,), (), 0b110, "short-table"), (4, (), (), 0b110, "complex64-table"),
+         (4, (3,), (), 0b101, "strided-table"), (4, (0,), (), None, "complex64-amps"),
+         (4, (0,), (), 0b10, "strided-amps"), (4, (1,), (), None, "read-only-amps"),
+         (4, (1,), (), None, "two-dimensional-amps"), (4, (1,), (), 0b1, "unaligned-amps")],
         ids=["target-out-of-range", "repeated-target", "target-is-control",
              "control-out-of-range", "too-wide", "no-target", "two-amplitudes",
              "phases-with-control", "width-0-phases-with-control", "phase-bit-at-m",
              "width-0-phase-bit-above-m", "too-wide-with-phases",
              "phases-over-14-bits", "width-4", "width-5", "width-4-with-phases",
-             "width-5-with-phases"],
+             "width-5-with-phases", "short-matrix", "no-matrix", "short-table",
+             "complex64-table", "strided-table", "complex64-amps", "strided-amps",
+             "read-only-amps", "two-dimensional-amps", "unaligned-amps"],
     )
-    def test_rejects_what_it_cannot_take_untouched(self, m, targets, controls, phase_mask):
+    def test_rejects_what_it_cannot_take_untouched(self, m, targets, controls, phase_mask,
+                                                   spoil):
+        # C would read or write a spoiled array past its end, or write
+        # where it may not: amplitudes that are not one aligned, writable
+        # run of complex128 (each a view into a parent twice its size, so
+        # that a stray write lands inside the parent), a matrix of another
+        # width, or a table of another length, dtype or stride
         psi = np.arange(1 << m, dtype=complex)
-        mat = np.eye(1 << len(targets), dtype=complex)[::-1].copy()
-        got = psi.copy()
+        mat = {"short-matrix": np.eye(2, dtype=complex),
+               "no-matrix": None}.get(spoil, np.eye(1 << len(targets), dtype=complex)[::-1].copy())
+        parent = np.concatenate((psi, psi))
+        got = parent[: 1 << m]
+        if spoil == "complex64-amps":
+            got = parent.view(np.complex64)[: 1 << m]
+        elif spoil == "strided-amps":
+            got = parent[::2]
+        elif spoil == "two-dimensional-amps":
+            got = got.reshape(4, -1)
+        elif spoil == "unaligned-amps":
+            got = parent.view(np.uint8)[1 : 1 + got.nbytes].view(complex)
+        got.flags.writeable = spoil != "read-only-amps"
+        expect = got.copy()
         for side in ("before", "after") if phase_mask is not None else (None,):
             phases = None
             if side:
-                phases = (np.full(1 << bin(phase_mask).count("1"), 1j), phase_mask)
+                size = 1 << bin(phase_mask).count("1")
+                table = {"short-table": np.full(size - 1, 1j),
+                         "complex64-table": np.full(size, 1j, dtype=np.complex64),
+                         "strided-table": np.full(2 * size, 1j)[::2]}.get(spoil,
+                                                                          np.full(size, 1j))
+                phases = (table, phase_mask)
             assert ckernel.apply(got, mat, targets, controls, share=2,
                                  **({side: phases} if side else {})) == -1
-            assert np.array_equal(got, psi)
+            assert np.array_equal(got, expect)
+            assert np.array_equal(parent, np.concatenate((psi, psi)))
+
+    @pytest.mark.parametrize("op", [sv.h(3), sv.fused((2, 5, 8), random_unitary(3, 3))],
+                             ids=["H", "fused3"])
+    @pytest.mark.parametrize("sides", [(), ("before",), ("after",), ("before", "after")],
+                             ids=["alone", "before", "after", "both"])
+    def test_a_step_is_one_kernel_call(self, kernel_calls, op, sides):
+        # the folded diagonals multiply in as the step's one call sweeps
+        n = 10
+        rng = np.random.default_rng(5)
+        folds = {"before": sv.rzz(0.3, 0, 7),
+                 "after": sv.diagonal((9, 2, 4), np.exp(1j * rng.uniform(-3, 3, 8)))}
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        got = psi.copy()
+        sv.apply_gate(got, op, range(n), **{side: folds[side] for side in sides})
+        assert kernel_calls == [0]
+        assert not np.array_equal(got, psi)
+
+    def test_a_global_control_reading_0_makes_no_call(self, kernel_calls):
+        psi = np.arange(16, dtype=complex)
+        got = psi.copy()
+        sv.apply_gate(got, sv.cx(4, 0), range(5), high=0)
+        assert kernel_calls == []
+        assert np.array_equal(got, psi)
 
     @pytest.mark.parametrize("targets, controls, kind", _MATRIX_CASES, ids=_MATRIX_IDS)
     def test_fold_gives_the_bytes_of_separate_sweeps(self, targets, controls, kind):
@@ -644,7 +725,7 @@ class TestCompiledKernel:
         rng = np.random.default_rng(len(bits))
         diag = np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits)))
         got, expect = psi.copy(), psi.copy()
-        assert ckernel.apply(got, None, (), before=sv._phase_table(diag, bits), share=1) == 0
+        assert ckernel.apply(got, None, (), before=_kernel_table(diag, bits), share=1) == 0
         sv._apply_diagonal_numpy(expect, diag, bits)
         assert not np.array_equal(got, psi)
         assert np.max(np.abs(got - expect)) <= 1e-14
@@ -688,7 +769,7 @@ class TestCompiledKernel:
                 (bits, np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))))
                 for bits in ((0, 5, 9), (1, 13, 16))
             ]
-            sides = {side: sv._phase_table(diag, bits)
+            sides = {side: _kernel_table(diag, bits)
                      for side, (bits, diag) in zip(("before", "after"), diagonals)}
         kinds, terms = _BLOCK_BODIES.get(held, ((), None))
         real = isinstance(held, str) and held.startswith("real")
@@ -844,8 +925,9 @@ def kernel_step(amps, mat, targets, controls, cores, before=None, after=None) ->
     """One step as `apply_gate` runs it: `ckernel.apply` with a share of
     `cores` cores, which must take a width up to `KERNEL_WIDTH` and
     decline a wider one, touching nothing. A declined step's diagonals
-    then run through width-0 calls and its matrix through `_apply_matrix`,
-    on the numpy kernel."""
+    then run through width-0 calls and its matrix through
+    `_apply_matrix_numpy`, which is what runs there. A share of None is
+    this process's."""
     if len(targets) <= KERNEL_WIDTH:
         assert ckernel.apply(amps, mat, targets, controls, before, after, cores) == 0
         return
@@ -854,7 +936,7 @@ def kernel_step(amps, mat, targets, controls, cores, before=None, after=None) ->
     assert np.array_equal(amps, untouched)
     if before is not None:
         assert ckernel.apply(amps, None, (), before=before, share=1) == 0
-    sv._apply_matrix(amps, mat, targets, controls)
+    sv._apply_matrix_numpy(amps, mat, targets, controls)
     if after is not None:
         assert ckernel.apply(amps, None, (), before=after, share=1) == 0
 
@@ -911,7 +993,11 @@ class TestDiagonalKernel:
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         diag = np.exp(1j * rng.uniform(-math.pi, math.pi, size=1 << len(positions)))
         got = psi.copy()
-        sv._apply_diagonal(got, diag, positions)
+        if positions:
+            sv.apply_gate(got, sv.diagonal(positions, diag), range(n))
+        else:
+            # one qubit at global position n, whose bit of `high` reads 1
+            sv.apply_gate(got, sv.diagonal((n,), [1, diag[0]]), range(n + 1), high=1)
         # basis state |i> picks the entry whose bit j is bit positions[j] of i
         index = np.arange(1 << n)
         entry = sum(((index >> pos) & 1) << j for j, pos in enumerate(positions))
@@ -1199,12 +1285,13 @@ class TestFusion:
         np.testing.assert_allclose(fused_c.ops[0].matrix, np.eye(2), atol=1e-12)
 
     def test_rz_angles_add(self):
+        # a stretch of diagonal gates is a DIAGONAL op of its phases
         a, b = 0.37, -1.12
-        fused_c = fuse(Circuit(1, [sv.rz(a, 0), sv.rz(b, 0)]), max_width=1)
-        assert len(fused_c.ops) == 1
-        expect = sv.base_matrix(sv.rz(a + b, 0))
-        got = align_phase(expect.ravel(), fused_c.ops[0].matrix.ravel())
-        assert np.max(np.abs(got - expect.ravel())) <= 1e-12
+        (step,) = fuse(Circuit(1, [sv.rz(a, 0), sv.rz(b, 0)]), max_width=1).ops
+        assert step.kind == "DIAGONAL"
+        expect = sv.base_diagonal(sv.rz(a + b, 0))
+        got = align_phase(expect, step.matrix)
+        assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_random_circuit_equivalence(self):
         c = build_random_circuit(6, 50, seed=21)

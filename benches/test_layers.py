@@ -12,7 +12,10 @@ on the workload families' circuits.
 - `fuse` and `dist.schedule` on the seed-1 circuits of the random, tfim
   and qpe families at n=20, as the benchmark workloads build them: a
   mirrored 100-gate random circuit on one rank, a mirrored 5-step TFIM
-  echo on a 20-site ring and QPE, both on two ranks."""
+  echo on a 20-site ring and QPE, both on two ranks.
+- `fuse` on one block of each kind, the cost of building the block it
+  emits: a 13-qubit stretch of 12 CPs that share one qubit (the widest of
+  QPE's inverse QFT) and a width-3 dense block of 3 ops."""
 
 import numpy as np
 import pytest
@@ -114,3 +117,15 @@ def test_fuse(benchmark, name):
 def test_schedule(benchmark, name):
     circuit, k = family(name)
     benchmark(dist.schedule, circuit, N, k, True)
+
+
+BLOCKS = {
+    "stretch13": sv.Circuit(13, [sv.cp(-np.pi / 2 ** (12 - j), j, 12) for j in range(12)]),
+    "dense3": sv.Circuit(3, [sv.fused((0, 1, 2), unitary(3, 12)), sv.cx(0, 1), sv.rx(0.3, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+def test_fuse_block(benchmark, name):
+    assert len(sv.fuse(BLOCKS[name]).ops) == 1
+    benchmark(sv.fuse, BLOCKS[name])

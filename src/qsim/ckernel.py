@@ -20,11 +20,15 @@ again, once.
 `load()` returns None, and the caller runs its numpy kernel, when there is
 no compiler, the build fails, or the cache cannot be written.
 
-`apply` is the one place a kernel call is packed: every caller hands it
+`apply` is the one place a kernel step is packed: every caller hands it
 the amplitudes, the matrix, the target and control bits and the
 diagonals, which it checks against what C will read and write, and gets
-the entry's status back. The kernel's design, its bodies and what they
-cost are described once, in the `ckernel.c` header.
+the entry's status back. `build` is the one place a block of `svcore.fuse`
+is packed for the library's other entry, which builds the block's array
+from a record and a small table per op in one call; C checks the records
+and the tables' length against each other, and `build` the array it
+writes. The kernel's design, its bodies and what they cost, the builder's
+too, are described once, in the `ckernel.c` header.
 
 A step over at least 2^15 of the amplitudes it touches is split over a
 share of cores (see `ckernel.c`): by default this process's,
@@ -52,7 +56,7 @@ _STALE_SECONDS = 3600
 _COMPLEX = np.dtype(np.complex128)
 _lock = threading.Lock()
 _loaded = False
-_apply = None
+_library = None
 # the share of cores of every kernel call in this process that names none
 cores = 1
 
@@ -122,7 +126,8 @@ def _build(path: Path) -> None:
 
 
 def _open():
-    """The library's `qsim_apply_matrix`, built first if not cached, or None."""
+    """The library, built first if not cached, with its two entries'
+    signatures set, or None."""
     import ctypes
     import subprocess
 
@@ -132,7 +137,7 @@ def _open():
             if not path.exists():
                 _build(path)
             try:
-                fn = ctypes.CDLL(str(path)).qsim_apply_matrix
+                lib = ctypes.CDLL(str(path))
                 break
             except OSError:
                 # a build of another key may have deleted it since
@@ -144,11 +149,15 @@ def _open():
         os.utime(path)
     except OSError:
         pass
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int,
-                   ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int,
-                   ctypes.c_void_p, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_uint64]
-    fn.restype = ctypes.c_int
-    return fn
+    lib.qsim_apply_matrix.argtypes = [
+        ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int, ctypes.c_uint64,
+        ctypes.c_uint64, ctypes.c_int, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_void_p,
+        ctypes.c_uint64,
+    ]
+    lib.qsim_build_block.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_int, ctypes.c_void_p,
+                                     ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    lib.qsim_apply_matrix.restype = lib.qsim_build_block.restype = ctypes.c_int
+    return lib
 
 
 def core_share(env=None) -> int:
@@ -163,18 +172,33 @@ def core_share(env=None) -> int:
 
 
 def load():
-    """The compiled kernel's entry, `qsim_apply_matrix`, which `apply`
-    calls, or None if it cannot be built; `cores` reads `core_share()`
+    """The compiled kernel's library, whose entries `apply` and `build`
+    call, or None if it cannot be built; `cores` reads `core_share()`
     then. Only the first call builds or loads; every later one returns the
     same answer."""
-    global _loaded, _apply, cores
+    global _loaded, _library, cores
     if not _loaded:
         with _lock:
             if not _loaded:
-                _apply = _open()
+                _library = _open()
                 cores = core_share()
                 _loaded = True
-    return _apply
+    return _library
+
+
+def _writable(a, ndim: int) -> bool:
+    """Whether C may write `a`: an aligned, writable, C-contiguous
+    complex128 array of `ndim` dimensions."""
+    return (isinstance(a, np.ndarray) and a.dtype == _COMPLEX and a.ndim == ndim
+            and a.flags.carray)
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a writable C-contiguous array's first byte, got more
+    cheaply than by `a.ctypes.data` (0.4 against 1.4 us)."""
+    import ctypes
+
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
 def _table_fits(table, mask) -> bool:
@@ -199,9 +223,8 @@ def apply(amps: np.ndarray, mat, targets, controls=(), before=None, after=None,
     an array past its end or where it may not: `amps` is not an aligned,
     writable, 1-D C-contiguous complex128 array, `mat` not 2^w x 2^w for
     w = len(targets), or a table not 2^d contiguous complex128 phases."""
-    fn = load()
-    if (fn is None or not isinstance(amps, np.ndarray) or amps.dtype != _COMPLEX
-            or amps.ndim != 1 or not amps.flags.carray):
+    lib = load()
+    if lib is None or not _writable(amps, 1):
         return -1
     w = len(targets)
     if w:
@@ -212,9 +235,36 @@ def apply(amps: np.ndarray, mat, targets, controls=(), before=None, after=None,
     if ((bt is not None and not _table_fits(bt, bmask))
             or (at is not None and not _table_fits(at, amask))):
         return -1
-    return fn(
+    return lib.qsim_apply_matrix(
         amps.ctypes.data, amps.size.bit_length() - 1, mat.ctypes.data if w else None, w,
         sum(t << (8 * j) for j, t in enumerate(targets)), sum(1 << c for c in controls),
         cores if share is None else share, None if bt is None else bt.ctypes.data, bmask,
         None if at is None else at.ctypes.data, amask,
     )
+
+
+def build(out: np.ndarray, spec, tables) -> int:
+    """The kernel's block builder on `out`, one block that `svcore.fuse`
+    emits: the 2^u phases of a diagonal stretch (`out` 1-D) or the 2^u x
+    2^u matrix of a dense block (`out` 2-D), bit j of an index being the
+    block's j-th qubit. `spec` holds a record of ints per op of the block,
+    in order: its counts of targets and of controls, whether it is
+    diagonal, and the index bits of its targets, target j first, and of
+    its controls; `tables` holds each op's table in order, 2^t phases (bit
+    j of an index = target j) for a diagonal op, else its 2^t x 2^t
+    matrix. Returns the entry's status, 0 when it wrote every entry of
+    `out`, else nonzero: the entry declined the block (its comment in
+    `ckernel.c` lists what it declines, tables that do not hold what
+    `spec` needs among it), or (-1) no library loads or `out` is not an
+    aligned, writable, C-contiguous complex128 array of 2^u or 2^u x 2^u
+    entries."""
+    lib = load()
+    if lib is None or not (_writable(out, 1) or _writable(out, 2)) or not tables:
+        return -1
+    u = out.shape[0].bit_length() - 1
+    if out.shape[0] != 1 << u or out.shape[1:] not in ((), (1 << u,)):
+        return -1
+    spec = np.array(spec, dtype=np.int64)
+    flat = np.concatenate(tables, axis=None, dtype=_COMPLEX)
+    return lib.qsim_build_block(_address(out), u, out.ndim == 2, _address(spec), spec.size,
+                                _address(flat), flat.size)

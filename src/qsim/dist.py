@@ -25,7 +25,10 @@ Gates dispatch as:
       slice `partition` wrote, with no messages: a global qubit reads its
       bit of the rank id, so it never relocalizes
 Rule (e) is tried first, then (d), then (b), then (a), then (c); (a), (b)
-and (e) are one `svcore.apply_gate` call. Rule (d) holds with fusion on
+and (e) are one `svcore.apply_gate` call. A rank whose slice is all zeros,
+as `partition` leaves every rank but one and a START leaves a rank whose
+global qubits read a 0 of the product state, skips (a) and (b) until its
+first relocalization (`DistState.zero`): they would multiply zeros. Rule (d) holds with fusion on
 too: `svcore.fuse` keeps every SWAP out of its blocks. Rule (b) holds for a
 DIAGONAL op of up to 13 qubits from `svcore.fuse` too, local or global,
 wherever they sit, so a whole stretch of diagonal gates is one phase
@@ -112,11 +115,18 @@ class RankLayout:
 
 @dataclass
 class DistState:
-    """One rank's shard of a distributed state plus its layout and fabric."""
+    """One rank's shard of a distributed state plus its layout and fabric.
+
+    `zero` records that the slice is all zeros, so that local and diagonal
+    steps, which leave zeros zero, are skipped (`_execute`): `partition`
+    sets it on a rank that does not hold the initial amplitude, a START
+    sets it where it leaves amplitude 0 at 0 (it then writes nothing
+    else), and the rank's first relocalization clears it."""
 
     layout: RankLayout
     slice: StateSlice
     ep: FabricEndpoint
+    zero: bool = False
 
     @property
     def n(self) -> int:
@@ -297,9 +307,10 @@ def partition(
         raise ValueError("initial basis index out of range")
     local = 1 << (n - k)
     amps = np.zeros(local, dtype=np.complex128)
-    if ep.rank == initial >> (n - k):
+    holds = ep.rank == initial >> (n - k)
+    if holds:
         amps[initial & (local - 1)] = 1.0
-    return DistState(layout, StateSlice._adopt(amps), ep)
+    return DistState(layout, StateSlice._adopt(amps), ep, zero=not holds)
 
 
 def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
@@ -308,7 +319,8 @@ def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
     loopback world does directly and any other endpoint streams through
     one reused piece buffer, so a relocalization stages one piece, not a
     slice. Logged as one message of half a slice; updates the layout
-    permutation."""
+    permutation. The partner's half may hold data, so the slice is no
+    longer known to be zero."""
     lay = st.layout
     if not lay.local_bits <= global_pos < lay.n:
         raise ValueError(f"global position {global_pos} out of range")
@@ -325,13 +337,16 @@ def relocalize(st: DistState, global_pos: int, local_pos: int) -> None:
     st.ep.swap(st.ep.rank ^ (1 << bit), moving)
     st.ep.traffic.record(bit, moving.nbytes)
     lay.swap_positions(global_pos, local_pos)
+    st.zero = False
 
 
 def _execute(st: DistState, step: PlanStep, before: PlanStep | None = None,
              after: PlanStep | None = None) -> None:
     """Run one step on the amplitudes, with the diagonal steps folded into
     it (`sweeps`); a relabel or relocalize step moves `st.layout` as it
-    runs, so steps execute in their planned order."""
+    runs, so steps execute in their planned order. A slice known to be
+    zero (`DistState.zero`) skips every local and diagonal step but a
+    START: each maps zeros to zeros, up to the signs of zero."""
     lay = st.layout
     if step.action == "relabel":
         a, b = step.op.targets
@@ -339,6 +354,11 @@ def _execute(st: DistState, step: PlanStep, before: PlanStep | None = None,
     elif step.action == "relocalize":
         relocalize(st, step.global_pos, step.local_pos)
     elif step.action in ("local", "diagonal"):
+        if step.op.kind == "START":
+            scalar, _ = sv.start_scalar(step.op, lay.perm, lay.local_bits, st.ep.rank)
+            st.zero = scalar == 0
+        elif st.zero:
+            return
         sv.apply_gate(st.slice.amps, step.op, lay.perm, st.ep.rank,
                       before=before and before.op, after=after and after.op)
     else:

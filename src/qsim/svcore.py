@@ -54,8 +54,13 @@ Conventions shared by every module in this package:
     block costs more per sweep and leaves later dense gates one qubit
     fewer, while a diagonal stretch takes the phase for nearly nothing.
     Fusion has no matrix algebra of its own: an open block is its qubits
-    and its ops, and its array is built once, when it is emitted, by
-    `apply_gate` (a stretch's phases by `_product`)
+    and its ops, and its array is built once, when it is emitted, in one
+    `ckernel.build` call from each op's small table (`_Block.op`). That
+    call builds a dense block's matrix with the kernel's own steps and a
+    stretch's phases as numpy multiplies them, so its bytes are those of
+    the fallback, which runs where the builder declines a block or no
+    compiled kernel loads: one `apply_gate` per op on the identity, and
+    `_product` of the ops' `diagonal_of`
   - every other op is one `ckernel.apply` call from `apply_gate`, its
     folded diagonals included when it has no controls, into one compiled C
     kernel (`ckernel.c`, whose header describes its design, its bodies and
@@ -243,7 +248,7 @@ class GateOp:
             if err > 1e-10:
                 raise ValueError(f"fused matrix is not unitary (deviation {err:.2e})")
             # a FUSED block is diagonal when no nonzero entry sits off its diagonal
-            diagonal = np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+            diagonal = bool(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)))
         elif self.kind == "DIAGONAL":
             if not 1 <= len(self.targets) <= _DIAGONAL_INNER_BITS:
                 raise ValueError(
@@ -543,15 +548,13 @@ def _phases(op: GateOp, positions, m: int, high: int) -> tuple[np.ndarray, int]:
     return table, sum(1 << p for p in at)
 
 
-def _fill_start(amps: np.ndarray, op: GateOp, positions, m: int, high: int) -> None:
-    """Write a START op's product state over a slice of zeros, in place.
-    Amplitude 0 takes the product of the global qubits' entries at their
-    bits of `high`, and of v[0] of each local qubit whose v[1] is 0; a
-    global qubit that the op leaves in |0> reads 0 where its bit is 1.
-    Then, for each other local qubit in ascending position p, the low 2^p
-    amplitudes double: the next 2^p become them times v[1], and they take
-    v[0]. Every multiply writes into the slice, so no temporary is made,
-    and a slice whose amplitude 0 is 0 is left all zeros."""
+def start_scalar(op: GateOp, positions, m: int, high: int) -> tuple[complex, list]:
+    """What a START op writes over a slice of 2^m amplitudes before any
+    local qubit doubles it: amplitude 0, the product of the global qubits'
+    entries at their bits of `high` and of v[0] of each local qubit whose
+    v[1] is 0 (a global qubit that the op leaves in |0> reads 0 where its
+    bit is 1), and the (position, v) of each other local qubit. The slice
+    it writes is all zeros exactly when amplitude 0 is 0 here."""
     scalar = 1.0
     listed = 0
     doubling = []
@@ -564,7 +567,17 @@ def _fill_start(amps: np.ndarray, op: GateOp, positions, m: int, high: int) -> N
             scalar *= v[0]
         else:
             doubling.append((p, v))
-    amps[0] = 0 if high & ~listed else scalar
+    return 0 if high & ~listed else scalar, doubling
+
+
+def _fill_start(amps: np.ndarray, op: GateOp, positions, m: int, high: int) -> None:
+    """Write a START op's product state over a slice of zeros, in place.
+    Amplitude 0 takes `start_scalar`. Then, for each other local qubit in
+    ascending position p, the low 2^p amplitudes double: the next 2^p
+    become them times v[1], and they take v[0]. Every multiply writes into
+    the slice, so no temporary is made, and a slice whose amplitude 0 is 0
+    is left all zeros."""
+    amps[0], doubling = start_scalar(op, positions, m, high)
     if amps[0] == 0:
         return
     for p, v in sorted(doubling):
@@ -829,10 +842,11 @@ def _over(phases: np.ndarray, qubits, union) -> np.ndarray:
 
 def _product(gates) -> np.ndarray:
     """Phase vector, over the sorted union of their qubits, of the product
-    of diagonal `gates`, each a (phase vector, sorted qubits) pair. The
-    product widens only when a gate adds a qubit, so a stretch whose gates
-    each add one costs about two multiplies at its full width, not one per
-    gate."""
+    of diagonal `gates`, each a (phase vector, sorted qubits) pair: the
+    fallback of `ckernel.build` for a stretch, which builds the same bytes.
+    The product widens only when a gate adds a qubit, so a stretch whose
+    gates each add one costs about two multiplies at its full width, not
+    one per gate."""
     out, span = np.ones(1, dtype=complex), ()
     for phases, qubits in gates:
         if set(qubits) <= set(span):
@@ -848,7 +862,12 @@ def _product(gates) -> np.ndarray:
 class _Block:
     """An open block of `fuse`: its sorted qubits, whether it is dense or a
     diagonal stretch, and its ops in order. Nothing is multiplied until
-    the block is emitted."""
+    the block is emitted: `op` then builds its array in one
+    `ckernel.build` call, from a record and a small table per op (bit j of
+    an index = the block's j-th qubit), and where that call is declined,
+    as for a dense op of more than 3 targets, or no compiled kernel loads,
+    builds the same bytes in numpy: one `apply_gate` per op on the
+    identity, or the `_product` of the ops' `diagonal_of`."""
 
     __slots__ = ("qubits", "dense", "ops")
 
@@ -858,19 +877,32 @@ class _Block:
         self.ops: list[GateOp] = []
 
     def op(self) -> GateOp:
-        if self.dense:
-            u = len(self.qubits)
-            # the ops applied in order to the identity: flattened, the
-            # 2^u x 2^u matrix is a 2u-bit state whose row bit j is index
-            # bit u + j, and each op acts on the rows
-            mat = np.eye(1 << u, dtype=complex)
-            flat, rows = mat.reshape(-1), {q: u + j for j, q in enumerate(self.qubits)}
+        u = len(self.qubits)
+        # each op's record and small table for the compiled builder, over
+        # index bit j = the block's j-th qubit
+        spec, tables = [], []
+        if ckernel.load() is not None:
+            at = {q: j for j, q in enumerate(self.qubits)}
             for op in self.ops:
-                apply_gate(flat, op, rows)
+                diag = op.is_diagonal()
+                spec += (len(op.targets), len(op.controls), diag, *[at[q] for q in op.qubits])
+                tables.append(base_diagonal(op) if diag else base_matrix(op))
+        if self.dense:
+            mat = np.empty((1 << u, 1 << u), dtype=complex)
+            if ckernel.build(mat, spec, tables):
+                # the ops applied in order to the identity: flattened, the
+                # 2^u x 2^u matrix is a 2u-bit state whose row bit j is
+                # index bit u + j, and each op acts on the rows
+                mat[...] = np.eye(1 << u)
+                rows = {q: u + j for j, q in enumerate(self.qubits)}
+                for op in self.ops:
+                    apply_gate(mat.reshape(-1), op, rows)
             # a product of dense gates can still be diagonal, as H H is
             diag = np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
             return _trusted("FUSED", self.qubits, mat, bool(diag))
-        phases = _product(diagonal_of(op) for op in self.ops)
+        phases = np.empty(1 << u, dtype=complex)
+        if ckernel.build(phases, spec, tables):
+            phases = _product(diagonal_of(op) for op in self.ops)
         return _trusted("DIAGONAL", self.qubits, phases, True)
 
 
@@ -952,9 +984,13 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     no SWAP moved keeps its identity.
 
     Nothing is multiplied while a block is open: a merge joins op lists.
-    An emitted dense block's matrix is its ops applied in order to the
-    identity by `apply_gate`, and a stretch's phases are the `_product` of
-    its ops' `diagonal_of`. No input op's array is written."""
+    An emitted block's array is built in one compiled call
+    (`ckernel.build`): a dense block's matrix is its ops applied in order
+    to the identity by the kernel's own steps, and a stretch's phases are
+    the product of its ops' phases, widened where an op adds qubits and
+    rounded as numpy multiplies, so both have the bytes of the fallback
+    (`_Block.op`), which runs where the call is declined or no compiled
+    kernel loads. No input op's array is written."""
     if not 1 <= max_width <= MAX_FUSION_WIDTH:
         raise ValueError(f"max_width must be in [1, {MAX_FUSION_WIDTH}]")
     out: list[GateOp] = []

@@ -20,17 +20,24 @@ from qsim import ckernel, svcore as sv
 def fresh(monkeypatch, tmp_path):
     """A kernel not yet loaded, whose cache is an empty directory."""
     monkeypatch.setattr(ckernel, "_loaded", False)
-    monkeypatch.setattr(ckernel, "_apply", None)
+    monkeypatch.setattr(ckernel, "_library", None)
     monkeypatch.setattr(ckernel, "CACHE_DIR", tmp_path / "cache")
     return tmp_path / "cache"
 
 
 # the cache tests build this instead of `ckernel.c`, which takes seconds
-# to compile: the same entry point, applying a matrix one index at a time
-# and declining phases, which the caller then applies in numpy
+# to compile: the same entry points, applying a matrix one index at a time
+# and declining phases and every block, which the caller then applies and
+# builds in numpy
 STAND_IN = r"""
 #include <complex.h>
 #include <stdint.h>
+
+int qsim_build_block(double *out, int u, int dense, const int64_t *spec, int64_t length,
+                     const double *tables, int64_t entries)
+{
+    return 1;
+}
 
 int qsim_apply_matrix(double *amps, int m, const double *mat, int w,
                       uint64_t targets, uint64_t cmask, int cores,

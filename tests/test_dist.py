@@ -748,6 +748,80 @@ class TestStart:
         assert dist.schedule(c, 4, 1, fusion) == expect
 
 
+class TestZeroSlice:
+    """A rank whose slice is all zeros skips its local and diagonal steps
+    until its first relocalization: zeros stay zeros, and the traffic and
+    the model's bytes do not change."""
+
+    @staticmethod
+    def kernel_calls_by_rank(monkeypatch):
+        """The rank of every `ckernel.apply` call, in order, from a
+        thread-local that each rank's body sets (None outside a rank)."""
+        calls, local = [], threading.local()
+        real = ckernel.apply
+
+        def counted(*args, **kwargs):
+            calls.append(getattr(local, "rank", None))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ckernel, "apply", counted)
+        return calls, local
+
+    def test_partition_marks_every_rank_but_the_initial_one(self):
+        def body(ep):
+            return partition(4, ep, initial=13).zero
+
+        assert spmd(4, body) == [True, True, True, False]
+
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    def test_a_zero_rank_makes_no_kernel_call(self, monkeypatch, fusion):
+        # the X leaves global qubit 6 in |1> for the whole run, as QPE
+        # leaves its target qubit, so rank 0's slice stays all zeros
+        c = Circuit(7, [sv.x(6), sv.h(0), sv.h(1)] + [sv.cp(0.3 * j, j, 6) for j in range(6)]
+                    + [sv.cx(0, 2), sv.rzz(0.4, 1, 3), sv.h(2), sv.cz(2, 6)])
+        dense = dense_run(c).amps
+        calls, local = self.kernel_calls_by_rank(monkeypatch)
+
+        def body(ep):
+            local.rank = ep.rank
+            st = dist.run_distributed(c, ep, fusion=fusion)
+            return st.zero, st.slice.amps.copy(), ep.traffic.bytes_sent()
+
+        results = spmd(2, body)
+        assert [zero for zero, _, _ in results] == [True, False]
+        assert calls and set(calls) == {1}
+        assert not np.any(results[0][1])
+        # rank 1's slice is the upper half of the state; nothing moved
+        assert np.max(np.abs(results[1][1] - dense[64:])) <= 1e-12
+        assert [sent for _, _, sent in results] == [0, 0]
+
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    def test_a_zero_rank_computes_again_after_receiving_data(self, monkeypatch, fusion):
+        # rank 1 holds zeros until the CX on global qubit 4 relocalizes it
+        c = Circuit(5, [sv.h(0), sv.rz(0.2, 1), sv.cx(0, 4), sv.h(4), sv.rzz(0.7, 4, 1),
+                        sv.cp(0.5, 4, 2), sv.rx(0.3, 3)])
+        dense = dense_run(c).amps
+        calls, local = self.kernel_calls_by_rank(monkeypatch)
+
+        def body(ep):
+            local.rank = ep.rank
+            st = partition(5, ep)
+            zero = [st.zero]
+            for step, before, after in dist.sweeps(dist.schedule(c, 5, 1, fusion)):
+                dist._execute(st, step, before, after)
+                zero.append(st.zero)
+            return zero, dist.gather(st).amps, ep.traffic.bytes_sent()
+
+        (zero0, amps0, sent0), (zero1, amps1, sent1) = spmd(2, body)
+        assert not any(zero0)
+        assert zero1[0] and zero1[1] and not zero1[-1]
+        assert 1 in calls
+        assert sent0 == sent1 == perfmodel.schedule_traffic(
+            c, 5, perfmodel.nvl72_topology().for_ranks(2), fusion=fusion).total_exchange_bytes
+        for amps in (amps0, amps1):
+            assert np.max(np.abs(amps - dense)) <= 1e-12
+
+
 TRACED_CIRCUITS = {
     "random": lambda: build_random_circuit(6, 60, 5),
     "tfim": lambda: circuits.build_tfim(circuits.tfim_from_lattice(

@@ -1157,6 +1157,144 @@ class TestFusionPropertyNumpy:
         check_fuse_preserves_unitary(circuit, max_width)
 
 
+def fused_arrays(circuit, max_width):
+    """`fuse`'s stream as each op's kind, targets and controls, and the
+    sha256 of its array (None for a named op), beside the ops."""
+    ops = fuse(circuit, max_width).ops
+    keys = [(op.kind, op.targets, op.controls,
+             None if op.matrix is None else hashlib.sha256(op.matrix.tobytes()).hexdigest())
+            for op in ops]
+    return keys, ops
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """The status of every `ckernel.build` call the test makes, in order."""
+    calls = []
+    real = ckernel.build
+
+    def counted(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(ckernel, "build", counted)
+    return calls
+
+
+# 13 qubits, 12 CPs on one shared target qubit, each adding a control: the
+# widest stretch of QPE's inverse QFT
+IQFT_STRETCH = [sv.cp(-math.pi / 2 ** (12 - j), j, 12) for j in range(12)]
+
+
+class TestCompiledBuilder:
+    """`fuse` builds each block it emits in one `ckernel.build` call: the
+    same bytes as the fallback it replaces, `_product` for a stretch and
+    one `apply_gate` per op for a dense block, which still runs where the
+    builder declines a block."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        if ckernel.load() is None:
+            pytest.skip("the compiled kernel could not be built")
+
+    @staticmethod
+    def check_same_bytes_as_the_fallback(circuit, max_width):
+        built, _ = fused_arrays(circuit, max_width)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ckernel, "build", lambda out, spec, tables: -1)
+            assert fused_arrays(circuit, max_width)[0] == built
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    def test_same_bytes_as_the_fallback(self, circuit, max_width):
+        self.check_same_bytes_as_the_fallback(circuit, max_width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=mixed_circuits(0), max_width=st.integers(1, 5))
+    def test_same_bytes_as_the_fallback_with_diagonal_inputs(self, circuit, max_width):
+        # Z, CZ, P and diagonal FUSED ops, whose phases hold exact zeros
+        self.check_same_bytes_as_the_fallback(circuit, max_width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    def test_numpy_kernel_gives_the_same_stream(self, circuit, max_width):
+        # the stretches come out byte for byte; a dense block is built by
+        # the numpy kernel there, whose sums round otherwise
+        built, ops = fused_arrays(circuit, max_width)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ckernel, "load", lambda: None)
+            numpy_keys, numpy_ops = fused_arrays(circuit, max_width)
+        assert [key[:3] for key in built] == [key[:3] for key in numpy_keys]
+        for key, numpy_key, op, numpy_op in zip(built, numpy_keys, ops, numpy_ops):
+            if key[0] == "DIAGONAL":
+                assert key == numpy_key
+            elif op.matrix is not None:
+                assert np.max(np.abs(op.matrix - numpy_op.matrix)) <= 1e-12
+
+    def test_iqft_stretch_is_the_product(self):
+        (step,) = fuse(Circuit(13, IQFT_STRETCH)).ops
+        expect = sv._product(sv.diagonal_of(op) for op in IQFT_STRETCH)
+        assert step.kind == "DIAGONAL" and step.targets == tuple(range(13))
+        assert step.matrix.tobytes() == expect.tobytes()
+
+    def test_each_block_is_one_builder_call(self, kernel_calls, builder_calls):
+        head = [sv.rz(0.1 * q + 0.2, q) for q in range(8)]
+        ops = fuse(Circuit(8, head + build_random_circuit(8, 80, seed=9).ops), 3).ops
+        blocks = [op for op in ops if op.kind in ("FUSED", "DIAGONAL")]
+        assert {op.kind for op in blocks} == {"FUSED", "DIAGONAL"}
+        assert builder_calls == [0] * len(blocks)
+        assert kernel_calls == []
+
+    def test_a_declined_block_falls_back(self, kernel_calls, builder_calls):
+        # the FUSED op of 4 qubits joins the H's block at max_width 5: the
+        # builder takes at most 3 targets per dense op, so it declines the
+        # block, which one `apply_gate` per op then builds
+        c = Circuit(6, [sv.h(5), sv.fused((0, 1, 2, 3), random_unitary(4, 1)), sv.cx(3, 4),
+                        sv.rz(0.3, 5)])
+        keys, ops = fused_arrays(c, 5)
+        assert [key[:2] for key in keys] == [("FUSED", (0, 1, 2, 3, 5)), ("FUSED", (3, 4)),
+                                              ("DIAGONAL", (5,))]
+        assert builder_calls[0] != 0 and builder_calls[1:] == [0, 0]
+        assert len(kernel_calls) == 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ckernel, "build", lambda out, spec, tables: -1)
+            assert fused_arrays(c, 5)[0] == keys
+        check_fuse_preserves_unitary(c, 5)
+
+    @pytest.mark.parametrize(
+        "u, dense, spec, sizes",
+        [
+            (2, False, [1, 0, 1, 2], [2]),            # a target outside the u bits
+            (2, False, [2, 0, 1, 0, 0], [4]),         # a repeated target
+            (2, False, [1, 1, 1, 0, 0], [2]),         # a control on the target
+            (2, False, [0, 1, 1, 0], [1]),            # no target
+            (2, False, [2, 0, 1, 0], [4]),            # a record cut short
+            (2, False, [1, 0, 0, 0], [(2, 2)]),       # a dense op in a stretch
+            (4, True, [4, 0, 0, 0, 1, 2, 3], [(16, 16)]),  # wider than the kernel
+            (2, False, [1, 0, 1, 0], [1]),            # too few table entries
+            (2, False, [1, 0, 1, 0], [3]),            # too many
+            (14, False, [1, 0, 1, 0], [2]),           # a stretch over 13 bits
+            (6, True, [1, 0, 0, 0], [(2, 2)]),        # a dense block over 5
+        ],
+        ids=["outside", "repeated", "control-on-target", "no-target", "cut-short",
+             "dense-in-stretch", "too-wide", "short-tables", "long-tables", "u14", "dense-u6"],
+    )
+    def test_rejects_what_it_cannot_take_untouched(self, u, dense, spec, sizes):
+        out = np.full((1 << u, 1 << u) if dense else 1 << u, 7 + 7j)
+        tables = [np.ones(size, dtype=complex) for size in sizes]
+        assert ckernel.build(out, spec, tables) != 0
+        assert np.all(out == 7 + 7j)
+
+    def test_rejects_an_array_it_may_not_write(self):
+        table = [np.ones(2, dtype=complex)]
+        for out in (np.ones(4, dtype=complex)[::2], np.ones(2, dtype=np.complex64),
+                    np.ones(3, dtype=complex), np.ones((2, 4), dtype=complex)):
+            assert ckernel.build(out, [1, 0, 1, 0], table) == -1
+        frozen = np.ones(2, dtype=complex)
+        frozen.flags.writeable = False
+        assert ckernel.build(frozen, [1, 0, 1, 0], table) == -1
+
+
 class TestDenseRun:
     def test_empty_circuit_identity(self):
         state = dense_run(Circuit(3, []))

@@ -1306,13 +1306,15 @@ static int build_dense(double *out, int u, const int64_t *spec, int64_t length,
  * touching nothing, for u outside 1 to 13 (a stretch) or 1 to 5 (a dense
  * block), no op, a record that does not fit `spec` or has no target,
  * positions that repeat or lie outside the u bits, a non-diagonal op in a
- * stretch or one of more than MAX_WIDTH targets in a dense block, or
- * tables of other than `entries` entries; -1 too, with `out` undefined,
- * if a table cannot be allocated */
+ * stretch or one of more than MAX_WIDTH targets in a dense block, a
+ * stretch whose ops leave one of the u bits out (its entries there would
+ * not be written), or tables of other than `entries` entries; -1 too,
+ * with `out` undefined, if a table cannot be allocated */
 int qsim_build_block(double *out, int u, int dense, const int64_t *spec, int64_t length,
                      const double *tables, int64_t entries)
 {
     int widest = 0;
+    uint64_t span = 0;
     if (u < 1 || u > (dense ? MAX_DENSE_QUBITS : MAX_PHASE_BITS) || length < 1)
         return -1;
     for (int64_t at = 0; at < length;) {
@@ -1320,10 +1322,11 @@ int qsim_build_block(double *out, int u, int dense, const int64_t *spec, int64_t
         if (!op.t || (!op.diagonal && (!dense || op.t > MAX_WIDTH)) || op.entries > entries)
             return -1;
         widest = op.diagonal && op.t + op.c > widest ? op.t + op.c : widest;
+        span |= op.tmask | op.cmask;
         entries -= op.entries;
         at += op.length;
     }
-    if (entries)
+    if (entries || (!dense && span != (UINT64_C(1) << u) - 1))
         return -1;
     double *phases = malloc((size_t)16 << widest);
     if (!phases)

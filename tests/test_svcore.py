@@ -1275,9 +1275,11 @@ class TestCompiledBuilder:
             (2, False, [1, 0, 1, 0], [3]),            # too many
             (14, False, [1, 0, 1, 0], [2]),           # a stretch over 13 bits
             (6, True, [1, 0, 0, 0], [(2, 2)]),        # a dense block over 5
+            (2, False, [1, 0, 1, 1], [2]),            # a stretch that leaves bit 0 out
         ],
         ids=["outside", "repeated", "control-on-target", "no-target", "cut-short",
-             "dense-in-stretch", "too-wide", "short-tables", "long-tables", "u14", "dense-u6"],
+             "dense-in-stretch", "too-wide", "short-tables", "long-tables", "u14", "dense-u6",
+             "uncovered"],
     )
     def test_rejects_what_it_cannot_take_untouched(self, u, dense, spec, sizes):
         out = np.full((1 << u, 1 << u) if dense else 1 << u, 7 + 7j)

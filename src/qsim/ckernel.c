@@ -111,17 +111,16 @@
  * `apply_gate` per op gives, by construction. A stretch's phases widen as
  * svcore's `_product` widens them: each op multiplies the 2^|span|
  * entries of the span so far, after widening it where the op adds
- * qubits, and each product rounds as numpy multiplies complex128 (on x86
- * with FMA: re = fma(Re x, Re p, -(Im x Im p)), im = fma(Re x, Im p,
- * Im x Re p)), x the product so far and p the op's phase, so it has
- * `_product`'s bytes; the tests compare the two. It declines a dense op
- * of more than 3 targets, and svcore then runs its fallback. At one
- * thread (2-vCPU Xeon) a 13-qubit stretch of 12 CPs that each add a
- * qubit, about 16k products, took 26 us in C, against 330 us for
- * `_product` with `diagonal_of`, and a width-3 block of 3 ops about 2 us,
- * against 7 us per op for a `ckernel.apply` call from Python. A per-entry
- * product over all of a stretch's ops (2^w x ops products), tried in
- * place of the widening, was no faster.
+ * qubits, and each product rounds as numpy's complex128 multiply does
+ * on x86 with FMA (numpy 2.4 on AVX-512: re = fma(Re x, Re p,
+ * -(Im x Im p)), im = fma(Re x, Im p, Im x Re p)), x the product so far
+ * and p the op's phase, so it has `_product`'s bytes; the tests compare
+ * the two. It declines a dense op of more than 3 targets, and svcore then
+ * runs its fallback. At one thread (2-vCPU Xeon) a 13-qubit stretch of
+ * 12 CPs that each add a qubit, about 16k products, took 26 us in C,
+ * against 330 us for `_product` with `diagonal_of`, and a width-3 block
+ * of 3 ops about 2 us, against 7 us per op for a `ckernel.apply` call
+ * from Python.
  */
 #define _GNU_SOURCE
 #ifdef __BMI2__

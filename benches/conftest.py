@@ -3,10 +3,11 @@ planning, outside tier-1's `testpaths`.
 
     python -m pytest benches -q --benchmark-json=BENCH_<pr>.json
 
-writes every entry's statistics, and `machine_info["qsim"]` records what
-they ran on. `pytest benches --benchmark-disable -q` runs each body once,
-as CI does, so the suite keeps working. Only public functions are called,
-so the same files time an older tree."""
+writes every entry's statistics without its raw rounds, and
+`machine_info["qsim"]` records what they ran on. `pytest benches
+--benchmark-disable -q` runs each body once, as CI does, so the suite
+keeps working. Only public functions are called, so the same files time
+an older tree."""
 
 import os
 
@@ -26,3 +27,10 @@ def pytest_benchmark_update_machine_info(config, machine_info):
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
+
+
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    # each entry's raw rounds, thousands of timings that its statistics
+    # already sum up, were almost all of the file's size
+    for entry in output_json["benchmarks"]:
+        entry["stats"].pop("data", None)

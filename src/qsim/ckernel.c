@@ -3,10 +3,9 @@
  * `qsim_apply_matrix` multiplies a 2^w x 2^w complex matrix,
  * w from 1 to 3, into the target bits of 2^m interleaved complex128
  * amplitudes, in place, over the indices whose control bits are all 1.
- * The engine fuses to 3 qubits and no named gate has more than 2
- * targets, so no step it emits is wider. A wider step, which only a
- * caller's FUSED op of 4 or 5 qubits makes, is declined, and svcore runs
- * it on its numpy kernel.
+ * svcore's GateOp takes no FUSED op of more than 3 qubits, `fuse` builds
+ * no wider block (DEFAULT_FUSION_WIDTH) and no named gate has more than 2
+ * targets, so no step is wider; the entry still declines one.
  *
  * One 64-byte vector holds the 4 amplitudes that index bits 0 and 1 tell
  * apart, and every load and store moves one whole vector. A row vector is
@@ -115,12 +114,12 @@
  * on x86 with FMA (numpy 2.4 on AVX-512: re = fma(Re x, Re p,
  * -(Im x Im p)), im = fma(Re x, Im p, Im x Re p)), x the product so far
  * and p the op's phase, so it has `_product`'s bytes; the tests compare
- * the two. It declines a dense op of more than 3 targets, and svcore then
- * runs its fallback. At one thread (2-vCPU Xeon) a 13-qubit stretch of
- * 12 CPs that each add a qubit, about 16k products, took 26 us in C,
- * against 330 us for `_product` with `diagonal_of`, and a width-3 block
- * of 3 ops about 2 us, against 7 us per op for a `ckernel.apply` call
- * from Python.
+ * the two. A dense block spans at most MAX_WIDTH qubits, as svcore's
+ * blocks do. At one thread (2-vCPU Xeon) a 13-qubit stretch of 12 CPs
+ * that each add a qubit, about 16k products, took 26 us in C, against
+ * 330 us for `_product` with `diagonal_of`, and a width-3 block of 3 ops
+ * about 2 us, against 7 us per op for a `ckernel.apply` call from
+ * Python.
  */
 #define _GNU_SOURCE
 #ifdef __BMI2__
@@ -132,7 +131,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* the widest step: the engine's fusion width (see the top) */
+/* the widest step and the widest dense block: svcore's
+ * DEFAULT_FUSION_WIDTH, its widest FUSED op and fusion block (see the
+ * top); a wider one needs both raised, and bodies for it */
 #define MAX_WIDTH 3
 /* log2 of the amplitudes a step must touch before it is split, and of
  * those in one chunk of a split step. On 2 threads (2-vCPU Xeon, median of
@@ -144,9 +145,6 @@
 #define MAX_THREADS 64
 /* the most index bits that one phase table spans: a DIAGONAL op's 13 */
 #define MAX_PHASE_BITS 13
-/* the most qubits of a dense block that `qsim_build_block` builds:
- * svcore's MAX_FUSION_WIDTH */
-#define MAX_DENSE_QUBITS 5
 /* the most rows of a step, all of them in a step through `mix_blocks`,
  * and the widest block of that */
 #define BLOCK_ROWS (1 << MAX_WIDTH)
@@ -1302,23 +1300,24 @@ static int build_dense(double *out, int u, const int64_t *spec, int64_t length,
  * positions; tables: `entries` complex128, each op's table in order, 2^t
  * phases of a diagonal op (bit j of an entry's index = target j, controls
  * left out), else a 2^t x 2^t row-major matrix. Returns 0, or -1,
- * touching nothing, for u outside 1 to 13 (a stretch) or 1 to 5 (a dense
- * block), no op, a record that does not fit `spec` or has no target,
- * positions that repeat or lie outside the u bits, a non-diagonal op in a
- * stretch or one of more than MAX_WIDTH targets in a dense block, a
- * stretch whose ops leave one of the u bits out (its entries there would
- * not be written), or tables of other than `entries` entries; -1 too,
- * with `out` undefined, if a table cannot be allocated */
+ * touching nothing, for u outside 1 to 13 (a stretch) or 1 to MAX_WIDTH
+ * (a dense block), no op, a record that does not fit `spec` or has no
+ * target, positions that repeat or lie outside the u bits, a non-diagonal
+ * op in a stretch, a stretch whose ops leave one of the u bits out (its
+ * entries there would not be written), or tables of other than `entries`
+ * entries; -1 too, with `out` undefined, if a table cannot be allocated.
+ * A record's targets lie among the u bits, so a dense op is never wider
+ * than MAX_WIDTH */
 int qsim_build_block(double *out, int u, int dense, const int64_t *spec, int64_t length,
                      const double *tables, int64_t entries)
 {
     int widest = 0;
     uint64_t span = 0;
-    if (u < 1 || u > (dense ? MAX_DENSE_QUBITS : MAX_PHASE_BITS) || length < 1)
+    if (u < 1 || u > (dense ? MAX_WIDTH : MAX_PHASE_BITS) || length < 1)
         return -1;
     for (int64_t at = 0; at < length;) {
         const struct block_op op = block_op_at(spec + at, length - at, u);
-        if (!op.t || (!op.diagonal && (!dense || op.t > MAX_WIDTH)) || op.entries > entries)
+        if (!op.t || (!op.diagonal && !dense) || op.entries > entries)
             return -1;
         widest = op.diagonal && op.t + op.c > widest ? op.t + op.c : widest;
         span |= op.tmask | op.cmask;

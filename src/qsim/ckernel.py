@@ -27,7 +27,10 @@ the entry's status back. `build` is the one place a block of `svcore.fuse`
 is packed for the library's other entry, which builds the block's array
 from a record and a small table per op in one call; C checks the records
 and the tables' length against each other, and `build` the array it
-writes. The kernel's design, its bodies and what they cost, the builder's
+writes. Both entries take up to 3 targets per dense step, the width of
+svcore's widest FUSED op and fusion block (`DEFAULT_FUSION_WIDTH`), so
+neither declines what svcore hands it for its width; both still check
+it. The kernel's design, its bodies and what they cost, the builder's
 too, are described once, in the `ckernel.c` header.
 
 A step over at least 2^15 of the amplitudes it touches is split over a

@@ -7,10 +7,9 @@ Subcommands:
   model strong              strong-scaling curve (CSV or JSON)
   report                    re-emit a saved JSON report (e.g. as CSV)
 
-Flags are the one input path. Environment variables QSIM_FABRIC,
-QSIM_RENDEZVOUS and QSIM_SEED only provide defaults, which explicit flags
-beat; no config file sets a benchmark parameter. Rank counts (--ranks,
---max-ranks) follow the one power-of-two rule, `fabric.rank_bits`.
+Flags are the one input path: no environment variable or config file
+sets a benchmark parameter. Rank counts (--ranks, --max-ranks) follow the
+one power-of-two rule, `fabric.rank_bits`.
 Loopback mode spawns all ranks as worker threads in this process; tcp mode
 runs as one rank of an externally launched world. A dense step splits over
 the process's cores, or over OMP_NUM_THREADS of them if that is set, one
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bench, circuits, dist, fabric, perfmodel
@@ -39,42 +37,17 @@ _TOPOLOGIES = {
 }
 
 
-def env_overrides(env=None) -> dict:
-    """Defaults drawn from the environment; malformed values name the
-    offending variable."""
-    env = os.environ if env is None else env
-    out: dict = {}
-    if "QSIM_FABRIC" in env:
-        value = env["QSIM_FABRIC"]
-        if value not in _FABRICS:
-            raise ValueError(
-                f"QSIM_FABRIC must be one of {_FABRICS}, got {value!r}"
-            )
-        out["fabric"] = value
-    if "QSIM_RENDEZVOUS" in env:
-        out["rendezvous"] = env["QSIM_RENDEZVOUS"]
-    if "QSIM_SEED" in env:
-        try:
-            out["seed"] = int(env["QSIM_SEED"])
-        except ValueError:
-            raise ValueError(
-                f"QSIM_SEED must be an integer, got {env['QSIM_SEED']!r}"
-            ) from None
-    return out
-
-
-def _add_common_bench_flags(parser, defaults):
+def _add_common_bench_flags(parser):
     parser.add_argument("-n", "--qubits", type=int, required=True)
     parser.add_argument("-s", "--shots", type=int, default=1000)
     parser.add_argument("-c", "--circuits", type=int, default=10)
     parser.add_argument("--ranks", type=int, default=1)
-    parser.add_argument("--fabric", choices=_FABRICS,
-                        default=defaults.get("fabric", "loopback"))
-    parser.add_argument("--rendezvous", default=defaults.get("rendezvous"))
+    parser.add_argument("--fabric", choices=_FABRICS, default="loopback")
+    parser.add_argument("--rendezvous", default=None)
     parser.add_argument("--rank", type=int, default=None,
                         help="this process's rank (tcp mode only)")
     parser.add_argument("--fusion", choices=("on", "off"), default="on")
-    parser.add_argument("--seed", type=int, default=defaults.get("seed", 1234))
+    parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--no-warmup-exclude", action="store_true",
                         help="keep the first circuit's time in the statistics")
     parser.add_argument("--out", default=None)
@@ -93,7 +66,7 @@ def _add_model_flags(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def build_parser(defaults: dict) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(prog="qsim")
     sub = root.add_subparsers(dest="command", required=True)
 
@@ -101,7 +74,7 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     bench_sub = bench_p.add_subparsers(dest="benchmark", required=True)
     for kind in ("qpe", "tfim", "random"):
         sp = bench_sub.add_parser(kind)
-        _add_common_bench_flags(sp, defaults)
+        _add_common_bench_flags(sp)
         if kind == "tfim":
             sp.add_argument("--steps", type=int, default=10)
             sp.add_argument("--rows", type=int, default=None)
@@ -290,12 +263,10 @@ def _run_report(args) -> int:
     return 0
 
 
-def parse_and_run(argv=None, env=None) -> int:
-    """Parse argv (flags beat environment beats defaults) and execute.
-    Returns the process exit code."""
+def parse_and_run(argv=None) -> int:
+    """Parse argv and execute. Returns the process exit code."""
     try:
-        defaults = env_overrides(env)
-        args = build_parser(defaults).parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "bench":
             return _run_bench(args)
         if args.command == "model":

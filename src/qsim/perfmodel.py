@@ -32,6 +32,15 @@ _GB = 1e9
 _AMP_BYTES = 16
 
 
+def _bandwidth(value: float, field: str) -> float:
+    """`value`, if it is a finite positive number of bytes/second, else a
+    ValueError naming `field`: a NaN compares False with 0, and infinity
+    predicts no time at all."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{field} must be a finite positive bandwidth, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class LinkModel:
     """A named interconnect with its peak bidirectional bandwidth."""
@@ -40,8 +49,7 @@ class LinkModel:
     bidir_bw: float  # bytes/second
 
     def __post_init__(self):
-        if self.bidir_bw <= 0:
-            raise ValueError("bandwidth must be positive")
+        _bandwidth(self.bidir_bw, f"bidir_bw of {self.name!r}")
 
 
 _CATALOG_GBPS = {
@@ -81,8 +89,7 @@ class Topology:
     mem_bw: float = DEFAULT_MEM_BW
 
     def __post_init__(self):
-        if self.mem_bw <= 0:
-            raise ValueError("memory bandwidth must be positive")
+        _bandwidth(self.mem_bw, "mem_bw")
         for size, _ in self.levels:
             if rank_bits(size, "domain size") == 0:
                 raise ValueError("domain size must be at least 2, got 1")
@@ -314,7 +321,8 @@ def parse_topology(text: str) -> Topology:
         if "link" in fields:
             lnk = link(fields["link"])
         elif "bw" in fields:
-            lnk = LinkModel(f"custom-level-{i}", float(fields["bw"]))
+            bw = _bandwidth(float(fields["bw"]), f"level.{i}.bw")
+            lnk = LinkModel(f"custom-level-{i}", bw)
         else:
             raise ValueError(f"level {i} needs a link name or a bw value")
         levels.append((size, lnk))

@@ -58,9 +58,9 @@ Conventions shared by every module in this package:
     `ckernel.build` call from each op's small table (`_Block.op`). That
     call builds a dense block's matrix with the kernel's own steps and a
     stretch's phases as numpy multiplies them, so its bytes are those of
-    the fallback, which runs where the builder declines a block or no
-    compiled kernel loads: one `apply_gate` per op on the identity, and
-    `_product` of the ops' `diagonal_of`
+    the fallback, which runs where no compiled kernel loads: one
+    `apply_gate` per op on the identity, and `_product` of the ops'
+    `diagonal_of`
   - every other op is one `ckernel.apply` call from `apply_gate`, its
     folded diagonals included when it has no controls, into one compiled C
     kernel (`ckernel.c`, whose header describes its design, its bodies and
@@ -69,27 +69,29 @@ Conventions shared by every module in this package:
     `__pycache__`. `ckernel.apply` is the one place a call to it is
     packed, and it checks every array it hands over; the call releases the
     GIL, so loopback rank threads multiply in parallel. The kernel
-    takes 1 to 3 targets: the engine fuses to `DEFAULT_FUSION_WIDTH` (3),
-    and no named gate has more than 2. A FUSED op of 4 or 5 qubits, which
-    only a caller builds, runs on the numpy kernel, and its diagonals in
-    sweeps of their own. Both kernels add each matrix entry m as
+    takes 1 to 3 targets, and so every dense op has at most 3:
+    `DEFAULT_FUSION_WIDTH` (3) is both the widest FUSED op and the widest
+    block `fuse` builds, and no named gate has more than 2 targets. A
+    wider op needs this constant and the kernel's bodies (`ckernel.c`'s
+    MAX_WIDTH) raised together. Both kernels add each matrix entry m as
     Re m * x + Im m * (i x), the same products summed in another order,
     so they agree to about 1e-15. A large step is split over the
     process's share of cores (`ckernel.core_share`), and any share gives
     the same bytes; fusion's unitaries and small states never start a
     thread
-  - the numpy kernel, `_apply_matrix_numpy`, runs only where
-    `ckernel.apply` declines a step: a width above 3, or no compiled
-    kernel (no compiler, a failed build, or a cache that cannot be
-    written). The tests hold it as the reference. It transposes the
-    bit-axis view to put the target axes in front and multiplies one block
-    of 2^14 amplitudes (`_DENSE_BLOCK_BITS`) at a time. It copies each
-    block out with the block's other axes in `_copy_order`, so the copy
-    and the copy back step along a long run of index bits rather than the
-    1 or 2 amplitudes below a low target. It multiplies the copy x as
-    reals, [Re M | Im M] @ [x ; 1j x]: one real GEMM with the complex
-    GEMM's flop count. x, 1j x and the product take 768 KiB, so they stay
-    in a 2 MiB L2 beside the 256 KiB block, and no temporary is full-size
+  - the numpy kernel, `_apply_matrix_numpy`, runs only where no compiled
+    kernel loads (no compiler, a failed build, or a cache that cannot be
+    written), or on a state of fewer than 4 amplitudes, which
+    `ckernel.apply` declines. The tests hold it as the reference. It
+    transposes the bit-axis view to put the target axes in front and
+    multiplies one block of 2^14 amplitudes (`_DENSE_BLOCK_BITS`) at a
+    time. It copies each block out with the block's other axes in
+    `_copy_order`, so the copy and the copy back step along a long run of
+    index bits rather than the 1 or 2 amplitudes below a low target. It
+    multiplies the copy x as reals, [Re M | Im M] @ [x ; 1j x]: one real
+    GEMM with the complex GEMM's flop count. x, 1j x and the product take
+    768 KiB, so they stay in a 2 MiB L2 beside the 256 KiB block, and no
+    temporary is full-size
   - read-out squares |amp|^2 as re^2 + im^2 in float64; sampling sums it
     per block of 2^8 amplitudes (`_SAMPLE_BLOCK_BITS`) and squares again
     only the blocks that draw shots, so no temporary is full-size
@@ -112,7 +114,8 @@ import numpy as np
 
 from . import ckernel
 
-MAX_FUSION_WIDTH = 5
+# the most qubits of a FUSED op and of a block of `fuse`, and the width
+# that the engine fuses to: the compiled kernel's widest step
 DEFAULT_FUSION_WIDTH = 3
 QUBIT_CAP = 26
 # the most qubits one DIAGONAL op holds, wherever they sit: its table from
@@ -234,9 +237,9 @@ class GateOp:
         if any(q < 0 for q in self.targets + self.controls):
             raise ValueError("negative qubit index")
         if self.kind == "FUSED":
-            if not 1 <= len(self.targets) <= MAX_FUSION_WIDTH:
+            if not 1 <= len(self.targets) <= DEFAULT_FUSION_WIDTH:
                 raise ValueError(
-                    f"fused block width must be in [1, {MAX_FUSION_WIDTH}]"
+                    f"fused block width must be in [1, {DEFAULT_FUSION_WIDTH}]"
                 )
             if self.controls:
                 raise ValueError("fused blocks fold controls into the matrix")
@@ -594,8 +597,10 @@ def apply_gate(amps: np.ndarray, op: GateOp, positions, high: int = 0,
 
     Every op but a START is one `ckernel.apply` call, or none where a
     global control reads 0, and the numpy kernels run what a call
-    declines. `before` and `after`, diagonal ops or None, are applied just
-    before and just after a non-diagonal `op`: in its call, so in one
+    declines: every step where no compiled kernel loads, else only a
+    slice of fewer than 4 amplitudes, since no op is wider than the
+    kernel takes. `before` and `after`, diagonal ops or None, are applied
+    just before and just after a non-diagonal `op`: in its call, so in one
     sweep, when `op` has no controls, else, and where that call is
     declined, in calls of their own. Both give the same bytes.
 
@@ -864,10 +869,10 @@ class _Block:
     diagonal stretch, and its ops in order. Nothing is multiplied until
     the block is emitted: `op` then builds its array in one
     `ckernel.build` call, from a record and a small table per op (bit j of
-    an index = the block's j-th qubit), and where that call is declined,
-    as for a dense op of more than 3 targets, or no compiled kernel loads,
-    builds the same bytes in numpy: one `apply_gate` per op on the
-    identity, or the `_product` of the ops' `diagonal_of`."""
+    an index = the block's j-th qubit), and where no compiled kernel loads,
+    or that call is declined, builds the same bytes in numpy: one
+    `apply_gate` per op on the identity, or the `_product` of the ops'
+    `diagonal_of`."""
 
     __slots__ = ("qubits", "dense", "ops")
 
@@ -948,7 +953,8 @@ def split_start(circuit: Circuit) -> tuple[GateOp | None, Circuit]:
 
 def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     """Greedy left-to-right fusion into blocks of at most `max_width`
-    qubits. The overall unitary is preserved.
+    qubits, 1 to `DEFAULT_FUSION_WIDTH` (3). The overall unitary is
+    preserved.
 
     Fusion keeps a frontier: several open blocks on pairwise disjoint
     qubits, oldest first, and the open block that holds each qubit. Open
@@ -989,10 +995,10 @@ def fuse(circuit: Circuit, max_width: int = DEFAULT_FUSION_WIDTH) -> Circuit:
     to the identity by the kernel's own steps, and a stretch's phases are
     the product of its ops' phases, widened where an op adds qubits and
     rounded as numpy multiplies, so both have the bytes of the fallback
-    (`_Block.op`), which runs where the call is declined or no compiled
-    kernel loads. No input op's array is written."""
-    if not 1 <= max_width <= MAX_FUSION_WIDTH:
-        raise ValueError(f"max_width must be in [1, {MAX_FUSION_WIDTH}]")
+    (`_Block.op`), which runs where no compiled kernel loads. No input
+    op's array is written."""
+    if not 1 <= max_width <= DEFAULT_FUSION_WIDTH:
+        raise ValueError(f"max_width must be in [1, {DEFAULT_FUSION_WIDTH}]")
     out: list[GateOp] = []
     frontier: list[_Block] = []
     owner: dict[int, _Block] = {}

@@ -20,9 +20,9 @@ from qsim.svcore import Circuit
 TESTS_DIR = Path(__file__).parent
 SRC_DIR = TESTS_DIR.parent / "src"
 # the widest step that the compiled kernel takes (`ckernel.c`'s MAX_WIDTH,
-# the engine's fusion width); it declines a wider one, touching nothing,
-# and `svcore.apply_gate` runs that on the numpy kernel,
-# `_apply_matrix_numpy`
+# svcore's DEFAULT_FUSION_WIDTH: its widest FUSED op and fusion block, so
+# no op that svcore builds is wider); `ckernel.apply` declines a wider
+# step, touching nothing
 KERNEL_WIDTH = 3
 
 
@@ -140,7 +140,7 @@ _MIXED_MAKERS = [
     (2, True, lambda a, q, u: sv.fused(q[:2], random_unitary(2, u))),
     (3, True, lambda a, q, u: sv.fused(q[:3], random_unitary(3, u))),
     (3, False, lambda a, q, u: sv.fused(q[:3], _random_phases(3, u))),
-    (4, False, lambda a, q, u: sv.fused(q[:4], _random_phases(4, u))),
+    (4, False, lambda a, q, u: sv.diagonal(q[:4], np.diagonal(_random_phases(4, u)))),
 ]
 
 

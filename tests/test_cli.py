@@ -17,7 +17,7 @@ PRESET_LINKS = {
 
 def predict(capsys, *flags):
     argv = ["model", "predict", "-n", "12", "--ranks", "8", *flags]
-    rc = cli.parse_and_run(argv, env={})
+    rc = cli.parse_and_run(argv)
     out, err = capsys.readouterr()
     return rc, out, err
 
@@ -25,7 +25,7 @@ def predict(capsys, *flags):
 @pytest.mark.parametrize("name", list(PRESET_LINKS))
 def test_preset_parses(name):
     argv = ["model", "predict", "-n", "12", "--topology", name]
-    topo = cli._topology(cli.build_parser({}).parse_args(argv))
+    topo = cli._topology(cli.build_parser().parse_args(argv))
     assert topo.total_ranks == 64
     assert tuple(lnk.name for _, lnk in topo.levels) == PRESET_LINKS[name]
 
@@ -33,7 +33,7 @@ def test_preset_parses(name):
 @pytest.mark.parametrize("name", list(PRESET_LINKS))
 def test_preset_covers_max_ranks(capsys, name):
     argv = ["model", "strong", "-n", "20", "--max-ranks", "128", "--topology", name]
-    rc = cli.parse_and_run(argv, env={})
+    rc = cli.parse_and_run(argv)
     out, err = capsys.readouterr()
     assert rc == 0, err
     rows = csv_rows(out)
@@ -42,7 +42,7 @@ def test_preset_covers_max_ranks(capsys, name):
 
 
 def test_default_is_nvl72():
-    args = cli.build_parser({}).parse_args(["model", "predict", "-n", "12"])
+    args = cli.build_parser().parse_args(["model", "predict", "-n", "12"])
     assert cli._topology(args) == perfmodel.nvl72_topology(total=64)
 
 
@@ -85,8 +85,16 @@ def test_unknown_name_lists_presets(capsys):
         ("level.0.link = NVLink 5\n", "level 0 needs a size"),
         ("level.0.size = 3\nlevel.0.link = NVLink 5\n", "domain size must be a power of two, got 3"),
         ("level.0.size = 1\nlevel.0.link = NVLink 5\n", "domain size must be at least 2, got 1"),
+    ] + [
+        # NaN once printed "predicted_seconds": NaN, which is not JSON, and
+        # infinity a prediction of 0.0 s
+        (f"level.0.size = 4\n{link}{key} = {value}\n",
+         f"error: {key} must be a finite positive bandwidth, got {float(value)!r}\n")
+        for key, link in (("mem_bw", "level.0.link = NVLink 5\n"), ("level.0.bw", ""))
+        for value in ("nan", "inf", "-inf")
     ],
-    ids=["unknown-link", "no-size", "size-3", "size-1"],
+    ids=["unknown-link", "no-size", "size-3", "size-1"] + [
+        f"{key}-{value}" for key in ("mem_bw", "level.0.bw") for value in ("nan", "inf", "-inf")],
 )
 def test_bad_config_file_reports_error(capsys, tmp_path, text, message):
     path = tmp_path / "bad.cfg"
@@ -107,7 +115,7 @@ BENCH_ARGV = ["bench", "qpe", "-n", "4", "-c", "2", "--ranks", "2"]
 
 
 def run(capsys, *argv):
-    rc = cli.parse_and_run(list(argv), env={})
+    rc = cli.parse_and_run(list(argv))
     out, err = capsys.readouterr()
     assert rc == 0, err
     return out
@@ -124,29 +132,35 @@ def csv_rows(text):
     return list(csv.reader(io.StringIO(text)))
 
 
-@pytest.mark.parametrize("where", ["flag", "env"])
-def test_seed_from_2_to_63_runs(capsys, where):
-    seed = str(2**63)
-    argv = ["bench", "qpe", "-n", "4", "-c", "2"]
-    if where == "flag":
-        rc = cli.parse_and_run(argv + ["--seed", seed], env={})
-    else:
-        rc = cli.parse_and_run(argv, env={"QSIM_SEED": seed})
+def test_seed_from_2_to_63_runs(capsys):
+    rc = cli.parse_and_run(["bench", "qpe", "-n", "4", "-c", "2", "--seed", str(2**63)])
     out, err = capsys.readouterr()
     assert rc == 0, err
     assert json.loads(out)["config"]["seed"] == 2**63
 
 
+def test_bench_ignores_the_environment(capsys, monkeypatch):
+    # flags are the one input path: variables that once set defaults are
+    # not read, however malformed
+    monkeypatch.setenv("QSIM_FABRIC", "bogus")
+    monkeypatch.setenv("QSIM_SEED", "x")
+    rc = cli.parse_and_run(["bench", "qpe", "-n", "4", "-c", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    report = json.loads(out)
+    assert (report["config"]["fabric"], report["config"]["seed"]) == ("loopback", 1234)
+
+
 def test_random_bench_takes_a_negative_seed(capsys):
     # the circuit's seed is taken modulo 2^64, as the sampling seed is
-    rc = cli.parse_and_run(["bench", "random", "-n", "4", "-c", "2", "--seed", "-1"], env={})
+    rc = cli.parse_and_run(["bench", "random", "-n", "4", "-c", "2", "--seed", "-1"])
     out, err = capsys.readouterr()
     assert rc == 0, err
     assert json.loads(out)["config"]["seed"] == -1
 
 
 def run_fails(capsys, *argv):
-    rc = cli.parse_and_run(list(argv), env={})
+    rc = cli.parse_and_run(list(argv))
     out, err = capsys.readouterr()
     assert (rc, out) == (1, "")
     return err
@@ -192,7 +206,7 @@ TFIM_ARGV = ["bench", "tfim", "-n", "6", "--rows", "2", "--cols", "3", "--lattic
 
 
 def test_tfim_flags_set_the_config():
-    cfg = cli._bench_config(cli.build_parser({}).parse_args(TFIM_ARGV))
+    cfg = cli._bench_config(cli.build_parser().parse_args(TFIM_ARGV))
     assert cfg == bench.BenchmarkConfig(
         "tfim", 6, steps=4, rows=2, cols=3, lattice="triangular", periodic=False,
         coupling=0.5, transverse_field=2.0, t_total=0.3,
@@ -203,7 +217,7 @@ def test_tfim_takes_no_config_file(capsys, tmp_path):
     path = tmp_path / "tfim.cfg"
     path.write_text("steps = 2\n")
     with pytest.raises(SystemExit) as exit_:
-        cli.parse_and_run([*TFIM_ARGV, "--tfim-config", str(path)], env={})
+        cli.parse_and_run([*TFIM_ARGV, "--tfim-config", str(path)])
     assert exit_.value.code == 2
     assert "--tfim-config" in capsys.readouterr().err
 
@@ -279,7 +293,7 @@ class TestReportOutput:
         report = json.loads(stdout[0])
         assert list(report) == REPORT_KEYS
         assert (report["world_size"], report["transport"]) == (2, "tcp")
-        expect = model_traffic(cli._bench_config(cli.build_parser({}).parse_args(bench_argv)), 2)
+        expect = model_traffic(cli._bench_config(cli.build_parser().parse_args(bench_argv)), 2)
         assert expect["exchange_bytes_total"] > 0
         assert report["traffic"] == expect
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from conftest import mixed_circuits
 from hypothesis import given, settings, strategies as st
@@ -100,3 +102,16 @@ def test_rank_counts_follow_the_one_power_of_two_rule(call):
 
     with pytest.raises(ValueError, match="must be a power of two, got 0"):
         call(perfmodel.nvl72_topology(), family)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_bandwidth_named(value):
+    # NaN compares False with 0, and an infinite bandwidth predicts no time
+    for text, field in (("level.0.size = 4\nlevel.0.link = NVLink 5\nmem_bw = {}\n", "mem_bw"),
+                        ("level.0.size = 4\nlevel.0.bw = {}\n", "level.0.bw")):
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be a finite positive"):
+            perfmodel.parse_topology(text.format(value))
+    with pytest.raises(ValueError, match="^mem_bw must be a finite positive"):
+        perfmodel.Topology((), float(value))
+    with pytest.raises(ValueError, match="^bidir_bw of 'x' must be a finite positive"):
+        perfmodel.LinkModel("x", float(value))

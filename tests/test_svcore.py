@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from conftest import (
 )
 from hypothesis import given, settings, strategies as st
 
-from qsim import ckernel, svcore as sv
+from qsim import ckernel, circuits, dist, svcore as sv
 from qsim.circuits import build_random_circuit
+from qsim.fabric import create_world, run_spmd
 from qsim.svcore import (
     Circuit,
     GateOp,
@@ -100,6 +102,15 @@ class TestGateOp:
     def test_fused_width_cap(self):
         with pytest.raises(ValueError, match="width"):
             sv.fused(tuple(range(6)), np.eye(64))
+
+    @pytest.mark.parametrize("w", [4, 5])
+    def test_wider_than_the_kernel_rejected(self, w):
+        # the compiled kernel's widest step, 3, is the one width limit: no
+        # FUSED op and no fusion block is wider
+        with pytest.raises(ValueError, match=r"fused block width must be in \[1, 3\]"):
+            sv.fused(range(w), random_unitary(w, w))
+        with pytest.raises(ValueError, match=r"max_width must be in \[1, 3\]"):
+            fuse(Circuit(w, [sv.h(0)]), w)
 
     def test_diagonal_op_checked(self):
         with pytest.raises(ValueError, match="unit modulus"):
@@ -489,14 +500,19 @@ class TestBlockedDenseKernel:
         assert np.max(np.abs(got - expect)) <= 1e-12
 
 
+# the widest step that these tests hand `ckernel.apply`: two widths above
+# what it takes, which it must decline untouched
+_WIDEST_TRIED = KERNEL_WIDTH + 2
+
+
 def _small_cases():
     """(m, targets, controls) on arrays of 2^2 to 2^6 amplitudes, down to
-    the 2^2 of a 1-qubit block in `fuse`: every width to 5 at each size,
-    on shuffled bits, with up to two controls."""
+    the 2^2 of a 1-qubit block in `fuse`: every width to `_WIDEST_TRIED`
+    at each size, on shuffled bits, with up to two controls."""
     rng = np.random.default_rng(23)
     cases = []
     for m in range(2, 7):
-        for w in range(1, min(m, sv.MAX_FUSION_WIDTH) + 1):
+        for w in range(1, min(m, _WIDEST_TRIED) + 1):
             for _ in range(3):
                 bits = [int(b) for b in rng.permutation(m)]
                 nc = int(rng.integers(0, min(2, m - w) + 1))
@@ -543,8 +559,8 @@ _BODIES = _lane_shapes(range(1, KERNEL_WIDTH + 1)) + [
     (3, blocks, phased) for blocks in ("pairs", "fours") for phased in (False, True)] + [
     (w, f"real-held{held}", phased)
     for w, held, phased in _lane_shapes(range(1, KERNEL_WIDTH + 1)) if held != 1]
-# the same shapes at the widths that a caller's FUSED op may still have
-_WIDE_SHAPES = _lane_shapes(range(KERNEL_WIDTH + 1, sv.MAX_FUSION_WIDTH + 1))
+# the same shapes at widths the kernel declines
+_WIDE_SHAPES = _lane_shapes(range(KERNEL_WIDTH + 1, _WIDEST_TRIED + 1))
 # the matrices that each block body is tried on, and the terms per output
 _BLOCK_BODIES = {"pairs": (("permutation", "pairs"), 2), "fours": (("fours",), 4)}
 
@@ -863,27 +879,6 @@ class TestCompiledKernel:
         if real:
             assert kernel_terms(mat, targets, cmask) == 1 << len(targets)
 
-    @pytest.mark.parametrize("w", [4, 5])
-    def test_wide_fused_op_gives_the_bytes_of_its_steps_apart(self, w):
-        # the kernel declines the fold, so `apply_gate` applies the
-        # diagonals through its width-0 sweep and the matrix through the
-        # numpy kernel
-        n = 17
-        rng = np.random.default_rng(w)
-        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        op = sv.fused((2, 5, 9, 14, 0)[:w], random_unitary(w, w))
-        before, after = (
-            sv.diagonal(bits, np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << len(bits))))
-            for bits in ((0, 5, 9), (1, 13, 16)))
-        positions = list(range(n))
-        got = psi.copy()
-        sv.apply_gate(got, op, positions, before=before, after=after)
-        apart = psi.copy()
-        for each in (before, op, after):
-            sv.apply_gate(apart, each, positions)
-        assert not np.array_equal(got, psi)
-        assert digest(got) == digest(apart)
-
     def test_calls_at_once_give_the_serial_bytes(self):
         # three threads whose calls overlap, each with a share of 6 cores:
         # one call's step splits while the others find it open and run
@@ -1104,7 +1099,6 @@ _GATE_MAKERS = [
     (2, lambda a, q, u: sv.swap(q[0], q[1])),
     (2, lambda a, q, u: sv.fused(q[:2], random_unitary(2, u))),
     (3, lambda a, q, u: sv.fused(q[:3], random_unitary(3, u))),
-    (4, lambda a, q, u: sv.fused(q[:4], random_unitary(4, u))),
 ]
 
 
@@ -1142,7 +1136,7 @@ def check_fuse_preserves_unitary(circuit, max_width):
 
 class TestFusionProperty:
     @settings(max_examples=60, deadline=None)
-    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    @given(circuit=small_circuits(), max_width=st.integers(1, 3))
     def test_fuse_preserves_unitary(self, circuit, max_width):
         check_fuse_preserves_unitary(circuit, max_width)
 
@@ -1152,7 +1146,7 @@ class TestFusionPropertyNumpy:
     """The same property, fusing on the numpy kernel."""
 
     @settings(max_examples=60, deadline=None)
-    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    @given(circuit=small_circuits(), max_width=st.integers(1, 3))
     def test_fuse_preserves_unitary(self, circuit, max_width):
         check_fuse_preserves_unitary(circuit, max_width)
 
@@ -1189,8 +1183,9 @@ IQFT_STRETCH = [sv.cp(-math.pi / 2 ** (12 - j), j, 12) for j in range(12)]
 class TestCompiledBuilder:
     """`fuse` builds each block it emits in one `ckernel.build` call: the
     same bytes as the fallback it replaces, `_product` for a stretch and
-    one `apply_gate` per op for a dense block, which still runs where the
-    builder declines a block."""
+    one `apply_gate` per op for a dense block, which still runs where no
+    compiled kernel loads, and here where `ckernel.build` is patched to
+    decline every block."""
 
     @pytest.fixture(autouse=True)
     def compiled(self):
@@ -1205,18 +1200,18 @@ class TestCompiledBuilder:
             assert fused_arrays(circuit, max_width)[0] == built
 
     @settings(max_examples=60, deadline=None)
-    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    @given(circuit=small_circuits(), max_width=st.integers(1, 3))
     def test_same_bytes_as_the_fallback(self, circuit, max_width):
         self.check_same_bytes_as_the_fallback(circuit, max_width)
 
     @settings(max_examples=60, deadline=None)
-    @given(circuit=mixed_circuits(0), max_width=st.integers(1, 5))
+    @given(circuit=mixed_circuits(0), max_width=st.integers(1, 3))
     def test_same_bytes_as_the_fallback_with_diagonal_inputs(self, circuit, max_width):
         # Z, CZ, P and diagonal FUSED ops, whose phases hold exact zeros
         self.check_same_bytes_as_the_fallback(circuit, max_width)
 
     @settings(max_examples=60, deadline=None)
-    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    @given(circuit=small_circuits(), max_width=st.integers(1, 3))
     def test_numpy_kernel_gives_the_same_stream(self, circuit, max_width):
         # the stretches come out byte for byte; a dense block is built by
         # the numpy kernel there, whose sums round otherwise
@@ -1245,22 +1240,6 @@ class TestCompiledBuilder:
         assert builder_calls == [0] * len(blocks)
         assert kernel_calls == []
 
-    def test_a_declined_block_falls_back(self, kernel_calls, builder_calls):
-        # the FUSED op of 4 qubits joins the H's block at max_width 5: the
-        # builder takes at most 3 targets per dense op, so it declines the
-        # block, which one `apply_gate` per op then builds
-        c = Circuit(6, [sv.h(5), sv.fused((0, 1, 2, 3), random_unitary(4, 1)), sv.cx(3, 4),
-                        sv.rz(0.3, 5)])
-        keys, ops = fused_arrays(c, 5)
-        assert [key[:2] for key in keys] == [("FUSED", (0, 1, 2, 3, 5)), ("FUSED", (3, 4)),
-                                              ("DIAGONAL", (5,))]
-        assert builder_calls[0] != 0 and builder_calls[1:] == [0, 0]
-        assert len(kernel_calls) == 2
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ckernel, "build", lambda out, spec, tables: -1)
-            assert fused_arrays(c, 5)[0] == keys
-        check_fuse_preserves_unitary(c, 5)
-
     @pytest.mark.parametrize(
         "u, dense, spec, sizes",
         [
@@ -1270,11 +1249,11 @@ class TestCompiledBuilder:
             (2, False, [0, 1, 1, 0], [1]),            # no target
             (2, False, [2, 0, 1, 0], [4]),            # a record cut short
             (2, False, [1, 0, 0, 0], [(2, 2)]),       # a dense op in a stretch
-            (4, True, [4, 0, 0, 0, 1, 2, 3], [(16, 16)]),  # wider than the kernel
+            (4, True, [4, 0, 0, 0, 1, 2, 3], [(16, 16)]),  # a block wider than the kernel
             (2, False, [1, 0, 1, 0], [1]),            # too few table entries
             (2, False, [1, 0, 1, 0], [3]),            # too many
             (14, False, [1, 0, 1, 0], [2]),           # a stretch over 13 bits
-            (6, True, [1, 0, 0, 0], [(2, 2)]),        # a dense block over 5
+            (6, True, [1, 0, 0, 0], [(2, 2)]),        # a dense block over 3
             (2, False, [1, 0, 1, 1], [2]),            # a stretch that leaves bit 0 out
         ],
         ids=["outside", "repeated", "control-on-target", "no-target", "cut-short",
@@ -1295,6 +1274,67 @@ class TestCompiledBuilder:
         frozen = np.ones(2, dtype=complex)
         frozen.flags.writeable = False
         assert ckernel.build(frozen, [1, 0, 1, 0], table) == -1
+
+
+# one circuit of each benchmark family on 6 qubits, so that each of 4 ranks
+# holds 2^4 amplitudes, at least the 4 that the compiled kernel takes
+_FAMILIES = {
+    "random": lambda: build_random_circuit(6, 60, seed=3),
+    "tfim": lambda: circuits.build_tfim(circuits.tfim_from_lattice(
+        circuits.LatticeSpec(1, 6, periodic=True), steps=3)),
+    "qpe": lambda: circuits.build_qpe(circuits.QpeSpec(5, 3)),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a numpy kernel ran where the compiled one loads")
+
+
+class TestCompiledLeavesNothingToNumpy:
+    """Where the compiled kernel loads, it runs every step of the engine
+    and of the reference simulator and builds every block of `fuse`: no
+    op is wider than it takes. With the numpy kernels and `_product` made
+    to raise, the same calls finish with the same bytes."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        if ckernel.load() is None:
+            pytest.skip("the compiled kernel could not be built")
+
+    @staticmethod
+    @contextmanager
+    def without_numpy():
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_apply_matrix_numpy", "_apply_diagonal_numpy", "_product"):
+                mp.setattr(sv, name, _refuse)
+            yield
+
+    @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize("P", [1, 2, 4])
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_run_distributed(self, family, P, fusion):
+        c = _FAMILIES[family]()
+
+        def body(ep):
+            return dist.gather(dist.run_distributed(c, ep, fusion=fusion)).amps.tobytes()
+
+        expect = run_spmd(create_world("loopback", P), body)
+        with self.without_numpy():
+            assert run_spmd(create_world("loopback", P), body) == expect
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_dense_run(self, family):
+        c = _FAMILIES[family]()
+        expect = dense_run(c).amps.tobytes()
+        with self.without_numpy():
+            assert dense_run(c).amps.tobytes() == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=small_circuits(), max_width=st.integers(1, 3))
+    def test_fuse(self, circuit, max_width):
+        expect = fused_arrays(circuit, max_width)[0]
+        with self.without_numpy():
+            assert fused_arrays(circuit, max_width)[0] == expect
 
 
 class TestDenseRun:
@@ -1443,14 +1483,14 @@ class TestFusion:
         for seed in range(100):
             n = 4 + seed % 7
             c = build_random_circuit(n, 200, seed=seed)
-            width = 1 + seed % 5
+            width = 1 + seed % 3
             dev = max_deviation(dense_run(c).amps, dense_run(fuse(c, width)).amps)
             assert dev <= 1e-10, (seed, width, dev)
 
     def test_wide_ops_pass_through(self):
-        wide = sv.fused(tuple(range(4)), np.eye(16))
+        wide = sv.fused(tuple(range(3)), np.eye(8))
         c = Circuit(5, [sv.h(0), wide, sv.h(0)])
-        fused_c = fuse(c, max_width=3)
+        fused_c = fuse(c, max_width=2)
         assert any(op is wide for op in fused_c.ops)
 
     def test_swap_stays_out_of_block(self):
@@ -1463,23 +1503,23 @@ class TestFusion:
         assert last == sv.swap(0, 1)
 
     def test_ops_before_any_swap_keep_identity(self):
-        wide = sv.fused(tuple(range(4)), np.eye(16))
+        wide = sv.fused(tuple(range(3)), np.eye(8))
         c = Circuit(5, [wide, sv.swap(0, 4), wide])
-        first, renamed, last = fuse(c, max_width=3).ops
+        first, renamed, last = fuse(c, max_width=2).ops
         assert first is wide
-        assert renamed.targets == (4, 1, 2, 3)
+        assert renamed.targets == (4, 1, 2)
         assert last is c.ops[1]
 
     def test_renaming_does_not_validate_again(self, monkeypatch):
-        wide = sv.fused(tuple(range(4)), random_unitary(4, 5))
+        wide = sv.fused(tuple(range(3)), random_unitary(3, 5))
         c = Circuit(5, [sv.swap(0, 4), wide])
         checked = []
         validate = GateOp.__post_init__
         monkeypatch.setattr(
             GateOp, "__post_init__", lambda op: checked.append(op) or validate(op)
         )
-        renamed, _ = fuse(c, max_width=3).ops
-        assert renamed.targets == (4, 1, 2, 3)
+        renamed, _ = fuse(c, max_width=2).ops
+        assert renamed.targets == (4, 1, 2)
         assert renamed.matrix is wide.matrix
         assert checked == []
 
@@ -1496,7 +1536,7 @@ class TestFusion:
             assert op.matrix.tobytes() == copy.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(circuit=small_circuits(), max_width=st.integers(1, 5))
+    @given(circuit=small_circuits(), max_width=st.integers(1, 3))
     def test_swaps_trail_in_input_order(self, circuit, max_width):
         swaps = [op for op in circuit.ops if op.kind == "SWAP"]
         ops = fuse(circuit, max_width).ops
